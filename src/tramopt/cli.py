@@ -12,10 +12,13 @@ validation, unstable setup), 2 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -36,7 +39,7 @@ from tramopt.network import (
     load_scenario,
     validate_scenario,
 )
-from tramopt.objectives import PolicyEvaluator
+from tramopt.objectives import BatchScorer, ObjectiveBreakdown, ObjectiveTally, PolicyEvaluator
 from tramopt.traffic import TrafficError, simulate_traffic
 
 _EMISSION_MAGIC = b"TRMO"
@@ -110,16 +113,25 @@ def _adjoint_cache_key(scenario: Scenario) -> str:
 
 
 def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[np.ndarray, Path]:
-    """Solve the adjoint or load it from a content-addressed cache file."""
+    """Solve the adjoint or load it from a content-addressed cache file.
+
+    A cache file that cannot be read or holds the wrong array is a miss: the
+    adjoint is solved again and the file replaced atomically.
+    """
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.npy"
     expected = (scenario.n_time + 1, scenario.n_grid + 1, scenario.n_grid + 1)
-    if path.exists():
+    try:
         adjoint = np.load(path)
-        if adjoint.shape == expected:
+        if isinstance(adjoint, np.ndarray) and adjoint.shape == expected and adjoint.dtype == float:
             return adjoint, path
+    except (OSError, ValueError, EOFError):
+        pass
     adjoint = solve_adjoint(scenario)
-    np.save(path, adjoint)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "wb") as fh:
+        np.save(fh, adjoint)
+    os.replace(tmp, path)
     return adjoint, path
 
 
@@ -157,13 +169,13 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
-    traj = simulate_traffic(scenario, policy)
     raster = rasterize_network(scenario)
-    field = emission_field(traj, raster, scenario, policy)
     cache_dir = Path(args.cache_dir) if args.cache_dir else out_dir
     adjoint, adjoint_path = cached_adjoint(scenario, cache_dir)
-    evaluator = PolicyEvaluator(scenario, adjoint=adjoint, raster=raster)
-    breakdown = evaluator.components(policy)
+    tally = ObjectiveTally(PolicyEvaluator(scenario, adjoint=adjoint, raster=raster), 1)
+    traj = simulate_traffic(scenario, policy, observe=tally)
+    (breakdown,) = tally.breakdowns()
+    field = emission_field(traj, raster, scenario, policy)
 
     road_ids = [r.id for r in scenario.roads]
     times = traj.times
@@ -235,9 +247,17 @@ def _init_worker(scenario: Scenario, adjoint: np.ndarray) -> None:
     _WORKER_EVALUATOR = PolicyEvaluator(scenario, adjoint=adjoint)
 
 
-def _eval_in_worker(policy: np.ndarray) -> np.ndarray:
+def _score_in_worker(policies: list[np.ndarray]) -> list[ObjectiveBreakdown]:
     assert _WORKER_EVALUATOR is not None
-    return _WORKER_EVALUATOR.vector(policy)
+    return _WORKER_EVALUATOR.score(policies)
+
+
+def _score_sliced(pool, jobs: int, policies: list[np.ndarray]) -> list[ObjectiveBreakdown]:
+    """Score a batch in ``jobs`` contiguous slices, one per worker process."""
+    n = len(policies)
+    slices = [policies[i * n // jobs:(i + 1) * n // jobs] for i in range(jobs)]
+    parts = pool.map(_score_in_worker, [part for part in slices if part])
+    return [b for part in parts for b in part]
 
 
 def cmd_optimize(args) -> int:
@@ -264,24 +284,23 @@ def cmd_optimize(args) -> int:
     lower, upper = scenario.policy_bounds()
     options = SearchOptions(max_evaluations=args.budget, seed=args.seed)
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=args.jobs,
-            initializer=_init_worker,
-            initargs=(scenario, adjoint),
-        ) as pool:
-            archive, diagnostics = pareto_search(
-                evaluator.vector,
-                lower,
-                upper,
-                options,
-                map_fn=lambda _f, xs: pool.map(_eval_in_worker, xs),
-            )
-    else:
-        archive, diagnostics = pareto_search(evaluator.vector, lower, upper, options)
+    scorer = BatchScorer(evaluator)
+    workers = (
+        ProcessPoolExecutor(
+            args.jobs, multiprocessing.get_context("spawn"), _init_worker, (scenario, adjoint)
+        )
+        if args.jobs > 1
+        else contextlib.nullcontext()
+    )
+    with workers as pool:
+        if pool is not None:
+            scorer.score = functools.partial(_score_sliced, pool, args.jobs)
+        archive, diagnostics = pareto_search(
+            evaluator.vector, lower, upper, options, map_fn=scorer
+        )
 
     entries = sorted(archive.entries, key=lambda e: e.policy)
-    breakdowns = [evaluator.components(np.array(e.policy)) for e in entries]
+    breakdowns = [scorer.scored[e.policy] for e in entries]
     values = np.array([e.value for e in entries])
 
     ideal = values.min(axis=0)

@@ -18,11 +18,16 @@ from tramopt.network import Scenario
 from tramopt.traffic import greenshields_flux
 
 
+def emission_rate(flow, rho, theta):
+    """Emission rate of road cells carrying traffic flow ``flow`` at density ``rho``."""
+    return flow + theta * rho
+
+
 def road_emission_rate(rho, v_max, rho_max, theta):
     """Emission rate of a road cell: traffic flow plus theta times density."""
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
-    return greenshields_flux(rho, v_max, rho_max) + theta * rho
+    return emission_rate(greenshields_flux(rho, v_max, rho_max), rho, theta)
 
 
 @dataclass

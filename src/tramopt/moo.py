@@ -193,10 +193,14 @@ def pareto_search(
     """Explore the Pareto front of ``evaluate`` over the box [lower, upper].
 
     ``evaluate`` maps a policy array to an objective vector and must be a
-    pure function; ``map_fn`` (default: builtin map) lets callers evaluate
-    candidate batches concurrently.  Members whose polls all fail contract
-    their mesh, successful ones expand it; the search stops on the
-    evaluation budget or when every member's mesh is below the minimum.
+    pure function.  ``map_fn(evaluate, policies)`` is the batch hook: it
+    receives each whole batch (the seed points, then every iteration's poll
+    candidates) as a list of policy arrays and returns their objective
+    vectors in order.  The default maps ``evaluate`` over the batch; a
+    batch scorer may ignore ``evaluate`` and score the list in one pass.
+    Members whose polls all fail contract their mesh, successful ones
+    expand it; the search stops on the evaluation budget or when every
+    member's mesh is below the minimum.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)

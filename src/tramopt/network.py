@@ -171,6 +171,8 @@ class SpeedLimitPolicy:
                 f"policy has {len(values)} components, scenario has {scenario.n_roads} roads"
             )
         for v, road in zip(values, scenario.roads):
+            if not math.isfinite(v):
+                raise PolicyError(f"V_{road.id} = {v} is not a finite number")
             if v > road.v_max:
                 raise PolicyError(f"V_{road.id} = {v} exceeds upper bound {road.v_max}")
             if v < road.v_min:

@@ -3,8 +3,10 @@
 All quadratures follow the right rectangle rule: time sums start at the
 first step after the initial datum, spatial sums over the control area skip
 the left and bottom grid rows.  The pollution objective is evaluated
-through the precomputed adjoint, so scoring a policy costs one traffic
-simulation and a few dot products; no PDE is solved per policy.
+through the precomputed adjoint, so no PDE is solved per policy: a batch
+of policies is scored in one pass of the traffic kernel, which hands every
+output step to an ``ObjectiveTally`` that adds up the flow, the
+adjoint-paired emission rate and the queue lengths as it goes.
 """
 
 from __future__ import annotations
@@ -14,29 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from tramopt.dispersion import solve_adjoint
-from tramopt.emission import RasterMap, cell_rates, rasterize_network
+# cell_rates is not called here but stays a name of this module, which
+# perfbench/spans.py wraps
+from tramopt.emission import RasterMap, cell_rates, emission_rate, rasterize_network  # noqa: F401
 from tramopt.network import Scenario
-from tramopt.traffic import TrafficTrajectory, simulate_traffic
+from tramopt.traffic import simulate_batch, simulate_traffic
 
 #: floor for relative comparisons on pollutant-free scenarios
 EPS_RELATIVE = 1e-12
-
-
-def j_flow(traj: TrafficTrajectory, policy, scenario: Scenario) -> float:
-    """Accumulated traffic flow over all roads, cells, and time steps."""
-    from tramopt.traffic import _policy_array, greenshields_flux
-
-    v = _policy_array(policy, scenario)
-    rho_max = np.array([r.rho_max for r in scenario.roads])
-    flux = greenshields_flux(
-        traj.densities[1:], v[None, :, None], rho_max[None, :, None]
-    )
-    return float(scenario.dt * scenario.ds * np.sum(flux))
-
-
-def j_queue(traj: TrafficTrajectory, scenario: Scenario) -> float:
-    """Time-averaged total queue length over all access roads."""
-    return float(scenario.dt / scenario.horizon * np.sum(traj.queues[1:]))
 
 
 def j_diff_adjoint(
@@ -93,12 +80,50 @@ class ObjectiveBreakdown:
         raise ValueError(f"unknown objective mode {mode!r}")
 
 
+class ObjectiveTally:
+    """The ``observe`` callback of the traffic kernel that scores a batch.
+
+    Per policy and output step k >= 1 it keeps the flow summed over all
+    cells, the emission rate paired with the contracted adjoint, and the
+    total queue; the sums over time are taken per policy at the end.
+    """
+
+    def __init__(self, evaluator: "PolicyEvaluator", n_policies: int):
+        sc = evaluator.scenario
+        self.evaluator = evaluator
+        self._pairing = evaluator._pairing.reshape(sc.n_time + 1, -1)
+        self._steps = np.zeros((3, n_policies, sc.n_time))  # flow, emission, queue
+
+    def __call__(self, rows, k, rho, flow, queues) -> None:
+        b = len(rows)
+        rate = emission_rate(flow, rho, self.evaluator.scenario.theta)
+        self._steps[0, rows, k - 1] = flow.reshape(b, -1).sum(axis=1)
+        self._steps[1, rows, k - 1] = (rate.reshape(b, -1) * self._pairing[k]).sum(axis=1)
+        self._steps[2, rows, k - 1] = queues.sum(axis=1)
+
+    def breakdowns(self) -> list[ObjectiveBreakdown]:
+        sc = self.evaluator.scenario
+        phi0_term = self.evaluator.phi0_term
+        return [
+            ObjectiveBreakdown(
+                j_flow=float(sc.dt * sc.ds * flow),
+                j_diff=sc.dt * sc.h**2 * float(emitted) + phi0_term,
+                j_queue=float(sc.dt / sc.horizon * queued),
+                delta=sc.delta,
+            )
+            for flow, emitted, queued in self._steps.sum(axis=2).T
+        ]
+
+
 class PolicyEvaluator:
     """Scores policies against a scenario with the adjoint precomputed.
 
     The adjoint is contracted with the raster weights once, leaving per
-    policy only the traffic run and a (time x road x cell) dot product.
-    Instances are read-only after construction and safe to share.
+    policy only the traffic run, whose every output step is paired with the
+    contraction on the fly.  ``score`` runs a whole batch through the kernel
+    at once; ``components`` runs one policy through ``simulate_traffic`` and
+    gives bitwise the same numbers.  Instances are read-only after
+    construction and safe to share.
     """
 
     def __init__(
@@ -140,20 +165,36 @@ class PolicyEvaluator:
             np.add.at(pairing_flat, flat_idx, vals.T)
         return pairing_flat.T.reshape(sc.n_time + 1, sc.n_roads, sc.n_cells)
 
+    def score(self, policies) -> list[ObjectiveBreakdown]:
+        """Breakdowns of a batch of policies from one pass of the traffic kernel."""
+        policies = list(policies)
+        tally = ObjectiveTally(self, len(policies))
+        simulate_batch(self.scenario, policies, tally)
+        return tally.breakdowns()
+
     def components(self, policy) -> ObjectiveBreakdown:
-        sc = self.scenario
-        traj = simulate_traffic(sc, policy)
-        rates = cell_rates(traj.densities, sc, policy)
-        source_term = sc.dt * sc.h**2 * float(np.sum(rates[1:] * self._pairing[1:]))
-        return ObjectiveBreakdown(
-            j_flow=j_flow(traj, policy, sc),
-            j_diff=source_term + self.phi0_term,
-            j_queue=j_queue(traj, sc),
-            delta=sc.delta,
-        )
+        tally = ObjectiveTally(self, 1)
+        simulate_traffic(self.scenario, policy, observe=tally)
+        return tally.breakdowns()[0]
 
     def vector(self, policy) -> np.ndarray:
         return self.components(policy).vector(self.scenario.mode)
+
+
+class BatchScorer:
+    """``map_fn`` of ``pareto_search``: scores each whole batch with ``score``
+    (the evaluator's unless replaced) and keeps every breakdown in ``scored``."""
+
+    def __init__(self, evaluator: PolicyEvaluator):
+        self.mode = evaluator.scenario.mode
+        self.score = evaluator.score
+        self.scored: dict[tuple[float, ...], ObjectiveBreakdown] = {}
+
+    def __call__(self, _evaluate, policies) -> list[np.ndarray]:
+        policies = list(policies)
+        parts = self.score(policies)
+        self.scored.update(zip(map(tuple, policies), parts))
+        return [b.vector(self.mode) for b in parts]
 
 
 def evaluate_policy(scenario: Scenario, policy, adjoint: np.ndarray) -> np.ndarray:

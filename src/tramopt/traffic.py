@@ -4,6 +4,11 @@ Cell-averaged densities evolve by a Godunov finite-volume scheme with a
 concave Greenshields flux; junctions couple roads through closed-form
 demand/supply solutions, access roads buffer prescribed inflow in point
 queues, and exit roads discharge at free flow.
+
+One kernel steps a batch of policies together as (batch, roads, cells)
+arrays, coupling all junctions of a kind at once; ``simulate_traffic`` runs
+it for one policy and keeps the history, ``simulate_batch`` runs many and
+hands each output step to a callback instead.
 """
 
 from __future__ import annotations
@@ -28,34 +33,37 @@ def _check_density(rho, rho_max) -> None:
         raise TrafficError(f"density outside [0, rho_max]: {rho!r}")
 
 
+def _flux(rho, v_max, rho_max):
+    return v_max * rho * (1.0 - rho / rho_max)
+
+
 def greenshields_flux(rho, v_max, rho_max):
     """Concave flux v*rho*(1 - rho/rho_max); peaks at rho_max/2 with value v*rho_max/4."""
     _check_density(rho, rho_max)
-    return v_max * rho * (1.0 - rho / rho_max)
+    return _flux(rho, v_max, rho_max)
 
 
 def flux_capacity(v_max, rho_max):
     return v_max * rho_max / 4.0
 
 
+def _envelopes(rho, flow, cap, critical):
+    """(demand, supply) of densities rho with flux Q(rho) = ``flow``, capacity
+    ``cap`` and critical density ``critical``."""
+    below = rho <= critical
+    return np.where(below, flow, cap), np.where(below, cap, flow)
+
+
 def demand(rho, v_max, rho_max):
     """Increasing envelope of the flux: Q(rho) below critical density, capacity above."""
-    _check_density(rho, rho_max)
-    return np.where(
-        rho <= rho_max / 2.0,
-        v_max * rho * (1.0 - rho / rho_max),
-        flux_capacity(v_max, rho_max),
-    )
+    flow = greenshields_flux(rho, v_max, rho_max)
+    return _envelopes(rho, flow, flux_capacity(v_max, rho_max), rho_max / 2.0)[0]
 
 
 def supply(rho, v_max, rho_max):
     """Decreasing envelope of the flux: capacity below critical density, Q(rho) above."""
-    _check_density(rho, rho_max)
-    return np.where(
-        rho <= rho_max / 2.0,
-        flux_capacity(v_max, rho_max),
-        v_max * rho * (1.0 - rho / rho_max),
-    )
+    flow = greenshields_flux(rho, v_max, rho_max)
+    return _envelopes(rho, flow, flux_capacity(v_max, rho_max), rho_max / 2.0)[1]
 
 
 def godunov_flux(u, v, v_max, rho_max):
@@ -63,21 +71,29 @@ def godunov_flux(u, v, v_max, rho_max):
     return np.minimum(demand(u, v_max, rho_max), supply(v, v_max, rho_max))
 
 
-def _demand_s(rho: float, v_max: float, rho_max: float) -> float:
-    # scalar fast path for the stepping loop; range enforced by clipping
-    if rho <= rho_max / 2.0:
-        return v_max * rho * (1.0 - rho / rho_max)
-    return v_max * rho_max / 4.0
-
-
-def _supply_s(rho: float, v_max: float, rho_max: float) -> float:
-    if rho <= rho_max / 2.0:
-        return v_max * rho_max / 4.0
-    return v_max * rho * (1.0 - rho / rho_max)
-
-
 # ---------------------------------------------------------------------------
 # junction coupling (closed forms for the three basis junctions)
+#
+# Each rule is written once, on arrays; the stepping kernel applies it to all
+# junctions of a kind at once, and the public functions check their inputs
+# and call the same rule.
+
+
+def _diverge(d, s2, s3, alpha2, alpha3):
+    q2 = np.minimum(alpha2 * d, s2)
+    q3 = np.minimum(alpha3 * d, s3)
+    return q2 + q3, q2, q3
+
+
+def _merge(d1, d2, s, beta1, beta2):
+    q1 = np.minimum(d1, np.maximum(beta1 * s, s - d2))
+    q2 = np.minimum(d2, np.maximum(beta2 * s, s - d1))
+    return q1, q2, q1 + q2
+
+
+def _discharge(ell, q_in, road_supply, dt):
+    q_out = np.minimum(q_in + ell / dt, road_supply)
+    return np.maximum(ell + dt * (q_in - q_out), 0.0), q_out
 
 
 def junction_one_to_one(d_in: float, s_out: float) -> tuple[float, float]:
@@ -95,9 +111,7 @@ def junction_one_to_two(
         raise TrafficError("distribution rates must sum to 1")
     if min(d1, s2, s3) < 0.0:
         raise TrafficError("negative demand or supply at junction")
-    q2 = min(alpha[0] * d1, s2)
-    q3 = min(alpha[1] * d1, s3)
-    return q2 + q3, q2, q3
+    return _diverge(d1, s2, s3, *alpha)
 
 
 def junction_two_to_one(
@@ -108,11 +122,7 @@ def junction_two_to_one(
         raise TrafficError("priority rates must sum to 1")
     if min(d1, d2, s_out) < 0.0:
         raise TrafficError("negative demand or supply at junction")
-    gamma1 = max(beta[0] * s_out, s_out - d2)
-    gamma2 = max(beta[1] * s_out, s_out - d1)
-    q1 = min(d1, gamma1)
-    q2 = min(d2, gamma2)
-    return q1, q2, q1 + q2
+    return _merge(d1, d2, s_out, *beta)
 
 
 def queue_step(
@@ -127,9 +137,7 @@ def queue_step(
         raise TrafficError("queue state and rates must be nonnegative")
     if dt <= 0.0:
         raise TrafficError("dt must be positive")
-    q_out = min(q_in + ell / dt, road_supply)
-    ell_next = max(ell + dt * (q_in - q_out), 0.0)
-    return ell_next, q_out
+    return _discharge(ell, q_in, road_supply, dt)
 
 
 def max_stable_dt(v_maxes, ds: float) -> float:
@@ -191,94 +199,123 @@ class TrafficTrajectory:
         return len(self.times) - 1
 
 
-@dataclass
-class _Plan:
-    rho_max: np.ndarray  # (n_roads,)
-    junctions: list
-    access: list  # (road index, queue slot)
-    exit_idx: np.ndarray
-    inflow_series: np.ndarray  # (n_access, n_time)
+@dataclass(frozen=True)
+class _Network:
+    """A scenario's couplings as index arrays, compiled once per scenario.
 
-
-def _compile(scenario: Scenario) -> _Plan:
-    rho_max = np.array([r.rho_max for r in scenario.roads])
-    junctions = []
-    for j in scenario.junctions:
-        in_idx = tuple(scenario.road_index(r) for r in j.incoming)
-        out_idx = tuple(scenario.road_index(r) for r in j.outgoing)
-        junctions.append((j.kind, in_idx, out_idx, j.alpha, j.beta))
-    access = [(scenario.road_index(a.road), slot) for slot, a in enumerate(scenario.access)]
-    exit_idx = np.array([scenario.road_index(r) for r in scenario.exits], dtype=int)
-    series = np.zeros((len(scenario.access), scenario.n_time))
-    for slot, a in enumerate(scenario.access):
-        series[slot, :] = a.inflow if isinstance(a.inflow, tuple) else float(a.inflow)
-    return _Plan(rho_max, junctions, access, exit_idx, series)
-
-
-def _boundary_fluxes(rho, queues, v, plan, dt, q_in_now):
-    """Solve all junction/queue/exit couplings for one substep.
-
-    Returns (inflow per road, outflow per road, next queue lengths).
+    ``heads`` lists the roads whose head demand a step needs, in groups:
+    1to1 incoming, 1to2 incoming, 2to1 first and second incoming, exits.
+    ``tails`` lists the roads whose tail supply it needs: 1to1 outgoing,
+    1to2 first and second outgoing, 2to1 outgoing, access roads.  A group
+    holds one entry per junction, exit or queue, so a step couples all
+    junctions of a kind at once.
     """
-    n_roads = rho.shape[0]
-    f_in = np.zeros(n_roads)
-    f_out = np.zeros(n_roads)
-    queues_next = queues.copy()
 
-    rho_max = plan.rho_max
-    for kind, in_idx, out_idx, alpha, beta in plan.junctions:
-        if kind == "1to1":
-            i, j = in_idx[0], out_idx[0]
-            d = _demand_s(rho[i, -1], v[i], rho_max[i])
-            s = _supply_s(rho[j, 0], v[j], rho_max[j])
-            q = d if d < s else s
-            f_out[i] = q
-            f_in[j] = q
-        elif kind == "1to2":
-            i = in_idx[0]
-            j2, j3 = out_idx
-            d = _demand_s(rho[i, -1], v[i], rho_max[i])
-            q2 = min(alpha[0] * d, _supply_s(rho[j2, 0], v[j2], rho_max[j2]))
-            q3 = min(alpha[1] * d, _supply_s(rho[j3, 0], v[j3], rho_max[j3]))
-            f_out[i] = q2 + q3
-            f_in[j2] = q2
-            f_in[j3] = q3
-        else:  # 2to1
-            i1, i2 = in_idx
-            j = out_idx[0]
-            d1 = _demand_s(rho[i1, -1], v[i1], rho_max[i1])
-            d2 = _demand_s(rho[i2, -1], v[i2], rho_max[i2])
-            s = _supply_s(rho[j, 0], v[j], rho_max[j])
-            q1 = min(d1, max(beta[0] * s, s - d2))
-            q2 = min(d2, max(beta[1] * s, s - d1))
-            f_out[i1] = q1
-            f_out[i2] = q2
-            f_in[j] = q1 + q2
-
-    for road_idx, slot in plan.access:
-        s_road = _supply_s(rho[road_idx, 0], v[road_idx], rho_max[road_idx])
-        q_out = min(q_in_now[slot] + queues[slot] / dt, s_road)
-        queues_next[slot] = max(queues[slot] + dt * (q_in_now[slot] - q_out), 0.0)
-        f_in[road_idx] = q_out
-
-    for road_idx in plan.exit_idx:
-        f_out[road_idx] = _demand_s(rho[road_idx, -1], v[road_idx], rho_max[road_idx])
-
-    return f_in, f_out, queues_next
+    rho_max: np.ndarray  # (n_roads, 1)
+    critical: np.ndarray  # (n_roads, 1) rho_max / 2
+    rho0: np.ndarray  # (n_roads, n_cells)
+    queue0: np.ndarray  # (n_access,)
+    heads: np.ndarray
+    head_groups: tuple[slice, ...]
+    tails: np.ndarray
+    tail_groups: tuple[slice, ...]
+    alpha: np.ndarray  # (2, 1to2 junctions) distribution rates
+    beta: np.ndarray  # (2, 2to1 junctions) priority rates
+    inflow: np.ndarray  # (n_access, n_time) prescribed access rates
 
 
-def _substep(rho, queues, v, plan, ds, dt, q_in_now):
-    f_in, f_out, queues_next = _boundary_fluxes(rho, queues, v, plan, dt, q_in_now)
-    cap = v[:, None] * plan.rho_max[:, None] / 4.0
-    left, right = rho[:, :-1], rho[:, 1:]
-    half = plan.rho_max[:, None] / 2.0
-    dem = np.where(left <= half, v[:, None] * left * (1.0 - left / plan.rho_max[:, None]), cap)
-    sup = np.where(right <= half, cap, v[:, None] * right * (1.0 - right / plan.rho_max[:, None]))
-    interior = np.minimum(dem, sup)
-    flux = np.concatenate((f_in[:, None], interior, f_out[:, None]), axis=1)
-    rho_next = rho + dt / ds * (flux[:, :-1] - flux[:, 1:])
-    rho_next = np.clip(rho_next, 0.0, plan.rho_max[:, None])
-    return rho_next, queues_next, f_in, f_out
+def _compile(scenario: Scenario) -> _Network:
+    idx = scenario.road_index
+    kind = {k: [j for j in scenario.junctions if j.kind == k] for k in ("1to1", "1to2", "2to1")}
+
+    def ends(k, side, n):
+        return [idx(getattr(j, side)[n]) for j in kind[k]]
+
+    def layout(*groups):
+        bounds = np.cumsum([0] + [len(g) for g in groups])
+        slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        return np.array([r for g in groups for r in g], dtype=int), slices
+
+    heads, head_groups = layout(
+        ends("1to1", "incoming", 0), ends("1to2", "incoming", 0),
+        ends("2to1", "incoming", 0), ends("2to1", "incoming", 1),
+        [idx(r) for r in scenario.exits],
+    )
+    tails, tail_groups = layout(
+        ends("1to1", "outgoing", 0), ends("1to2", "outgoing", 0),
+        ends("1to2", "outgoing", 1), ends("2to1", "outgoing", 0),
+        [idx(a.road) for a in scenario.access],
+    )
+    inflow = np.zeros((len(scenario.access), scenario.n_time))
+    for slot, a in enumerate(scenario.access):
+        inflow[slot, :] = a.inflow if isinstance(a.inflow, tuple) else float(a.inflow)
+    rho_max = np.array([[r.rho_max] for r in scenario.roads], dtype=float)
+    return _Network(
+        rho_max=rho_max,
+        critical=rho_max / 2.0,
+        rho0=np.array([r.rho0 for r in scenario.roads], dtype=float),
+        queue0=np.array([a.queue0 for a in scenario.access], dtype=float),
+        heads=heads,
+        head_groups=head_groups,
+        tails=tails,
+        tail_groups=tail_groups,
+        alpha=np.array([j.alpha for j in kind["1to2"]], dtype=float).reshape(-1, 2).T,
+        beta=np.array([j.beta for j in kind["2to1"]], dtype=float).reshape(-1, 2).T,
+        inflow=inflow,
+    )
+
+
+def _godunov_step(net: _Network, cap, rho, flow, queues, q_in, ds, dt, flux):
+    """One step of size dt of a batch of densities ``rho`` (B, roads, cells).
+
+    ``flow`` is Q(rho) and ``cap`` the capacity of each policy's roads,
+    (B, roads, 1); ``flux`` is a (B, roads, cells + 1) buffer of interface
+    fluxes whose end columns are written only where a junction, a queue or
+    an exit couples the road.  Returns (densities, queue lengths).
+    """
+    dem, sup = _envelopes(rho, flow, cap, net.critical)
+    np.minimum(dem[..., :-1], sup[..., 1:], out=flux[..., 1:-1])
+    d = dem[:, net.heads, -1]
+    s = sup[:, net.tails, 0]
+    d_11, d_12, d_21a, d_21b, d_exit = (d[:, g] for g in net.head_groups)
+    s_11, s_12a, s_12b, s_21, s_access = (s[:, g] for g in net.tail_groups)
+    q_11 = np.minimum(d_11, s_11)
+    q_12, q_12a, q_12b = _diverge(d_12, s_12a, s_12b, *net.alpha)
+    q_21a, q_21b, q_21 = _merge(d_21a, d_21b, s_21, *net.beta)
+    queues, q_access = _discharge(queues, q_in, s_access, dt)
+    flux[:, net.heads, -1] = np.concatenate((q_11, q_12, q_21a, q_21b, d_exit), axis=1)
+    flux[:, net.tails, 0] = np.concatenate((q_11, q_12a, q_12b, q_21, q_access), axis=1)
+    rho = rho + dt / ds * (flux[..., :-1] - flux[..., 1:])
+    np.maximum(rho, 0.0, out=rho)
+    return np.minimum(rho, net.rho_max, out=rho), queues
+
+
+def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int):
+    """Advance a batch of policies sharing a substep count over the horizon.
+
+    After each output step k = 1..n_time, yields the batch's densities and
+    their flux Q, both (B, roads, cells), its queue lengths (B, n_access),
+    and its mean (inflow, outflow) per road over the step's substeps,
+    (B, roads, 2).  Q is computed once per substep: it gives the next
+    substep's demand and supply and is the flow the objectives sum.
+    """
+    dt = scenario.dt / n_sub
+    v = v[:, :, None]
+    cap = flux_capacity(v, net.rho_max)
+    rho = np.repeat(net.rho0[None], len(v), axis=0)
+    queues = np.repeat(net.queue0[None], len(v), axis=0)
+    flux = np.zeros(rho.shape[:2] + (rho.shape[2] + 1,))
+    road_ends = flux[..., :: rho.shape[2]]  # view of the (inflow, outflow) columns
+    flow = _flux(rho, v, net.rho_max)
+    for k in range(scenario.n_time):
+        ends = 0.0
+        for _ in range(n_sub):
+            rho, queues = _godunov_step(
+                net, cap, rho, flow, queues, net.inflow[:, k], scenario.ds, dt, flux
+            )
+            flow = _flux(rho, v, net.rho_max)
+            ends = ends + road_ends
+        yield rho, flow, queues, ends / n_sub
 
 
 def lwr_step(
@@ -288,13 +325,15 @@ def lwr_step(
     v = _policy_array(policy, scenario)
     if dt > max_stable_dt(v, scenario.ds) * (1.0 + 1e-12):
         raise TrafficError(f"dt={dt} violates the traffic CFL bound")
-    plan = _compile(scenario)
+    net = _compile(scenario)
     k = min(int(state.time / scenario.dt), scenario.n_time - 1)
-    q_in_now = plan.inflow_series[:, k] if plan.inflow_series.size else np.zeros(0)
-    rho, queues, _, _ = _substep(
-        state.densities, state.queues, v, plan, scenario.ds, dt, q_in_now
+    rho, v = state.densities[None], v[None, :, None]
+    flux = np.zeros(rho.shape[:2] + (rho.shape[2] + 1,))
+    rho, queues = _godunov_step(
+        net, flux_capacity(v, net.rho_max), rho, _flux(rho, v, net.rho_max),
+        state.queues[None], net.inflow[:, k], scenario.ds, dt, flux,
     )
-    return TrafficState(densities=rho, queues=queues, time=state.time + dt)
+    return TrafficState(densities=rho[0], queues=queues[0], time=state.time + dt)
 
 
 def _policy_array(policy, scenario: Scenario) -> np.ndarray:
@@ -305,61 +344,68 @@ def _policy_array(policy, scenario: Scenario) -> np.ndarray:
             f"policy must have one speed limit per road ({scenario.n_roads})"
         )
     lower, upper = scenario.policy_bounds()
-    if np.any(v < np.asarray(lower)) or np.any(v > np.asarray(upper)):
+    if not np.all((v >= np.asarray(lower)) & (v <= np.asarray(upper))):
         raise TrafficError("policy violates the speed-limit box constraints")
     return v
 
 
-def simulate_traffic(scenario: Scenario, policy) -> TrafficTrajectory:
+def _substeps(v: np.ndarray, scenario: Scenario) -> int:
+    """Equal substeps per output step that the CFL bound requires at limits v."""
+    return max(1, math.ceil(scenario.dt / max_stable_dt(v, scenario.ds) - 1e-12))
+
+
+def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTrajectory:
     """Run the traffic model over the whole horizon for a fixed policy.
 
-    The grid step is split into however many equal substeps the CFL bound
+    This is the batch kernel at batch size one, keeping the history.  The
+    grid step is split into however many equal substeps the CFL bound
     requires; snapshots land exactly on the output time grid and boundary
     fluxes are recorded as per-interval means, so discrete mass balance holds
-    to rounding.
+    to rounding.  ``observe`` sees every output step as in ``simulate_batch``.
     """
-    v = _policy_array(policy, scenario)
-    plan = _compile(scenario)
-    ds = scenario.ds
-    dt_grid = scenario.dt
-    n_sub = max(1, math.ceil(dt_grid / max_stable_dt(v, ds) - 1e-12))
-    dt = dt_grid / n_sub
-
-    n_time, n_roads, n_cells = scenario.n_time, scenario.n_roads, scenario.n_cells
-    n_access = len(scenario.access)
-
-    rho = np.array([r.rho0 for r in scenario.roads], dtype=float)
-    queues = np.array([a.queue0 for a in scenario.access], dtype=float)
-
-    densities = np.empty((n_time + 1, n_roads, n_cells))
-    queue_hist = np.empty((n_time + 1, n_access))
-    inflow = np.zeros((n_time, n_roads))
-    outflow = np.zeros((n_time, n_roads))
-    densities[0] = rho
-    queue_hist[0] = queues
-
-    for k in range(n_time):
-        q_in_now = plan.inflow_series[:, k] if n_access else np.zeros(0)
-        f_in_sum = np.zeros(n_roads)
-        f_out_sum = np.zeros(n_roads)
-        for _ in range(n_sub):
-            rho, queues, f_in, f_out = _substep(rho, queues, v, plan, ds, dt, q_in_now)
-            f_in_sum += f_in
-            f_out_sum += f_out
-        densities[k + 1] = rho
-        queue_hist[k + 1] = queues
-        inflow[k] = f_in_sum / n_sub
-        outflow[k] = f_out_sum / n_sub
+    v = _policy_array(policy, scenario)[None]
+    net = _compile(scenario)
+    n_time, n_roads = scenario.n_time, scenario.n_roads
+    densities = np.empty((n_time + 1,) + net.rho0.shape)
+    queues = np.empty((n_time + 1, len(net.queue0)))
+    inflow = np.empty((n_time, n_roads))
+    outflow = np.empty((n_time, n_roads))
+    densities[0], queues[0] = net.rho0, net.queue0
+    rows = np.arange(1)
+    steps = _march(net, scenario, v, _substeps(v[0], scenario))
+    for k, (rho, flow, ell, ends) in enumerate(steps, 1):
+        densities[k], queues[k] = rho[0], ell[0]
+        inflow[k - 1], outflow[k - 1] = ends[0].T
+        if observe is not None:
+            observe(rows, k, rho, flow, ell)
 
     return TrafficTrajectory(
-        times=np.arange(n_time + 1) * dt_grid,
+        times=np.arange(n_time + 1) * scenario.dt,
         densities=densities,
-        queues=queue_hist,
+        queues=queues,
         access_roads=tuple(a.road for a in scenario.access),
         inflow=inflow,
         outflow=outflow,
-        external_inflow=plan.inflow_series.T.copy(),
+        external_inflow=net.inflow.T.copy(),
     )
+
+
+def simulate_batch(scenario: Scenario, policies, observe) -> None:
+    """Run a batch of policies over the horizon together, keeping no history.
+
+    The batch is grouped by substep count, so every policy steps with exactly
+    the dt it would get alone.  After each output step k = 1..n_time,
+    ``observe(rows, k, rho, flow, queues)`` receives the batch positions
+    ``rows`` of one group with their densities and flux Q, both (len(rows),
+    roads, cells), and their queue lengths (len(rows), n_access).
+    """
+    net = _compile(scenario)
+    v = np.array([_policy_array(p, scenario) for p in policies]).reshape(-1, scenario.n_roads)
+    n_sub = np.array([_substeps(row, scenario) for row in v], dtype=int)
+    for n in np.unique(n_sub):
+        rows = np.flatnonzero(n_sub == n)
+        for k, (rho, flow, queues, _) in enumerate(_march(net, scenario, v[rows], int(n)), 1):
+            observe(rows, k, rho, flow, queues)
 
 
 def mass_balance_residuals(traj: TrafficTrajectory, scenario: Scenario) -> np.ndarray:

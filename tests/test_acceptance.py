@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 The two Pareto-front reproduction runs share a module-scoped fixture; they
-dominate the runtime (a few minutes serially).
+dominate the runtime (each poll batch is scored in one pass of the traffic
+kernel, as ``tramopt optimize`` does).
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from tramopt.moo import (
     pareto_search,
 )
 from tramopt.network import DispersionParams
-from tramopt.objectives import PolicyEvaluator, j_diff_adjoint, j_diff_forward
+from tramopt.objectives import BatchScorer, PolicyEvaluator, j_diff_adjoint, j_diff_forward
 from tramopt.traffic import (
     greenshields_flux,
     mass_balance_residuals,
@@ -289,13 +290,15 @@ def front_runs(diamond):
     for delta in (0.0, 0.5):
         scenario = dataclasses.replace(diamond, delta=delta)
         evaluator = PolicyEvaluator(scenario)
+        scorer = BatchScorer(evaluator)
         archive, _ = pareto_search(
             evaluator.vector,
             *scenario.policy_bounds(),
             SearchOptions(max_evaluations=FRONT_BUDGET, seed=FRONT_SEED),
+            map_fn=scorer,
         )
         policies = archive.policies()
-        parts = [evaluator.components(p) for p in policies]
+        parts = [scorer.scored[e.policy] for e in archive.entries]
         runs[delta] = {
             "policies": policies,
             "j_flow": np.array([c.j_flow for c in parts]),

@@ -73,6 +73,41 @@ class TestSimulate:
         assert code == 1
         assert "V_1 = 3.0 exceeds upper bound 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["nan,1,1,1,1,1", "1,1,inf,1,1,1", "1,1,1,1,1,-inf"])
+    def test_non_finite_policy_exits_one(self, fast_scenario_path, tmp_path, capsys, policy):
+        code = run_cli(
+            "simulate", "--scenario", str(fast_scenario_path),
+            f"--policy={policy}", "--out", str(tmp_path / "x"),
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: V_") and "is not a finite number" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("damage", ["truncate", "npz"])
+    def test_damaged_adjoint_cache_recomputed(self, fast_scenario_path, tmp_path, capsys, damage):
+        cache = tmp_path / "cache"
+
+        def vector():
+            code = run_cli(
+                "simulate", "--scenario", str(fast_scenario_path), "--policy",
+                "1.5,0.5,1,1,0.75,2", "--out", str(tmp_path / "sim"), "--cache-dir", str(cache),
+            )
+            lines = capsys.readouterr().out.splitlines()
+            return code, [l for l in lines if l.startswith("objective_vector=")]
+
+        cold = vector()
+        (cached,) = cache.glob("adjoint-*.npy")
+        if damage == "truncate":
+            with open(cached, "r+b") as fh:
+                fh.truncate(1000)
+        else:
+            with open(cached, "wb") as fh:
+                np.savez(fh, adjoint=np.zeros((151, 61, 61)))
+        assert vector() == cold
+        assert cold[0] == 0
+        assert np.load(cached).shape == (151, 61, 61)
+
     def test_objectives_recomputable_from_csv_bitwise(
         self, fast_scenario_path, tmp_path, capsys
     ):
@@ -153,6 +188,18 @@ class TestOptimize:
             )
             outs.append((out / "front.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_two_jobs_write_the_same_front(self, fast_scenario_path, tmp_path):
+        fronts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            code = run_cli(
+                "optimize", "--scenario", str(fast_scenario_path), "--out", str(out),
+                "--budget", "60", "--seed", "11", "--jobs", jobs,
+            )
+            assert code == 0
+            fronts.append((out / "front.csv").read_bytes())
+        assert fronts[0] == fronts[1]
 
     def test_three_objective_mode_columns(self, fast_scenario_path, tmp_path):
         out = tmp_path / "opt3"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ from tramopt.emission import emission_field, rasterize_network
 from tramopt.network import load_scenario
 from tramopt.objectives import (
     ObjectiveBreakdown,
+    ObjectiveTally,
     PolicyEvaluator,
     evaluate_policy,
     j_diff_adjoint,
     j_diff_forward,
-    j_flow,
-    j_queue,
 )
-from tramopt.traffic import TrafficTrajectory, simulate_traffic
+from tramopt.traffic import TrafficTrajectory, greenshields_flux, max_stable_dt, simulate_traffic
 
 
 def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0):
@@ -52,43 +52,58 @@ def _frozen_trajectory(scenario, rho):
     )
 
 
+def _tallied(scenario, traj, policy):
+    """Objectives of a stored trajectory, summed by the kernel's tally."""
+    n1 = scenario.n_grid + 1
+    tally = ObjectiveTally(
+        PolicyEvaluator(scenario, adjoint=np.zeros((scenario.n_time + 1, n1, n1))), 1
+    )
+    v = np.asarray(policy, dtype=float)[:, None]
+    rho_max = np.array([[r.rho_max] for r in scenario.roads])
+    for k in range(1, scenario.n_time + 1):
+        rho = traj.densities[k]
+        flow = greenshields_flux(rho, v, rho_max)
+        tally(np.arange(1), k, rho[None], flow[None], traj.queues[k][None])
+    return tally.breakdowns()[0]
+
+
 class TestJFlow:
     def test_zero_for_empty_network(self):
         s = _single_road(rho0=0.0)
         traj = _frozen_trajectory(s, 0.0)
-        assert j_flow(traj, [1.0], s) == 0.0
+        assert _tallied(s, traj, [1.0]).j_flow == 0.0
 
     def test_frozen_half_density_matches_analytic_integral(self):
         # Q(0.5) = 0.25 over unit road and T = 5: exactly 1.25
         s = _single_road(T=5.0)
         traj = _frozen_trajectory(s, 0.5)
-        assert j_flow(traj, [1.0], s) == pytest.approx(1.25, abs=1e-12)
+        assert _tallied(s, traj, [1.0]).j_flow == pytest.approx(1.25, abs=1e-12)
 
     def test_jammed_network_has_no_flow(self):
         s = _single_road()
         traj = _frozen_trajectory(s, 1.0)
-        assert j_flow(traj, [1.0], s) == 0.0
+        assert _tallied(s, traj, [1.0]).j_flow == 0.0
 
 
 class TestJQueue:
     def test_zero_for_empty_queues(self):
         s = _single_road()
         traj = _frozen_trajectory(s, 0.4)
-        assert j_queue(traj, s) == 0.0
+        assert _tallied(s, traj, [1.0]).j_queue == 0.0
 
     def test_constant_queue_time_average(self):
         s = _single_road()
         traj = _frozen_trajectory(s, 0.4)
         traj.queues[:] = 2.0
-        assert j_queue(traj, s) == pytest.approx(2.0, abs=1e-12)
+        assert _tallied(s, traj, [1.0]).j_queue == pytest.approx(2.0, abs=1e-12)
 
     def test_linear_queue_right_rectangle_rule(self):
         s = _single_road(T=5.0, n_time=100)
         traj = _frozen_trajectory(s, 0.4)
         traj.queues[:, 0] = traj.times
         expected = 5.0 / 2.0 * (1.0 + 1.0 / s.n_time)
-        assert j_queue(traj, s) == pytest.approx(expected, abs=1e-12)
-        assert j_queue(traj, s) == pytest.approx(2.5, abs=0.05)
+        assert _tallied(s, traj, [1.0]).j_queue == pytest.approx(expected, abs=1e-12)
+        assert _tallied(s, traj, [1.0]).j_queue == pytest.approx(2.5, abs=0.05)
 
 
 class TestJDiff:
@@ -179,3 +194,33 @@ class TestEvaluatePolicy:
         for policy in ([0.25] * 6, [2.0] * 6):
             c = ev.components(policy)
             assert c.j_flow >= 0.0 and c.j_diff >= 0.0 and c.j_queue >= 0.0
+
+
+class TestBatchEqualsSerial:
+    """A batch scores bitwise the same as each of its policies alone."""
+
+    @pytest.fixture()
+    def policies(self, diamond):
+        lower, upper = (np.array(b) for b in diamond.policy_bounds())
+        rng = np.random.default_rng(17)
+        corners = [lower, upper] + [np.where(rng.random(6) < 0.5, lower, upper) for _ in range(4)]
+        inside = [lower + rng.random(6) * (upper - lower) for _ in range(6)]
+        return corners + inside + [np.ones(6), np.array([1.0, 1, 1, 1, 1, 2])]
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_batch_equals_one_by_one(self, diamond, policies, mode):
+        # at n_time 100 a speed limit of 2 needs two substeps and <= 1 needs
+        # one, so the batch mixes substep counts; that grid breaks the
+        # adjoint's CFL bound, so a seeded array stands in for the adjoint
+        sc = dataclasses.replace(diamond, n_time=100, mode=mode, delta=0.5)
+        substeps = {math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) for p in policies}
+        assert substeps == {1, 2}
+        adjoint = np.random.default_rng(3).random((101, sc.n_grid + 1, sc.n_grid + 1))
+        ev = PolicyEvaluator(sc, adjoint=adjoint)
+
+        batch = ev.score(policies)
+        reversed_batch = ev.score(policies[::-1])[::-1]
+        for policy, b, r in zip(policies, batch, reversed_batch):
+            alone = ev.components(policy)
+            assert b == alone == r == ev.score([policy])[0]
+            assert np.array_equal(b.vector(mode), ev.vector(policy))

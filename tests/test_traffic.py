@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -297,8 +298,57 @@ class TestSimulateTraffic:
             rhs = sum(traj.inflow[:, idx[r]] for r in j.outgoing)
             assert np.max(np.abs(lhs - rhs)) < 1e-14
 
+    @pytest.mark.parametrize("policy", [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0, 0.25, 1, 0.5, 0.8, 1]])
+    def test_kernel_matches_per_junction_reference(self, diamond, policy):
+        # at n_time 100 the first policy takes two substeps and the second one
+        small = dataclasses.replace(diamond, n_time=100)
+        traj = simulate_traffic(small, policy)
+        densities, queues = _reference_run(small, policy)
+        assert np.array_equal(traj.densities, densities)
+        assert np.array_equal(traj.queues, queues)
+
     def test_deterministic(self, diamond):
         a = simulate_traffic(diamond, [1.0] * 6)
         b = simulate_traffic(diamond, [1.0] * 6)
         assert np.array_equal(a.densities, b.densities)
         assert np.array_equal(a.queues, b.queues)
+
+
+def _reference_run(scenario, policy):
+    """Densities and queues stepped one junction, queue and road at a time
+    through the public scalar rules: the reference for the batched kernel."""
+    v = np.asarray(policy, dtype=float)
+    n_roads, idx = scenario.n_roads, scenario.road_index
+    rho_max = [r.rho_max for r in scenario.roads]
+    rho = np.array([r.rho0 for r in scenario.roads], dtype=float)
+    ell = [a.queue0 for a in scenario.access]
+    n_sub = max(1, math.ceil(scenario.dt / max_stable_dt(v, scenario.ds) - 1e-12))
+    dt = scenario.dt / n_sub
+    densities, queues = [rho], [list(ell)]
+    for k in range(scenario.n_time):
+        for _ in range(n_sub):
+            d = [float(demand(rho[e, -1], v[e], rho_max[e])) for e in range(n_roads)]
+            s = [float(supply(rho[e, 0], v[e], rho_max[e])) for e in range(n_roads)]
+            f_in, f_out = np.zeros(n_roads), np.zeros(n_roads)
+            for j in scenario.junctions:
+                i, o = [idx(r) for r in j.incoming], [idx(r) for r in j.outgoing]
+                if j.kind == "1to1":
+                    f_out[i[0]], f_in[o[0]] = junction_one_to_one(d[i[0]], s[o[0]])
+                elif j.kind == "1to2":
+                    f_out[i[0]], f_in[o[0]], f_in[o[1]] = junction_one_to_two(
+                        d[i[0]], s[o[0]], s[o[1]], j.alpha)
+                else:
+                    f_out[i[0]], f_out[i[1]], f_in[o[0]] = junction_two_to_one(
+                        d[i[0]], d[i[1]], s[o[0]], j.beta)
+            for slot, a in enumerate(scenario.access):
+                q_in = a.inflow[k] if isinstance(a.inflow, tuple) else a.inflow
+                ell[slot], f_in[idx(a.road)] = queue_step(ell[slot], q_in, s[idx(a.road)], dt)
+            for r in scenario.exits:
+                f_out[idx(r)] = d[idx(r)]
+            rho = np.array([
+                step_single_road(rho[e], v[e], rho_max[e], scenario.ds, dt, f_in[e], f_out[e])
+                for e in range(n_roads)
+            ])
+        densities.append(rho)
+        queues.append(list(ell))
+    return np.array(densities), np.array(queues)
