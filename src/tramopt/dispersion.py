@@ -140,20 +140,23 @@ def advance_field(u, coeffs, velocity, mu, kappa, h, dt, source):
     return u + dt * (lap - adv - kappa * u + source)
 
 
-def _march(u0, coeffs, velocity, params, h, dt, n_steps, source):
+def _march(u0, coeffs, velocity, params, h, dt, n_steps, source, reverse=False):
     """March n_steps, returning the full history (n_steps+1, n+1, n+1).
 
     ``source`` is a scalar (constant in space and time) or an array whose
-    slice k feeds the step from k to k+1.
+    slice k feeds the step from k to k+1.  Level k lands in slot k, or in
+    slot n_steps - k if ``reverse``, so a time-reversed march comes out on
+    the original time grid without a reversed copy.
     """
     history = np.empty((n_steps + 1,) + u0.shape)
-    history[0] = u0
+    slots = range(n_steps, -1, -1) if reverse else range(n_steps + 1)
+    history[slots[0]] = u0
     u = u0
     for k in range(n_steps):
         src = source if np.isscalar(source) else source[k]
         u = advance_field(u, coeffs, velocity, params.mu, params.kappa, h, dt, src)
-        history[k + 1] = u
-    if not np.all(np.isfinite(history[-1])):
+        history[slots[k + 1]] = u
+    if not np.all(np.isfinite(u)):
         raise DispersionError("field blew up: non-finite values (instability)")
     return history
 
@@ -176,17 +179,10 @@ def solve_adjoint(scenario: Scenario) -> np.ndarray:
     coeffs = _edge_coefficients(params, scenario.h, "adjoint")
     velocity = (-params.wind[0], -params.wind[1])
     source = 1.0 / (scenario.horizon * scenario.area)
-    reversed_hist = _march(
-        np.zeros((n1, n1)),
-        coeffs,
-        velocity,
-        params,
-        scenario.h,
-        scenario.dt,
-        scenario.n_time,
-        source,
+    return _march(
+        np.zeros((n1, n1)), coeffs, velocity, params, scenario.h, scenario.dt,
+        scenario.n_time, source, reverse=True,
     )
-    return reversed_hist[::-1].copy()
 
 
 def solve_dispersion_forward(scenario: Scenario, emission: np.ndarray) -> np.ndarray:

@@ -18,9 +18,10 @@ from tramopt.network import Scenario
 from tramopt.traffic import greenshields_flux
 
 
-def emission_rate(flow, rho, theta):
-    """Emission rate of road cells carrying traffic flow ``flow`` at density ``rho``."""
-    return flow + theta * rho
+def emission_rate(flow, rho, theta, out=None):
+    """Emission rate of road cells carrying traffic flow ``flow`` at density
+    ``rho``, written into ``out`` if given."""
+    return np.add(flow, np.multiply(theta, rho, out=out), out=out)
 
 
 def road_emission_rate(rho, v_max, rho_max, theta):

@@ -199,8 +199,20 @@ def point_on_road(road: Road, s: float) -> Point:
 # scenario file parsing
 
 
-def _require(mapping: dict, key: str, context: str) -> Any:
-    if key not in mapping:
+def _mapping(value: Any, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: expected an object, got {value!r}")
+    return value
+
+
+def _list(value: Any, context: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{context}: expected a list, got {value!r}")
+    return value
+
+
+def _require(mapping: Any, key: str, context: str) -> Any:
+    if key not in _mapping(mapping, context):
         raise ScenarioError(f"{context}: missing field '{key}'")
     return mapping[key]
 
@@ -208,7 +220,25 @@ def _require(mapping: dict, key: str, context: str) -> Any:
 def _number(value: Any, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{context}: expected a finite number, got {value!r}")
+    return x
+
+
+def _count(value: Any, context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ScenarioError(f"{context}: must be a positive integer, got {value!r}")
+    return value
+
+
+def _road_ref(value: Any, road_ids: set[int], context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value not in road_ids:
+        raise ScenarioError(f"{context}: references unknown road {value!r}")
+    return value
 
 
 def _positive(value: Any, context: str) -> float:
@@ -246,7 +276,7 @@ def _parse_road(raw: dict, n_cells: int, context: str) -> Road:
 
     raw_rho0 = _require(raw, "rho0", context)
     if isinstance(raw_rho0, (int, float)) and not isinstance(raw_rho0, bool):
-        rho0 = (float(raw_rho0),) * n_cells
+        rho0 = (_number(raw_rho0, f"{context}.rho0"),) * n_cells
     elif isinstance(raw_rho0, list):
         if len(raw_rho0) != n_cells:
             raise ScenarioError(
@@ -278,8 +308,8 @@ def _parse_junction(raw: dict, road_ids: set[int], context: str) -> Junction:
     kind = _require(raw, "kind", context)
     if kind not in JUNCTION_KINDS:
         raise ScenarioError(f"{context}: kind must be one of {JUNCTION_KINDS}")
-    incoming = tuple(_require(raw, "in", context))
-    outgoing = tuple(_require(raw, "out", context))
+    incoming = tuple(_list(_require(raw, "in", context), f"{context}.in"))
+    outgoing = tuple(_list(_require(raw, "out", context), f"{context}.out"))
     arity = {"1to1": (1, 1), "1to2": (1, 2), "2to1": (2, 1)}[kind]
     if (len(incoming), len(outgoing)) != arity:
         raise ScenarioError(
@@ -287,8 +317,7 @@ def _parse_junction(raw: dict, road_ids: set[int], context: str) -> Junction:
             f"outgoing roads, got {len(incoming)}/{len(outgoing)}"
         )
     for rid in (*incoming, *outgoing):
-        if rid not in road_ids:
-            raise ScenarioError(f"{context}: references unknown road {rid}")
+        _road_ref(rid, road_ids, context)
 
     alpha = beta = None
     if kind == "1to2":
@@ -331,16 +360,11 @@ def load_scenario(config_text: str) -> Scenario:
 
     domain = _require(raw, "domain", "scenario")
     side = _positive(_require(domain, "side", "domain"), "domain.side")
-    n_grid = _require(domain, "n_grid", "domain")
-    if not isinstance(n_grid, int) or n_grid <= 0:
-        raise ScenarioError("domain.n_grid: must be a positive integer")
+    n_grid = _count(_require(domain, "n_grid", "domain"), "domain.n_grid")
 
     disc = _require(raw, "discretization", "scenario")
-    n_cells = _require(disc, "n_cells", "discretization")
-    n_time = _require(disc, "n_time", "discretization")
-    for name, val in (("n_cells", n_cells), ("n_time", n_time)):
-        if not isinstance(val, int) or val <= 0:
-            raise ScenarioError(f"discretization.{name}: must be a positive integer")
+    n_cells = _count(_require(disc, "n_cells", "discretization"), "discretization.n_cells")
+    n_time = _count(_require(disc, "n_time", "discretization"), "discretization.n_time")
 
     roads_raw = _require(raw, "roads", "scenario")
     if not isinstance(roads_raw, list) or not roads_raw:
@@ -361,15 +385,13 @@ def load_scenario(config_text: str) -> Scenario:
 
     junctions = tuple(
         _parse_junction(j, road_ids, f"junctions[{i}]")
-        for i, j in enumerate(raw.get("junctions", []))
+        for i, j in enumerate(_list(raw.get("junctions", []), "junctions"))
     )
 
     access = []
-    for i, a in enumerate(raw.get("access", [])):
+    for i, a in enumerate(_list(raw.get("access", []), "access")):
         ctx = f"access[{i}]"
-        rid = _require(a, "road", ctx)
-        if rid not in road_ids:
-            raise ScenarioError(f"{ctx}: references unknown road {rid}")
+        rid = _road_ref(_require(a, "road", ctx), road_ids, ctx)
         inflow_raw = _require(a, "inflow", ctx)
         if isinstance(inflow_raw, list):
             if len(inflow_raw) != n_time:
@@ -384,10 +406,7 @@ def load_scenario(config_text: str) -> Scenario:
         queue0 = _nonnegative(a.get("queue0", 0.0), f"{ctx}.queue0")
         access.append(AccessBoundary(road=rid, inflow=inflow, queue0=queue0))
 
-    exits = tuple(raw.get("exits", []))
-    for rid in exits:
-        if rid not in road_ids:
-            raise ScenarioError(f"exits: references unknown road {rid}")
+    exits = tuple(_road_ref(rid, road_ids, "exits") for rid in _list(raw.get("exits", []), "exits"))
 
     disp_raw = _require(raw, "dispersion", "scenario")
     wind = _point(_require(disp_raw, "wind", "dispersion"), "dispersion.wind")
@@ -401,7 +420,7 @@ def load_scenario(config_text: str) -> Scenario:
     emission_raw = _require(raw, "emission", "scenario")
     theta = _nonnegative(_require(emission_raw, "theta", "emission"), "emission.theta")
 
-    objectives_raw = raw.get("objectives", {})
+    objectives_raw = _mapping(raw.get("objectives", {}), "objectives")
     delta = _nonnegative(objectives_raw.get("delta", 0.0), "objectives.delta")
     mode = objectives_raw.get("mode", "2d")
     if mode not in OBJECTIVE_MODES:

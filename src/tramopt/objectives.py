@@ -85,7 +85,8 @@ class ObjectiveTally:
 
     Per policy and output step k >= 1 it keeps the flow summed over all
     cells, the emission rate paired with the contracted adjoint, and the
-    total queue; the sums over time are taken per policy at the end.
+    total queue; the sums over time are taken per policy at the end.  The
+    emission rate of a step is formed in a workspace the next step reuses.
     """
 
     def __init__(self, evaluator: "PolicyEvaluator", n_policies: int):
@@ -93,12 +94,17 @@ class ObjectiveTally:
         self.evaluator = evaluator
         self._pairing = evaluator._pairing.reshape(sc.n_time + 1, -1)
         self._steps = np.zeros((3, n_policies, sc.n_time))  # flow, emission, queue
+        self._rate = np.empty((0, self._pairing.shape[1]))
 
     def __call__(self, rows, k, rho, flow, queues) -> None:
         b = len(rows)
-        rate = emission_rate(flow, rho, self.evaluator.scenario.theta)
-        self._steps[0, rows, k - 1] = flow.reshape(b, -1).sum(axis=1)
-        self._steps[1, rows, k - 1] = (rate.reshape(b, -1) * self._pairing[k]).sum(axis=1)
+        if len(self._rate) != b:
+            self._rate = np.empty((b, self._pairing.shape[1]))
+        flow, rate = flow.reshape(b, -1), self._rate
+        emission_rate(flow, rho.reshape(b, -1), self.evaluator.scenario.theta, out=rate)
+        np.multiply(rate, self._pairing[k], out=rate)
+        self._steps[0, rows, k - 1] = flow.sum(axis=1)
+        self._steps[1, rows, k - 1] = rate.sum(axis=1)
         self._steps[2, rows, k - 1] = queues.sum(axis=1)
 
     def breakdowns(self) -> list[ObjectiveBreakdown]:

@@ -8,7 +8,13 @@ queues, and exit roads discharge at free flow.
 One kernel steps a batch of policies together as (batch, roads, cells)
 arrays, coupling all junctions of a kind at once; ``simulate_traffic`` runs
 it for one policy and keeps the history, ``simulate_batch`` runs many and
-hands each output step to a callback instead.
+hands each output step to a callback instead.  A march allocates its
+arrays once, in a ``_Workspace``, and every substep writes into them: the
+densities are updated in place, and the per-road parameters are stored at
+full (batch, roads, cells) shape so that no operation broadcasts a
+per-road column.  The interface fluxes are taken in one pass over the
+batch's cells laid end to end, with each road's two boundary fluxes then
+put in from the couplings.
 """
 
 from __future__ import annotations
@@ -33,37 +39,60 @@ def _check_density(rho, rho_max) -> None:
         raise TrafficError(f"density outside [0, rho_max]: {rho!r}")
 
 
-def _flux(rho, v_max, rho_max):
-    return v_max * rho * (1.0 - rho / rho_max)
+def _flux(rho, v_max, rho_max, out, scratch):
+    """Q(rho) = v_max * rho * (1 - rho / rho_max) into ``out``, using ``scratch``."""
+    np.multiply(v_max, rho, out=out)
+    np.divide(rho, rho_max, out=scratch)
+    np.subtract(1.0, scratch, out=scratch)
+    return np.multiply(out, scratch, out=out)
+
+
+def _buffers(n, *operands):
+    """``n`` empty float arrays of the operands' broadcast shape."""
+    shape = np.broadcast_shapes(*map(np.shape, operands))
+    return [np.empty(shape) for _ in range(n)]
 
 
 def greenshields_flux(rho, v_max, rho_max):
     """Concave flux v*rho*(1 - rho/rho_max); peaks at rho_max/2 with value v*rho_max/4."""
     _check_density(rho, rho_max)
-    return _flux(rho, v_max, rho_max)
+    return _flux(rho, v_max, rho_max, *_buffers(2, rho, v_max, rho_max))[()]
 
 
 def flux_capacity(v_max, rho_max):
     return v_max * rho_max / 4.0
 
 
-def _envelopes(rho, flow, cap, critical):
-    """(demand, supply) of densities rho with flux Q(rho) = ``flow``, capacity
-    ``cap`` and critical density ``critical``."""
-    below = rho <= critical
-    return np.where(below, flow, cap), np.where(below, cap, flow)
+def _envelopes(rho, flow, cap, critical, dem, sup, below):
+    """Demand and supply of densities rho into ``dem`` and ``sup``.
+
+    ``flow`` is Q(rho), ``cap`` the capacity and ``critical`` the critical
+    density; ``below`` receives the mask rho <= critical.  Demand is Q up to
+    the critical density and the capacity above it, supply the reverse.
+    """
+    np.less_equal(rho, critical, out=below)
+    np.copyto(dem, cap)
+    np.copyto(dem, flow, where=below)
+    np.copyto(sup, flow)
+    np.copyto(sup, cap, where=below)
+
+
+def _road_envelopes(rho, v_max, rho_max):
+    flow = greenshields_flux(rho, v_max, rho_max)
+    dem, sup = _buffers(2, flow)
+    below = np.empty(dem.shape, dtype=bool)
+    _envelopes(rho, flow, flux_capacity(v_max, rho_max), rho_max / 2.0, dem, sup, below)
+    return dem[()], sup[()]
 
 
 def demand(rho, v_max, rho_max):
     """Increasing envelope of the flux: Q(rho) below critical density, capacity above."""
-    flow = greenshields_flux(rho, v_max, rho_max)
-    return _envelopes(rho, flow, flux_capacity(v_max, rho_max), rho_max / 2.0)[0]
+    return _road_envelopes(rho, v_max, rho_max)[0]
 
 
 def supply(rho, v_max, rho_max):
     """Decreasing envelope of the flux: capacity below critical density, Q(rho) above."""
-    flow = greenshields_flux(rho, v_max, rho_max)
-    return _envelopes(rho, flow, flux_capacity(v_max, rho_max), rho_max / 2.0)[1]
+    return _road_envelopes(rho, v_max, rho_max)[1]
 
 
 def godunov_flux(u, v, v_max, rho_max):
@@ -212,7 +241,6 @@ class _Network:
     """
 
     rho_max: np.ndarray  # (n_roads, 1)
-    critical: np.ndarray  # (n_roads, 1) rho_max / 2
     rho0: np.ndarray  # (n_roads, n_cells)
     queue0: np.ndarray  # (n_access,)
     heads: np.ndarray
@@ -252,7 +280,6 @@ def _compile(scenario: Scenario) -> _Network:
     rho_max = np.array([[r.rho_max] for r in scenario.roads], dtype=float)
     return _Network(
         rho_max=rho_max,
-        critical=rho_max / 2.0,
         rho0=np.array([r.rho0 for r in scenario.roads], dtype=float),
         queue0=np.array([a.queue0 for a in scenario.access], dtype=float),
         heads=heads,
@@ -265,16 +292,52 @@ def _compile(scenario: Scenario) -> _Network:
     )
 
 
-def _godunov_step(net: _Network, cap, rho, flow, queues, q_in, ds, dt, flux):
+class _Workspace:
+    """The arrays a march of B policies steps in, allocated once.
+
+    ``flow``, ``dem``, ``sup``, ``diff`` and ``below`` are (B, roads,
+    cells) buffers every substep overwrites; ``v``, ``cap``, ``rho_max``
+    and ``critical`` hold the per-road parameters at that same shape, since
+    a (B, roads, 1) operand makes numpy loop over one road's cells at a
+    time.  ``faces`` holds the B * roads * cells + 1 interfaces of the
+    cells laid end to end; ``left`` and ``right`` view it as every cell's
+    left and right interface, (B, roads, cells).  ``inflow`` and
+    ``outflow`` are the fluxes through each road's two ends, (B, roads),
+    views of ``ends`` (B, roads, 2); an end no coupling writes keeps flux 0.
+    """
+
+    def __init__(self, net: "_Network", v: np.ndarray, rho: np.ndarray):
+        shape = rho.shape
+        v = v[:, :, None]
+        self.v, self.cap, self.rho_max, self.critical = (
+            np.broadcast_to(a, shape).copy()
+            for a in (v, flux_capacity(v, net.rho_max), net.rho_max, net.rho_max / 2.0)
+        )
+        self.flow, self.dem, self.sup, self.diff = (np.empty(shape) for _ in range(4))
+        self.below = np.empty(shape, dtype=bool)
+        self.faces = np.empty(rho.size + 1)
+        self.left, self.right = self.faces[:-1].reshape(shape), self.faces[1:].reshape(shape)
+        self.ends = np.zeros(shape[:2] + (2,))
+        self.inflow, self.outflow = self.ends[..., 0], self.ends[..., 1]
+        _flux(rho, self.v, self.rho_max, self.flow, self.diff)
+
+
+def _godunov_step(net: _Network, ws: _Workspace, rho, queues, q_in, dt, lam):
     """One step of size dt of a batch of densities ``rho`` (B, roads, cells).
 
-    ``flow`` is Q(rho) and ``cap`` the capacity of each policy's roads,
-    (B, roads, 1); ``flux`` is a (B, roads, cells + 1) buffer of interface
-    fluxes whose end columns are written only where a junction, a queue or
-    an exit couples the road.  Returns (densities, queue lengths).
+    ``rho`` is updated in place and ``ws.flow``, which must hold Q(rho) on
+    entry, holds Q of the new densities on return; ``lam`` is dt / ds.
+    Returns the new queue lengths.
+
+    The interior interface fluxes min{D(left), S(right)} come from one pass
+    over the cells laid end to end, which also pairs each road's last cell
+    with the next road's first.  Those faces are never used as they are:
+    the differences of each road's first and last cell are taken again
+    with the boundary fluxes the couplings give, and on one-cell roads,
+    where the first cell is the last, from the boundary fluxes alone.
     """
-    dem, sup = _envelopes(rho, flow, cap, net.critical)
-    np.minimum(dem[..., :-1], sup[..., 1:], out=flux[..., 1:-1])
+    dem, sup, diff, inflow, outflow = ws.dem, ws.sup, ws.diff, ws.inflow, ws.outflow
+    _envelopes(rho, ws.flow, ws.cap, ws.critical, dem, sup, ws.below)
     d = dem[:, net.heads, -1]
     s = sup[:, net.tails, 0]
     d_11, d_12, d_21a, d_21b, d_exit = (d[:, g] for g in net.head_groups)
@@ -283,39 +346,49 @@ def _godunov_step(net: _Network, cap, rho, flow, queues, q_in, ds, dt, flux):
     q_12, q_12a, q_12b = _diverge(d_12, s_12a, s_12b, *net.alpha)
     q_21a, q_21b, q_21 = _merge(d_21a, d_21b, s_21, *net.beta)
     queues, q_access = _discharge(queues, q_in, s_access, dt)
-    flux[:, net.heads, -1] = np.concatenate((q_11, q_12, q_21a, q_21b, d_exit), axis=1)
-    flux[:, net.tails, 0] = np.concatenate((q_11, q_12a, q_12b, q_21, q_access), axis=1)
-    rho = rho + dt / ds * (flux[..., :-1] - flux[..., 1:])
+    outflow[:, net.heads] = np.concatenate((q_11, q_12, q_21a, q_21b, d_exit), axis=1)
+    inflow[:, net.tails] = np.concatenate((q_11, q_12a, q_12b, q_21, q_access), axis=1)
+
+    if rho.shape[2] == 1:
+        np.subtract(inflow, outflow, out=diff[..., 0])
+    else:
+        np.minimum(dem.reshape(-1)[:-1], sup.reshape(-1)[1:], out=ws.faces[1:-1])
+        np.subtract(ws.left, ws.right, out=diff)
+        np.subtract(inflow, ws.right[..., 0], out=diff[..., 0])
+        np.subtract(ws.left[..., -1], outflow, out=diff[..., -1])
+    np.multiply(diff, lam, out=diff)
+    np.add(rho, diff, out=rho)
     np.maximum(rho, 0.0, out=rho)
-    return np.minimum(rho, net.rho_max, out=rho), queues
+    np.minimum(rho, ws.rho_max, out=rho)
+    _flux(rho, ws.v, ws.rho_max, ws.flow, diff)
+    return queues
 
 
-def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int):
+def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: bool = False):
     """Advance a batch of policies sharing a substep count over the horizon.
 
     After each output step k = 1..n_time, yields the batch's densities and
     their flux Q, both (B, roads, cells), its queue lengths (B, n_access),
-    and its mean (inflow, outflow) per road over the step's substeps,
-    (B, roads, 2).  Q is computed once per substep: it gives the next
-    substep's demand and supply and is the flow the objectives sum.
+    and, if ``ends``, its mean (inflow, outflow) per road over the step's
+    substeps, (B, roads, 2), else None.  The densities and Q are workspace
+    arrays the next step overwrites.  Q is computed once per substep: it
+    gives the next substep's demand and supply and is the flow the
+    objectives sum.
     """
     dt = scenario.dt / n_sub
-    v = v[:, :, None]
-    cap = flux_capacity(v, net.rho_max)
+    lam = dt / scenario.ds
     rho = np.repeat(net.rho0[None], len(v), axis=0)
     queues = np.repeat(net.queue0[None], len(v), axis=0)
-    flux = np.zeros(rho.shape[:2] + (rho.shape[2] + 1,))
-    road_ends = flux[..., :: rho.shape[2]]  # view of the (inflow, outflow) columns
-    flow = _flux(rho, v, net.rho_max)
+    ws = _Workspace(net, v, rho)
+    mean_ends = np.zeros_like(ws.ends) if ends else None
     for k in range(scenario.n_time):
-        ends = 0.0
+        if ends:
+            mean_ends.fill(0.0)
         for _ in range(n_sub):
-            rho, queues = _godunov_step(
-                net, cap, rho, flow, queues, net.inflow[:, k], scenario.ds, dt, flux
-            )
-            flow = _flux(rho, v, net.rho_max)
-            ends = ends + road_ends
-        yield rho, flow, queues, ends / n_sub
+            queues = _godunov_step(net, ws, rho, queues, net.inflow[:, k], dt, lam)
+            if ends:
+                np.add(mean_ends, ws.ends, out=mean_ends)
+        yield rho, ws.flow, queues, (mean_ends / n_sub if ends else None)
 
 
 def lwr_step(
@@ -327,11 +400,10 @@ def lwr_step(
         raise TrafficError(f"dt={dt} violates the traffic CFL bound")
     net = _compile(scenario)
     k = min(int(state.time / scenario.dt), scenario.n_time - 1)
-    rho, v = state.densities[None], v[None, :, None]
-    flux = np.zeros(rho.shape[:2] + (rho.shape[2] + 1,))
-    rho, queues = _godunov_step(
-        net, flux_capacity(v, net.rho_max), rho, _flux(rho, v, net.rho_max),
-        state.queues[None], net.inflow[:, k], scenario.ds, dt, flux,
+    rho = np.array(state.densities, dtype=float)[None]
+    ws = _Workspace(net, v[None], rho)
+    queues = _godunov_step(
+        net, ws, rho, state.queues[None], net.inflow[:, k], dt, dt / scenario.ds
     )
     return TrafficState(densities=rho[0], queues=queues[0], time=state.time + dt)
 
@@ -372,7 +444,7 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     outflow = np.empty((n_time, n_roads))
     densities[0], queues[0] = net.rho0, net.queue0
     rows = np.arange(1)
-    steps = _march(net, scenario, v, _substeps(v[0], scenario))
+    steps = _march(net, scenario, v, _substeps(v[0], scenario), ends=True)
     for k, (rho, flow, ell, ends) in enumerate(steps, 1):
         densities[k], queues[k] = rho[0], ell[0]
         inflow[k - 1], outflow[k - 1] = ends[0].T
@@ -397,7 +469,9 @@ def simulate_batch(scenario: Scenario, policies, observe) -> None:
     the dt it would get alone.  After each output step k = 1..n_time,
     ``observe(rows, k, rho, flow, queues)`` receives the batch positions
     ``rows`` of one group with their densities and flux Q, both (len(rows),
-    roads, cells), and their queue lengths (len(rows), n_access).
+    roads, cells), and their queue lengths (len(rows), n_access).  The
+    densities and Q are the march's workspace, valid until ``observe``
+    returns.
     """
     net = _compile(scenario)
     v = np.array([_policy_array(p, scenario) for p in policies]).reshape(-1, scenario.n_roads)

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import hypothesis
@@ -20,3 +21,14 @@ def diamond_path() -> Path:
 @pytest.fixture(scope="session")
 def diamond():
     return load_scenario(DIAMOND_PATH.read_text())
+
+
+@pytest.fixture(scope="session")
+def coarse_diamond(diamond):
+    """Factory of the diamond with ``n_cells`` cells per road and ``n_time`` steps."""
+
+    def make(n_cells: int, n_time: int):
+        roads = tuple(dataclasses.replace(r, rho0=r.rho0[:1] * n_cells) for r in diamond.roads)
+        return dataclasses.replace(diamond, roads=roads, n_cells=n_cells, n_time=n_time)
+
+    return make

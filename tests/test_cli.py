@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tramopt.cli import main, read_emission_bin
-from tramopt.network import load_scenario
+from tramopt.network import ScenarioError, load_scenario
 from tramopt.objectives import PolicyEvaluator
 from tramopt.traffic import simulate_traffic
 
@@ -48,6 +48,26 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{\"horizon\": 1.0}")
         assert run_cli("validate", "--scenario", str(path)) == 2
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: doc["junctions"].__setitem__(0, 5), "junctions[0]: expected an object"),
+            (lambda doc: doc["junctions"][0].__setitem__("in", 5), "junctions[0].in: expected a list"),
+            (lambda doc: doc["access"][0].__setitem__("road", [1]), "access[0]: references unknown road [1]"),
+            (lambda doc: doc.__setitem__("horizon", float("nan")), "horizon: expected a finite number"),
+            (lambda doc: doc["dispersion"].__setitem__("mu", float("inf")), "dispersion.mu: expected a finite number"),
+            (lambda doc: doc["domain"].__setitem__("n_grid", True), "domain.n_grid: must be a positive integer"),
+        ],
+        ids=["junction-not-object", "in-not-list", "access-road-list", "horizon-nan", "mu-infinity", "n-grid-true"],
+    )
+    def test_malformed_scenario_exits_two(self, tmp_path, diamond_path, capsys, damage, message):
+        doc = json.loads(diamond_path.read_text())
+        damage(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(path)) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -148,6 +168,18 @@ class TestSimulate:
         scenario = load_scenario(fast_scenario_path.read_text())
         assert field.shape == (scenario.n_time + 1, 61, 61)
         assert np.all(field >= 0.0)
+
+    @pytest.mark.parametrize("keep", [10, -8], ids=["short-header", "short-payload"])
+    def test_truncated_emission_binary_rejected(self, fast_scenario_path, tmp_path, keep):
+        out = tmp_path / "sim"
+        run_cli(
+            "simulate", "--scenario", str(fast_scenario_path),
+            "--policy", "1,1,1,1,1,1", "--out", str(out),
+        )
+        path = out / "emission.bin"
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ScenarioError, match="truncated header" if keep > 0 else "payload of"):
+            read_emission_bin(path)
 
     def test_manifest_hash_matches_input(self, fast_scenario_path, tmp_path):
         out = tmp_path / "sim"

@@ -212,15 +212,26 @@ class TestBatchEqualsSerial:
         # at n_time 100 a speed limit of 2 needs two substeps and <= 1 needs
         # one, so the batch mixes substep counts; that grid breaks the
         # adjoint's CFL bound, so a seeded array stands in for the adjoint
-        sc = dataclasses.replace(diamond, n_time=100, mode=mode, delta=0.5)
-        substeps = {math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) for p in policies}
-        assert substeps == {1, 2}
-        adjoint = np.random.default_rng(3).random((101, sc.n_grid + 1, sc.n_grid + 1))
-        ev = PolicyEvaluator(sc, adjoint=adjoint)
+        _assert_batch_equals_one_by_one(dataclasses.replace(diamond, n_time=100), policies, mode)
 
-        batch = ev.score(policies)
-        reversed_batch = ev.score(policies[::-1])[::-1]
-        for policy, b, r in zip(policies, batch, reversed_batch):
-            alone = ev.components(policy)
-            assert b == alone == r == ev.score([policy])[0]
-            assert np.array_equal(b.vector(mode), ev.vector(policy))
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    @pytest.mark.parametrize("n_cells, n_time", [(1, 6), (2, 12)])
+    def test_batch_equals_one_by_one_on_short_roads(self, coarse_diamond, policies, n_cells, n_time, mode):
+        # n_time mixes one and two substeps again; on one-cell roads the
+        # first cell is the last
+        _assert_batch_equals_one_by_one(coarse_diamond(n_cells, n_time), policies, mode)
+
+
+def _assert_batch_equals_one_by_one(scenario, policies, mode):
+    sc = dataclasses.replace(scenario, mode=mode, delta=0.5)
+    substeps = {math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) for p in policies}
+    assert substeps == {1, 2}
+    adjoint = np.random.default_rng(3).random((sc.n_time + 1, sc.n_grid + 1, sc.n_grid + 1))
+    ev = PolicyEvaluator(sc, adjoint=adjoint)
+
+    batch = ev.score(policies)
+    reversed_batch = ev.score(policies[::-1])[::-1]
+    for policy, b, r in zip(policies, batch, reversed_batch):
+        alone = ev.components(policy)
+        assert b == alone == r == ev.score([policy])[0]
+        assert np.array_equal(b.vector(mode), ev.vector(policy))

@@ -28,6 +28,8 @@ from tramopt.traffic import (
 )
 
 densities = st.floats(0.0, 1.0)
+#: diamond policies the kernel is checked against the per-junction reference on
+REFERENCE_POLICIES = [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0, 0.25, 1, 0.5, 0.8, 1]]
 
 
 class TestFluxFunctions:
@@ -298,20 +300,30 @@ class TestSimulateTraffic:
             rhs = sum(traj.inflow[:, idx[r]] for r in j.outgoing)
             assert np.max(np.abs(lhs - rhs)) < 1e-14
 
-    @pytest.mark.parametrize("policy", [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0, 0.25, 1, 0.5, 0.8, 1]])
+    @pytest.mark.parametrize("policy", REFERENCE_POLICIES)
     def test_kernel_matches_per_junction_reference(self, diamond, policy):
         # at n_time 100 the first policy takes two substeps and the second one
-        small = dataclasses.replace(diamond, n_time=100)
-        traj = simulate_traffic(small, policy)
-        densities, queues = _reference_run(small, policy)
-        assert np.array_equal(traj.densities, densities)
-        assert np.array_equal(traj.queues, queues)
+        _assert_matches_reference(dataclasses.replace(diamond, n_time=100), policy)
+
+    @pytest.mark.parametrize("policy", REFERENCE_POLICIES)
+    @pytest.mark.parametrize("n_cells, n_time", [(1, 6), (2, 12)])
+    def test_kernel_matches_reference_on_short_roads(self, coarse_diamond, n_cells, n_time, policy):
+        # on one-cell roads the first cell is the last; n_time again gives
+        # the first policy two substeps and the second one
+        _assert_matches_reference(coarse_diamond(n_cells, n_time), policy)
 
     def test_deterministic(self, diamond):
         a = simulate_traffic(diamond, [1.0] * 6)
         b = simulate_traffic(diamond, [1.0] * 6)
         assert np.array_equal(a.densities, b.densities)
         assert np.array_equal(a.queues, b.queues)
+
+
+def _assert_matches_reference(scenario, policy):
+    traj = simulate_traffic(scenario, policy)
+    densities, queues = _reference_run(scenario, policy)
+    assert np.array_equal(traj.densities, densities)
+    assert np.array_equal(traj.queues, queues)
 
 
 def _reference_run(scenario, policy):
