@@ -18,8 +18,9 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   the parent's time over the change's.
 * Stages: ``--traced`` traced scorings per batch and tree, alternated, with
   the median of each stage reported.  A line tracer charges the time of
-  every line of the step, the march and the objective tally to a stage
-  (``STAGES``) by the line's text, so the same rules read both trees.
+  every line of the step, the road update, the march and the objective
+  tally to a stage (``STAGES``) by the line's text, so the same rules read
+  both trees.
   Tracing slows every line by about the same amount, so it inflates the
   stages made of many cheap lines (the couplings); compare a stage between
   the trees rather than with the untraced scoring time.
@@ -53,6 +54,10 @@ CHAIN_DIAMONDS = 4
 BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86)}
 BUDGETS = {"diamond": 300, "chain": 120}
 STAGES = ("envelopes", "interior", "couplings", "update", "Q", "tally", "other")
+#: the kernel's functions whose lines are charged to stages: the step, the
+#: road update it calls (absent from older trees, which update inline) and
+#: the march
+KERNEL_FRAMES = ("_godunov_step", "_update_roads", "_march")
 
 
 # -- worker side: runs inside one tree ---------------------------------------
@@ -101,7 +106,7 @@ class LineClock:
 
     @staticmethod
     def traced(code) -> bool:
-        if code.co_name in ("_godunov_step", "_march"):
+        if code.co_name in KERNEL_FRAMES:
             return code.co_filename.endswith("traffic.py")
         return code.co_name == "__call__" and code.co_filename.endswith("objectives.py")
 
@@ -117,9 +122,11 @@ class LineClock:
             return "envelopes"
         if "_flux(" in text:
             return "Q"
-        if "np.minimum(dem" in text:
+        if re.search(r"np\.minimum\((ws\.)?dem", text):
             return "interior"
-        if re.search(r"out=rho|out=diff|rho = rho|rho\.shape|ws\.faces", text):
+        if code.co_name == "_update_roads" or re.search(
+            r"out=rho|out=diff|rho = rho|rho\.shape|ws\.faces|_update_roads\(", text
+        ):
             return "update"
         return "couplings" if code.co_name == "_godunov_step" else "other"
 

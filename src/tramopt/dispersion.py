@@ -90,14 +90,15 @@ def _edge_coefficients(params: DispersionParams, h: float, problem: str) -> dict
     inflow, Neumann on outflow).  In both cases the coefficient on the
     solution is nonnegative.
     """
+    side = classify_boundary(params.wind)
     coeffs = {}
     for edge, eta in _EDGES.items():
         nu = params.wind[0] * eta[0] + params.wind[1] * eta[1]
         if problem == "adjoint":
-            robin = nu >= 0.0
+            robin = side[edge] == "outflow"
             v_normal = nu
         elif problem == "forward":
-            robin = nu < 0.0
+            robin = side[edge] == "inflow"
             v_normal = -nu
         else:
             raise ValueError(f"unknown problem {problem!r}")

@@ -4,12 +4,14 @@ Everything uses the minimization convention (the flow objective enters
 negated).  The search is a multi-directional pattern search on a set of
 points: an archive of mutually nondominated solutions whose members are
 polled along +/- coordinate directions with per-member adaptive mesh sizes.
-Runs are deterministic for a fixed seed.
+It starts from 4*dim + 2 seed points (the centre, box corners, seeded-random
+interior points) and polls every active member each iteration with fixed
+mesh rules.  Runs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,39 +134,29 @@ class ParetoArchive:
         return np.array([e.value for e in self.entries])
 
 
+# poll step per member as a fraction of each coordinate's box width: its
+# start, its growth after a successful poll (capped at the whole width) and
+# its shrinkage after a failed one
+_INITIAL_MESH = 0.25
+_EXPANSION = 2.0
+_CONTRACTION = 0.5
+_MESH_CAP = 1.0
+# absolute step below which a member is no longer polled
+_MIN_MESH = 1e-3
+
+
 @dataclass
 class SearchOptions:
-    """Tuning knobs of the pattern search.
-
-    ``initial_mesh``, ``expansion``, ``contraction`` and ``mesh_cap`` scale
-    the per-member poll step as a fraction of each coordinate's box width;
-    ``min_mesh`` is an absolute step size below which a member stops being
-    polled.  ``n_initial`` defaults to 4*dim + 2 seed points (center, a
-    sample of box corners, seeded-random interior points).  By default every
-    active archive member is polled each iteration; ``poll_batch`` caps the
-    number of members polled per iteration (least recently polled first).
-    """
+    """Settings of the pattern search: the evaluation budget, the seed of the
+    starting points and whether to keep the archive after every iteration."""
 
     max_evaluations: int = 1000
-    initial_mesh: float = 0.25
-    expansion: float = 2.0
-    contraction: float = 0.5
-    min_mesh: float = 1e-3
-    mesh_cap: float = 1.0
     seed: int = 0
-    n_initial: int | None = None
-    poll_batch: int | None = None
     track_history: bool = False
 
     def __post_init__(self):
         if self.max_evaluations <= 0:
             raise ValueError("evaluation budget must be positive")
-        if self.expansion <= 1.0 or not (0.0 < self.contraction < 1.0):
-            raise ValueError("need expansion > 1 and contraction in (0, 1)")
-        if self.initial_mesh <= 0.0 or self.min_mesh <= 0.0:
-            raise ValueError("mesh sizes must be positive")
-        if self.poll_batch is not None and self.poll_batch <= 0:
-            raise ValueError("poll batch must be positive when set")
 
 
 def _seed_points(lower, upper, n_points, rng) -> list[tuple[float, ...]]:
@@ -228,11 +220,10 @@ def pareto_search(
             out.append(r)
         return out
 
-    n_initial = options.n_initial if options.n_initial is not None else 4 * d + 2
-    seeds = _seed_points(lower, upper, n_initial, rng)[:budget]
+    seeds = _seed_points(lower, upper, 4 * d + 2, rng)[:budget]
     results = run_batch(seeds)
     for p, v in sorted(zip(seeds, results)):
-        archive.insert(p, v, options.initial_mesh)
+        archive.insert(p, v, _INITIAL_MESH)
 
     history: list[np.ndarray] = []
     iterations = 0
@@ -240,14 +231,12 @@ def pareto_search(
         active = [
             e
             for e in archive.entries
-            if e.mesh * float(np.max(ranges)) >= options.min_mesh
+            if e.mesh * float(np.max(ranges)) >= _MIN_MESH
         ]
         if not active:
             break
         iterations += 1
         batch = sorted(active, key=lambda e: (e.polls, e.seq))
-        if options.poll_batch is not None:
-            batch = batch[: options.poll_batch]
 
         candidates: list[tuple[tuple[float, ...], ArchiveEntry]] = []
         seen = set()
@@ -286,9 +275,7 @@ def pareto_search(
                 parent = parent_of[key]
                 if archive.insert(key, by_key[key], parent.mesh):
                     succeeded.add(id(parent))
-                    child_mesh[key] = min(
-                        parent.mesh * options.expansion, options.mesh_cap
-                    )
+                    child_mesh[key] = min(parent.mesh * _EXPANSION, _MESH_CAP)
 
         still_there = {id(e) for e in archive.entries}
         for entry_id, entry in polled.items():
@@ -296,9 +283,9 @@ def pareto_search(
                 continue
             entry.polls += 1
             if entry_id in succeeded:
-                entry.mesh = min(entry.mesh * options.expansion, options.mesh_cap)
+                entry.mesh = min(entry.mesh * _EXPANSION, _MESH_CAP)
             else:
-                entry.mesh *= options.contraction
+                entry.mesh *= _CONTRACTION
         # children ride the expanded mesh of their parent so successful
         # directions keep stretching toward the box faces
         for entry in archive.entries:
@@ -319,19 +306,6 @@ def pareto_search(
     if options.track_history:
         diagnostics["history"] = history
     return archive, diagnostics
-
-
-def ideal_point(evaluate, lower, upper, options: SearchOptions, n_objectives: int) -> np.ndarray:
-    """Componentwise best objective values via single-objective searches."""
-    ideal = np.empty(n_objectives)
-    for j in range(n_objectives):
-
-        def single(policy, _j=j):
-            return np.asarray(evaluate(policy), dtype=float)[[_j]]
-
-        archive, _ = pareto_search(single, lower, upper, options)
-        ideal[j] = min(e.value[0] for e in archive.entries)
-    return ideal
 
 
 def normalize_front(values, ideal, skip_axes=()) -> np.ndarray:

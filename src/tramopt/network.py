@@ -180,21 +180,6 @@ class SpeedLimitPolicy:
         return cls(values)
 
 
-def point_on_road(road: Road, s: float) -> Point:
-    """Map an arc-length parameter to a point on the road's polyline."""
-    if s < 0.0 or s > road.length * (1.0 + 1e-12):
-        raise ValueError(f"arc length {s} outside [0, {road.length}] on road {road.id}")
-    remaining = s
-    for (p, q), seg_len in zip(
-        zip(road.points[:-1], road.points[1:]), road.segment_lengths
-    ):
-        if remaining <= seg_len or (p, q) == (road.points[-2], road.points[-1]):
-            frac = remaining / seg_len
-            return (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
-        remaining -= seg_len
-    return road.head
-
-
 # ---------------------------------------------------------------------------
 # scenario file parsing
 

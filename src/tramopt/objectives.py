@@ -202,7 +202,3 @@ class BatchScorer:
         self.scored.update(zip(map(tuple, policies), parts))
         return [b.vector(self.mode) for b in parts]
 
-
-def evaluate_policy(scenario: Scenario, policy, adjoint: np.ndarray) -> np.ndarray:
-    """Objective vector of one policy given the precomputed adjoint."""
-    return PolicyEvaluator(scenario, adjoint=adjoint).vector(policy)

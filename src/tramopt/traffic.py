@@ -12,9 +12,12 @@ hands each output step to a callback instead.  A march allocates its
 arrays once, in a ``_Workspace``, and every substep writes into them: the
 densities are updated in place, and the per-road parameters are stored at
 full (batch, roads, cells) shape so that no operation broadcasts a
-per-road column.  The interface fluxes are taken in one pass over the
-batch's cells laid end to end, with each road's two boundary fluxes then
-put in from the couplings.
+per-road column.  A substep first couples the roads, giving each one the
+fluxes through its two ends, then updates them all in ``_update_roads``:
+the interface fluxes in one pass over the batch's cells laid end to end,
+the boundary fluxes put in, the conservative add and the clip.
+``step_single_road`` is that same update on one road with prescribed end
+fluxes.
 """
 
 from __future__ import annotations
@@ -181,31 +184,6 @@ def max_stable_dt(v_maxes, ds: float) -> float:
 # stepping
 
 
-def step_single_road(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
-    """One Godunov step of an isolated road with prescribed boundary fluxes.
-
-    Each interior interface carries min{D(u), S(v)} of its left and right
-    cell averages, which equals Q at the exact entropy solution of the
-    (u, v) Riemann problem at x/t = 0: Q(u) or Q(v) for a shock or a
-    one-sided fan, Q(rho_max/2) for a transonic fan.  The conservative
-    update is clipped to [0, rho_max].
-    """
-    rho = np.asarray(rho, dtype=float)
-    interior = godunov_flux(rho[:-1], rho[1:], v_max, rho_max)
-    flux = np.concatenate(([flux_in], interior, [flux_out]))
-    out = rho + dt / ds * (flux[:-1] - flux[1:])
-    return np.clip(out, 0.0, rho_max)
-
-
-@dataclass
-class TrafficState:
-    """Instantaneous network state: per-road cell averages and queue lengths."""
-
-    densities: np.ndarray  # (n_roads, n_cells)
-    queues: np.ndarray  # (n_access,)
-    time: float
-
-
 @dataclass
 class TrafficTrajectory:
     """Snapshots over the time grid plus recorded boundary flows.
@@ -304,14 +282,15 @@ class _Workspace:
     left and right interface, (B, roads, cells).  ``inflow`` and
     ``outflow`` are the fluxes through each road's two ends, (B, roads),
     views of ``ends`` (B, roads, 2); an end no coupling writes keeps flux 0.
+    ``rho_max`` is given per road, (roads, 1), or as one number.
     """
 
-    def __init__(self, net: "_Network", v: np.ndarray, rho: np.ndarray):
+    def __init__(self, rho_max, v: np.ndarray, rho: np.ndarray):
         shape = rho.shape
         v = v[:, :, None]
         self.v, self.cap, self.rho_max, self.critical = (
             np.broadcast_to(a, shape).copy()
-            for a in (v, flux_capacity(v, net.rho_max), net.rho_max, net.rho_max / 2.0)
+            for a in (v, flux_capacity(v, rho_max), rho_max, rho_max / 2.0)
         )
         self.flow, self.dem, self.sup, self.diff = (np.empty(shape) for _ in range(4))
         self.below = np.empty(shape, dtype=bool)
@@ -322,21 +301,46 @@ class _Workspace:
         _flux(rho, self.v, self.rho_max, self.flow, self.diff)
 
 
-def _godunov_step(net: _Network, ws: _Workspace, rho, queues, q_in, dt, lam):
-    """One step of size dt of a batch of densities ``rho`` (B, roads, cells).
+def _update_roads(ws: _Workspace, rho, lam) -> None:
+    """The Godunov update of every road, given its two boundary fluxes.
 
-    ``rho`` is updated in place and ``ws.flow``, which must hold Q(rho) on
-    entry, holds Q of the new densities on return; ``lam`` is dt / ds.
-    Returns the new queue lengths.
+    ``ws.dem`` and ``ws.sup`` must hold the envelopes of ``rho`` and
+    ``ws.inflow``/``ws.outflow`` the fluxes through each road's ends; ``lam``
+    is dt / ds.  ``rho`` is updated in place, clipped to [0, rho_max], and
+    ``ws.flow`` receives Q of the new densities.
 
     The interior interface fluxes min{D(left), S(right)} come from one pass
     over the cells laid end to end, which also pairs each road's last cell
     with the next road's first.  Those faces are never used as they are:
     the differences of each road's first and last cell are taken again
-    with the boundary fluxes the couplings give, and on one-cell roads,
-    where the first cell is the last, from the boundary fluxes alone.
+    with the boundary fluxes, and on one-cell roads, where the first cell
+    is the last, from the boundary fluxes alone.
     """
-    dem, sup, diff, inflow, outflow = ws.dem, ws.sup, ws.diff, ws.inflow, ws.outflow
+    diff = ws.diff
+    if rho.shape[2] == 1:
+        np.subtract(ws.inflow, ws.outflow, out=diff[..., 0])
+    else:
+        np.minimum(ws.dem.reshape(-1)[:-1], ws.sup.reshape(-1)[1:], out=ws.faces[1:-1])
+        np.subtract(ws.left, ws.right, out=diff)
+        np.subtract(ws.inflow, ws.right[..., 0], out=diff[..., 0])
+        np.subtract(ws.left[..., -1], ws.outflow, out=diff[..., -1])
+    np.multiply(diff, lam, out=diff)
+    np.add(rho, diff, out=rho)
+    np.maximum(rho, 0.0, out=rho)
+    np.minimum(rho, ws.rho_max, out=rho)
+    _flux(rho, ws.v, ws.rho_max, ws.flow, diff)
+
+
+def _godunov_step(net: _Network, ws: _Workspace, rho, queues, q_in, dt, lam):
+    """One step of size dt of a batch of densities ``rho`` (B, roads, cells).
+
+    The couplings give every road's boundary fluxes from the envelopes at
+    its ends, then ``_update_roads`` steps the roads.  ``rho`` is updated in
+    place and ``ws.flow``, which must hold Q(rho) on entry, holds Q of the
+    new densities on return; ``lam`` is dt / ds.  Returns the new queue
+    lengths.
+    """
+    dem, sup = ws.dem, ws.sup
     _envelopes(rho, ws.flow, ws.cap, ws.critical, dem, sup, ws.below)
     d = dem[:, net.heads, -1]
     s = sup[:, net.tails, 0]
@@ -346,22 +350,29 @@ def _godunov_step(net: _Network, ws: _Workspace, rho, queues, q_in, dt, lam):
     q_12, q_12a, q_12b = _diverge(d_12, s_12a, s_12b, *net.alpha)
     q_21a, q_21b, q_21 = _merge(d_21a, d_21b, s_21, *net.beta)
     queues, q_access = _discharge(queues, q_in, s_access, dt)
-    outflow[:, net.heads] = np.concatenate((q_11, q_12, q_21a, q_21b, d_exit), axis=1)
-    inflow[:, net.tails] = np.concatenate((q_11, q_12a, q_12b, q_21, q_access), axis=1)
-
-    if rho.shape[2] == 1:
-        np.subtract(inflow, outflow, out=diff[..., 0])
-    else:
-        np.minimum(dem.reshape(-1)[:-1], sup.reshape(-1)[1:], out=ws.faces[1:-1])
-        np.subtract(ws.left, ws.right, out=diff)
-        np.subtract(inflow, ws.right[..., 0], out=diff[..., 0])
-        np.subtract(ws.left[..., -1], outflow, out=diff[..., -1])
-    np.multiply(diff, lam, out=diff)
-    np.add(rho, diff, out=rho)
-    np.maximum(rho, 0.0, out=rho)
-    np.minimum(rho, ws.rho_max, out=rho)
-    _flux(rho, ws.v, ws.rho_max, ws.flow, diff)
+    ws.outflow[:, net.heads] = np.concatenate((q_11, q_12, q_21a, q_21b, d_exit), axis=1)
+    ws.inflow[:, net.tails] = np.concatenate((q_11, q_12a, q_12b, q_21, q_access), axis=1)
+    _update_roads(ws, rho, lam)
     return queues
+
+
+def step_single_road(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
+    """One Godunov step of an isolated road with prescribed boundary fluxes.
+
+    This is the kernel's road update on a one-road workspace.  Each interior
+    interface carries min{D(u), S(v)} of its left and right cell averages,
+    which equals Q at the exact entropy solution of the (u, v) Riemann
+    problem at x/t = 0: Q(u) or Q(v) for a shock or a one-sided fan,
+    Q(rho_max/2) for a transonic fan.  The conservative update is clipped
+    to [0, rho_max].
+    """
+    rho = np.array(rho, dtype=float).reshape(1, 1, -1)
+    _check_density(rho, rho_max)
+    ws = _Workspace(rho_max, np.array([[v_max]], dtype=float), rho)
+    _envelopes(rho, ws.flow, ws.cap, ws.critical, ws.dem, ws.sup, ws.below)
+    ws.inflow[:], ws.outflow[:] = flux_in, flux_out
+    _update_roads(ws, rho, dt / ds)
+    return rho[0, 0]
 
 
 def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: bool = False):
@@ -379,7 +390,7 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: b
     lam = dt / scenario.ds
     rho = np.repeat(net.rho0[None], len(v), axis=0)
     queues = np.repeat(net.queue0[None], len(v), axis=0)
-    ws = _Workspace(net, v, rho)
+    ws = _Workspace(net.rho_max, v, rho)
     mean_ends = np.zeros_like(ws.ends) if ends else None
     for k in range(scenario.n_time):
         if ends:
@@ -389,23 +400,6 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: b
             if ends:
                 np.add(mean_ends, ws.ends, out=mean_ends)
         yield rho, ws.flow, queues, (mean_ends / n_sub if ends else None)
-
-
-def lwr_step(
-    state: TrafficState, policy, scenario: Scenario, dt: float
-) -> TrafficState:
-    """Advance the whole network by one step of size dt (must satisfy CFL)."""
-    v = _policy_array(policy, scenario)
-    if dt > max_stable_dt(v, scenario.ds) * (1.0 + 1e-12):
-        raise TrafficError(f"dt={dt} violates the traffic CFL bound")
-    net = _compile(scenario)
-    k = min(int(state.time / scenario.dt), scenario.n_time - 1)
-    rho = np.array(state.densities, dtype=float)[None]
-    ws = _Workspace(net, v[None], rho)
-    queues = _godunov_step(
-        net, ws, rho, state.queues[None], net.inflow[:, k], dt, dt / scenario.ds
-    )
-    return TrafficState(densities=rho[0], queues=queues[0], time=state.time + dt)
 
 
 def _policy_array(policy, scenario: Scenario) -> np.ndarray:

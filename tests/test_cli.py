@@ -1,9 +1,16 @@
+import copy
 import csv
+import functools
 import hashlib
 import json
+import operator
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tramopt.cli import main, read_emission_bin
 from tramopt.network import ScenarioError, load_scenario
@@ -249,6 +256,38 @@ class TestOptimize:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "arg", ["--delta=nan", "--delta=inf", "--delta=-inf", "--jobs=0", "--jobs=-2", "--seed=-1"]
+    )
+    def test_bad_search_argument_exits_one(self, fast_scenario_path, tmp_path, capsys, arg):
+        out = tmp_path / "x"
+        code = run_cli(
+            "optimize", "--scenario", str(fast_scenario_path), "--out", str(out),
+            "--budget", "30", arg,
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "front.csv").exists()
+
+    def test_zero_ideal_exits_one(self, tmp_path, diamond_path, capsys):
+        # no traffic at all: every policy scores J_flow = J_poll = 0, so the
+        # front's ideal is zero on both normalized axes
+        doc = json.loads(diamond_path.read_text())
+        doc["horizon"] = 1.0
+        doc["discretization"]["n_time"] = 150
+        for road in doc["roads"]:
+            road["rho0"] = 0
+        for access in doc["access"]:
+            access["inflow"] = 0
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(path)) == 0
+        code = run_cli(
+            "optimize", "--scenario", str(path), "--out", str(tmp_path / "opt"), "--budget", "30",
+        )
+        assert code == 1
+        assert "error: " in capsys.readouterr().err
+
     def test_adjoint_cache_reused(self, fast_scenario_path, tmp_path):
         cache = tmp_path / "cache"
         for name in ("a", "b"):
@@ -304,6 +343,19 @@ class TestExport:
         rows = list(csv.DictReader(open(out / "front_flow-poll.csv")))
         assert rows == []
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    def test_non_finite_delta_exits_one(self, tmp_path, capsys, delta):
+        front = tmp_path / "front.csv"
+        front.write_text("v_1,j_flow,j_diff,j_queue,j_poll\n1.0,0.5,0.1,0.2,0.1\n")
+        out = tmp_path / "exp"
+        code = run_cli(
+            "export", "--front", str(front), "--coords", "flow-poll",
+            f"--delta={delta}", "--out", str(out),
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "front_flow-poll.csv").exists()
+
     def test_missing_columns_exit_two(self, tmp_path):
         broken = tmp_path / "broken.csv"
         broken.write_text("a,b\n1,2\n")
@@ -312,3 +364,82 @@ class TestExport:
             "--out", str(tmp_path / "exp"),
         )
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated scenarios and policy strings through every command but
+# export.  Integers stay within [-2, 24] and floats within [-4, 4] (or are
+# non-finite), so every grid has at most 25 points a side and no example
+# allocates more than a few hundred KB or steps more than a few thousand
+# substeps.
+
+
+def _small_diamond():
+    doc = json.loads((Path(__file__).parents[1] / "scenarios" / "diamond.json").read_text())
+    del doc["_comment"]
+    doc["horizon"] = 0.5
+    doc["domain"]["n_grid"] = 24
+    doc["discretization"] = {"n_cells": 4, "n_time": 25}
+    return doc
+
+
+_FUZZ_BASE = _small_diamond()
+_NUMBERS = st.one_of(
+    st.integers(-2, 24),
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, 1e-300, float("nan"), float("inf"), -float("inf")]),
+)
+_VALUES = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, st.text(max_size=3), st.lists(_NUMBERS, max_size=3), st.just({}),
+)
+_POLICY_VALUES = st.one_of(
+    st.lists(st.floats(0.25, 2.0), min_size=6, max_size=6),
+    st.lists(
+        st.one_of(st.floats(0.0, 3.0), st.sampled_from([float("nan"), float("inf")])),
+        max_size=7,
+    ),
+)
+_POLICY_TEXT = st.one_of(_POLICY_VALUES.map(lambda v: ",".join(map(repr, v))), st.text(max_size=8))
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list item in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """The small diamond, valid as it is, with up to three values removed or
+    replaced, a number most often by another number."""
+    doc = copy.deepcopy(_FUZZ_BASE)
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        owner = functools.reduce(operator.getitem, path[:-1], doc)
+        old = owner[path[-1]]
+        numeric = isinstance(old, (int, float)) and not isinstance(old, bool)
+        if draw(st.integers(0, 3)) == 0:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = draw(_NUMBERS if numeric and draw(st.booleans()) else _VALUES)
+    return doc
+
+
+@given(doc=_mutated_scenarios(), policy=_POLICY_TEXT)
+def test_mutated_inputs_end_in_an_exit_code(doc, policy):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "scenario.json"
+        path.write_text(json.dumps(doc))
+        runs = [
+            ["validate", "--scenario", str(path)],
+            ["simulate", "--scenario", str(path), f"--policy={policy}", "--out", str(tmp / "sim")],
+            ["optimize", "--scenario", str(path), "--budget", "6", "--out", str(tmp / "opt")],
+        ]
+        for argv in runs:
+            assert run_cli(*argv) in (0, 1, 2), argv

@@ -9,7 +9,6 @@ from tramopt.moo import (
     SearchOptions,
     dominates,
     hypervolume_2d,
-    ideal_point,
     nondominated_filter,
     normalize_front,
     pareto_search,
@@ -184,21 +183,6 @@ class TestParetoSearch:
     def test_malformed_box_rejected(self):
         with pytest.raises(ValueError):
             pareto_search(_two_parabolas, [1.0], [0.0], SearchOptions(max_evaluations=10))
-
-
-class TestIdealPoint:
-    def test_two_parabolas(self):
-        ideal = ideal_point(
-            _two_parabolas, [0.0], [1.0], SearchOptions(max_evaluations=150, seed=0), 2
-        )
-        assert ideal == pytest.approx([0.0, 0.0], abs=1e-4)
-
-    def test_constant_objective(self):
-        ideal = ideal_point(
-            lambda x: np.array([2.5]), [0.0], [1.0],
-            SearchOptions(max_evaluations=60, seed=0), 1,
-        )
-        assert ideal[0] == 2.5
 
 
 class TestNormalizeFront:

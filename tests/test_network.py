@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 from hypothesis import given
@@ -7,11 +6,9 @@ from hypothesis import strategies as st
 
 from tramopt.network import (
     PolicyError,
-    Road,
     ScenarioError,
     SpeedLimitPolicy,
     load_scenario,
-    point_on_road,
     serialize_scenario,
     validate_scenario,
 )
@@ -139,41 +136,6 @@ class TestRoundTrip:
         doc["dispersion"]["wind"] = list(wind)
         s = load_scenario(json.dumps(doc))
         assert load_scenario(serialize_scenario(s)) == s
-
-
-class TestPointOnRoad:
-    def test_tail(self):
-        road = Road(1, ((0.0, 0.0), (1.0, 0.0)), 0.1, 1.0, (0.0,), 0.25, 2.0)
-        assert point_on_road(road, 0.0) == (0.0, 0.0)
-
-    def test_midpoint(self):
-        road = Road(1, ((0.0, 0.0), (1.0, 0.0)), 0.1, 1.0, (0.0,), 0.25, 2.0)
-        assert point_on_road(road, 0.5) == (0.5, 0.0)
-
-    def test_vertical_segment(self):
-        road = Road(1, ((1.0, 1.0), (1.0, 2.0)), 0.1, 1.0, (0.0,), 0.25, 2.0)
-        assert point_on_road(road, 0.25) == (1.0, 1.25)
-
-    def test_out_of_range(self):
-        road = Road(1, ((0.0, 0.0), (1.0, 0.0)), 0.1, 1.0, (0.0,), 0.25, 2.0)
-        with pytest.raises(ValueError):
-            point_on_road(road, 1.5)
-
-    @given(s1=st.floats(0, 2), s2=st.floats(0, 2))
-    def test_isometry_on_polyline(self, s1, s2):
-        road = Road(
-            1, ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)), 0.1, 1.0, (0.0,), 0.25, 2.0
-        )
-        p1 = point_on_road(road, s1)
-        p2 = point_on_road(road, s2)
-        assert math.dist(p1, p2) <= abs(s1 - s2) + 1e-12
-
-    @given(s1=st.floats(0, 1), s2=st.floats(0, 1))
-    def test_exact_isometry_on_straight_segment(self, s1, s2):
-        road = Road(1, ((0.2, 0.3), (0.8, 1.1)), 0.1, 1.0, (0.0,), 0.25, 2.0)
-        p1 = point_on_road(road, s1)
-        p2 = point_on_road(road, s2)
-        assert math.dist(p1, p2) == pytest.approx(abs(s1 - s2), abs=1e-12)
 
 
 class TestValidation:

@@ -12,7 +12,6 @@ from tramopt.objectives import (
     ObjectiveBreakdown,
     ObjectiveTally,
     PolicyEvaluator,
-    evaluate_policy,
     j_diff_adjoint,
     j_diff_forward,
 )
@@ -177,14 +176,14 @@ class TestEvaluatePolicy:
     def test_repeat_evaluations_bitwise_identical(self, diamond):
         adjoint = solve_adjoint(diamond)
         policy = [1.0, 0.5, 2.0, 0.25, 1.5, 1.0]
-        a = evaluate_policy(diamond, policy, adjoint)
-        b = evaluate_policy(diamond, policy, adjoint)
+        a = PolicyEvaluator(diamond, adjoint=adjoint).vector(policy)
+        b = PolicyEvaluator(diamond, adjoint=adjoint).vector(policy)
         assert np.array_equal(a, b)
 
     def test_three_objective_mode(self, diamond):
         s = dataclasses.replace(diamond, mode="3d")
         adjoint = solve_adjoint(s)
-        vec = evaluate_policy(s, [1.0] * 6, adjoint)
+        vec = PolicyEvaluator(s, adjoint=adjoint).vector([1.0] * 6)
         assert vec.shape == (3,)
         assert vec[0] < 0.0 and vec[1] > 0.0 and vec[2] >= 0.0
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tramopt.network import load_scenario
 from tramopt.traffic import (
     TrafficError,
-    TrafficState,
     demand,
     flux_capacity,
     godunov_flux,
@@ -18,7 +17,6 @@ from tramopt.traffic import (
     junction_one_to_one,
     junction_one_to_two,
     junction_two_to_one,
-    lwr_step,
     mass_balance_residuals,
     max_stable_dt,
     queue_step,
@@ -228,21 +226,20 @@ class TestStepping:
         change = 0.05 * (after.sum() - rho.sum())
         assert change == pytest.approx(0.02 * (f_in - f_out), abs=1e-14)
 
-    def test_constant_state_on_loop_is_steady(self):
-        scenario = _loop_scenario()
-        state = TrafficState(
-            densities=np.full((1, 10), 0.5), queues=np.zeros(0), time=0.0
-        )
-        after = lwr_step(state, [1.0], scenario, dt=0.02)
-        assert after.densities == pytest.approx(state.densities)
+    @pytest.mark.parametrize("n_cells", [1, 2, 7])
+    def test_matches_reference_road_step(self, n_cells):
+        rho = np.random.default_rng(n_cells).uniform(0.0, 1.0, size=n_cells)
+        args = (1.5, 1.0, 0.05, 0.02, 0.1, 0.2)
+        assert np.array_equal(step_single_road(rho, *args), _reference_road_step(rho, *args))
 
-    def test_lwr_step_rejects_cfl_violation(self):
-        scenario = _single_road_scenario()
-        state = TrafficState(
-            densities=np.full((1, 20), 0.5), queues=np.zeros(1), time=0.0
-        )
+    @pytest.mark.parametrize("rho", [[1.5], [0.2, -0.1]])
+    def test_rejects_density_out_of_range(self, rho):
         with pytest.raises(TrafficError):
-            lwr_step(state, [2.0], scenario, dt=0.1)
+            step_single_road(rho, 1.0, 1.0, 0.05, 0.02, 0.0, 0.0)
+
+    def test_constant_state_on_loop_is_steady(self):
+        traj = simulate_traffic(_loop_scenario(), [1.0])
+        assert traj.densities == pytest.approx(np.full_like(traj.densities, 0.5))
 
     @given(u=densities, v=densities)
     def test_maximum_principle_single_step(self, u, v):
@@ -326,6 +323,15 @@ def _assert_matches_reference(scenario, policy):
     assert np.array_equal(traj.queues, queues)
 
 
+def _reference_road_step(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
+    """One road's Godunov update written out apart from the kernel: faces
+    min{D(left), S(right)} between the prescribed end fluxes, a conservative
+    add and a clip to [0, rho_max]."""
+    interior = godunov_flux(rho[:-1], rho[1:], v_max, rho_max)
+    flux = np.concatenate(([flux_in], interior, [flux_out]))
+    return np.clip(rho + dt / ds * (flux[:-1] - flux[1:]), 0.0, rho_max)
+
+
 def _reference_run(scenario, policy):
     """Densities and queues stepped one junction, queue and road at a time
     through the public scalar rules: the reference for the batched kernel."""
@@ -358,7 +364,7 @@ def _reference_run(scenario, policy):
             for r in scenario.exits:
                 f_out[idx(r)] = d[idx(r)]
             rho = np.array([
-                step_single_road(rho[e], v[e], rho_max[e], scenario.ds, dt, f_in[e], f_out[e])
+                _reference_road_step(rho[e], v[e], rho_max[e], scenario.ds, dt, f_in[e], f_out[e])
                 for e in range(n_roads)
             ])
         densities.append(rho)
