@@ -7,15 +7,17 @@ to a temporary directory with ``git archive``) on the same machine.  Each tree
 runs in its own worker process, which imports ``tramopt`` from that tree's
 ``src/`` and sets everything up before anything is timed.
 
-* Scoring: ``PolicyEvaluator.score`` on the poll batches the search hands its
-  ``map_fn``, recorded from ``pareto_search`` runs with search seed 7: on
+* Scoring: ``PolicyEvaluator.score`` on the batches the search scores,
+  recorded by a ``score`` passed to ``cli.search_front`` (the wiring
+  ``tramopt optimize`` uses) with search seed 7: on
   ``scenarios/diamond.json`` (2d, budget 300) and on the chain of 4 diamonds
   from ``perfbench/chain.py`` (3d, delta 0.5, budget 120).  B = 1 is the
-  first seed point.  The main process asks the two workers in turn for one
-  timed scoring of a batch, alternating which goes first, ``--pairs`` times
-  per batch, so that a slow spell of a shared host hits both sides of a
-  pair.  Wall and CPU time are kept; a speed-up is the median over pairs of
-  the parent's time over the change's.
+  first seed point.  Both trees must have ``cli.search_front``.  The main
+  process asks the two workers in turn for one timed scoring of a batch,
+  alternating which goes first, ``--pairs`` times per batch, so that a slow
+  spell of a shared host hits both sides of a pair.  Wall and CPU time are
+  kept; a speed-up is the median over pairs of the parent's time over the
+  change's.
 * Stages: ``--traced`` traced scorings per batch and tree, alternated, with
   the median of each stage reported.  A line tracer charges the time of
   every line of the step, the road update, the march and the objective
@@ -77,19 +79,17 @@ def _scenario(tree: Path, name: str):
     return load_scenario(json.dumps(chain.make_chain(CHAIN_DIAMONDS, CHAIN_SEED)))
 
 
-def _poll_batches(evaluator, sc, budget: int) -> dict[int, list]:
+def _poll_batches(evaluator, budget: int) -> dict[int, list]:
     """The batches a seeded search scores, by size; B = 1 is the first policy."""
-    from tramopt.moo import SearchOptions, pareto_search
+    from tramopt.cli import search_front
 
     seen: dict[int, list] = {}
 
-    def record(_evaluate, policies):
-        policies = list(policies)
-        seen.setdefault(len(policies), policies)
-        return [b.vector(sc.mode) for b in evaluator.score(policies)]
+    def record(policies):
+        seen.setdefault(len(policies), list(policies))
+        return evaluator.score(policies)
 
-    options = SearchOptions(max_evaluations=budget, seed=SEARCH_SEED)
-    pareto_search(evaluator.vector, *sc.policy_bounds(), options, map_fn=record)
+    search_front(evaluator, budget, SEARCH_SEED, score=record)
     first = next(iter(seen.values()))
     seen[1] = first[:1]
     return seen
@@ -185,7 +185,7 @@ def serve(tree: Path) -> None:
     for name, sizes in BATCHES.items():
         sc = _scenario(tree, name)
         evaluator = PolicyEvaluator(sc)
-        batches = _poll_batches(evaluator, sc, BUDGETS[name])
+        batches = _poll_batches(evaluator, BUDGETS[name])
         work.update({f"{name}/B={b}": (evaluator, batches[b]) for b in sizes})
     print("ready", flush=True)
     for line in sys.stdin:

@@ -31,7 +31,7 @@ import numpy as np
 from tramopt import __version__
 from tramopt.dispersion import DispersionError, solve_adjoint
 from tramopt.emission import emission_field, rasterize_network
-from tramopt.moo import SearchOptions, normalize_front, pareto_search
+from tramopt.moo import normalize_front, pareto_search
 from tramopt.network import (
     PolicyError,
     Scenario,
@@ -40,7 +40,7 @@ from tramopt.network import (
     load_scenario,
     validate_scenario,
 )
-from tramopt.objectives import BatchScorer, ObjectiveBreakdown, ObjectiveTally, PolicyEvaluator
+from tramopt.objectives import ObjectiveBreakdown, ObjectiveTally, PolicyEvaluator
 from tramopt.traffic import TrafficError, simulate_traffic
 
 _EMISSION_MAGIC = b"TRMO"
@@ -271,6 +271,27 @@ def _score_sliced(pool, jobs: int, policies: list[np.ndarray]) -> list[Objective
     return [b for part in parts for b in part]
 
 
+def search_front(evaluator: PolicyEvaluator, budget: int, seed: int, score=None):
+    """The scenario's Pareto front: the search's entries sorted by policy,
+    their breakdowns and its diagnostics.  Each batch is scored in one call
+    of ``score`` (default ``evaluator.score``).  The search is called through
+    this module's ``pareto_search``, the name a tracer wraps to time it."""
+    mode = evaluator.scenario.mode
+    score = evaluator.score if score is None else score
+    scored: dict[tuple[float, ...], ObjectiveBreakdown] = {}
+
+    def score_batch(policies):
+        parts = score(policies)
+        scored.update(zip(map(tuple, policies), parts))
+        return [b.vector(mode) for b in parts]
+
+    archive, diagnostics = pareto_search(
+        *evaluator.scenario.policy_bounds(), budget=budget, seed=seed, map_fn=score_batch
+    )
+    entries = sorted(archive.entries, key=lambda e: e.policy)
+    return entries, [scored[e.policy] for e in entries], diagnostics
+
+
 def cmd_optimize(args) -> int:
     scenario, text = _read_scenario(args.scenario)
     overrides = {}
@@ -296,10 +317,6 @@ def cmd_optimize(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else out_dir
     adjoint, adjoint_path = cached_adjoint(scenario, cache_dir)
     evaluator = PolicyEvaluator(scenario, adjoint=adjoint)
-    lower, upper = scenario.policy_bounds()
-    options = SearchOptions(max_evaluations=args.budget, seed=args.seed)
-
-    scorer = BatchScorer(evaluator)
     workers = (
         ProcessPoolExecutor(
             args.jobs, multiprocessing.get_context("spawn"), _init_worker, (scenario, adjoint)
@@ -308,14 +325,8 @@ def cmd_optimize(args) -> int:
         else contextlib.nullcontext()
     )
     with workers as pool:
-        if pool is not None:
-            scorer.score = functools.partial(_score_sliced, pool, args.jobs)
-        archive, diagnostics = pareto_search(
-            evaluator.vector, lower, upper, options, map_fn=scorer
-        )
-
-    entries = sorted(archive.entries, key=lambda e: e.policy)
-    breakdowns = [scorer.scored[e.policy] for e in entries]
+        score = None if pool is None else functools.partial(_score_sliced, pool, args.jobs)
+        entries, breakdowns, diagnostics = search_front(evaluator, args.budget, args.seed, score)
     values = np.array([e.value for e in entries])
 
     ideal = values.min(axis=0)

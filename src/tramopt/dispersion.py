@@ -77,10 +77,6 @@ def ghost_coefficient(kind: str, mu: float, v_normal: float, h: float) -> float:
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
-def ghost_value(kind: str, neighbor: float, mu: float, v_normal: float, h: float) -> float:
-    return ghost_coefficient(kind, mu, v_normal, h) * neighbor
-
-
 def _edge_coefficients(params: DispersionParams, h: float, problem: str) -> dict[str, float]:
     """Ghost multipliers per edge for the adjoint or the forward problem.
 

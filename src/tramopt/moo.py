@@ -6,7 +6,8 @@ points: an archive of mutually nondominated solutions whose members are
 polled along +/- coordinate directions with per-member adaptive mesh sizes.
 It starts from 4*dim + 2 seed points (the centre, box corners, seeded-random
 interior points) and polls every active member each iteration with fixed
-mesh rules.  Runs are deterministic for a fixed seed.
+mesh rules.  Each batch of policies goes to one hook, ``map_fn``, which
+returns their objective vectors.  Runs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -14,15 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def dominates(a, b) -> bool:
-    """Pareto dominance: a is at least as good everywhere and better somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"objective dimension mismatch: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def nondominated_filter(values) -> np.ndarray:
@@ -145,20 +137,6 @@ _MESH_CAP = 1.0
 _MIN_MESH = 1e-3
 
 
-@dataclass
-class SearchOptions:
-    """Settings of the pattern search: the evaluation budget, the seed of the
-    starting points and whether to keep the archive after every iteration."""
-
-    max_evaluations: int = 1000
-    seed: int = 0
-    track_history: bool = False
-
-    def __post_init__(self):
-        if self.max_evaluations <= 0:
-            raise ValueError("evaluation budget must be positive")
-
-
 def _seed_points(lower, upper, n_points, rng) -> list[tuple[float, ...]]:
     d = len(lower)
     seeds = [tuple((lower + upper) / 2.0)]
@@ -180,45 +158,40 @@ def _seed_points(lower, upper, n_points, rng) -> list[tuple[float, ...]]:
 
 
 def pareto_search(
-    evaluate, lower, upper, options: SearchOptions, map_fn=None
+    lower, upper, *, budget: int, seed: int, map_fn, track_history: bool = False
 ) -> tuple[ParetoArchive, dict]:
-    """Explore the Pareto front of ``evaluate`` over the box [lower, upper].
+    """Explore the Pareto front over the box [lower, upper] in ``budget``
+    evaluations from starting points drawn with ``seed``.
 
-    ``evaluate`` maps a policy array to an objective vector and must be a
-    pure function.  ``map_fn(evaluate, policies)`` is the batch hook: it
-    receives each whole batch (the seed points, then every iteration's poll
-    candidates) as a list of policy arrays and returns their objective
-    vectors in order.  The default maps ``evaluate`` over the batch; a
-    batch scorer may ignore ``evaluate`` and score the list in one pass.
-    Members whose polls all fail contract their mesh, successful ones
-    expand it; the search stops on the evaluation budget or when every
-    member's mesh is below the minimum.
+    ``map_fn(policies)``, the one hook, gets each whole batch (the seed
+    points, then every iteration's poll candidates) as a list of policy
+    arrays and returns their objective vectors in order.  It is keyword-only
+    and named ``map_fn`` because a tracer timing the search passes its own
+    ``map_fn=`` to a call that has none.  Members whose polls all fail
+    contract their mesh, successful ones expand it; the search stops on the
+    budget or when every member's mesh is below the minimum.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or np.any(upper < lower):
         raise ValueError("empty or malformed search box")
-    if map_fn is None:
-        map_fn = map
+    if budget <= 0:
+        raise ValueError("evaluation budget must be positive")
     d = lower.size
     ranges = upper - lower
-    rng = np.random.default_rng(options.seed)
+    rng = np.random.default_rng(seed)
 
     archive = ParetoArchive()
     cache: dict[tuple[float, ...], tuple[float, ...]] = {}
     evaluations = 0
-    budget = options.max_evaluations
 
     def run_batch(policies: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
         nonlocal evaluations
-        results = list(map_fn(evaluate, [np.array(p) for p in policies]))
+        values = map_fn([np.array(p) for p in policies])
+        results = [tuple(np.asarray(v, dtype=float)) for v in values]
         evaluations += len(policies)
-        out = []
-        for p, r in zip(policies, results):
-            r = tuple(np.asarray(r, dtype=float))
-            cache[p] = r
-            out.append(r)
-        return out
+        cache.update(zip(policies, results))
+        return results
 
     seeds = _seed_points(lower, upper, 4 * d + 2, rng)[:budget]
     results = run_batch(seeds)
@@ -292,7 +265,7 @@ def pareto_search(
             mesh = child_mesh.get(entry.policy)
             if mesh is not None:
                 entry.mesh = mesh
-        if options.track_history:
+        if track_history:
             history.append(archive.values())
 
     diagnostics = {
@@ -303,7 +276,7 @@ def pareto_search(
             (e.mesh * float(np.max(ranges)) for e in archive.entries), default=0.0
         ),
     }
-    if options.track_history:
+    if track_history:
         diagnostics["history"] = history
     return archive, diagnostics
 

@@ -20,6 +20,13 @@ OBJECTIVE_MODES = ("2d", "3d")
 
 # endpoint coincidence tolerance used by graph-consistency checks
 _GEOM_TOL = 1e-9
+# Ceilings on the work one scenario may ask for, checked by load_scenario
+# before any array is made: the Godunov cell updates of one policy at the
+# box's upper speed limits, n_time * substeps * roads * cells, and the bytes
+# of the float64 adjoint history, (n_time + 1) * (n_grid + 1)**2 * 8.  The
+# diamond needs 7.2e4 and 17 MiB, a chain of 16 diamonds 9.7e5 and 1.4 GiB.
+MAX_CELL_UPDATES = 10**9
+MAX_ADJOINT_BYTES = 4 * 2**30
 
 
 class ScenarioError(ValueError):
@@ -354,6 +361,8 @@ def load_scenario(config_text: str) -> Scenario:
     roads_raw = _require(raw, "roads", "scenario")
     if not isinstance(roads_raw, list) or not roads_raw:
         raise ScenarioError("roads: expected a non-empty list")
+    # at one substep per output step, before the roads' per-cell tuples exist
+    _check_work(n_time, n_grid, n_cells, len(roads_raw), substeps=1)
     roads = tuple(
         _parse_road(r, n_cells, f"roads[{i}]") for i, r in enumerate(roads_raw)
     )
@@ -411,7 +420,7 @@ def load_scenario(config_text: str) -> Scenario:
     if mode not in OBJECTIVE_MODES:
         raise ScenarioError(f"objectives.mode: must be one of {OBJECTIVE_MODES}")
 
-    return Scenario(
+    scenario = Scenario(
         horizon=horizon,
         domain_side=side,
         n_grid=n_grid,
@@ -426,6 +435,25 @@ def load_scenario(config_text: str) -> Scenario:
         n_cells=n_cells,
         n_time=n_time,
     )
+    from tramopt.traffic import _substeps  # the kernel's CFL rule; traffic imports this module
+
+    _check_work(n_time, n_grid, n_cells, len(roads), _substeps(scenario.policy_bounds()[1], scenario))
+    return scenario
+
+
+def _check_work(n_time: int, n_grid: int, n_cells: int, n_roads: int, substeps: int) -> None:
+    adjoint_bytes = (n_time + 1) * (n_grid + 1) ** 2 * 8
+    if adjoint_bytes > MAX_ADJOINT_BYTES:
+        raise ScenarioError(
+            f"discretization: the adjoint of {adjoint_bytes:.3g} bytes exceeds the ceiling of "
+            f"{MAX_ADJOINT_BYTES / 2**30:g} GiB"
+        )
+    updates = n_time * substeps * n_roads * n_cells
+    if updates > MAX_CELL_UPDATES:
+        raise ScenarioError(
+            f"discretization: {updates:.3g} cell updates per policy exceed {MAX_CELL_UPDATES:.0e} "
+            f"({substeps} substep(s) per output step at the upper speed limits)"
+        )
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -3,10 +3,10 @@
 All quadratures follow the right rectangle rule: time sums start at the
 first step after the initial datum, spatial sums over the control area skip
 the left and bottom grid rows.  The pollution objective is evaluated
-through the precomputed adjoint, so no PDE is solved per policy: a batch
-of policies is scored in one pass of the traffic kernel, which hands every
-output step to an ``ObjectiveTally`` that adds up the flow, the
-adjoint-paired emission rate and the queue lengths as it goes.
+through the precomputed adjoint, so no PDE is solved per policy:
+``PolicyEvaluator.score`` runs a batch of policies through one pass of the
+traffic kernel, and an ``ObjectiveTally`` adds each output step's flow,
+adjoint-paired emission rate and queue lengths to one breakdown per policy.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from tramopt.dispersion import solve_adjoint
 from tramopt.emission import RasterMap, cell_rates, emission_rate, rasterize_network  # noqa: F401
 from tramopt.network import Scenario
 from tramopt.traffic import simulate_batch, simulate_traffic
-
-#: floor for relative comparisons on pollutant-free scenarios
-EPS_RELATIVE = 1e-12
 
 
 def j_diff_adjoint(
@@ -182,23 +179,3 @@ class PolicyEvaluator:
         tally = ObjectiveTally(self, 1)
         simulate_traffic(self.scenario, policy, observe=tally)
         return tally.breakdowns()[0]
-
-    def vector(self, policy) -> np.ndarray:
-        return self.components(policy).vector(self.scenario.mode)
-
-
-class BatchScorer:
-    """``map_fn`` of ``pareto_search``: scores each whole batch with ``score``
-    (the evaluator's unless replaced) and keeps every breakdown in ``scored``."""
-
-    def __init__(self, evaluator: PolicyEvaluator):
-        self.mode = evaluator.scenario.mode
-        self.score = evaluator.score
-        self.scored: dict[tuple[float, ...], ObjectiveBreakdown] = {}
-
-    def __call__(self, _evaluate, policies) -> list[np.ndarray]:
-        policies = list(policies)
-        parts = self.score(policies)
-        self.scored.update(zip(map(tuple, policies), parts))
-        return [b.vector(self.mode) for b in parts]
-

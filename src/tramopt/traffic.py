@@ -201,10 +201,6 @@ class TrafficTrajectory:
     outflow: np.ndarray  # (n_time, n_roads)
     external_inflow: np.ndarray  # (n_time, n_access)
 
-    @property
-    def n_time(self) -> int:
-        return len(self.times) - 1
-
 
 @dataclass(frozen=True)
 class _Network:

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
-The two Pareto-front reproduction runs share a module-scoped fixture; they
-dominate the runtime (each poll batch is scored in one pass of the traffic
-kernel, as ``tramopt optimize`` does).
+The two Pareto-front reproduction runs share a module-scoped fixture and
+dominate the runtime.  They run the search through ``cli.search_front``, as
+``tramopt optimize`` does, so each poll batch is scored in one pass of the
+traffic kernel.
 """
 
 import dataclasses
@@ -12,17 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from tramopt.cli import main as cli_main
+from tramopt.cli import main as cli_main, search_front
 from tramopt.dispersion import cfl_check_adjoint, solve_adjoint, solve_dispersion_forward
 from tramopt.emission import emission_field, rasterize_network
-from tramopt.moo import (
-    SearchOptions,
-    hypervolume_2d,
-    nondominated_filter,
-    pareto_search,
-)
+from tramopt.moo import hypervolume_2d, nondominated_filter, pareto_search
 from tramopt.network import DispersionParams
-from tramopt.objectives import BatchScorer, PolicyEvaluator, j_diff_adjoint, j_diff_forward
+from tramopt.objectives import PolicyEvaluator, j_diff_adjoint, j_diff_forward
 from tramopt.traffic import (
     greenshields_flux,
     mass_balance_residuals,
@@ -258,7 +254,7 @@ def test_criterion_6_optimizer_sanity():
 
     t0 = time.perf_counter()
     archive, _ = pareto_search(
-        objectives, [0.0], [1.0], SearchOptions(max_evaluations=500, seed=FRONT_SEED)
+        [0.0], [1.0], budget=500, seed=FRONT_SEED, map_fn=lambda xs: [objectives(x) for x in xs]
     )
     elapsed = time.perf_counter() - t0
     values = archive.values()
@@ -289,18 +285,9 @@ def front_runs(diamond):
     runs = {}
     for delta in (0.0, 0.5):
         scenario = dataclasses.replace(diamond, delta=delta)
-        evaluator = PolicyEvaluator(scenario)
-        scorer = BatchScorer(evaluator)
-        archive, _ = pareto_search(
-            evaluator.vector,
-            *scenario.policy_bounds(),
-            SearchOptions(max_evaluations=FRONT_BUDGET, seed=FRONT_SEED),
-            map_fn=scorer,
-        )
-        policies = archive.policies()
-        parts = [scorer.scored[e.policy] for e in archive.entries]
+        entries, parts, _ = search_front(PolicyEvaluator(scenario), FRONT_BUDGET, FRONT_SEED)
         runs[delta] = {
-            "policies": policies,
+            "policies": np.array([e.policy for e in entries]),
             "j_flow": np.array([c.j_flow for c in parts]),
             "j_diff": np.array([c.j_diff for c in parts]),
             "j_queue": np.array([c.j_queue for c in parts]),

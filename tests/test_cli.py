@@ -2,6 +2,7 @@ import copy
 import csv
 import functools
 import hashlib
+import importlib.util
 import json
 import operator
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tramopt import cli, objectives
 from tramopt.cli import main, read_emission_bin
 from tramopt.network import ScenarioError, load_scenario
 from tramopt.objectives import PolicyEvaluator
@@ -55,6 +57,18 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{\"horizon\": 1.0}")
         assert run_cli("validate", "--scenario", str(path)) == 2
+
+    def test_work_past_ceiling_exits_two(self, tmp_path, diamond_path, capsys):
+        # every v_max at 1e6 needs 166,390 substeps per output step
+        doc = json.loads(diamond_path.read_text())
+        for road in doc["roads"]:
+            road["v_max"] = 1e6
+        path = tmp_path / "fast_roads.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(path)) == 2
+        assert "cell updates per policy" in capsys.readouterr().err
+        policy = ",".join(["1e6"] * 6)
+        assert run_cli("simulate", "--scenario", str(path), f"--policy={policy}", "--out", str(tmp_path / "sim")) == 2
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -163,7 +177,7 @@ class TestSimulate:
 
         adjoint = np.load(next(out.glob("adjoint-*.npy")))
         ev = PolicyEvaluator(scenario, adjoint=adjoint)
-        assert list(ev.vector(policy)) == printed_vec
+        assert list(ev.components(policy).vector(scenario.mode)) == printed_vec
 
     def test_emission_binary_round_trip(self, fast_scenario_path, tmp_path):
         out = tmp_path / "sim"
@@ -364,6 +378,25 @@ class TestExport:
             "--out", str(tmp_path / "exp"),
         )
         assert code == 2
+
+
+def test_benchmark_tracer_sees_one_search(fast_scenario_path, tmp_path):
+    """Under perfbench's layer tracer, with batch spans on, ``optimize`` and
+    ``simulate`` still run and the search is timed once with its budget."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).parents[1] / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(spans.layer_targets(cli, objectives), batches=True)
+    scenario = str(fast_scenario_path)
+    with tracer.installed():
+        codes = [
+            cli.main(["optimize", "--scenario", scenario, "--out", str(tmp_path / "opt"), "--budget", "30"]),
+            cli.main(["simulate", "--scenario", scenario, "--policy", "1,1,1,1,1,1", "--out", str(tmp_path / "sim")]),
+        ]
+    assert codes == [0, 0]
+    assert [s.info["evaluations"] for s in tracer.named("moo.search")] == [30]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from tramopt.moo import (
     ParetoArchive,
-    SearchOptions,
-    dominates,
     hypervolume_2d,
     nondominated_filter,
     normalize_front,
@@ -28,22 +26,6 @@ def brute_force_front(values: np.ndarray) -> set[tuple[float, ...]]:
         if not dominated:
             kept.append(tuple(a))
     return set(kept)
-
-
-class TestDominates:
-    def test_strictly_better_everywhere(self):
-        assert dominates((1, 2), (2, 3))
-
-    def test_incomparable(self):
-        assert not dominates((1, 3), (2, 2))
-        assert not dominates((2, 2), (1, 3))
-
-    def test_equal_vectors_do_not_dominate(self):
-        assert not dominates((1, 2), (1, 2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dominates((1, 2), (1, 2, 3))
 
 
 class TestNondominatedFilter:
@@ -112,10 +94,15 @@ def _two_parabolas(x):
     return np.array([x[0] ** 2, (x[0] - 1.0) ** 2])
 
 
+def _batched(f):
+    """The search's batch hook for a function of one policy."""
+    return lambda policies: [f(x) for x in policies]
+
+
 class TestParetoSearch:
     def test_sweeps_the_whole_interval(self):
         arch, diag = pareto_search(
-            _two_parabolas, [0.0], [1.0], SearchOptions(max_evaluations=500, seed=0)
+            [0.0], [1.0], budget=500, seed=0, map_fn=_batched(_two_parabolas)
         )
         xs = np.sort(arch.policies()[:, 0])
         assert xs[0] <= 1e-9 and xs[-1] >= 1.0 - 1e-9
@@ -124,43 +111,35 @@ class TestParetoSearch:
 
     def test_aligned_objectives_collapse_to_optimum(self):
         arch, _ = pareto_search(
-            lambda x: np.array([x[0], x[0]]),
-            [0.0],
-            [1.0],
-            SearchOptions(max_evaluations=200, seed=1),
+            [0.0], [1.0], budget=200, seed=1, map_fn=_batched(lambda x: np.array([x[0], x[0]]))
         )
         assert len(arch) == 1
         assert arch.policies()[0, 0] == pytest.approx(0.0, abs=2e-3)
 
     def test_feasible_ideal_point_reached(self):
         arch, diag = pareto_search(
-            lambda x: x.copy(),
-            [0.0, 0.0],
-            [1.0, 1.0],
-            SearchOptions(max_evaluations=400, seed=3),
+            [0.0, 0.0], [1.0, 1.0], budget=400, seed=3, map_fn=_batched(lambda x: x.copy())
         )
         best = arch.policies()
         assert np.max(np.abs(best)) < 2.0 * max(diag["max_step"], 1e-3)
 
     def test_archive_mutually_nondominated(self):
         arch, _ = pareto_search(
-            _two_parabolas, [0.0], [1.0], SearchOptions(max_evaluations=300, seed=5)
+            [0.0], [1.0], budget=300, seed=5, map_fn=_batched(_two_parabolas)
         )
         values = arch.values()
         assert len(nondominated_filter(values)) == len(values)
 
     def test_policies_respect_box_exactly(self):
         arch, _ = pareto_search(
-            _two_parabolas, [0.25], [2.0], SearchOptions(max_evaluations=200, seed=2)
+            [0.25], [2.0], budget=200, seed=2, map_fn=_batched(_two_parabolas)
         )
         pols = arch.policies()
         assert np.all(pols >= 0.25) and np.all(pols <= 2.0)
 
     def test_deterministic_for_fixed_seed(self):
         runs = [
-            pareto_search(
-                _two_parabolas, [0.0], [1.0], SearchOptions(max_evaluations=300, seed=9)
-            )[0]
+            pareto_search([0.0], [1.0], budget=300, seed=9, map_fn=_batched(_two_parabolas))[0]
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].policies(), runs[1].policies())
@@ -168,21 +147,18 @@ class TestParetoSearch:
 
     def test_hypervolume_nondecreasing_over_iterations(self):
         arch, diag = pareto_search(
-            _two_parabolas,
-            [0.0],
-            [1.0],
-            SearchOptions(max_evaluations=300, seed=4, track_history=True),
+            [0.0], [1.0], budget=300, seed=4, map_fn=_batched(_two_parabolas), track_history=True
         )
         hv = [hypervolume_2d(values, (1.1, 1.1)) for values in diag["history"]]
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 
     def test_budget_zero_rejected(self):
         with pytest.raises(ValueError):
-            SearchOptions(max_evaluations=0)
+            pareto_search([0.0], [1.0], budget=0, seed=0, map_fn=_batched(_two_parabolas))
 
     def test_malformed_box_rejected(self):
         with pytest.raises(ValueError):
-            pareto_search(_two_parabolas, [1.0], [0.0], SearchOptions(max_evaluations=10))
+            pareto_search([1.0], [0.0], budget=10, seed=0, map_fn=_batched(_two_parabolas))
 
 
 class TestNormalizeFront:

@@ -115,6 +115,26 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="share one length"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: [road.__setitem__("v_max", 1e6) for road in doc["roads"]], "cell updates"),
+            (lambda doc: doc["discretization"].__setitem__("n_time", 10**9), "the adjoint of"),
+            (lambda doc: doc["domain"].__setitem__("n_grid", 10**5), "the adjoint of"),
+            (lambda doc: [doc["discretization"].__setitem__("n_cells", 10**9)]
+             + [road.__setitem__("rho0", [0.1]) for road in doc["roads"]], "cell updates"),
+        ],
+        ids=["v-max-1e6", "n-time-1e9", "n-grid-1e5", "n-cells-1e9"],
+    )
+    def test_work_past_ceiling_rejected(self, diamond_path, change, message):
+        # 166,390 substeps per output step; a 30 TB adjoint; a 48 TB adjoint;
+        # 10^9 cells, rejected before the short per-cell lists are read, and
+        # so before a road's 10^9 densities are made
+        doc = json.loads(diamond_path.read_text())
+        change(doc)
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(json.dumps(doc))
+
 
 class TestRoundTrip:
     def test_diamond_round_trips(self, diamond):

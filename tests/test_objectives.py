@@ -176,14 +176,14 @@ class TestEvaluatePolicy:
     def test_repeat_evaluations_bitwise_identical(self, diamond):
         adjoint = solve_adjoint(diamond)
         policy = [1.0, 0.5, 2.0, 0.25, 1.5, 1.0]
-        a = PolicyEvaluator(diamond, adjoint=adjoint).vector(policy)
-        b = PolicyEvaluator(diamond, adjoint=adjoint).vector(policy)
+        a = PolicyEvaluator(diamond, adjoint=adjoint).components(policy).vector(diamond.mode)
+        b = PolicyEvaluator(diamond, adjoint=adjoint).components(policy).vector(diamond.mode)
         assert np.array_equal(a, b)
 
     def test_three_objective_mode(self, diamond):
         s = dataclasses.replace(diamond, mode="3d")
         adjoint = solve_adjoint(s)
-        vec = PolicyEvaluator(s, adjoint=adjoint).vector([1.0] * 6)
+        vec = PolicyEvaluator(s, adjoint=adjoint).components([1.0] * 6).vector(s.mode)
         assert vec.shape == (3,)
         assert vec[0] < 0.0 and vec[1] > 0.0 and vec[2] >= 0.0
 
@@ -233,4 +233,4 @@ def _assert_batch_equals_one_by_one(scenario, policies, mode):
     for policy, b, r in zip(policies, batch, reversed_batch):
         alone = ev.components(policy)
         assert b == alone == r == ev.score([policy])[0]
-        assert np.array_equal(b.vector(mode), ev.vector(policy))
+        assert np.array_equal(b.vector(mode), ev.components(policy).vector(sc.mode))
