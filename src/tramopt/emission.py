@@ -1,8 +1,8 @@
 """Per-road emission rates and their rasterization onto the control-area grid.
 
-A grid point belongs to a road when its distance to the road's polyline is
+A grid point belongs to a road when its distance to the road's segment is
 at most half the road width and the perpendicular foot falls inside the
-polyline (boundary ties count as covered).  Each covered point carries the
+segment (boundary ties count as covered).  Each covered point carries the
 finite-volume cell of that foot; points covered by several roads average
 the width-scaled rates of all of them.
 """
@@ -35,14 +35,14 @@ def road_emission_rate(rho, v_max, rho_max, theta):
 class RasterMap:
     """Precomputed road-coverage structure of the control-area grid.
 
-    Flattened layout: ``points_i/points_j`` list the covered grid indices,
-    ``counts`` how many roads cover each of them.  Each (point, road) pair
-    appears once in the ``entry_*`` arrays; ``entry_weight`` already folds in
-    the 1/width scaling and the 1/|covering roads| average.
+    Flattened layout: ``points_i/points_j`` list the covered grid indices in
+    (i, j) order, ``counts`` how many roads cover each of them.  Each (point,
+    road) pair appears once in the ``entry_*`` arrays, ordered by point and
+    then road; ``entry_weight`` already folds in the 1/width scaling and the
+    1/|covering roads| average.
     """
 
     n_grid: int
-    h: float
     points_i: np.ndarray
     points_j: np.ndarray
     counts: np.ndarray
@@ -66,76 +66,49 @@ def rasterize_network(scenario: Scenario) -> RasterMap:
     """Compute road coverage of all grid points; policy-independent."""
     h = scenario.h
     n = scenario.n_grid
-    ds = scenario.ds
-
-    # (i, j) -> {road index -> (distance, arc length)}
-    cover: dict[tuple[int, int], dict[int, tuple[float, float]]] = {}
-
+    hits = []  # per road: grid indices and arc length of the covered points
     for e, road in enumerate(scenario.roads):
+        (ax, ay), (bx, by) = road.tail, road.head
         half_w = road.width / 2.0
-        offset = 0.0
-        for (a, b), seg_len in zip(
-            zip(road.points[:-1], road.points[1:]), road.segment_lengths
-        ):
-            i_lo = max(0, math.floor((min(a[0], b[0]) - half_w) / h))
-            i_hi = min(n, math.ceil((max(a[0], b[0]) + half_w) / h))
-            j_lo = max(0, math.floor((min(a[1], b[1]) - half_w) / h))
-            j_hi = min(n, math.ceil((max(a[1], b[1]) + half_w) / h))
-            if i_lo > i_hi or j_lo > j_hi:
-                offset += seg_len
-                continue
-            ii, jj = np.meshgrid(
-                np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1), indexing="ij"
-            )
-            px = ii * h - a[0]
-            py = jj * h - a[1]
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            t = (px * dx + py * dy) / seg_len**2
-            dist = np.hypot(px - t * dx, py - t * dy)
-            # closed membership; epsilons keep exact ties stable under rounding
-            hit = (
-                (t >= -1e-12)
-                & (t <= 1.0 + 1e-12)
-                & (dist <= half_w * (1.0 + 1e-12) + 1e-15)
-            )
-            for i_pt, j_pt, t_pt, d_pt in zip(
-                ii[hit].tolist(), jj[hit].tolist(), t[hit].tolist(), dist[hit].tolist()
-            ):
-                s = offset + t_pt * seg_len
-                entry = cover.setdefault((i_pt, j_pt), {})
-                prev = entry.get(e)
-                if prev is None or (d_pt, s) < prev:
-                    entry[e] = (d_pt, s)
-            offset += seg_len
+        i_lo = max(0, math.floor((min(ax, bx) - half_w) / h))
+        i_hi = min(n, math.ceil((max(ax, bx) + half_w) / h))
+        j_lo = max(0, math.floor((min(ay, by) - half_w) / h))
+        j_hi = min(n, math.ceil((max(ay, by) + half_w) / h))
+        # a box outside the grid is empty, and so are the road's hits
+        ii, jj = np.meshgrid(
+            np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1), indexing="ij"
+        )
+        px = ii * h - ax
+        py = jj * h - ay
+        dx, dy = bx - ax, by - ay
+        t = (px * dx + py * dy) / road.length**2
+        dist = np.hypot(px - t * dx, py - t * dy)
+        # closed membership; epsilons keep exact ties stable under rounding
+        hit = (
+            (t >= -1e-12)
+            & (t <= 1.0 + 1e-12)
+            & (dist <= half_w * (1.0 + 1e-12) + 1e-15)
+        )
+        hits.append((ii[hit], jj[hit], np.full(np.count_nonzero(hit), e), t[hit] * road.length))
 
-    points = sorted(cover)
-    points_i = np.array([p[0] for p in points], dtype=int)
-    points_j = np.array([p[1] for p in points], dtype=int)
-    counts = np.array([len(cover[p]) for p in points], dtype=int)
-
-    entry_point, entry_road, entry_cell, entry_weight = [], [], [], []
-    road_counts = np.zeros(scenario.n_roads, dtype=int)
-    for p_idx, p in enumerate(points):
-        for e in sorted(cover[p]):
-            _, s = cover[p][e]
-            cell = min(int(s / ds), scenario.n_cells - 1)
-            entry_point.append(p_idx)
-            entry_road.append(e)
-            entry_cell.append(cell)
-            entry_weight.append(1.0 / (scenario.roads[e].width * len(cover[p])))
-            road_counts[e] += 1
-
+    i, j, entry_road, s = (np.concatenate(parts) for parts in zip(*hits))
+    order = np.lexsort((entry_road, j, i))
+    i, j, entry_road, s = i[order], j[order], entry_road[order], s[order]
+    first = np.ones(i.size, dtype=bool)
+    first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+    entry_point = np.cumsum(first) - 1
+    counts = np.bincount(entry_point)
+    widths = np.array([r.width for r in scenario.roads])
     return RasterMap(
         n_grid=n,
-        h=h,
-        points_i=points_i,
-        points_j=points_j,
+        points_i=i[first],
+        points_j=j[first],
         counts=counts,
-        entry_point=np.array(entry_point, dtype=int),
-        entry_road=np.array(entry_road, dtype=int),
-        entry_cell=np.array(entry_cell, dtype=int),
-        entry_weight=np.array(entry_weight, dtype=float),
-        road_point_counts=road_counts,
+        entry_point=entry_point,
+        entry_road=entry_road,
+        entry_cell=np.minimum((s / scenario.ds).astype(int), scenario.n_cells - 1),
+        entry_weight=1.0 / (widths[entry_road] * counts[entry_point]),
+        road_point_counts=np.bincount(entry_road, minlength=scenario.n_roads),
     )
 
 
@@ -160,9 +133,6 @@ def emission_field(traj, raster: RasterMap, scenario: Scenario, policy) -> np.nd
     rates = cell_rates(traj.densities, scenario, policy)
     n_steps = rates.shape[0]
     field = np.zeros((n_steps, scenario.n_grid + 1, scenario.n_grid + 1))
-    if raster.points_i.size == 0:
-        return field
-
     contrib = rates[:, raster.entry_road, raster.entry_cell] * raster.entry_weight
     acc = np.zeros((raster.points_i.size, n_steps))
     np.add.at(acc, raster.entry_point, contrib.T)

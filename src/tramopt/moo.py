@@ -137,18 +137,20 @@ _MESH_CAP = 1.0
 _MIN_MESH = 1e-3
 
 
-def _seed_points(lower, upper, n_points, rng) -> list[tuple[float, ...]]:
+def _seed_points(lower, upper, rng) -> list[tuple[float, ...]]:
+    """The centre, min(2**d, 2d) box corners and seeded-random interior
+    points, 4d + 2 in all before duplicates are dropped."""
     d = len(lower)
     seeds = [tuple((lower + upper) / 2.0)]
-    n_corners = min(2**d if d < 30 else n_points, max(0, (n_points - 1) // 2))
+    n_corners = min(2**d, 2 * d)
     if 2**d <= 4096:
-        corner_ids = rng.choice(2**d, size=min(n_corners, 2**d), replace=False)
+        corner_ids = rng.choice(2**d, size=n_corners, replace=False)
         bit_rows = [[(c >> b) & 1 for b in range(d)] for c in corner_ids]
     else:
         bit_rows = rng.integers(0, 2, size=(n_corners, d)).tolist()
     for bits in bit_rows:
         seeds.append(tuple(np.where(np.array(bits) == 1, upper, lower)))
-    while len(seeds) < n_points:
+    while len(seeds) < 4 * d + 2:
         seeds.append(tuple(lower + rng.random(d) * (upper - lower)))
     unique = []
     for s in seeds:
@@ -182,25 +184,21 @@ def pareto_search(
     rng = np.random.default_rng(seed)
 
     archive = ParetoArchive()
-    cache: dict[tuple[float, ...], tuple[float, ...]] = {}
-    evaluations = 0
+    evaluated: set[tuple[float, ...]] = set()
 
     def run_batch(policies: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-        nonlocal evaluations
         values = map_fn([np.array(p) for p in policies])
-        results = [tuple(np.asarray(v, dtype=float)) for v in values]
-        evaluations += len(policies)
-        cache.update(zip(policies, results))
-        return results
+        evaluated.update(policies)
+        return [tuple(np.asarray(v, dtype=float)) for v in values]
 
-    seeds = _seed_points(lower, upper, 4 * d + 2, rng)[:budget]
+    seeds = _seed_points(lower, upper, rng)[:budget]
     results = run_batch(seeds)
     for p, v in sorted(zip(seeds, results)):
         archive.insert(p, v, _INITIAL_MESH)
 
     history: list[np.ndarray] = []
     iterations = 0
-    while evaluations < budget:
+    while len(evaluated) < budget:
         active = [
             e
             for e in archive.entries
@@ -223,7 +221,7 @@ def pareto_search(
                     cand = base.copy()
                     cand[axis] = min(max(cand[axis] + sign * step, lower[axis]), upper[axis])
                     key = tuple(cand)
-                    if key == entry.policy or key in cache or key in seen:
+                    if key == entry.policy or key in evaluated or key in seen:
                         continue
                     seen.add(key)
                     candidates.append((key, entry))
@@ -231,45 +229,34 @@ def pareto_search(
             if fresh == 0:
                 # everything already known: a completed (failed) poll
                 polled[id(entry)] = entry
-        dropped = candidates[budget - evaluations :]
-        candidates = candidates[: budget - evaluations]
+        dropped = candidates[budget - len(evaluated) :]
+        candidates = candidates[: budget - len(evaluated)]
         cut = {id(e) for _, e in dropped}
         polled.update(
             {id(e): e for _, e in candidates if id(e) not in cut}
         )
 
         succeeded: set[int] = set()
-        child_mesh: dict[tuple[float, ...], float] = {}
         if candidates:
             values = run_batch([c for c, _ in candidates])
-            by_key = dict(zip([c for c, _ in candidates], values))
-            parent_of = {c: e for c, e in candidates}
-            for key in sorted(by_key):
-                parent = parent_of[key]
-                if archive.insert(key, by_key[key], parent.mesh):
+            # candidates are distinct policies, so the sort never compares parents;
+            # children ride the expanded mesh of their parent so successful
+            # directions keep stretching toward the box faces
+            for (key, parent), value in sorted(zip(candidates, values)):
+                if archive.insert(key, value, min(parent.mesh * _EXPANSION, _MESH_CAP)):
                     succeeded.add(id(parent))
-                    child_mesh[key] = min(parent.mesh * _EXPANSION, _MESH_CAP)
 
-        still_there = {id(e) for e in archive.entries}
         for entry_id, entry in polled.items():
-            if entry_id not in still_there:
-                continue
             entry.polls += 1
             if entry_id in succeeded:
                 entry.mesh = min(entry.mesh * _EXPANSION, _MESH_CAP)
             else:
                 entry.mesh *= _CONTRACTION
-        # children ride the expanded mesh of their parent so successful
-        # directions keep stretching toward the box faces
-        for entry in archive.entries:
-            mesh = child_mesh.get(entry.policy)
-            if mesh is not None:
-                entry.mesh = mesh
         if track_history:
             history.append(archive.values())
 
     diagnostics = {
-        "evaluations": evaluations,
+        "evaluations": len(evaluated),
         "iterations": iterations,
         "archive_size": len(archive),
         "max_step": max(

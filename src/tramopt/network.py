@@ -1,6 +1,6 @@
 """Road network description, scenario files, and scenario validation.
 
-A scenario bundles the network geometry (directed polyline roads inside a
+A scenario bundles the network geometry (directed straight roads inside a
 square control area), junction coupling parameters, access-road inflows,
 dispersion and emission coefficients, and the discretization.  Scenarios
 are immutable after construction and safe to share across threads.
@@ -27,6 +27,14 @@ _GEOM_TOL = 1e-9
 # diamond needs 7.2e4 and 17 MiB, a chain of 16 diamonds 9.7e5 and 1.4 GiB.
 MAX_CELL_UPDATES = 10**9
 MAX_ADJOINT_BYTES = 4 * 2**30
+# Also the kernel steps of one policy at the upper speed limits,
+# n_time * substeps, each a pass of a Python loop (n_time also counts the
+# adjoint's steps), and the bytes of one float64 (n_time + 1, roads, cells)
+# array, the size of simulate's density history and of the adjoint's
+# contraction.  The diamond and chains of up to 16 diamonds take 601 steps
+# and 0.58 MB to 7.8 MB.
+MAX_KERNEL_STEPS = 10**6
+MAX_HISTORY_BYTES = 2**30
 
 
 class ScenarioError(ValueError):
@@ -39,15 +47,16 @@ class PolicyError(ValueError):
 
 @dataclass(frozen=True)
 class Road:
-    """A directed road: straight polyline with width and traffic parameters.
+    """A directed straight road from ``tail`` to ``head`` with width and
+    traffic parameters.
 
-    ``points`` lists the polyline vertices from tail to head; the arc-length
-    parameterization starts at the tail.  ``rho0`` holds one initial density
-    per finite-volume cell.
+    The arc-length parameterization starts at the tail.  ``rho0`` holds one
+    initial density per finite-volume cell.
     """
 
     id: int
-    points: tuple[Point, ...]
+    tail: Point
+    head: Point
     width: float
     rho_max: float
     rho0: tuple[float, ...]
@@ -55,23 +64,8 @@ class Road:
     v_max: float
 
     @property
-    def segment_lengths(self) -> tuple[float, ...]:
-        return tuple(
-            math.hypot(q[0] - p[0], q[1] - p[1])
-            for p, q in zip(self.points[:-1], self.points[1:])
-        )
-
-    @property
     def length(self) -> float:
-        return sum(self.segment_lengths)
-
-    @property
-    def tail(self) -> Point:
-        return self.points[0]
-
-    @property
-    def head(self) -> Point:
-        return self.points[-1]
+        return math.hypot(self.head[0] - self.tail[0], self.head[1] - self.tail[1])
 
 
 @dataclass(frozen=True)
@@ -283,17 +277,19 @@ def _parse_road(raw: dict, n_cells: int, context: str) -> Road:
                 f"{context}.rho0[{i}]: {v} outside [0, rho_max={rho_max}]"
             )
 
-    if math.hypot(end[0] - start[0], end[1] - start[1]) <= 0.0:
-        raise ScenarioError(f"{context}: zero-length road")
-    return Road(
+    road = Road(
         id=road_id,
-        points=(start, end),
+        tail=start,
+        head=end,
         width=width,
         rho_max=rho_max,
         rho0=rho0,
         v_min=v_min,
         v_max=v_max,
     )
+    if road.length <= 0.0:
+        raise ScenarioError(f"{context}: zero-length road")
+    return road
 
 
 def _parse_junction(raw: dict, road_ids: set[int], context: str) -> Junction:
@@ -454,6 +450,18 @@ def _check_work(n_time: int, n_grid: int, n_cells: int, n_roads: int, substeps: 
             f"discretization: {updates:.3g} cell updates per policy exceed {MAX_CELL_UPDATES:.0e} "
             f"({substeps} substep(s) per output step at the upper speed limits)"
         )
+    steps = n_time * substeps
+    if steps > MAX_KERNEL_STEPS:
+        raise ScenarioError(
+            f"discretization: {steps:.3g} kernel steps per policy exceed {MAX_KERNEL_STEPS:.0e} "
+            f"({substeps} substep(s) per output step at the upper speed limits)"
+        )
+    history_bytes = (n_time + 1) * n_roads * n_cells * 8
+    if history_bytes > MAX_HISTORY_BYTES:
+        raise ScenarioError(
+            f"discretization: the density history of {history_bytes:.3g} bytes exceeds the "
+            f"ceiling of {MAX_HISTORY_BYTES / 2**30:g} GiB"
+        )
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -465,8 +473,8 @@ def serialize_scenario(scenario: Scenario) -> str:
         "roads": [
             {
                 "id": r.id,
-                "start": list(r.points[0]),
-                "end": list(r.points[-1]),
+                "start": list(r.tail),
+                "end": list(r.head),
                 "width": r.width,
                 "rho_max": r.rho_max,
                 "rho0": list(r.rho0),

@@ -28,8 +28,8 @@ def j_diff_adjoint(
 ) -> float:
     """Average pollutant mass via the adjoint pairing with the emission field.
 
-    ``phi0`` may be a constant or a full (n_grid+1, n_grid+1) array; its term
-    is policy-independent.
+    ``phi0`` is the constant initial concentration; its term is
+    policy-independent.
     """
     n1 = scenario.n_grid + 1
     if emission.shape != (scenario.n_time + 1, n1, n1) or adjoint.shape != emission.shape:
@@ -38,13 +38,7 @@ def j_diff_adjoint(
     source_term = scenario.dt * h2 * float(
         np.sum(emission[1:, 1:, 1:] * adjoint[1:, 1:, 1:])
     )
-    phi0_grid = np.asarray(phi0, dtype=float)
-    if phi0_grid.ndim == 0:
-        initial_term = h2 * float(phi0_grid) * float(np.sum(adjoint[0, 1:, 1:]))
-    else:
-        if phi0_grid.shape != (n1, n1):
-            raise ValueError("phi0 grid does not match the scenario grid")
-        initial_term = h2 * float(np.sum(phi0_grid[1:, 1:] * adjoint[0, 1:, 1:]))
+    initial_term = h2 * float(phi0) * float(np.sum(adjoint[0, 1:, 1:]))
     return source_term + initial_term
 
 
@@ -154,18 +148,17 @@ class PolicyEvaluator:
         raster = self.raster
         pairing_flat = np.zeros((sc.n_roads * sc.n_cells, sc.n_time + 1))
         keep_point = (raster.points_i >= 1) & (raster.points_j >= 1)
-        keep_entry = keep_point[raster.entry_point] if raster.entry_point.size else np.zeros(0, bool)
-        if np.any(keep_entry):
-            p_at_points = self.adjoint[:, raster.points_i, raster.points_j]
-            vals = (
-                p_at_points[:, raster.entry_point[keep_entry]]
-                * raster.entry_weight[keep_entry]
-            )
-            flat_idx = (
-                raster.entry_road[keep_entry] * sc.n_cells
-                + raster.entry_cell[keep_entry]
-            )
-            np.add.at(pairing_flat, flat_idx, vals.T)
+        keep_entry = keep_point[raster.entry_point]
+        p_at_points = self.adjoint[:, raster.points_i, raster.points_j]
+        vals = (
+            p_at_points[:, raster.entry_point[keep_entry]]
+            * raster.entry_weight[keep_entry]
+        )
+        flat_idx = (
+            raster.entry_road[keep_entry] * sc.n_cells
+            + raster.entry_cell[keep_entry]
+        )
+        np.add.at(pairing_flat, flat_idx, vals.T)
         return pairing_flat.T.reshape(sc.n_time + 1, sc.n_roads, sc.n_cells)
 
     def score(self, policies) -> list[ObjectiveBreakdown]:

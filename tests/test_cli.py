@@ -71,6 +71,29 @@ class TestValidate:
         assert run_cli("simulate", "--scenario", str(path), f"--policy={policy}", "--out", str(tmp_path / "sim")) == 2
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc.update(
+                roads=doc["roads"][:1], junctions=[], exits=[1], domain={"side": 3, "n_grid": 1},
+                discretization={"n_cells": 1, "n_time": 10**8}), "kernel steps per policy"),
+            (lambda doc: doc.update(discretization={"n_cells": 3000, "n_time": 50000}),
+             "density history"),
+        ],
+        ids=["one-cell-n-time-1e8", "history-7.2-gb"],
+    )
+    def test_steps_or_history_past_ceiling_exit_two(
+        self, tmp_path, diamond_path, capsys, change, message
+    ):
+        # 10^8 kernel steps of one cell on one road; a 7.2 GB density history.
+        # Neither is ever simulated: it would run for hours or allocate gigabytes.
+        doc = json.loads(diamond_path.read_text())
+        change(doc)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(path)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "damage, message",
         [
             (lambda doc: doc["junctions"].__setitem__(0, 5), "junctions[0]: expected an object"),
@@ -178,6 +201,31 @@ class TestSimulate:
         adjoint = np.load(next(out.glob("adjoint-*.npy")))
         ev = PolicyEvaluator(scenario, adjoint=adjoint)
         assert list(ev.components(policy).vector(scenario.mode)) == printed_vec
+
+    def test_road_covering_no_grid_point_simulates(self, tmp_path, capsys):
+        # h = 0.5 and a width-0.1 road centred between two grid lines: no grid
+        # point is covered, so the raster and the emission field are empty
+        doc = {
+            "horizon": 1.0,
+            "domain": {"side": 3, "n_grid": 6},
+            "discretization": {"n_cells": 10, "n_time": 100},
+            "roads": [
+                {"id": 1, "start": [0.75, 0.25], "end": [1.75, 0.25], "width": 0.1,
+                 "rho_max": 1, "rho0": 0.4, "v_min": 0.25, "v_max": 2}
+            ],
+            "access": [{"road": 1, "inflow": 0.25}],
+            "exits": [1],
+            "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1], "phi0": 0},
+            "emission": {"theta": 0.5},
+        }
+        path = tmp_path / "invisible.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", str(path), "--policy", "1", "--out", str(out)) == 0
+        field = read_emission_bin(out / "emission.bin")
+        assert field.shape == (101, 7, 7)
+        assert not np.any(field)
+        assert "J_diff=0.0\n" in capsys.readouterr().out
 
     def test_emission_binary_round_trip(self, fast_scenario_path, tmp_path):
         out = tmp_path / "sim"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,67 @@ class TestRasterize:
         b = rasterize_network(diamond)
         assert np.array_equal(a.entry_point, b.entry_point)
         assert np.array_equal(a.entry_weight, b.entry_weight)
+
+
+_RASTER_FIELDS = ("points_i", "points_j", "counts", "entry_point", "entry_road",
+                  "entry_cell", "entry_weight", "road_point_counts")
+_COORDS = st.one_of(st.floats(-1.5, 4.5), st.integers(-3, 9).map(lambda k: k * 0.5))
+_DIRECTIONS = st.one_of(
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]),
+    st.floats(0.0, 2 * math.pi).map(lambda a: (math.cos(a), math.sin(a))),
+)
+
+
+@st.composite
+def _straight_road_scenarios(draw):
+    """1-4 roads of one length in the domain [0, 3]^2, some partly or wholly
+    outside it, on grid-aligned or arbitrary endpoints."""
+    length = draw(st.one_of(st.sampled_from([1.0, 1.5]), st.floats(0.2, 2.5)))
+    roads = []
+    for rid in range(1, draw(st.integers(1, 4)) + 1):
+        x, y = draw(_COORDS), draw(_COORDS)
+        dx, dy = draw(_DIRECTIONS)
+        width = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 1.5)))
+        roads.append(_road(rid, [x, y], [x + length * dx, y + length * dy], width))
+    return _scenario(roads, n_grid=draw(st.integers(2, 12)), n_cells=draw(st.integers(1, 8)))
+
+
+def _reference_raster(s):
+    """The rule of the emission module's docstring, grid point by grid point."""
+    cover = {}  # (i, j) -> [(road index, cell)], roads in index order
+    for i in range(s.n_grid + 1):
+        for j in range(s.n_grid + 1):
+            for e, road in enumerate(s.roads):
+                (ax, ay), (bx, by) = road.tail, road.head
+                px, py = i * s.h - ax, j * s.h - ay
+                dx, dy = bx - ax, by - ay
+                t = (px * dx + py * dy) / road.length**2
+                dist = np.hypot(px - t * dx, py - t * dy)
+                if -1e-12 <= t <= 1.0 + 1e-12 and dist <= road.width / 2.0 * (1.0 + 1e-12) + 1e-15:
+                    cell = min(int(t * road.length / s.ds), s.n_cells - 1)
+                    cover.setdefault((i, j), []).append((e, cell))
+    points = sorted(cover)
+    entries = [(p, e, cell, len(cover[pt])) for p, pt in enumerate(points) for e, cell in cover[pt]]
+    return {
+        "points_i": [i for i, _ in points],
+        "points_j": [j for _, j in points],
+        "counts": [len(cover[pt]) for pt in points],
+        "entry_point": [p for p, _, _, _ in entries],
+        "entry_road": [e for _, e, _, _ in entries],
+        "entry_cell": [cell for _, _, cell, _ in entries],
+        "entry_weight": [1.0 / (s.roads[e].width * count) for _, e, _, count in entries],
+        "road_point_counts": [sum(e == r for _, e, _, _ in entries) for r in range(s.n_roads)],
+    }
+
+
+@given(scenario=_straight_road_scenarios())
+def test_raster_matches_point_by_point_rule(scenario):
+    raster = rasterize_network(scenario)
+    expected = _reference_raster(scenario)
+    for name in _RASTER_FIELDS:
+        got = getattr(raster, name)
+        assert got.dtype == (float if name == "entry_weight" else int), name
+        assert got.tolist() == expected[name], name
 
 
 class TestEmissionField:

@@ -123,13 +123,20 @@ class TestLoadScenario:
             (lambda doc: doc["domain"].__setitem__("n_grid", 10**5), "the adjoint of"),
             (lambda doc: [doc["discretization"].__setitem__("n_cells", 10**9)]
              + [road.__setitem__("rho0", [0.1]) for road in doc["roads"]], "cell updates"),
+            (lambda doc: doc.update(
+                roads=doc["roads"][:1], junctions=[], exits=[1], domain={"side": 3, "n_grid": 1},
+                discretization={"n_cells": 1, "n_time": 10**8}), "kernel steps"),
+            (lambda doc: doc.update(discretization={"n_cells": 3000, "n_time": 50000}),
+             "density history"),
         ],
-        ids=["v-max-1e6", "n-time-1e9", "n-grid-1e5", "n-cells-1e9"],
+        ids=["v-max-1e6", "n-time-1e9", "n-grid-1e5", "n-cells-1e9", "one-cell-n-time-1e8",
+             "history-7.2-gb"],
     )
     def test_work_past_ceiling_rejected(self, diamond_path, change, message):
         # 166,390 substeps per output step; a 30 TB adjoint; a 48 TB adjoint;
         # 10^9 cells, rejected before the short per-cell lists are read, and
-        # so before a road's 10^9 densities are made
+        # so before a road's 10^9 densities are made; 10^8 steps of one cell
+        # on one road, under the other ceilings; a 7.2 GB density history
         doc = json.loads(diamond_path.read_text())
         change(doc)
         with pytest.raises(ScenarioError, match=message):
