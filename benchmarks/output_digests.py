@@ -2,7 +2,7 @@
 
     python3 benchmarks/output_digests.py --src TREE/src > digests.json
 
-It imports ``tramopt`` from ``--src`` and runs six commands through
+It imports ``tramopt`` from ``--src`` and runs seven commands through
 ``tramopt.cli.main``, each into its own temporary directory:
 
 * optimize-diamond: ``optimize`` on ``scenarios/diamond.json``, 2d, delta 0,
@@ -15,6 +15,9 @@ It imports ``tramopt`` from ``--src`` and runs six commands through
   ``speed_limit_ranges.csv`` and ``diagnostics.json`` digests must equal
   optimize-chain's, so the diff also covers the worker path
 * simulate-diamond: ``simulate`` of policy 1.5,0.5,1,1,0.75,2 on the diamond
+* simulate-chain: ``simulate`` on the same chain of 4 diamonds with all 21
+  limits at 1.0: junctions of every kind, and a queue that reaches 0.31,
+  where the diamond's stays at 0
 * simulate-empty-raster: ``simulate`` of one road that covers no grid point
 
 For each it prints the exit code and the digests of the stdout and of every
@@ -89,6 +92,7 @@ def _cases(inputs: Path) -> dict[str, list[str]]:
         "optimize-chain-jobs2": ["optimize", "--scenario", str(chain_path), "--mode", "3d",
                                  "--delta", "0.5", "--budget", "120", "--seed", "7", "--jobs", "2"],
         "simulate-diamond": ["simulate", *diamond, "--policy", SIMULATED_POLICY],
+        "simulate-chain": ["simulate", "--scenario", str(chain_path), "--policy", ",".join(["1.0"] * 21)],
         "simulate-empty-raster": ["simulate", "--scenario", str(empty_path), "--policy", "1"],
     }
 

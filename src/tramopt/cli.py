@@ -1,12 +1,13 @@
 """Command-line front end: validate, simulate, optimize, export.
 
 All numeric output uses round-trip float formatting, so repeated runs with
-the same seed produce byte-identical CSV files.  Every command that writes
-results also writes a manifest recording the inputs (including a scenario
-content hash), the seed/budget, and the produced files.
+the same seed produce byte-identical CSV files.  ``simulate`` writes its time
+series one output step at a time, each step's lines in one write.  Every
+command that writes results also writes a manifest recording the inputs
+(including a scenario content hash), the seed/budget, and the produced files.
 
 Exit codes: 0 success, 1 domain error (infeasible policy, failed
-validation, unstable setup), 2 I/O or parse error.
+validation, unstable setup, objectives that overflow), 2 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -76,13 +77,28 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
 
 
+def _write_series(path: Path, header: list[str], times: np.ndarray, keys: list[str], values) -> None:
+    """Write one line ``t,key,value`` per time and key, the same bytes
+    ``_write_csv`` writes for those rows: csv's default dialect ends lines
+    with ``\\r\\n`` and quotes none of these fields, and floats are ``repr``.
+    ``values`` reshapes to one row of ``len(keys)`` numbers per time.  Each
+    time's lines are joined and written at once, so only one step's text is
+    held at a time."""
+    rows = np.reshape(values, (len(times), len(keys)))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, row in zip(times.tolist(), rows):
+            stamp = repr(t)
+            fh.write("".join([f"{stamp},{key},{v!r}\r\n" for key, v in zip(keys, row.tolist())]))
+
+
 def write_emission_bin(path: Path, field: np.ndarray, n_grid: int, n_time: int) -> None:
     """Flat binary emission field: magic, version, n_grid, n_time (uint32 LE),
     then (n_time+1) row-major float64 slices of shape (n_grid+1, n_grid+1)."""
     with open(path, "wb") as fh:
         fh.write(_EMISSION_MAGIC)
         fh.write(np.array([1, n_grid, n_time], dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(field, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field, dtype="<f8").data)
 
 
 def read_emission_bin(path: Path) -> np.ndarray:
@@ -196,32 +212,13 @@ def cmd_simulate(args) -> int:
 
     road_ids = [r.id for r in scenario.roads]
     times = traj.times
-    rows = (
-        (float(times[k]), rid, n + 1, float(traj.densities[k, e, n]))
-        for k in range(len(times))
-        for e, rid in enumerate(road_ids)
-        for n in range(scenario.n_cells)
-    )
-    _write_csv(out_dir / "trajectory.csv", ["t", "road", "cell", "rho"], rows)
-    _write_csv(
-        out_dir / "queues.csv",
-        ["t", "road", "queue"],
-        (
-            (float(times[k]), rid, float(traj.queues[k, slot]))
-            for k in range(len(times))
-            for slot, rid in enumerate(traj.access_roads)
-        ),
-    )
-    _write_csv(
-        out_dir / "flows.csv",
-        ["t", "road", "end", "flux"],
-        (
-            (float(times[k + 1]), rid, end, float(rec[k, e]))
-            for k in range(scenario.n_time)
-            for e, rid in enumerate(road_ids)
-            for end, rec in (("in", traj.inflow), ("out", traj.outflow))
-        ),
-    )
+    cells = [f"{rid},{n}" for rid in road_ids for n in range(1, scenario.n_cells + 1)]
+    _write_series(out_dir / "trajectory.csv", ["t", "road", "cell", "rho"], times, cells, traj.densities)
+    _write_series(out_dir / "queues.csv", ["t", "road", "queue"], times,
+                  [str(rid) for rid in traj.access_roads], traj.queues)
+    ends = [f"{rid},{end}" for rid in road_ids for end in ("in", "out")]
+    _write_series(out_dir / "flows.csv", ["t", "road", "end", "flux"], times[1:], ends,
+                  np.stack((traj.inflow, traj.outflow), axis=2))
     write_emission_bin(out_dir / "emission.bin", field, scenario.n_grid, scenario.n_time)
 
     header = [f"v_{rid}" for rid in road_ids] + ["j_flow", "j_diff", "j_queue", "j_poll"]

@@ -11,6 +11,7 @@ adjoint-paired emission rate and queue lengths to one breakdown per policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from tramopt.dispersion import solve_adjoint
 # cell_rates is not called here but stays a name of this module, which
 # perfbench/spans.py wraps
 from tramopt.emission import RasterMap, cell_rates, emission_rate, rasterize_network  # noqa: F401
-from tramopt.network import Scenario
+from tramopt.network import PolicyError, Scenario
 from tramopt.traffic import simulate_batch, simulate_traffic
 
 
@@ -99,9 +100,11 @@ class ObjectiveTally:
         self._steps[2, rows, k - 1] = queues.sum(axis=1)
 
     def breakdowns(self) -> list[ObjectiveBreakdown]:
+        """One breakdown per policy.  A component that is not finite, because
+        the scenario's numbers overflow it, raises ``PolicyError`` naming it."""
         sc = self.evaluator.scenario
         phi0_term = self.evaluator.phi0_term
-        return [
+        breakdowns = [
             ObjectiveBreakdown(
                 j_flow=float(sc.dt * sc.ds * flow),
                 j_diff=sc.dt * sc.h**2 * float(emitted) + phi0_term,
@@ -110,6 +113,13 @@ class ObjectiveTally:
             )
             for flow, emitted, queued in self._steps.sum(axis=2).T
         ]
+        for b in breakdowns:
+            for name in ("j_flow", "j_diff", "j_queue", "j_poll"):
+                if not math.isfinite(getattr(b, name)):
+                    raise PolicyError(
+                        f"{name} = {getattr(b, name)} is not finite: the scenario overflows the objectives"
+                    )
+        return breakdowns
 
 
 def _contract_adjoint(adjoint: np.ndarray, raster: RasterMap, sc: Scenario) -> np.ndarray:

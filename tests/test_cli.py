@@ -3,6 +3,7 @@ import csv
 import functools
 import hashlib
 import importlib.util
+import io
 import json
 import operator
 import tempfile
@@ -31,6 +32,28 @@ def fast_scenario_path(tmp_path, diamond_path):
     doc["horizon"] = 1.0
     doc["discretization"]["n_time"] = 150
     path = tmp_path / "fast.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What csv.writer writes for the rows, each float as its repr."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    return buf.getvalue().encode()
+
+
+def _overflowing_scenario(tmp_path, diamond_path) -> Path:
+    """The diamond with theta = 1e308: it loads and validates, but the
+    emission rates, and so J_diff, overflow to inf."""
+    doc = json.loads(diamond_path.read_text())
+    doc["horizon"] = 0.5
+    doc["discretization"]["n_time"] = 100
+    doc["emission"]["theta"] = 1e308
+    path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -241,6 +264,81 @@ class TestSimulate:
         ev = PolicyEvaluator(scenario, adjoint=adjoint)
         assert list(ev.components(policy).vector(scenario.mode)) == printed_vec
 
+    def test_series_files_are_the_csv_writers_bytes(self, fast_scenario_path, tmp_path):
+        # v_1 = 0.5 caps road 1 below the access inflow, so a queue builds
+        out = tmp_path / "sim"
+        policy = [0.5, 1.5, 1, 1, 0.75, 2]
+        assert run_cli(
+            "simulate", "--scenario", str(fast_scenario_path),
+            "--policy", ",".join(map(str, policy)), "--out", str(out),
+        ) == 0
+        scenario = load_scenario(fast_scenario_path.read_text())
+        traj = simulate_traffic(scenario, policy)
+        assert traj.queues.max() > 0
+        road_ids = [r.id for r in scenario.roads]
+        t = [float(x) for x in traj.times]
+        expected = {
+            "trajectory.csv": _csv_writer_bytes(
+                ["t", "road", "cell", "rho"],
+                ((t[k], rid, n + 1, float(traj.densities[k, e, n]))
+                 for k in range(len(t)) for e, rid in enumerate(road_ids)
+                 for n in range(scenario.n_cells)),
+            ),
+            "queues.csv": _csv_writer_bytes(
+                ["t", "road", "queue"],
+                ((t[k], rid, float(traj.queues[k, slot]))
+                 for k in range(len(t)) for slot, rid in enumerate(traj.access_roads)),
+            ),
+            "flows.csv": _csv_writer_bytes(
+                ["t", "road", "end", "flux"],
+                ((t[k + 1], rid, end, float(rec[k, e]))
+                 for k in range(scenario.n_time) for e, rid in enumerate(road_ids)
+                 for end, rec in (("in", traj.inflow), ("out", traj.outflow))),
+            ),
+        }
+        for name, data in expected.items():
+            assert (out / name).read_bytes() == data, name
+
+        # and they read back to the trajectory exactly
+        idx = {r.id: e for e, r in enumerate(scenario.roads)}
+        inflow, outflow = np.full_like(traj.inflow, np.nan), np.full_like(traj.outflow, np.nan)
+        with open(out / "flows.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                k = t.index(float(row["t"])) - 1
+                rec = inflow if row["end"] == "in" else outflow
+                rec[k, idx[int(row["road"])]] = float(row["flux"])
+        queues = np.full_like(traj.queues, np.nan)
+        slot = {rid: i for i, rid in enumerate(traj.access_roads)}
+        with open(out / "queues.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                queues[t.index(float(row["t"])), slot[int(row["road"])]] = float(row["queue"])
+        assert np.array_equal(inflow, traj.inflow) and np.array_equal(outflow, traj.outflow)
+        assert np.array_equal(queues, traj.queues)
+
+    def test_write_series_is_the_csv_writers_bytes(self, tmp_path):
+        times = np.array([0.0, 0.1 + 0.2])
+        keys = ["1,in", "1,out", "2,in"]
+        values = np.array([[-0.0, 5e-324, 1e-5], [1 / 3, 2.0, 1e16]])
+        path = tmp_path / "series.csv"
+        cli._write_series(path, ["t", "road", "end", "flux"], times, keys, values)
+        rows = [
+            (float(t), *key.split(","), float(v))
+            for t, row in zip(times, values) for key, v in zip(keys, row)
+        ]
+        assert path.read_bytes() == _csv_writer_bytes(["t", "road", "end", "flux"], rows)
+
+    def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capsys):
+        path = _overflowing_scenario(tmp_path, diamond_path)
+        out = tmp_path / "sim"
+        code = run_cli("simulate", "--scenario", str(path), "--policy", "1,1,1,1,1,1", "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: j_diff = inf is not finite" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert "J_diff" not in captured.out
+        assert not any((out / name).exists() for name in (
+            "trajectory.csv", "queues.csv", "flows.csv", "emission.bin", "objectives.csv"))
+
     def test_road_covering_no_grid_point_simulates(self, tmp_path, capsys):
         # h = 0.5 and a width-0.1 road centred between two grid lines: no grid
         # point is covered, so the raster and the emission field are empty
@@ -390,6 +488,19 @@ class TestOptimize:
         )
         assert code == 1
         assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capsys, jobs):
+        path = _overflowing_scenario(tmp_path, diamond_path)
+        out = tmp_path / "opt"
+        code = run_cli(
+            "optimize", "--scenario", str(path), "--out", str(out), "--budget", "20", "--jobs", jobs,
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: j_diff = inf is not finite" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (out / "front.csv").exists()
 
     def test_adjoint_cache_reused(self, fast_scenario_path, tmp_path):
         cache = tmp_path / "cache"
