@@ -30,15 +30,6 @@ class DispersionError(RuntimeError):
     """Raised on CFL violations or unstable marches."""
 
 
-def classify_boundary(velocity: tuple[float, float]) -> dict[str, str]:
-    """Label each domain edge as inflow (v.eta < 0) or outflow (v.eta >= 0) of v."""
-    out = {}
-    for edge, eta in _EDGES.items():
-        nu = velocity[0] * eta[0] + velocity[1] * eta[1]
-        out[edge] = "outflow" if nu >= 0.0 else "inflow"
-    return out
-
-
 def cfl_check_adjoint(h: float, dt: float, params: DispersionParams) -> CflReport:
     """Tightened stability bounds for the explicit advection-diffusion step.
 
@@ -62,38 +53,20 @@ def cfl_check_adjoint(h: float, dt: float, params: DispersionParams) -> CflRepor
     )
 
 
-def ghost_coefficient(kind: str, mu: float, v_normal: float, h: float) -> float:
-    """Multiplier turning the inner neighbor into the ghost value.
-
-    ``kind`` is "robin" for the condition mu*du/deta + v_normal*u = 0 (with
-    v_normal the coefficient on u along the outward normal) or "neumann" for
-    du/deta = 0.  Central differencing of either condition expresses the
-    ghost point as this coefficient times the mirrored interior neighbor.
-    """
-    if kind == "neumann":
-        return 1.0
-    if kind == "robin":
-        denom = mu + v_normal * h
-        if denom == 0.0:
-            raise DispersionError("degenerate Robin condition: mu + v*h = 0")
-        return (mu - v_normal * h) / denom
-    raise ValueError(f"unknown boundary kind {kind!r}")
-
-
 def _edge_coefficients(mu: float, h: float, velocity) -> dict[str, float]:
     """Ghost multipliers per edge for a march with ``velocity``.
 
     The one boundary rule of both problems: Robin mu du/deta - (v.eta) u = 0
-    on each edge the velocity enters (an "inflow" edge of ``velocity``,
-    v.eta < 0), where the coefficient -(v.eta) on u is positive, and Neumann
-    elsewhere.  Where v.eta = 0 the Robin form would give exactly 1.0 too.
+    on each edge the velocity enters (v.eta < 0), Neumann elsewhere.
+    Central differencing gives the ghost value as a multiplier times the
+    mirrored interior neighbor: (mu + (v.eta) h) / (mu - (v.eta) h) for
+    Robin, whose denominator mu + |v.eta| h is positive, and 1.0 for
+    Neumann.  Where v.eta = 0 the Robin form would give exactly 1.0 too.
     """
-    side = classify_boundary(velocity)
     coeffs = {}
     for edge, eta in _EDGES.items():
         nu = velocity[0] * eta[0] + velocity[1] * eta[1]
-        kind = "robin" if side[edge] == "inflow" else "neumann"
-        coeffs[edge] = ghost_coefficient(kind, mu, -nu, h)
+        coeffs[edge] = (mu + nu * h) / (mu - nu * h) if nu < 0.0 else 1.0
     return coeffs
 
 

@@ -24,13 +24,6 @@ def emission_rate(flow, rho, theta, out=None):
     return np.add(flow, np.multiply(theta, rho, out=out), out=out)
 
 
-def road_emission_rate(rho, v_max, rho_max, theta):
-    """Emission rate of a road cell: traffic flow plus theta times density."""
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    return emission_rate(greenshields_flux(rho, v_max, rho_max), rho, theta)
-
-
 @dataclass
 class RasterMap:
     """Precomputed road-coverage structure of the control-area grid.
@@ -51,15 +44,6 @@ class RasterMap:
     entry_cell: np.ndarray
     entry_weight: np.ndarray
     road_point_counts: np.ndarray
-
-    def covering(self, i: int, j: int) -> list[tuple[int, int]]:
-        """(road index, cell index) pairs covering grid point (i, j)."""
-        hits = np.flatnonzero((self.points_i == i) & (self.points_j == j))
-        if hits.size == 0:
-            return []
-        p = hits[0]
-        sel = self.entry_point == p
-        return list(zip(self.entry_road[sel].tolist(), self.entry_cell[sel].tolist()))
 
 
 def rasterize_network(scenario: Scenario) -> RasterMap:
@@ -118,9 +102,8 @@ def cell_rates(densities: np.ndarray, scenario: Scenario, policy) -> np.ndarray:
 
     v = _policy_array(policy, scenario)
     rho_max = np.array([r.rho_max for r in scenario.roads])
-    return road_emission_rate(
-        densities, v[None, :, None], rho_max[None, :, None], scenario.theta
-    )
+    flow = greenshields_flux(densities, v[None, :, None], rho_max[None, :, None])
+    return emission_rate(flow, densities, scenario.theta)
 
 
 def emission_field(traj, raster: RasterMap, scenario: Scenario, policy) -> np.ndarray:

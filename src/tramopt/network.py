@@ -318,7 +318,7 @@ def _parse_junction(raw: dict, road_ids: set[int], context: str) -> Junction:
         if not all(0.0 < a < 1.0 for a in alpha):
             raise ScenarioError(f"{context}.alpha: rates must lie in (0, 1)")
         if abs(sum(alpha) - 1.0) > 1e-12:
-            raise ScenarioError(f"{context}: distribution rates must sum to 1")
+            raise ScenarioError(f"{context}.alpha: distribution rates must sum to 1")
     if kind == "2to1":
         beta_raw = _require(raw, "beta", context)
         if not isinstance(beta_raw, list) or len(beta_raw) != 2:
@@ -327,7 +327,7 @@ def _parse_junction(raw: dict, road_ids: set[int], context: str) -> Junction:
         if not all(0.0 < b < 1.0 for b in beta):
             raise ScenarioError(f"{context}.beta: rates must lie in (0, 1)")
         if abs(sum(beta) - 1.0) > 1e-12:
-            raise ScenarioError(f"{context}: priority rates must sum to 1")
+            raise ScenarioError(f"{context}.beta: priority rates must sum to 1")
     return Junction(kind=kind, incoming=incoming, outgoing=outgoing, alpha=alpha, beta=beta)
 
 

@@ -93,17 +93,21 @@ class ObjectiveTally:
         if len(self._rate) != b:
             self._rate = np.empty((b, self._pairing.shape[1]))
         flow, rate = flow.reshape(b, -1), self._rate
-        emission_rate(flow, rho.reshape(b, -1), self.evaluator.scenario.theta, out=rate)
-        np.multiply(rate, self._pairing[k], out=rate)
-        self._steps[0, rows, k - 1] = flow.sum(axis=1)
-        self._steps[1, rows, k - 1] = rate.sum(axis=1)
-        self._steps[2, rows, k - 1] = queues.sum(axis=1)
+        # a scenario's numbers may overflow these sums; ``breakdowns`` reports it
+        with np.errstate(over="ignore"):
+            emission_rate(flow, rho.reshape(b, -1), self.evaluator.scenario.theta, out=rate)
+            np.multiply(rate, self._pairing[k], out=rate)
+            self._steps[0, rows, k - 1] = flow.sum(axis=1)
+            self._steps[1, rows, k - 1] = rate.sum(axis=1)
+            self._steps[2, rows, k - 1] = queues.sum(axis=1)
 
     def breakdowns(self) -> list[ObjectiveBreakdown]:
         """One breakdown per policy.  A component that is not finite, because
         the scenario's numbers overflow it, raises ``PolicyError`` naming it."""
         sc = self.evaluator.scenario
         phi0_term = self.evaluator.phi0_term
+        with np.errstate(over="ignore"):
+            totals = self._steps.sum(axis=2).T
         breakdowns = [
             ObjectiveBreakdown(
                 j_flow=float(sc.dt * sc.ds * flow),
@@ -111,7 +115,7 @@ class ObjectiveTally:
                 j_queue=float(sc.dt / sc.horizon * queued),
                 delta=sc.delta,
             )
-            for flow, emitted, queued in self._steps.sum(axis=2).T
+            for flow, emitted, queued in totals
         ]
         for b in breakdowns:
             for name in ("j_flow", "j_diff", "j_queue", "j_poll"):

@@ -80,96 +80,32 @@ def _envelopes(rho, flow, cap, critical, dem, sup, below):
     np.copyto(sup, cap, where=below)
 
 
-def _road_envelopes(rho, v_max, rho_max):
-    flow = greenshields_flux(rho, v_max, rho_max)
-    dem, sup = _buffers(2, flow)
-    below = np.empty(dem.shape, dtype=bool)
-    _envelopes(rho, flow, flux_capacity(v_max, rho_max), rho_max / 2.0, dem, sup, below)
-    return dem[()], sup[()]
-
-
-def demand(rho, v_max, rho_max):
-    """Increasing envelope of the flux: Q(rho) below critical density, capacity above."""
-    return _road_envelopes(rho, v_max, rho_max)[0]
-
-
-def supply(rho, v_max, rho_max):
-    """Decreasing envelope of the flux: capacity below critical density, Q(rho) above."""
-    return _road_envelopes(rho, v_max, rho_max)[1]
-
-
-def godunov_flux(u, v, v_max, rho_max):
-    """Interface flux min{demand(left), supply(right)}."""
-    return np.minimum(demand(u, v_max, rho_max), supply(v, v_max, rho_max))
-
-
 # ---------------------------------------------------------------------------
 # junction coupling (closed forms for the three basis junctions)
 #
 # Each rule is written once, on arrays; the stepping kernel applies it to all
-# junctions of a kind at once, and the public functions check their inputs
-# and call the same rule.
+# junctions of a kind at once, and the tests call the same rule.  A 1to1
+# junction passes min{demand, supply}, which the kernel takes inline.
 
 
 def _diverge(d, s2, s3, alpha2, alpha3):
+    """1to2: the demand split by the distribution rates, each share capped by its supply."""
     q2 = np.minimum(alpha2 * d, s2)
     q3 = np.minimum(alpha3 * d, s3)
     return q2 + q3, q2, q3
 
 
 def _merge(d1, d2, s, beta1, beta2):
+    """2to1: priority shares of the supply, the slack one road leaves given to the other."""
     q1 = np.minimum(d1, np.maximum(beta1 * s, s - d2))
     q2 = np.minimum(d2, np.maximum(beta2 * s, s - d1))
     return q1, q2, q1 + q2
 
 
 def _discharge(ell, q_in, road_supply, dt):
+    """Point queue: discharge min{q_in + ell/dt, supply}; returns (next length, outflow)."""
     q_out = np.minimum(q_in + ell / dt, road_supply)
     return np.maximum(ell + dt * (q_in - q_out), 0.0), q_out
-
-
-def junction_one_to_one(d_in: float, s_out: float) -> tuple[float, float]:
-    if d_in < 0.0 or s_out < 0.0:
-        raise TrafficError("negative demand or supply at junction")
-    q = min(d_in, s_out)
-    return q, q
-
-
-def junction_one_to_two(
-    d1: float, s2: float, s3: float, alpha: tuple[float, float]
-) -> tuple[float, float, float]:
-    """Diverging junction: split demand by the distribution rates, cap by supplies."""
-    if abs(alpha[0] + alpha[1] - 1.0) > 1e-12:
-        raise TrafficError("distribution rates must sum to 1")
-    if min(d1, s2, s3) < 0.0:
-        raise TrafficError("negative demand or supply at junction")
-    return _diverge(d1, s2, s3, *alpha)
-
-
-def junction_two_to_one(
-    d1: float, d2: float, s_out: float, beta: tuple[float, float]
-) -> tuple[float, float, float]:
-    """Merging junction: priority shares of the outgoing supply, slack reallocated."""
-    if abs(beta[0] + beta[1] - 1.0) > 1e-12:
-        raise TrafficError("priority rates must sum to 1")
-    if min(d1, d2, s_out) < 0.0:
-        raise TrafficError("negative demand or supply at junction")
-    return _merge(d1, d2, s_out, *beta)
-
-
-def queue_step(
-    ell: float, q_in: float, road_supply: float, dt: float
-) -> tuple[float, float]:
-    """Explicit Euler update of a point queue feeding a road.
-
-    The queue discharges at min(prescribed inflow + rate needed to clear the
-    queue within dt, road supply).  Returns (next queue length, outflow rate).
-    """
-    if ell < 0.0 or q_in < 0.0 or road_supply < 0.0:
-        raise TrafficError("queue state and rates must be nonnegative")
-    if dt <= 0.0:
-        raise TrafficError("dt must be positive")
-    return _discharge(ell, q_in, road_supply, dt)
 
 
 def max_stable_dt(v_maxes, ds: float) -> float:

@@ -7,6 +7,7 @@ import io
 import json
 import operator
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,17 @@ def _csv_writer_bytes(header, rows) -> bytes:
     for row in rows:
         writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
     return buf.getvalue().encode()
+
+
+def _run_recording_warnings(*argv):
+    """``run_cli`` with every warning raised in this process recorded, not shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    return code, [str(w.message) for w in caught]
+
+
+_OVERFLOW_ERROR = "error: j_diff = inf is not finite: the scenario overflows the objectives\n"
 
 
 def _overflowing_scenario(tmp_path, diamond_path) -> Path:
@@ -327,13 +339,17 @@ class TestSimulate:
         ]
         assert path.read_bytes() == _csv_writer_bytes(["t", "road", "end", "flux"], rows)
 
-    def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capsys):
+    def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capfd):
+        # the error line is the only report: no numpy overflow warning before it
         path = _overflowing_scenario(tmp_path, diamond_path)
         out = tmp_path / "sim"
-        code = run_cli("simulate", "--scenario", str(path), "--policy", "1,1,1,1,1,1", "--out", str(out))
-        captured = capsys.readouterr()
+        code, warned = _run_recording_warnings(
+            "simulate", "--scenario", str(path), "--policy", "1,1,1,1,1,1", "--out", str(out))
+        captured = capfd.readouterr()
         assert code == 1
         assert "error: j_diff = inf is not finite" in captured.err
+        assert captured.err == _OVERFLOW_ERROR
+        assert warned == []
         assert "Traceback" not in captured.err + captured.out
         assert "J_diff" not in captured.out
         assert not any((out / name).exists() for name in (
@@ -375,16 +391,26 @@ class TestSimulate:
         assert field.shape == (scenario.n_time + 1, 61, 61)
         assert np.all(field >= 0.0)
 
-    @pytest.mark.parametrize("keep", [10, -8], ids=["short-header", "short-payload"])
-    def test_truncated_emission_binary_rejected(self, fast_scenario_path, tmp_path, keep):
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: data[:10], "truncated header"),
+            (lambda data: data[:-8], "payload of"),
+            (lambda data: b"XXXX" + data[4:], "not an emission field file"),
+            (lambda data: data[:4] + (2).to_bytes(4, "little") + data[8:],
+             "unsupported emission file version 2"),
+        ],
+        ids=["short-header", "short-payload", "wrong-magic", "version-2"],
+    )
+    def test_truncated_emission_binary_rejected(self, fast_scenario_path, tmp_path, damage, message):
         out = tmp_path / "sim"
         run_cli(
             "simulate", "--scenario", str(fast_scenario_path),
             "--policy", "1,1,1,1,1,1", "--out", str(out),
         )
         path = out / "emission.bin"
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(ScenarioError, match="truncated header" if keep > 0 else "payload of"):
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ScenarioError, match=message):
             read_emission_bin(path)
 
     def test_manifest_hash_matches_input(self, fast_scenario_path, tmp_path):
@@ -450,6 +476,28 @@ class TestOptimize:
         front = list(csv.DictReader(open(out / "front.csv")))
         assert "j_queue_norm" in front[0]
 
+    def test_queue_axis_normalized_when_every_policy_queues(self, fast_scenario_path, tmp_path):
+        # access inflow 0.6 exceeds the capacity 0.5 at v_max 2, so every
+        # policy builds a queue and the ideal queue value is not zero
+        doc = json.loads(fast_scenario_path.read_text())
+        doc["access"][0]["inflow"] = 0.6
+        path = tmp_path / "queued.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "opt3"
+        code = run_cli(
+            "optimize", "--scenario", str(path), "--out", str(out),
+            "--mode", "3d", "--delta", "0.5", "--budget", "40", "--seed", "0",
+        )
+        assert code == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["queue_axis_normalized"] is True
+        ideal_queue = diag["ideal"][2]
+        assert ideal_queue > 0.0
+        front = list(csv.DictReader(open(out / "front.csv")))
+        assert front
+        for row in front:
+            assert float(row["j_queue_norm"]) == float(row["j_queue"]) / ideal_queue
+
     def test_bad_budget_rejected(self, fast_scenario_path, tmp_path):
         code = run_cli(
             "optimize", "--scenario", str(fast_scenario_path),
@@ -490,15 +538,18 @@ class TestOptimize:
         assert "error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capsys, jobs):
+    def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capfd, jobs):
+        # capfd sees the spawned workers' stderr too: it must hold the error line only
         path = _overflowing_scenario(tmp_path, diamond_path)
         out = tmp_path / "opt"
-        code = run_cli(
+        code, warned = _run_recording_warnings(
             "optimize", "--scenario", str(path), "--out", str(out), "--budget", "20", "--jobs", jobs,
         )
-        captured = capsys.readouterr()
+        captured = capfd.readouterr()
         assert code == 1
         assert "error: j_diff = inf is not finite" in captured.err
+        assert captured.err == _OVERFLOW_ERROR
+        assert warned == []
         assert "Traceback" not in captured.err + captured.out
         assert not (out / "front.csv").exists()
 

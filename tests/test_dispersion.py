@@ -9,8 +9,6 @@ from tramopt.dispersion import (
     _edge_coefficients,
     advance_field,
     cfl_check_adjoint,
-    classify_boundary,
-    ghost_coefficient,
     solve_adjoint,
     solve_dispersion_forward,
 )
@@ -19,19 +17,25 @@ from tramopt.network import DispersionParams, load_scenario
 TABLE_PARAMS = DispersionParams(mu=1e-6, kappa=0.0, wind=(1.0, 1.0))
 
 
+# the Robin multiplier of an edge with v.eta = -1 at mu 1e-6, h 0.05
+_ROBIN = (1e-6 - 0.05) / (1e-6 + 0.05)
+
+
 class TestClassifyBoundary:
+    # an edge the velocity leaves (v.eta >= 0) is Neumann, multiplier 1.0;
+    # one it enters (v.eta < 0) is Robin
     def test_diagonal_wind(self):
-        labels = classify_boundary((1.0, 1.0))
-        assert labels["right"] == "outflow" and labels["top"] == "outflow"
-        assert labels["left"] == "inflow" and labels["bottom"] == "inflow"
+        coeffs = _edge_coefficients(1e-6, 0.05, (1.0, 1.0))
+        assert coeffs["right"] == 1.0 and coeffs["top"] == 1.0
+        assert coeffs["left"] == _ROBIN and coeffs["bottom"] == _ROBIN
 
     def test_calm_air_everything_outflow(self):
-        assert set(classify_boundary((0.0, 0.0)).values()) == {"outflow"}
+        assert set(_edge_coefficients(1e-6, 0.05, (0.0, 0.0)).values()) == {1.0}
 
     def test_westward_wind(self):
-        labels = classify_boundary((-1.0, 0.0))
-        assert labels["left"] == "outflow"
-        assert labels["right"] == "inflow"
+        coeffs = _edge_coefficients(1e-6, 0.05, (-1.0, 0.0))
+        assert coeffs["left"] == 1.0
+        assert coeffs["right"] == _ROBIN
 
 
 class TestCflCheck:
@@ -60,20 +64,18 @@ class TestCflCheck:
 
 
 class TestGhostValues:
+    # the wind (1, 0) leaves through the right edge and enters through the
+    # left one, where -(v.eta) = 1; it runs along the bottom edge, v.eta = 0
     def test_neumann_reflects(self):
-        assert ghost_coefficient("neumann", 1e-6, 1.0, 0.05) * 0.7 == 0.7
+        assert _edge_coefficients(1e-6, 0.05, (1.0, 0.0))["right"] * 0.7 == 0.7
 
     def test_robin_hand_value(self):
-        got = ghost_coefficient("robin", 1e-6, 1.0, 0.05) * 1.0
+        got = _edge_coefficients(1e-6, 0.05, (1.0, 0.0))["left"] * 1.0
         assert got == pytest.approx((1e-6 - 0.05) / (1e-6 + 0.05))
         assert got == pytest.approx(-0.99996, abs=1e-5)
 
     def test_robin_with_zero_wind_reduces_to_neumann(self):
-        assert ghost_coefficient("robin", 1e-6, 0.0, 0.05) * 0.7 == pytest.approx(0.7)
-
-    def test_degenerate_robin_rejected(self):
-        with pytest.raises(DispersionError):
-            ghost_coefficient("robin", 0.05, -1.0, 0.05)
+        assert _edge_coefficients(1e-6, 0.05, (1.0, 0.0))["bottom"] * 0.7 == pytest.approx(0.7)
 
 
 def _per_problem_coefficients(params, h, problem):

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tramopt.emission import emission_field, rasterize_network, road_emission_rate
+from tramopt.emission import emission_field, emission_rate, rasterize_network
 from tramopt.network import load_scenario
-from tramopt.traffic import simulate_traffic
+from tramopt.traffic import greenshields_flux, simulate_traffic
 
 
 def _scenario(roads, side=3.0, n_grid=6, n_cells=4, theta=0.5):
@@ -35,23 +35,21 @@ def _road(rid, start, end, width, rho0=0.5):
 
 class TestEmissionRate:
     def test_empty_road_emits_nothing(self):
-        assert road_emission_rate(0.0, 1.7, 1.0, 0.9) == 0.0
+        assert emission_rate(greenshields_flux(0.0, 1.7, 1.0), 0.0, 0.9) == 0.0
 
     def test_flow_plus_weighted_density(self):
-        assert road_emission_rate(0.5, 1.0, 1.0, 0.5) == pytest.approx(0.5)
+        assert emission_rate(greenshields_flux(0.5, 1.0, 1.0), 0.5, 0.5) == pytest.approx(0.5)
 
     def test_jammed_road_emits_density_term_only(self):
-        assert road_emission_rate(1.0, 1.0, 1.0, 0.5) == pytest.approx(0.5)
-
-    def test_negative_theta_rejected(self):
-        with pytest.raises(ValueError):
-            road_emission_rate(0.5, 1.0, 1.0, -0.1)
+        assert emission_rate(greenshields_flux(1.0, 1.0, 1.0), 1.0, 0.5) == pytest.approx(0.5)
 
     @given(rho=st.floats(0.0, 1.0), theta=st.floats(0.0, 2.0))
+    @example(rho=1.0, theta=0.0)
     def test_zero_iff_empty(self, rho, theta):
-        rate = road_emission_rate(rho, 1.0, 1.0, theta)
+        # zero on an empty road, and on a jammed one (flow 0) when theta is 0
+        rate = emission_rate(greenshields_flux(rho, 1.0, 1.0), rho, theta)
         assert rate >= 0.0
-        assert (rate == 0.0) == (rho == 0.0)
+        assert (rate == 0.0) == (rho == 0.0 or (rho == 1.0 and theta == 0.0))
 
 
 class TestRasterize:
@@ -86,10 +84,12 @@ class TestRasterize:
     def test_footpoint_cells_half_open(self):
         s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=1.0)], n_cells=4)
         raster = rasterize_network(s)
-        cover = raster.covering(1, 3)  # x = 0.5 -> s = 0 -> first cell
-        assert cover == [(0, 0)]
-        cover_end = raster.covering(5, 3)  # x = 2.5 -> s = L -> last cell
-        assert cover_end == [(0, 3)]
+        cover = {}  # grid point -> its (road index, cell index) entries
+        for p, road, cell in zip(raster.entry_point, raster.entry_road, raster.entry_cell):
+            point = (int(raster.points_i[p]), int(raster.points_j[p]))
+            cover.setdefault(point, []).append((int(road), int(cell)))
+        assert cover[(1, 3)] == [(0, 0)]  # x = 0.5 -> s = 0 -> first cell
+        assert cover[(5, 3)] == [(0, 3)]  # x = 2.5 -> s = L -> last cell
 
     def test_policy_independent(self, diamond):
         a = rasterize_network(diamond)

@@ -152,6 +152,28 @@ class TestParetoSearch:
         hv = [hypervolume_2d(values, (1.1, 1.1)) for values in diag["history"]]
         assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 
+    def test_seed_corners_drawn_coordinatewise_past_twelve_dimensions(self):
+        # 2**13 corners are too many to choose among, so past d = 12 each
+        # seed corner is drawn one coordinate at a time
+        lower, upper = np.full(13, 0.25), np.full(13, 2.0)
+
+        def first_batch(seed):
+            batches = []
+
+            def record(policies):
+                batches.append([tuple(p) for p in policies])
+                return [np.array([p[0], -p[0]]) for p in policies]
+
+            pareto_search(lower, upper, budget=60, seed=seed, map_fn=record)
+            return batches[0]
+
+        batch = first_batch(7)
+        assert len(batch) == 4 * 13 + 2 == len(set(batch))
+        assert batch[0] == tuple((lower + upper) / 2.0)
+        assert all(np.all((lower <= p) & (p <= upper)) for p in batch)
+        assert sum(set(p) <= {0.25, 2.0} for p in batch) == 2 * 13
+        assert first_batch(7) == batch
+
     def test_budget_zero_rejected(self):
         with pytest.raises(ValueError):
             pareto_search([0.0], [1.0], budget=0, seed=0, map_fn=_batched(_two_parabolas))

@@ -143,6 +143,26 @@ class TestLoadScenario:
             load_scenario(json.dumps(doc))
 
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda doc: doc["emission"].__setitem__("theta", -0.1), r"emission\.theta"),
+            (lambda doc: doc["junctions"][3].__setitem__("beta", [0.5, 0.4]), r"junctions\[3\]\.beta"),
+            (lambda doc: doc["junctions"][0].__setitem__("alpha", [0.2, 0.3, 0.5]),
+             r"junctions\[0\]\.alpha"),
+            (lambda doc: doc["junctions"][0].__setitem__("alpha", [0, 1]), r"junctions\[0\]\.alpha"),
+            (lambda doc: doc["junctions"][3].__setitem__("beta", [1.0]), r"junctions\[3\]\.beta"),
+            (lambda doc: doc["junctions"][3].__setitem__("beta", [1.0, 0.0]), r"junctions\[3\]\.beta"),
+        ],
+        ids=["negative-theta", "beta-sum-0.9", "three-alpha", "alpha-0-1", "one-beta", "beta-1-0"],
+    )
+    def test_bad_theta_or_rates_rejected(self, diamond_path, change, field):
+        doc = json.loads(diamond_path.read_text())
+        change(doc)
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(json.dumps(doc))
+
+
 class TestRoundTrip:
     def test_diamond_round_trips(self, diamond):
         assert load_scenario(serialize_scenario(diamond)) == diamond

@@ -10,24 +10,39 @@ from hypothesis import strategies as st
 from tramopt.network import load_scenario
 from tramopt.traffic import (
     TrafficError,
-    demand,
+    _compile,
+    _discharge,
+    _diverge,
+    _envelopes,
+    _godunov_step,
+    _merge,
+    _Workspace,
     flux_capacity,
-    godunov_flux,
     greenshields_flux,
-    junction_one_to_one,
-    junction_one_to_two,
-    junction_two_to_one,
     mass_balance_residuals,
     max_stable_dt,
-    queue_step,
     simulate_traffic,
     step_single_road,
-    supply,
 )
 
 densities = st.floats(0.0, 1.0)
 #: diamond policies the kernel is checked against the per-junction reference on
 REFERENCE_POLICIES = [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0, 0.25, 1, 0.5, 0.8, 1]]
+
+
+def _kernel_envelopes(rho, v_max, rho_max):
+    """(demand, supply) of densities ``rho`` from the kernel's ``_envelopes``."""
+    flow = greenshields_flux(rho, v_max, rho_max)
+    dem, sup = np.empty(np.shape(flow)), np.empty(np.shape(flow))
+    below = np.empty(np.shape(flow), dtype=bool)
+    _envelopes(rho, flow, flux_capacity(v_max, rho_max), rho_max / 2.0, dem, sup, below)
+    return dem[()], sup[()]
+
+
+def _interface_flux(u, v):
+    """The kernel's face flux min{D(u), S(v)} between cells u and v (v_max = rho_max = 1)."""
+    dem, sup = _kernel_envelopes(np.array([u, v]), 1.0, 1.0)
+    return min(dem[0], sup[1])
 
 
 class TestFluxFunctions:
@@ -44,77 +59,76 @@ class TestFluxFunctions:
         with pytest.raises(TrafficError):
             greenshields_flux(1.5, 1.0, 1.0)
         with pytest.raises(TrafficError):
-            demand(-0.2, 1.0, 1.0)
+            _kernel_envelopes(-0.2, 1.0, 1.0)
 
     def test_demand_branches(self):
-        assert demand(0.25, 1.0, 1.0) == pytest.approx(0.1875)
-        assert demand(0.75, 1.0, 1.0) == pytest.approx(0.25)
+        assert _kernel_envelopes(0.25, 1.0, 1.0)[0] == pytest.approx(0.1875)
+        assert _kernel_envelopes(0.75, 1.0, 1.0)[0] == pytest.approx(0.25)
 
     def test_supply_at_critical(self):
-        assert supply(0.5, 1.0, 1.0) == pytest.approx(0.25)
+        assert _kernel_envelopes(0.5, 1.0, 1.0)[1] == pytest.approx(0.25)
 
     @given(rho=densities, v=st.floats(0.1, 3.0))
     def test_envelopes_bound_capacity(self, rho, v):
         cap = flux_capacity(v, 1.0)
-        assert 0.0 <= demand(rho, v, 1.0) <= cap + 1e-15
-        assert 0.0 <= supply(rho, v, 1.0) <= cap + 1e-15
+        dem, sup = _kernel_envelopes(rho, v, 1.0)
+        assert 0.0 <= dem <= cap + 1e-15
+        assert 0.0 <= sup <= cap + 1e-15
 
     @given(rho=densities)
     def test_min_of_envelopes_recovers_flux(self, rho):
         # D and S agree with Q on their respective branches
         q = greenshields_flux(rho, 1.0, 1.0)
-        assert min(demand(rho, 1.0, 1.0), supply(rho, 1.0, 1.0)) == pytest.approx(q)
+        assert min(_kernel_envelopes(rho, 1.0, 1.0)) == pytest.approx(q)
 
 
 class TestGodunovFlux:
     def test_hand_evaluated_interface(self):
-        assert godunov_flux(0.25, 0.75, 1.0, 1.0) == pytest.approx(0.1875)
+        assert _interface_flux(0.25, 0.75) == pytest.approx(0.1875)
 
     @given(v=densities)
     def test_zero_demand(self, v):
-        assert godunov_flux(0.0, v, 1.0, 1.0) == 0.0
+        assert _interface_flux(0.0, v) == 0.0
 
     @given(u=densities)
     def test_zero_supply(self, u):
-        assert godunov_flux(u, 1.0, 1.0, 1.0) == 0.0
+        assert _interface_flux(u, 1.0) == 0.0
 
     @given(u=densities, v=densities)
     def test_nonnegative_and_bounded(self, u, v):
-        q = godunov_flux(u, v, 1.0, 1.0)
+        q = _interface_flux(u, v)
         assert 0.0 <= q <= 0.25 + 1e-15
 
 
 class TestJunctions:
     def test_one_to_one_takes_minimum(self):
-        assert junction_one_to_one(0.25, 0.1) == (0.1, 0.1)
-        assert junction_one_to_one(0.1, 0.25) == (0.1, 0.1)
-        assert junction_one_to_one(0.0, 0.25) == (0.0, 0.0)
+        # one-cell roads at rho_max 1: D(0.5) = Q(0.5) = v/4 and S(0) = v/4,
+        # so (v_in, v_out) = (1, 0.4) gives demand 0.25 and supply 0.1
+        assert _one_to_one_fluxes(0.5, 1.0, 0.0, 0.4) == (0.1, 0.1)
+        assert _one_to_one_fluxes(0.5, 0.4, 0.0, 1.0) == (0.1, 0.1)
+        assert _one_to_one_fluxes(0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
 
     def test_one_to_two_supply_constrained(self):
-        q1, q2, q3 = junction_one_to_two(0.2, 0.05, 0.2, (0.5, 0.5))
+        q1, q2, q3 = _diverge(0.2, 0.05, 0.2, 0.5, 0.5)
         assert (q1, q2, q3) == pytest.approx((0.15, 0.05, 0.10))
 
     def test_one_to_two_no_demand(self):
-        assert junction_one_to_two(0.0, 1.0, 1.0, (0.5, 0.5)) == (0.0, 0.0, 0.0)
+        assert _diverge(0.0, 1.0, 1.0, 0.5, 0.5) == (0.0, 0.0, 0.0)
 
     def test_one_to_two_unconstrained_splits_by_alpha(self):
-        q1, q2, q3 = junction_one_to_two(0.2, 1.0, 1.0, (0.5, 0.5))
+        q1, q2, q3 = _diverge(0.2, 1.0, 1.0, 0.5, 0.5)
         assert (q1, q2, q3) == pytest.approx((0.2, 0.1, 0.1))
 
-    def test_one_to_two_rejects_bad_rates(self):
-        with pytest.raises(TrafficError):
-            junction_one_to_two(0.2, 1.0, 1.0, (0.6, 0.5))
-
     def test_two_to_one_symmetric_split(self):
-        q1, q2, q3 = junction_two_to_one(0.3, 0.3, 0.25, (0.5, 0.5))
+        q1, q2, q3 = _merge(0.3, 0.3, 0.25, 0.5, 0.5)
         assert (q1, q2, q3) == pytest.approx((0.125, 0.125, 0.25))
 
     def test_two_to_one_reallocates_slack(self):
-        q1, q2, q3 = junction_two_to_one(0.05, 0.3, 0.25, (0.5, 0.5))
+        q1, q2, q3 = _merge(0.05, 0.3, 0.25, 0.5, 0.5)
         assert (q1, q2, q3) == pytest.approx((0.05, 0.2, 0.25))
 
     def test_two_to_one_empty(self):
-        assert junction_two_to_one(0.0, 0.0, 0.3, (0.5, 0.5)) == (0.0, 0.0, 0.0)
+        assert _merge(0.0, 0.0, 0.3, 0.5, 0.5) == (0.0, 0.0, 0.0)
 
     @given(
         d1=st.floats(0.0, 0.25),
@@ -122,28 +136,28 @@ class TestJunctions:
         s=st.floats(0.0, 0.25),
     )
     def test_two_to_one_conserves_and_respects_supply(self, d1, d2, s):
-        q1, q2, q3 = junction_two_to_one(d1, d2, s, (0.5, 0.5))
+        q1, q2, q3 = _merge(d1, d2, s, 0.5, 0.5)
         assert q3 == q1 + q2
         assert q3 <= s + 1e-15
         assert q1 <= d1 + 1e-15 and q2 <= d2 + 1e-15
 
     @given(d1=st.floats(0.0, 0.25), s2=st.floats(0.0, 0.25), s3=st.floats(0.0, 0.25))
     def test_one_to_two_conserves(self, d1, s2, s3):
-        q1, q2, q3 = junction_one_to_two(d1, s2, s3, (0.5, 0.5))
+        q1, q2, q3 = _diverge(d1, s2, s3, 0.5, 0.5)
         assert q1 == q2 + q3
 
 
 class TestQueue:
     def test_supply_exceeds_demand(self):
-        assert queue_step(0.0, 0.25, 0.3, 0.01) == (0.0, 0.25)
+        assert _discharge(0.0, 0.25, 0.3, 0.01) == (0.0, 0.25)
 
     def test_capped_by_supply(self):
-        ell, q = queue_step(0.1, 0.25, 0.2, 0.01)
+        ell, q = _discharge(0.1, 0.25, 0.2, 0.01)
         assert q == pytest.approx(0.2)
         assert ell == pytest.approx(0.1005)
 
     def test_queue_drains_fully(self):
-        ell, q = queue_step(0.002, 0.0, 0.5, 0.01)
+        ell, q = _discharge(0.002, 0.0, 0.5, 0.01)
         assert q == pytest.approx(0.2)
         assert ell == pytest.approx(0.0, abs=1e-15)
 
@@ -154,9 +168,9 @@ class TestQueue:
         dt=st.floats(1e-4, 0.1),
     )
     def test_never_negative_and_nonincreasing_without_inflow(self, ell, q_in, sup, dt):
-        ell_next, _ = queue_step(ell, q_in, sup, dt)
+        ell_next, _ = _discharge(ell, q_in, sup, dt)
         assert ell_next >= 0.0
-        drained, _ = queue_step(ell, 0.0, sup, dt)
+        drained, _ = _discharge(ell, 0.0, sup, dt)
         assert drained <= ell + 1e-15
 
 
@@ -209,6 +223,30 @@ def _loop_scenario():
         "objectives": {"delta": 0, "mode": "2d"},
     }
     return load_scenario(json.dumps(doc))
+
+
+def _one_to_one_fluxes(rho_in, v_in, rho_out, v_out):
+    """(flux out of road 1's head, flux into road 2's tail) in one kernel step
+    of a 1to1 junction between two one-cell roads at rho_max 1."""
+    road = {"width": 0.1, "rho_max": 1, "rho0": 0.0, "v_min": 0.25, "v_max": 2}
+    doc = {
+        "horizon": 1.0,
+        "domain": {"side": 3, "n_grid": 60},
+        "discretization": {"n_cells": 1, "n_time": 50},
+        "roads": [{"id": 1, "start": [0.5, 1.5], "end": [1.5, 1.5], **road},
+                  {"id": 2, "start": [1.5, 1.5], "end": [2.5, 1.5], **road}],
+        "junctions": [{"kind": "1to1", "in": [1], "out": [2]}],
+        "access": [],
+        "exits": [2],
+        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
+        "emission": {"theta": 0.5},
+        "objectives": {"delta": 0, "mode": "2d"},
+    }
+    net = _compile(load_scenario(json.dumps(doc)))
+    rho = np.array([[[rho_in], [rho_out]]])
+    ws = _Workspace(net.rho_max, np.array([[v_in, v_out]]), rho)
+    _godunov_step(net, ws, rho, np.zeros((1, 0)), net.inflow[:, 0], 0.02, 0.0)
+    return ws.outflow[0, 0], ws.inflow[0, 1]
 
 
 class TestStepping:
@@ -323,18 +361,30 @@ def _assert_matches_reference(scenario, policy):
     assert np.array_equal(traj.queues, queues)
 
 
+def _reference_envelopes(rho, v_max, rho_max):
+    """Demand and supply written out apart from the kernel's ``_envelopes``:
+    Q up to the critical density rho_max/2 and the capacity v_max rho_max/4
+    above it, and the reverse."""
+    q = greenshields_flux(rho, v_max, rho_max)
+    cap = v_max * rho_max / 4.0
+    below = rho <= rho_max / 2.0
+    return np.where(below, q, cap), np.where(below, cap, q)
+
+
 def _reference_road_step(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
     """One road's Godunov update written out apart from the kernel: faces
     min{D(left), S(right)} between the prescribed end fluxes, a conservative
     add and a clip to [0, rho_max]."""
-    interior = godunov_flux(rho[:-1], rho[1:], v_max, rho_max)
+    dem, sup = _reference_envelopes(rho, v_max, rho_max)
+    interior = np.minimum(dem[:-1], sup[1:])
     flux = np.concatenate(([flux_in], interior, [flux_out]))
     return np.clip(rho + dt / ds * (flux[:-1] - flux[1:]), 0.0, rho_max)
 
 
 def _reference_run(scenario, policy):
-    """Densities and queues stepped one junction, queue and road at a time
-    through the public scalar rules: the reference for the batched kernel."""
+    """Densities and queues stepped one junction, queue and road at a time,
+    with the envelopes written out and the kernel's junction and queue rules
+    applied to scalars: the reference for the batched kernel."""
     v = np.asarray(policy, dtype=float)
     n_roads, idx = scenario.n_roads, scenario.road_index
     rho_max = [r.rho_max for r in scenario.roads]
@@ -345,22 +395,22 @@ def _reference_run(scenario, policy):
     densities, queues = [rho], [list(ell)]
     for k in range(scenario.n_time):
         for _ in range(n_sub):
-            d = [float(demand(rho[e, -1], v[e], rho_max[e])) for e in range(n_roads)]
-            s = [float(supply(rho[e, 0], v[e], rho_max[e])) for e in range(n_roads)]
+            d = [float(_reference_envelopes(rho[e, -1], v[e], rho_max[e])[0]) for e in range(n_roads)]
+            s = [float(_reference_envelopes(rho[e, 0], v[e], rho_max[e])[1]) for e in range(n_roads)]
             f_in, f_out = np.zeros(n_roads), np.zeros(n_roads)
             for j in scenario.junctions:
                 i, o = [idx(r) for r in j.incoming], [idx(r) for r in j.outgoing]
                 if j.kind == "1to1":
-                    f_out[i[0]], f_in[o[0]] = junction_one_to_one(d[i[0]], s[o[0]])
+                    f_out[i[0]] = f_in[o[0]] = min(d[i[0]], s[o[0]])
                 elif j.kind == "1to2":
-                    f_out[i[0]], f_in[o[0]], f_in[o[1]] = junction_one_to_two(
-                        d[i[0]], s[o[0]], s[o[1]], j.alpha)
+                    f_out[i[0]], f_in[o[0]], f_in[o[1]] = _diverge(
+                        d[i[0]], s[o[0]], s[o[1]], *j.alpha)
                 else:
-                    f_out[i[0]], f_out[i[1]], f_in[o[0]] = junction_two_to_one(
-                        d[i[0]], d[i[1]], s[o[0]], j.beta)
+                    f_out[i[0]], f_out[i[1]], f_in[o[0]] = _merge(
+                        d[i[0]], d[i[1]], s[o[0]], *j.beta)
             for slot, a in enumerate(scenario.access):
                 q_in = a.inflow[k] if isinstance(a.inflow, tuple) else a.inflow
-                ell[slot], f_in[idx(a.road)] = queue_step(ell[slot], q_in, s[idx(a.road)], dt)
+                ell[slot], f_in[idx(a.road)] = _discharge(ell[slot], q_in, s[idx(a.road)], dt)
             for r in scenario.exits:
                 f_out[idx(r)] = d[idx(r)]
             rho = np.array([
