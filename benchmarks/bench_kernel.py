@@ -1,4 +1,4 @@
-"""Layer bench of the traffic kernel and the adjoint solve, on two source trees.
+"""Layer bench of the traffic kernel and the adjoint set-up, on two source trees.
 
     python3 benchmarks/bench_kernel.py --parent HEAD~1 --pairs 15 --out BENCH_4.json
 
@@ -26,8 +26,12 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   Tracing slows every line by about the same amount, so it inflates the
   stages made of many cheap lines (the couplings); compare a stage between
   the trees rather than with the untraced scoring time.
-* Adjoint: the cold ``solve_adjoint`` of the chain (n_grid 180) in a fresh
-  process, its wall time and the process's peak RSS (``ru_maxrss``) after it.
+* Adjoint: the cold set-up that ``tramopt optimize`` runs, ``cli.cached_adjoint``
+  into an empty directory and then ``PolicyEvaluator``, on the chains of
+  ``--chains`` diamonds (k = 1, 4 and 16 have n_grid 100, 180 and 560), each
+  in a fresh process: its wall time and the process's peak RSS
+  (``ru_maxrss``) after it, ``--adjoint-runs`` times per chain and tree,
+  alternating which tree goes first.
 
 Needs only the standard library and numpy.  Not part of the test suite.
 """
@@ -65,7 +69,7 @@ KERNEL_FRAMES = ("_godunov_step", "_update_roads", "_march")
 # -- worker side: runs inside one tree ---------------------------------------
 
 
-def _scenario(tree: Path, name: str):
+def _scenario(tree: Path, name: str, diamonds: int = CHAIN_DIAMONDS):
     import dataclasses
 
     from tramopt.network import load_scenario
@@ -76,7 +80,7 @@ def _scenario(tree: Path, name: str):
     sys.path.insert(0, str(ROOT / "perfbench"))
     import chain
 
-    return load_scenario(json.dumps(chain.make_chain(CHAIN_DIAMONDS, CHAIN_SEED)))
+    return load_scenario(json.dumps(chain.make_chain(diamonds, CHAIN_SEED)))
 
 
 def _poll_batches(evaluator, budget: int) -> dict[int, list]:
@@ -163,16 +167,21 @@ class LineClock:
             self._charge()
 
 
-def adjoint_worker(tree: Path) -> dict:
-    """Cold adjoint solve of the chain in this fresh process."""
+def adjoint_worker(tree: Path, diamonds: int) -> dict:
+    """Cold set-up of the chain of ``diamonds`` diamonds in this fresh process:
+    the adjoint cache call ``optimize`` makes, into an empty directory, and
+    the evaluator made from what it returns."""
     sys.path.insert(0, str(tree / "src"))
-    from tramopt.dispersion import solve_adjoint
+    from tramopt.cli import cached_adjoint
+    from tramopt.objectives import PolicyEvaluator
 
-    sc = _scenario(tree, "chain")
-    t = time.perf_counter()
-    solve_adjoint(sc)
-    seconds = time.perf_counter() - t
-    return {"solve_s": seconds, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    sc = _scenario(tree, "chain", diamonds)
+    with tempfile.TemporaryDirectory() as cache:
+        t = time.perf_counter()
+        adjoint, _ = cached_adjoint(sc, Path(cache))
+        PolicyEvaluator(sc, adjoint=adjoint)
+        seconds = time.perf_counter() - t
+    return {"setup_s": seconds, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def serve(tree: Path) -> None:
@@ -244,8 +253,8 @@ def _export(rev: str, dest: Path) -> Path:
     return dest / "tree"
 
 
-def _adjoint(tree: Path) -> dict:
-    done = subprocess.run([sys.executable, __file__, "--adjoint", str(tree)],
+def _adjoint(tree: Path, diamonds: int) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--adjoint", str(tree), "--diamonds", str(diamonds)],
                           check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -290,7 +299,9 @@ def main() -> int:
     parser.add_argument("--parent", default="HEAD", help="git revision to compare the working tree with")
     parser.add_argument("--pairs", type=int, default=15, help="alternated scorings per batch and tree")
     parser.add_argument("--traced", type=int, default=3, help="traced scorings per batch and tree")
-    parser.add_argument("--adjoint-runs", type=int, default=3)
+    parser.add_argument("--adjoint-runs", type=int, default=3, help="cold set-ups per chain and tree")
+    parser.add_argument("--chains", default="1,4,16", help="diamonds per chain of the cold set-ups")
+    parser.add_argument("--diamonds", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_4.json")
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--adjoint", type=Path, help=argparse.SUPPRESS)
@@ -300,7 +311,7 @@ def main() -> int:
         serve(args.serve)
         return 0
     if args.adjoint:
-        print(json.dumps(adjoint_worker(args.adjoint)))
+        print(json.dumps(adjoint_worker(args.adjoint, args.diamonds)))
         return 0
 
     import numpy as np
@@ -308,11 +319,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _export(args.parent, Path(tmp)), "change": ROOT}
         samples, stages = measure(trees, args.pairs, args.traced)
-        adjoint: dict = {t: {"solve_s": [], "peak_rss_mb": []} for t in trees}
-        for r in range(args.adjoint_runs):
-            for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
-                for key, value in _adjoint(trees[t]).items():
-                    adjoint[t][key].append(value)
+        chains = [int(k) for k in args.chains.split(",")]
+        adjoint = {k: {t: {"setup_s": [], "peak_rss_mb": []} for t in trees} for k in chains}
+        for k in chains:
+            for r in range(args.adjoint_runs):
+                for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
+                    for key, value in _adjoint(trees[t], k).items():
+                        adjoint[k][t][key].append(value)
 
     result = {
         "script": "benchmarks/bench_kernel.py",
@@ -349,16 +362,19 @@ def main() -> int:
         result["stages_traced_ms"][t] = {
             key: {s: round(1e3 * v, 2) for s, v in totals.items()} for key, totals in stages[t].items()
         }
-    for key in ("solve_s", "peak_rss_mb"):
-        result["adjoint_chain"][key] = {t: _summary(adjoint[t][key]) for t in trees}
+    for k, runs in adjoint.items():
+        result["adjoint_chain"][f"k={k}"] = {
+            key: {t: _summary(runs[t][key]) for t in trees} for key in ("setup_s", "peak_rss_mb")
+        }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
         w, c = row["wall_s"], row["cpu_s"]
         print(f"{key:14s} wall parent {w['parent']['median'] * 1e3:7.1f} ms change "
               f"{w['change']['median'] * 1e3:7.1f} ms  x{w['speedup_median_of_pairs']:.2f} "
               f"(wins {w['change_wins']})  cpu x{c['speedup_median_of_pairs']:.2f}")
-    for key, row in result["adjoint_chain"].items():
-        print(f"adjoint {key:12s} parent {row['parent']['median']:8.2f}  change {row['change']['median']:8.2f}")
+    for k, rows in result["adjoint_chain"].items():
+        for key, row in rows.items():
+            print(f"adjoint {k:5s} {key:12s} parent {row['parent']['median']:8.2f}  change {row['change']['median']:8.2f}")
     return 0
 
 

@@ -24,13 +24,17 @@ import multiprocessing
 import os
 import sys
 import time
+import tokenize
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from tramopt import __version__
-from tramopt.dispersion import DispersionError, solve_adjoint
+# solve_adjoint is not called here but stays a name of this module, which
+# perfbench/spans.py wraps
+from tramopt.dispersion import DispersionError, solve_adjoint  # noqa: F401
 from tramopt.emission import emission_field, rasterize_network
 from tramopt.moo import normalize_front, pareto_search
 from tramopt.network import (
@@ -41,7 +45,13 @@ from tramopt.network import (
     load_scenario,
     validate_scenario,
 )
-from tramopt.objectives import ObjectiveBreakdown, ObjectiveTally, PolicyEvaluator
+from tramopt.objectives import (
+    AdjointContraction,
+    ObjectiveBreakdown,
+    ObjectiveTally,
+    PolicyEvaluator,
+    contract_adjoint,
+)
 from tramopt.traffic import TrafficError, simulate_traffic
 
 _EMISSION_MAGIC = b"TRMO"
@@ -127,6 +137,8 @@ def read_emission_bin(path: Path) -> np.ndarray:
 
 
 def _adjoint_cache_key(scenario: Scenario) -> str:
+    """Hash of everything the adjoint contraction depends on: the transport
+    problem, and the raster's roads (in scenario order) and cells."""
     payload = {
         "side": scenario.domain_side,
         "n_grid": scenario.n_grid,
@@ -135,38 +147,54 @@ def _adjoint_cache_key(scenario: Scenario) -> str:
         "wind": list(scenario.dispersion.wind),
         "horizon": scenario.horizon,
         "n_time": scenario.n_time,
+        "n_cells": scenario.n_cells,
+        "roads": [[list(r.tail), list(r.head), r.width] for r in scenario.roads],
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[np.ndarray, Path]:
-    """Solve the adjoint or load it from a content-addressed cache file.
+def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContraction, Path]:
+    """The scenario's adjoint contraction, loaded from a content-addressed
+    cache file ``adjoint-<key>.npz`` or made by ``contract_adjoint``.
 
-    A cache file that cannot be read or holds the wrong array is a miss: the
-    adjoint is solved again and the file replaced atomically.
+    A cache file that cannot be read, or whose pairing or level-0 sum has
+    the wrong shape or dtype or is not finite, is a miss: the contraction
+    is made again and the file replaced atomically.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.npy"
-    expected = (scenario.n_time + 1, scenario.n_grid + 1, scenario.n_grid + 1)
+    path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.npz"
+    shape = (scenario.n_time + 1, scenario.n_roads, scenario.n_cells)
     try:
-        adjoint = np.load(path)
-        if isinstance(adjoint, np.ndarray) and adjoint.shape == expected and adjoint.dtype == float:
-            return adjoint, path
-    except (OSError, ValueError, EOFError):
+        with np.load(path, allow_pickle=False) as data:
+            pairing, level0 = data["pairing"], data["level0"]
+        if (
+            pairing.shape == shape and pairing.dtype == float and np.all(np.isfinite(pairing))
+            and level0.shape == () and level0.dtype == float and np.isfinite(level0)
+        ):
+            return AdjointContraction(pairing, float(level0)), path
+    # besides the read errors: a damaged npy header makes numpy's header
+    # parser raise TokenError or SyntaxError, and a damaged zip entry makes
+    # zipfile raise RuntimeError (NotImplementedError for an unknown method)
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
+            tokenize.TokenError, SyntaxError, RuntimeError):
         pass
-    adjoint = solve_adjoint(scenario)
+    contraction = contract_adjoint(scenario)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as fh:
-        np.save(fh, adjoint)
+    # np.savez's layout, but with ZipInfo's fixed time stamp, so that the
+    # same contraction is always the same bytes
+    with zipfile.ZipFile(tmp, "w") as archive:
+        for name, value in (("pairing", contraction.pairing), ("level0", contraction.level0)):
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asarray(value), allow_pickle=False)
     os.replace(tmp, path)
-    return adjoint, path
+    return contraction, path
 
 
-def _evaluator(scenario: Scenario, args, out_dir, raster=None) -> tuple[PolicyEvaluator, Path]:
-    """The command's evaluator and the adjoint cache file, in ``--cache-dir`` or
-    else ``out_dir``, it was contracted from; the adjoint itself is dropped."""
-    adjoint, path = cached_adjoint(scenario, Path(args.cache_dir or out_dir))
-    return PolicyEvaluator(scenario, adjoint=adjoint, raster=raster), path
+def _evaluator(scenario: Scenario, args, out_dir) -> tuple[PolicyEvaluator, Path]:
+    """The command's evaluator and its adjoint cache file, in ``--cache-dir``
+    or else ``out_dir``."""
+    contraction, path = cached_adjoint(scenario, Path(args.cache_dir or out_dir))
+    return PolicyEvaluator(scenario, adjoint=contraction), path
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +232,7 @@ def cmd_simulate(args) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     raster = rasterize_network(scenario)
-    evaluator, adjoint_path = _evaluator(scenario, args, out_dir, raster)
+    evaluator, adjoint_path = _evaluator(scenario, args, out_dir)
     tally = ObjectiveTally(evaluator, 1)
     traj = simulate_traffic(scenario, policy, observe=tally)
     (breakdown,) = tally.breakdowns()

@@ -3,10 +3,14 @@
 All quadratures follow the right rectangle rule: time sums start at the
 first step after the initial datum, spatial sums over the control area skip
 the left and bottom grid rows.  The pollution objective is evaluated
-through the precomputed adjoint, so no PDE is solved per policy:
-``PolicyEvaluator.score`` runs a batch of policies through one pass of the
-traffic kernel, and an ``ObjectiveTally`` adds each output step's flow,
-adjoint-paired emission rate and queue lengths to one breakdown per policy.
+through the adjoint, solved once per scenario, so no PDE is solved per
+policy.  Scoring needs only the adjoint's contraction with the raster
+weights per (time, road, cell) and the sum of its level 0, so
+``contract_adjoint`` contracts each level as the march makes it and the
+history is never held.  ``PolicyEvaluator.score`` runs a batch of policies
+through one pass of the traffic kernel, and an ``ObjectiveTally`` adds each
+output step's flow, adjoint-paired emission rate and queue lengths to one
+breakdown per policy.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from tramopt.dispersion import solve_adjoint
 # cell_rates is not called here but stays a name of this module, which
 # perfbench/spans.py wraps
-from tramopt.emission import RasterMap, cell_rates, emission_rate, rasterize_network  # noqa: F401
+from tramopt.emission import cell_rates, emission_rate, rasterize_network  # noqa: F401
 from tramopt.network import PolicyError, Scenario
 from tramopt.traffic import simulate_batch, simulate_traffic
 
@@ -126,53 +130,72 @@ class ObjectiveTally:
         return breakdowns
 
 
-def _contract_adjoint(adjoint: np.ndarray, raster: RasterMap, sc: Scenario) -> np.ndarray:
-    """Raster-weighted adjoint per (time, road, cell).
+@dataclass(frozen=True)
+class AdjointContraction:
+    """What scoring keeps of the adjoint p: ``pairing``, the raster-weighted
+    p per (time, road, cell), and ``level0``, the sum of p at time 0 over
+    the grid points with both indices >= 1, which the phi0 term scales."""
+
+    pairing: np.ndarray
+    level0: float
+
+
+class AdjointContractor:
+    """The ``visit`` callback of the adjoint march that contracts each level
+    with the raster weights as it is made.
 
     Only covered grid points with both indices >= 1 contribute, matching
-    the spatial quadrature of the pollution objective.
+    the spatial quadrature of the pollution objective; a level's raster
+    entries are added to their (road, cell) in entry order.
     """
-    pairing_flat = np.zeros((sc.n_roads * sc.n_cells, sc.n_time + 1))
-    keep_point = (raster.points_i >= 1) & (raster.points_j >= 1)
-    keep_entry = keep_point[raster.entry_point]
-    p_at_points = adjoint[:, raster.points_i, raster.points_j]
-    vals = (
-        p_at_points[:, raster.entry_point[keep_entry]]
-        * raster.entry_weight[keep_entry]
-    )
-    flat_idx = (
-        raster.entry_road[keep_entry] * sc.n_cells
-        + raster.entry_cell[keep_entry]
-    )
-    np.add.at(pairing_flat, flat_idx, vals.T)
-    return pairing_flat.T.reshape(sc.n_time + 1, sc.n_roads, sc.n_cells)
+
+    def __init__(self, sc: Scenario):
+        raster = rasterize_network(sc)
+        keep_point = (raster.points_i >= 1) & (raster.points_j >= 1)
+        keep_entry = keep_point[raster.entry_point]
+        entry_point = raster.entry_point[keep_entry]
+        self._i, self._j = raster.points_i[entry_point], raster.points_j[entry_point]
+        self._weight = raster.entry_weight[keep_entry]
+        self._slot = raster.entry_road[keep_entry] * sc.n_cells + raster.entry_cell[keep_entry]
+        self._shape = (sc.n_time + 1, sc.n_roads, sc.n_cells)
+        self._pairing = np.zeros((sc.n_time + 1, sc.n_roads * sc.n_cells))
+        self._level0 = math.nan
+
+    def __call__(self, k: int, level: np.ndarray) -> None:
+        np.add.at(self._pairing[k], self._slot, level[self._i, self._j] * self._weight)
+        if k == 0:
+            self._level0 = float(np.sum(level[1:, 1:]))
+
+    def contraction(self) -> AdjointContraction:
+        return AdjointContraction(self._pairing.reshape(self._shape), self._level0)
+
+
+def contract_adjoint(scenario: Scenario) -> AdjointContraction:
+    """Solve the scenario's adjoint, contracting each level as it is made."""
+    contractor = AdjointContractor(scenario)
+    solve_adjoint(scenario, contractor)
+    return contractor.contraction()
 
 
 class PolicyEvaluator:
     """Scores policies against a scenario with the adjoint precomputed.
 
-    The adjoint (solved here unless given) is contracted with the raster
-    weights once, and only that contraction is kept, with the scenario and
-    the phi0 term: an instance pickles to 0.58 MB on the diamond, against
-    18 MB for its adjoint, and is what ``--jobs`` workers receive.  Per policy
+    ``adjoint`` is the scenario's ``AdjointContraction``, made here by
+    ``contract_adjoint`` if not given; only its pairing is kept, with the
+    scenario and the phi0 term.  An instance pickles to 0.58 MB on the
+    diamond, where the whole adjoint history would take 18 MB and is never
+    built, and is what ``--jobs`` workers receive.  Per policy
     only the traffic run remains, each output step paired with the
     contraction on the fly.  ``score`` runs a whole batch through the kernel
     at once; ``components`` runs one policy through ``simulate_traffic`` and
     gives bitwise the same numbers.  Instances are read-only and safe to share.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        adjoint: np.ndarray | None = None,
-        raster: RasterMap | None = None,
-    ):
+    def __init__(self, scenario: Scenario, adjoint: AdjointContraction | None = None):
         self.scenario = scenario
-        adjoint = solve_adjoint(scenario) if adjoint is None else adjoint
-        raster = rasterize_network(scenario) if raster is None else raster
-        self._pairing = _contract_adjoint(adjoint, raster, scenario)
-        phi0 = scenario.dispersion.phi0
-        self.phi0_term = scenario.h**2 * phi0 * float(np.sum(adjoint[0, 1:, 1:]))
+        adjoint = contract_adjoint(scenario) if adjoint is None else adjoint
+        self._pairing = adjoint.pairing
+        self.phi0_term = scenario.h**2 * scenario.dispersion.phi0 * adjoint.level0
 
     def score(self, policies) -> list[ObjectiveBreakdown]:
         """Breakdowns of a batch of policies from one pass of the traffic kernel."""

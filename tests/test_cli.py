@@ -7,6 +7,7 @@ import io
 import json
 import operator
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -68,6 +69,65 @@ def _overflowing_scenario(tmp_path, diamond_path) -> Path:
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+#: the contraction of the fast diamond: (n_time+1, roads, cells)
+_FAST_PAIRING_SHAPE = (151, 6, 20)
+
+
+def _cut(size):
+    """Damage: keep the first ``size(length)`` bytes of the file."""
+    def damage(path):
+        data = path.read_bytes()
+        path.write_bytes(data[:size(len(data))])
+    return damage
+
+
+def _flip(marker: bytes, offset: int, bit: int):
+    """Damage: flip one bit ``offset`` bytes after the first ``marker``."""
+    def damage(path):
+        data = bytearray(path.read_bytes())
+        data[data.index(marker) + offset] ^= 1 << bit
+        path.write_bytes(bytes(data))
+    return damage
+
+
+def _rewritten(edit):
+    """Damage: the file saved again with ``edit`` applied to its members."""
+    def damage(path):
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+        edit(members)
+        with open(path, "wb") as fh:
+            np.savez(fh, **members)
+    return damage
+
+
+def _nan_entry(members):
+    members["pairing"] = members["pairing"].copy()
+    members["pairing"][7, 2, 3] = np.nan
+
+
+def _old_npy(path):
+    """Not damage: the whole-history cache file of earlier versions, next to it."""
+    np.save(path.with_suffix(".npy"), np.zeros((151, 61, 61)))
+
+
+_CACHE_DAMAGE = {
+    "truncate": _cut(lambda n: 1000),
+    "truncate-header": _cut(lambda n: 20),
+    "truncate-end": _cut(lambda n: n - 10),
+    "npz": _rewritten(lambda m: (m.clear(), m.update(adjoint=np.zeros((151, 61, 61))))),
+    "missing-member": _rewritten(lambda m: m.pop("level0")),
+    "shape": _rewritten(lambda m: m.update(pairing=m["pairing"][:, :, 1:])),
+    "dtype": _rewritten(lambda m: m.update(pairing=m["pairing"].astype(np.float32))),
+    "nan": _rewritten(_nan_entry),
+    # the pairing member's npy header length, 64 bytes short
+    "npy-header": _flip(b"\x93NUMPY", 8, 6),
+    # the compression method of the first central directory entry
+    "zip-method": _flip(b"PK\x01\x02", 10, 6),
+    "old-npy": _old_npy,
+}
 
 
 class TestValidate:
@@ -222,7 +282,7 @@ class TestSimulate:
         assert captured.err.startswith("error: V_") and "is not a finite number" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
-    @pytest.mark.parametrize("damage", ["truncate", "npz"])
+    @pytest.mark.parametrize("damage", list(_CACHE_DAMAGE))
     def test_damaged_adjoint_cache_recomputed(self, fast_scenario_path, tmp_path, capsys, damage):
         cache = tmp_path / "cache"
 
@@ -235,16 +295,57 @@ class TestSimulate:
             return code, [l for l in lines if l.startswith("objective_vector=")]
 
         cold = vector()
-        (cached,) = cache.glob("adjoint-*.npy")
-        if damage == "truncate":
-            with open(cached, "r+b") as fh:
-                fh.truncate(1000)
-        else:
-            with open(cached, "wb") as fh:
-                np.savez(fh, adjoint=np.zeros((151, 61, 61)))
+        (cached,) = cache.glob("adjoint-*.npz")
+        cold_bytes = cached.read_bytes()
+        _CACHE_DAMAGE[damage](cached)
+        left = {p.name: p.read_bytes() for p in cache.iterdir() if p != cached}
         assert vector() == cold
         assert cold[0] == 0
-        assert np.load(cached).shape == (151, 61, 61)
+        # the contraction is written again, to the same bytes, and any other file is left alone
+        assert cached.read_bytes() == cold_bytes
+        assert {p.name: p.read_bytes() for p in cache.iterdir() if p != cached} == left
+        with np.load(cached) as data:
+            assert data["pairing"].shape == _FAST_PAIRING_SHAPE
+
+    @pytest.mark.parametrize("change, new_file", [
+        (("roads", 5, "width", 0.12), True),
+        (("roads", 5, "end", [0.62, 0.7]), True),  # road 6 turned about its start, length 1
+        (("discretization", "n_cells", 10), True),
+        (("access", 0, "inflow", 0.2), False),
+        (("roads", 0, "v_min", 0.3), False),
+    ], ids=["width", "endpoint", "n_cells", "inflow", "speed-bound"])
+    def test_cache_key_covers_the_raster(self, fast_scenario_path, tmp_path, capsys, change, new_file):
+        # the contraction depends on each road's ends and width and on n_cells,
+        # not on the traffic inputs
+        doc = json.loads(fast_scenario_path.read_text())
+        *keys, value = change
+        functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = value
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(doc))
+        cache = tmp_path / "cache"
+
+        def vector(path, cache_dir):
+            code = run_cli(
+                "simulate", "--scenario", str(path), "--policy", "1.5,0.5,1,1,0.75,2",
+                "--out", str(tmp_path / "sim"), "--cache-dir", str(cache_dir),
+            )
+            assert code == 0
+            return [l for l in capsys.readouterr().out.splitlines() if l.startswith("objective_vector=")]
+
+        vector(fast_scenario_path, cache)
+        assert vector(changed, cache) == vector(changed, tmp_path / "cold")
+        assert len(list(cache.glob("adjoint-*.npz"))) == (2 if new_file else 1)
+
+    def test_cold_cache_never_holds_the_adjoint_history(self, diamond, tmp_path):
+        # the history would be (n_time+1)(n_grid+1)^2 doubles, 17.9 MB on the diamond
+        history_bytes = (diamond.n_time + 1) * (diamond.n_grid + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            cli.cached_adjoint(diamond, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < history_bytes / 4
 
     def test_objectives_recomputable_from_csv_bitwise(
         self, fast_scenario_path, tmp_path, capsys
@@ -272,8 +373,10 @@ class TestSimulate:
         traj = simulate_traffic(scenario, policy)
         assert np.array_equal(densities, traj.densities)  # CSV round-trips exactly
 
-        adjoint = np.load(next(out.glob("adjoint-*.npy")))
-        ev = PolicyEvaluator(scenario, adjoint=adjoint)
+        (cached,) = out.glob("adjoint-*.npz")
+        contraction, path = cli.cached_adjoint(scenario, out)
+        assert path == cached
+        ev = PolicyEvaluator(scenario, adjoint=contraction)
         assert list(ev.components(policy).vector(scenario.mode)) == printed_vec
 
     def test_series_files_are_the_csv_writers_bytes(self, fast_scenario_path, tmp_path):
@@ -561,7 +664,7 @@ class TestOptimize:
                 "--out", str(tmp_path / name), "--budget", "30",
                 "--cache-dir", str(cache),
             )
-        assert len(list(cache.glob("adjoint-*.npy"))) == 1
+        assert len(list(cache.glob("adjoint-*.npz"))) == 1
 
 
 class TestExport:
@@ -633,7 +736,8 @@ class TestExport:
 
 def test_benchmark_tracer_sees_one_search(fast_scenario_path, tmp_path):
     """Under perfbench's layer tracer, with batch spans on, ``optimize`` and
-    ``simulate`` still run and the search is timed once with its budget."""
+    ``simulate`` still run, the search is timed once with its budget, and
+    each command's cold adjoint cache counts as a miss."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", Path(__file__).parents[1] / "perfbench" / "spans.py"
     )
@@ -648,6 +752,9 @@ def test_benchmark_tracer_sees_one_search(fast_scenario_path, tmp_path):
         ]
     assert codes == [0, 0]
     assert [s.info["evaluations"] for s in tracer.named("moo.search")] == [30]
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["cli.adjoint_cache_misses"] == (2, "count")
+    assert metrics["cli.adjoint_cache_hits"] == (0, "count")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from tramopt.dispersion import (
     DispersionError,
     _edge_coefficients,
+    _Workspace,
     advance_field,
     cfl_check_adjoint,
     solve_adjoint,
@@ -108,12 +109,50 @@ def _neumann_coeffs():
     return {"left": 1.0, "right": 1.0, "bottom": 1.0, "top": 1.0}
 
 
+def _advanced(u, coeffs, velocity, **params):
+    """``u`` after one ``advance_field`` step in a march's workspace."""
+    ws = _Workspace(u.shape[0])
+    ws.u[...] = u
+    advance_field(ws, coeffs, velocity, **params)
+    return ws.u.copy()
+
+
+def _reference_step(u, coeffs, velocity, mu, kappa, h, dt, source):
+    """The step as one expression on a ghost-padded copy of ``u`` (reference)."""
+    ext = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
+    ext[1:-1, 1:-1] = u
+    ext[0, 1:-1] = coeffs["left"] * u[1, :]
+    ext[-1, 1:-1] = coeffs["right"] * u[-2, :]
+    ext[1:-1, 0] = coeffs["bottom"] * u[:, 1]
+    ext[1:-1, -1] = coeffs["top"] * u[:, -2]
+    east, west, north, south = ext[2:, 1:-1], ext[:-2, 1:-1], ext[1:-1, 2:], ext[1:-1, :-2]
+    ax, ay = velocity
+    lap = (east + west + north + south - 4.0 * u) * (mu / (h * h))
+    adv = (
+        min(ax, 0.0) * east - max(ax, 0.0) * west + min(ay, 0.0) * north - max(ay, 0.0) * south
+        + (abs(ax) + abs(ay)) * u
+    ) / h
+    return u + dt * (lap - adv - kappa * u + source)
+
+
+@pytest.mark.parametrize("velocity", [(0.8, -0.4), (-1.0, 0.5), (0.0, 0.0)])
+def test_step_rounds_as_the_expression(velocity):
+    # the in-place step writes each product in the expression's order, so
+    # it gives the expression's bits, Robin edges and a field source included
+    rng = np.random.default_rng(11)
+    u = rng.random((9, 9)) - 0.5
+    params = dict(mu=0.02, kappa=0.3, h=0.1, dt=0.01, source=rng.random((9, 9)))
+    coeffs = _edge_coefficients(0.02, 0.1, velocity)
+    got = _advanced(u, coeffs, velocity, **params)
+    assert got.tobytes() == _reference_step(u, coeffs, velocity, **params).tobytes()
+
+
 class TestStencils:
     def test_diffusion_annihilates_affine_fields(self):
         n = 12
         x, y = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
         u = 0.3 + 0.7 * x * 0.1 - 1.1 * y * 0.1
-        out = advance_field(
+        out = _advanced(
             u, _neumann_coeffs(), (0.0, 0.0), mu=0.02, kappa=0.0, h=0.1, dt=1.0, source=0.0
         )
         interior = (out - u)[1:-1, 1:-1]
@@ -126,7 +165,7 @@ class TestStencils:
         x, y = np.meshgrid(np.arange(n + 1) * h, np.arange(n + 1) * h, indexing="ij")
         u = 0.3 + b * x + c * y
         vel = (0.8, -0.4)
-        out = advance_field(
+        out = _advanced(
             u, _neumann_coeffs(), vel, mu=0.0, kappa=0.0, h=h, dt=1.0, source=0.0
         )
         rate = (out - u)[1:-1, 1:-1]
@@ -137,7 +176,7 @@ class TestStencils:
         rng = np.random.default_rng(5)
         u = np.zeros((15, 15))
         u[4:10, 4:10] = rng.random((6, 6))
-        out = advance_field(
+        out = _advanced(
             u, _neumann_coeffs(), (0.0, 0.0), mu=0.05, kappa=0.0, h=0.3, dt=0.05, source=0.0
         )
         assert out.sum() == pytest.approx(u.sum(), abs=1e-13)
@@ -181,6 +220,14 @@ class TestSolveAdjoint:
         p = solve_adjoint(diamond)
         expected = diamond.dt / (diamond.horizon * diamond.area)
         assert p[-2] == pytest.approx(np.full_like(p[-2], expected))
+
+    def test_visit_sees_each_level_once_in_march_order(self):
+        s = _tiny_scenario()
+        seen = []
+        assert solve_adjoint(s, lambda k, level: seen.append((k, level.copy()))) is None
+        assert [k for k, _ in seen] == list(range(s.n_time, -1, -1))
+        levels = np.stack([level for _, level in reversed(seen)])
+        assert levels.tobytes() == solve_adjoint(s).tobytes()
 
     def test_cfl_violation_raises(self, diamond):
         bad = dataclasses.replace(diamond, n_time=500)

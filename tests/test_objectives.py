@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,22 +12,24 @@ from tramopt.dispersion import solve_adjoint, solve_dispersion_forward
 from tramopt.emission import emission_field, rasterize_network
 from tramopt.network import load_scenario
 from tramopt.objectives import (
+    AdjointContractor,
     ObjectiveBreakdown,
     ObjectiveTally,
     PolicyEvaluator,
+    contract_adjoint,
     j_diff_adjoint,
     j_diff_forward,
 )
 from tramopt.traffic import TrafficTrajectory, greenshields_flux, max_stable_dt, simulate_traffic
 
 
-def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0):
+def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0, y=1.5):
     doc = {
         "horizon": T,
         "domain": {"side": 3, "n_grid": 30},
         "discretization": {"n_cells": n_cells, "n_time": n_time},
         "roads": [
-            {"id": 1, "start": [1.0, 1.5], "end": [2.0, 1.5], "width": 0.1,
+            {"id": 1, "start": [1.0, y], "end": [2.0, y], "width": 0.1,
              "rho_max": 1, "rho0": rho0, "v_min": 0.25, "v_max": 2}
         ],
         "junctions": [],
@@ -36,6 +40,15 @@ def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0):
         "objectives": {"delta": 0, "mode": "2d"},
     }
     return load_scenario(json.dumps(doc))
+
+
+def _contracted(scenario, history):
+    """The contraction of a given adjoint history, level by level as the
+    march hands the levels on."""
+    contractor = AdjointContractor(scenario)
+    for k, level in enumerate(history):
+        contractor(k, level)
+    return contractor.contraction()
 
 
 def _frozen_trajectory(scenario, rho):
@@ -56,7 +69,7 @@ def _tallied(scenario, traj, policy):
     """Objectives of a stored trajectory, summed by the kernel's tally."""
     n1 = scenario.n_grid + 1
     tally = ObjectiveTally(
-        PolicyEvaluator(scenario, adjoint=np.zeros((scenario.n_time + 1, n1, n1))), 1
+        PolicyEvaluator(scenario, adjoint=_contracted(scenario, np.zeros((scenario.n_time + 1, n1, n1)))), 1
     )
     v = np.asarray(policy, dtype=float)[:, None]
     rho_max = np.array([[r.rho_max] for r in scenario.roads])
@@ -153,7 +166,7 @@ class TestJDiff:
         policy = [1.2, 0.7, 1.9, 0.4, 1.0, 2.0]
         adjoint = solve_adjoint(diamond)
         raster = rasterize_network(diamond)
-        ev = PolicyEvaluator(diamond, adjoint=adjoint, raster=raster)
+        ev = PolicyEvaluator(diamond)
         traj = simulate_traffic(diamond, policy)
         field = emission_field(traj, raster, diamond, policy)
         dense = j_diff_adjoint(field, adjoint, 0.0, diamond)
@@ -175,7 +188,7 @@ class TestEvaluatePolicy:
         assert b.vector("3d") == pytest.approx([-1.0, 0.3, 2.0])
 
     def test_repeat_evaluations_bitwise_identical(self, diamond):
-        adjoint = solve_adjoint(diamond)
+        adjoint = contract_adjoint(diamond)
         policy = [1.0, 0.5, 2.0, 0.25, 1.5, 1.0]
         a = PolicyEvaluator(diamond, adjoint=adjoint).components(policy).vector(diamond.mode)
         b = PolicyEvaluator(diamond, adjoint=adjoint).components(policy).vector(diamond.mode)
@@ -183,14 +196,12 @@ class TestEvaluatePolicy:
 
     def test_three_objective_mode(self, diamond):
         s = dataclasses.replace(diamond, mode="3d")
-        adjoint = solve_adjoint(s)
-        vec = PolicyEvaluator(s, adjoint=adjoint).components([1.0] * 6).vector(s.mode)
+        vec = PolicyEvaluator(s).components([1.0] * 6).vector(s.mode)
         assert vec.shape == (3,)
         assert vec[0] < 0.0 and vec[1] > 0.0 and vec[2] >= 0.0
 
     def test_nonnegative_components_for_feasible_policies(self, diamond):
-        adjoint = solve_adjoint(diamond)
-        ev = PolicyEvaluator(diamond, adjoint=adjoint)
+        ev = PolicyEvaluator(diamond)
         for policy in ([0.25] * 6, [2.0] * 6):
             c = ev.components(policy)
             assert c.j_flow >= 0.0 and c.j_diff >= 0.0 and c.j_queue >= 0.0
@@ -241,7 +252,7 @@ def _assert_batch_equals_one_by_one(scenario, policies, mode):
     substeps = {math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) for p in policies}
     assert substeps == {1, 2}
     adjoint = np.random.default_rng(3).random((sc.n_time + 1, sc.n_grid + 1, sc.n_grid + 1))
-    ev = PolicyEvaluator(sc, adjoint=adjoint)
+    ev = PolicyEvaluator(sc, adjoint=_contracted(sc, adjoint))
 
     batch = ev.score(policies)
     reversed_batch = ev.score(policies[::-1])[::-1]
@@ -249,3 +260,35 @@ def _assert_batch_equals_one_by_one(scenario, policies, mode):
         alone = ev.components(policy)
         assert b == alone == r == ev.score([policy])[0]
         assert np.array_equal(b.vector(mode), ev.components(policy).vector(sc.mode))
+
+
+def _chain(k: int):
+    spec = importlib.util.spec_from_file_location("chain", Path(__file__).parents[1] / "perfbench" / "chain.py")
+    chain = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(chain)
+    return load_scenario(json.dumps(chain.make_chain(k, 1)))
+
+
+@pytest.mark.parametrize("name", ["diamond", "chain-1", "bottom-edge"])
+def test_streamed_contraction_is_the_history_contraction_bitwise(diamond, name):
+    # reference: the whole adjoint history, every raster entry of a point
+    # with both indices >= 1 weighted and added into its (road, cell) for
+    # all times at once, in entry order; the bottom-edge road covers the
+    # grid rows j = 0, which the quadrature skips, and j = 1
+    sc = {"diamond": diamond, "chain-1": _chain(1), "bottom-edge": _single_road(y=0.05)}[name]
+    p = solve_adjoint(sc)
+    raster = rasterize_network(sc)
+    point = raster.entry_point
+    keep = (raster.points_i[point] >= 1) & (raster.points_j[point] >= 1)
+    assert keep.any()
+    assert name != "bottom-edge" or not keep.all()
+    i, j = raster.points_i[point[keep]], raster.points_j[point[keep]]
+    want = np.zeros((sc.n_time + 1, sc.n_roads, sc.n_cells))
+    np.add.at(
+        want, (slice(None), raster.entry_road[keep], raster.entry_cell[keep]),
+        p[:, i, j] * raster.entry_weight[keep],
+    )
+    got = contract_adjoint(sc)
+    assert got.pairing.shape == want.shape
+    assert got.pairing.tobytes() == want.tobytes()
+    assert got.level0.hex() == float(np.sum(p[0, 1:, 1:])).hex()
