@@ -28,7 +28,7 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   the trees rather than with the untraced scoring time.
 * Adjoint: the cold set-up that ``tramopt optimize`` runs, ``cli.cached_adjoint``
   into an empty directory and then ``PolicyEvaluator``, on the chains of
-  ``--chains`` diamonds (k = 1, 4 and 16 have n_grid 100, 180 and 560), each
+  ``ADJOINT_CHAINS`` diamonds (k = 1, 4 and 16 have n_grid 100, 180 and 560), each
   in a fresh process: its wall time and the process's peak RSS
   (``ru_maxrss``) after it, ``--adjoint-runs`` times per chain and tree,
   alternating which tree goes first.
@@ -56,6 +56,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCH_SEED = 7
 CHAIN_SEED = 1
 CHAIN_DIAMONDS = 4
+#: diamonds per chain of the cold adjoint set-ups
+ADJOINT_CHAINS = (1, 4, 16)
 #: batch sizes timed per scenario; all but 1 occur as whole poll batches
 BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86)}
 BUDGETS = {"diamond": 300, "chain": 120}
@@ -300,7 +302,6 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=15, help="alternated scorings per batch and tree")
     parser.add_argument("--traced", type=int, default=3, help="traced scorings per batch and tree")
     parser.add_argument("--adjoint-runs", type=int, default=3, help="cold set-ups per chain and tree")
-    parser.add_argument("--chains", default="1,4,16", help="diamonds per chain of the cold set-ups")
     parser.add_argument("--diamonds", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_4.json")
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
@@ -319,9 +320,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _export(args.parent, Path(tmp)), "change": ROOT}
         samples, stages = measure(trees, args.pairs, args.traced)
-        chains = [int(k) for k in args.chains.split(",")]
-        adjoint = {k: {t: {"setup_s": [], "peak_rss_mb": []} for t in trees} for k in chains}
-        for k in chains:
+        adjoint = {k: {t: {"setup_s": [], "peak_rss_mb": []} for t in trees} for k in ADJOINT_CHAINS}
+        for k in ADJOINT_CHAINS:
             for r in range(args.adjoint_runs):
                 for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
                     for key, value in _adjoint(trees[t], k).items():

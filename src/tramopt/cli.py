@@ -18,13 +18,13 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import multiprocessing
 import os
 import sys
 import time
-import tokenize
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -157,26 +157,31 @@ def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContract
     """The scenario's adjoint contraction, loaded from a content-addressed
     cache file ``adjoint-<key>.npz`` or made by ``contract_adjoint``.
 
-    A cache file that cannot be read, or whose pairing or level-0 sum has
-    the wrong shape or dtype or is not finite, is a miss: the contraction
+    A cache file that cannot be read or fails a member's CRC check, or whose
+    pairing or level-0 sum has the wrong shape or dtype or is not finite, is
+    a miss: the contraction
     is made again and the file replaced atomically.
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.npz"
     shape = (scenario.n_time + 1, scenario.n_roads, scenario.n_cells)
     try:
-        with np.load(path, allow_pickle=False) as data:
-            pairing, level0 = data["pairing"], data["level0"]
+        # ZipFile.read reads each member whole, so a CRC mismatch raises
+        # BadZipFile; np.load stops at the end of the npy payload its header
+        # states and so never checks the CRC
+        with zipfile.ZipFile(path) as archive:
+            pairing, level0 = (
+                np.lib.format.read_array(io.BytesIO(archive.read(f"{name}.npy")), allow_pickle=False)
+                for name in ("pairing", "level0")
+            )
         if (
             pairing.shape == shape and pairing.dtype == float and np.all(np.isfinite(pairing))
             and level0.shape == () and level0.dtype == float and np.isfinite(level0)
         ):
             return AdjointContraction(pairing, float(level0)), path
-    # besides the read errors: a damaged npy header makes numpy's header
-    # parser raise TokenError or SyntaxError, and a damaged zip entry makes
-    # zipfile raise RuntimeError (NotImplementedError for an unknown method)
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
-            tokenize.TokenError, SyntaxError, RuntimeError):
+    # besides the read errors: a damaged zip entry makes zipfile raise
+    # RuntimeError (NotImplementedError for an unknown method)
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, RuntimeError):
         pass
     contraction = contract_adjoint(scenario)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
