@@ -1,6 +1,6 @@
 """Layer bench of the traffic kernel and the adjoint set-up, on two source trees.
 
-    python3 benchmarks/bench_kernel.py --parent HEAD~1 --pairs 15 --out BENCH_4.json
+    python3 benchmarks/bench_kernel.py --parent HEAD~1 --pairs 15 --out BENCH_N.json
 
 It compares the working tree ("change") with a git revision ("parent", written
 to a temporary directory with ``git archive``) on the same machine.  Each tree
@@ -303,7 +303,7 @@ def main() -> int:
     parser.add_argument("--traced", type=int, default=3, help="traced scorings per batch and tree")
     parser.add_argument("--adjoint-runs", type=int, default=3, help="cold set-ups per chain and tree")
     parser.add_argument("--diamonds", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_4.json")
+    parser.add_argument("--out", type=Path, help="the record to write, such as BENCH_12.json (required)")
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--adjoint", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -314,6 +314,8 @@ def main() -> int:
     if args.adjoint:
         print(json.dumps(adjoint_worker(args.adjoint, args.diamonds)))
         return 0
+    if args.out is None:
+        parser.error("--out is required: name the record to write")
 
     import numpy as np
 

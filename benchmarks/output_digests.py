@@ -29,6 +29,18 @@ checkout, so both trees get the same inputs.  With a parent exported by
     diff <(python3 benchmarks/output_digests.py --src PARENT/src) \\
          <(python3 benchmarks/output_digests.py --src src)
 
+With ``--keep DIR`` the outputs stay in ``DIR/<case>/`` and each stdout in
+``DIR/<case>.stdout``.  ``--compare A B`` then reads two such directories and
+prints, per case and file, "identical" where the bytes are equal, else by how
+much the values moved: the largest relative change |a - b|/max(|a|, |b|) of
+each CSV column, of the numbers in the stdout and in ``diagnostics.json``, and
+of the cached ``pairing`` and ``level0``; a text that differs outside its
+numbers, or a binary file, reads "differs":
+
+    python3 benchmarks/output_digests.py --src PARENT/src --keep /tmp/parent > /dev/null
+    python3 benchmarks/output_digests.py --src src --keep /tmp/change > /dev/null
+    python3 benchmarks/output_digests.py --compare /tmp/parent /tmp/change
+
 Needs only the standard library and numpy.  Not part of the test suite.
 """
 
@@ -36,18 +48,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 DIAMOND = ROOT / "scenarios" / "diamond.json"
 SIMULATED_POLICY = "1.5,0.5,1,1,0.75,2"
+#: a number in printed text; digits inside a name such as v_1 are not one
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:inf|nan)\b")
 
 #: h = 0.5 and a width-0.1 road centred between two grid lines
 EMPTY_RASTER = {
@@ -101,6 +119,7 @@ def _run(cli, argv: list[str], out: Path) -> dict:
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
         code = cli.main([*argv, "--out", str(out)])
+    (out.parent / f"{out.name}.stdout").write_text(printed.getvalue())
     return {
         "exit": code,
         "stdout": _sha(printed.getvalue().encode()),
@@ -110,10 +129,91 @@ def _run(cli, argv: list[str], out: Path) -> dict:
     }
 
 
+def _largest_change(a, b) -> float | str:
+    """The largest |a - b|/max(|a|, |b|) over two equal-length number lists;
+    inf where only one side is finite or a NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return f"shape {a.shape} against {b.shape}"
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return float(np.where(same, 0.0, np.nan_to_num(rel, nan=np.inf)).max(initial=0.0))
+
+
+def _text_change(a: str, b: str) -> float | str:
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return "differs"
+    return _largest_change([float(x) for x in NUMBER.findall(a)], [float(x) for x in NUMBER.findall(b)])
+
+
+def _csv_change(a: Path, b: Path) -> dict | str:
+    """Per column, the largest relative change, or "differs" for a column
+    that does not parse as numbers and is not equal."""
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        ra, rb = list(csv.reader(fa)), list(csv.reader(fb))
+    if ra[:1] != rb[:1] or len(ra) != len(rb):
+        return "header or row count differs"
+    changes = {}
+    for c, name in enumerate(ra[0]):
+        ca, cb = [row[c] for row in ra[1:]], [row[c] for row in rb[1:]]
+        try:
+            changes[name] = _largest_change([float(x) for x in ca], [float(x) for x in cb])
+        except ValueError:
+            changes[name] = 0.0 if ca == cb else "differs"
+    return changes
+
+
+def _adjoint_change(a: Path, b: Path) -> dict:
+    with np.load(a) as da, np.load(b) as db:
+        return {name: _largest_change(da[name].ravel(), db[name].ravel()) for name in ("pairing", "level0")}
+
+
+def compare(a: Path, b: Path) -> dict:
+    """Per case and output of two ``--keep`` directories: "identical", or by
+    how much the values moved.  Adjoint cache files are matched by their
+    ``adjoint-*.npz`` pattern, since the key in the name may differ."""
+    report = {}
+    for stdout in sorted(a.glob("*.stdout")):
+        case = stdout.stem
+        da, db = a / case, b / case
+        names = {p.name for p in (*da.iterdir(), *db.iterdir())} - {"manifest.json"}
+        row = {"stdout": _text_change(stdout.read_text(), (b / stdout.name).read_text())}
+        for name in sorted(n for n in names if not n.startswith("adjoint-")):
+            fa, fb = da / name, db / name
+            if not (fa.exists() and fb.exists()):
+                row[name] = "only in " + ("A" if fa.exists() else "B")
+            elif fa.read_bytes() == fb.read_bytes():
+                row[name] = "identical"
+            elif name.endswith(".csv"):
+                row[name] = _csv_change(fa, fb)
+            elif name.endswith(".json"):
+                row[name] = _text_change(fa.read_text(), fb.read_text())
+            else:
+                row[name] = "differs"
+        caches = [sorted(d.glob("adjoint-*.npz")) for d in (da, db)]
+        if [len(c) for c in caches] != [1, 1]:
+            row["adjoint"] = f"cache files: {len(caches[0])} against {len(caches[1])}"
+        elif caches[0][0].read_bytes() == caches[1][0].read_bytes():
+            row["adjoint"] = "identical"
+        else:
+            row["adjoint"] = _adjoint_change(caches[0][0], caches[1][0])
+        report[case] = row
+    return report
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, type=Path, help="the src/ directory of a tree")
+    parser.add_argument("--src", type=Path, help="the src/ directory of a tree")
+    parser.add_argument("--keep", type=Path, help="write the outputs here instead of a temporary directory")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare the values of two --keep directories")
     args = parser.parse_args()
+    if args.compare:
+        print(json.dumps(compare(*args.compare), indent=2))
+        return
+    if args.src is None:
+        parser.error("--src is required without --compare")
     src = args.src.resolve()
     sys.dont_write_bytecode = True  # leave no bytecode in the tree or in perfbench/
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # nor do the --jobs workers
@@ -122,8 +222,12 @@ def main() -> None:
 
     if src not in Path(cli.__file__).resolve().parents:
         raise SystemExit(f"imported {cli.__file__}, not a module under {src}")
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
+    with contextlib.ExitStack() as stack:
+        if args.keep is None:
+            tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        else:
+            tmp = args.keep
+            tmp.mkdir(parents=True, exist_ok=False)
         digests = {
             name: _run(cli, argv, tmp / name) for name, argv in _cases(tmp).items()
         }

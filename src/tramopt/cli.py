@@ -138,8 +138,9 @@ def read_emission_bin(path: Path) -> np.ndarray:
 
 def _adjoint_cache_key(scenario: Scenario) -> str:
     """Hash of everything the adjoint contraction depends on: the transport
-    problem, and the raster's roads (in scenario order) and cells."""
+    problem and its step, and the raster's roads (in scenario order) and cells."""
     payload = {
+        "step": "five-weight stencil",  # the rounding of dispersion.advance_field
         "side": scenario.domain_side,
         "n_grid": scenario.n_grid,
         "mu": scenario.dispersion.mu,

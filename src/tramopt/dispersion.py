@@ -1,18 +1,21 @@
 """Pollutant transport on the control area: adjoint and forward solvers.
 
-Both solvers share one march: one explicit stencil kernel (five-point
-diffusion, componentwise upwind advection, forward Euler in time) on the
-square grid, behind one CFL gate.  Boundary stencils are closed by
+Both solvers share one march: one explicit step (five-point diffusion,
+componentwise upwind advection, forward Euler in time) on the square grid,
+behind one CFL gate.  The step is linear in a point and its four neighbors,
+so it is one weighted five-point stencil, u <- cC u + cE E + cW W + cN N +
+cS S + dt*source, its terms added left to right; ``advance_field`` gives the
+weights, computed once per march.  Boundary stencils are closed by
 eliminating ghost points through one rule for both problems: the Robin
-condition mu du/deta - (v.eta) u = 0 on each edge where the marched
-velocity v enters the domain (v.eta < 0), Neumann du/deta = 0 elsewhere.
-The adjoint problem is marched in reversed time with the reversed wind and
-a constant source, so its Robin edges are the wind's outflow edges; it is
-solved once per scenario and reused for every policy.
+condition mu du/deta - (v.eta) u = 0 on each edge where the marched velocity
+v enters the domain (v.eta < 0), Neumann du/deta = 0 elsewhere.  The adjoint
+problem is marched in reversed time with the reversed wind and a constant
+source, so its Robin edges are the wind's outflow edges; it is solved once
+per scenario and reused for every policy.
 
-The march steps one padded field in place and hands each time level to a
-callback as it is made.  Scoring contracts each adjoint level there and
-keeps only the contraction; the oracles collect the whole
+The march steps a padded field between two copies and hands each time
+level to a callback as it is made.  Scoring contracts each adjoint level
+there and keeps only the contraction; the oracles collect the whole
 (n_time+1, n_grid+1, n_grid+1) history.
 """
 
@@ -76,41 +79,47 @@ def _edge_coefficients(mu: float, h: float, velocity) -> dict[str, float]:
 
 
 class _Workspace:
-    """The field of a march inside one ghost layer per edge, with the step's
-    temporaries; made once per march.
-
-    ``rows`` and its four neighbors are the padded rows 1..n1 whole, ghost
-    columns included, and their shifts by one row or column, so that each
-    product of the step is one pass over contiguous memory.  What the step
-    writes into the ghost columns is overwritten by the next ghost fill.
-    """
+    """The field ``u`` of a march inside one ghost layer per edge, twice: a
+    step reads ``padded`` and writes ``spare``, then the two swap.  Made once
+    per march, with the step's temporary."""
 
     def __init__(self, n1: int):
-        m = n1 + 2
-        self.padded = np.zeros((m, m))
-        flat = self.padded.reshape(-1)
-        self.rows, self.east, self.west, self.north, self.south = (
-            flat[m + shift:(n1 + 1) * m + shift].reshape(n1, m) for shift in (0, m, -m, 1, -1)
-        )
+        self.padded, self.spare = np.zeros((2, n1 + 2, n1 + 2))
         self.u = self.padded[1:-1, 1:-1]
-        self.lap, self.adv, self.tmp = (np.empty((n1, m)) for _ in range(3))
+        self.tmp = np.empty((n1, n1 + 2))
 
 
-def advance_field(ws: _Workspace, coeffs, velocity, mu, kappa, h, dt, source) -> None:
-    """One explicit step of du/dt = mu*lap(u) - velocity.grad(u) - kappa*u + source,
-    in place on ``ws.u``.
-
-    ``u`` is indexed [i, j] with x = i*h, y = j*h; the update runs on every
-    grid point including the boundary, which is closed by ghost elimination.
-    Each product is written into the workspace in the order of
-    u + dt*((E + W + N + S - 4u)*(mu/h^2)
-            - (ax- E - ax+ W + ay- N - ay+ S + (|ax| + |ay|) u)/h - kappa u + source),
-    so every level rounds as that expression does.
-    """
+def _stencil_weights(velocity, mu, kappa, h, dt) -> tuple[float, float, float, float, float]:
+    """The weights (cC, cE, cW, cN, cS) of ``advance_field`` for ``velocity``
+    (ax, ay); under the CFL gate all five are >= 0."""
     ax, ay = velocity
-    axp, axm = max(ax, 0.0), min(ax, 0.0)
-    ayp, aym = max(ay, 0.0), min(ay, 0.0)
-    ext, u, lap, adv, tmp = ws.padded, ws.rows, ws.lap, ws.adv, ws.tmp
+    diffusion = mu / (h * h)
+    return (
+        1.0 - dt * (4.0 * diffusion + (abs(ax) + abs(ay)) / h + kappa),
+        dt * (diffusion - min(ax, 0.0) / h),
+        dt * (diffusion + max(ax, 0.0) / h),
+        dt * (diffusion - min(ay, 0.0) / h),
+        dt * (diffusion + max(ay, 0.0) / h),
+    )
+
+
+def advance_field(ws: _Workspace, coeffs, weights, dt, source) -> None:
+    """One explicit step of du/dt = mu*lap(u) - velocity.grad(u) - kappa*u + source
+    on ``ws.u``, which holds the new field after it.
+
+    ``u`` is indexed [i, j] with x = i*h, y = j*h; every grid point is
+    updated, the boundary closed by ghost values from the edge multipliers
+    ``coeffs``.  The step is u <- cC u + cE E + cW W + cN N + cS S + dt*source,
+    its terms added left to right, so every level rounds as that expression
+    does; the adjoint cache key names this form.  ``weights`` are
+    (cC, cE, cW, cN, cS) from ``_stencil_weights``:
+    cE = dt*(mu/h^2 - min(ax, 0)/h), cW = dt*(mu/h^2 + max(ax, 0)/h), cN and
+    cS alike with ay, and cC = 1 - dt*(4 mu/h^2 + (|ax| + |ay|)/h + kappa).
+    Each term is one pass over the padded rows 1..n1 whole, or their shift
+    by one row or column; what lands in the ghost columns is overwritten by
+    the next ghost fill.
+    """
+    ext, out, tmp = ws.padded, ws.spare[1:-1], ws.tmp
     # ghost layer: the edge's multiplier times the mirrored interior
     # neighbor; the corners stay unused
     np.multiply(coeffs["left"], ext[2, 1:-1], out=ext[0, 1:-1])
@@ -118,22 +127,16 @@ def advance_field(ws: _Workspace, coeffs, velocity, mu, kappa, h, dt, source) ->
     np.multiply(coeffs["bottom"], ext[1:-1, 2], out=ext[1:-1, 0])
     np.multiply(coeffs["top"], ext[1:-1, -3], out=ext[1:-1, -1])
 
-    np.add(ws.east, ws.west, out=lap)
-    lap += ws.north
-    lap += ws.south
-    lap -= np.multiply(4.0, u, out=tmp)
-    lap *= mu / (h * h)
-    np.multiply(axm, ws.east, out=adv)
-    adv -= np.multiply(axp, ws.west, out=tmp)
-    adv += np.multiply(aym, ws.north, out=tmp)
-    adv -= np.multiply(ayp, ws.south, out=tmp)
-    adv += np.multiply(abs(ax) + abs(ay), u, out=tmp)
-    adv /= h
-    lap -= adv
-    lap -= np.multiply(kappa, u, out=tmp)
-    lap[:, 1:-1] += source
-    lap *= dt
-    u += lap
+    m, flat = ext.shape[0], ext.reshape(-1)
+    point, *neighbors = (
+        flat[m + shift:(m - 1) * m + shift].reshape(m - 2, m) for shift in (0, m, -m, 1, -1)
+    )
+    np.multiply(weights[0], point, out=out)
+    for weight, neighbor in zip(weights[1:], neighbors):
+        out += np.multiply(weight, neighbor, out=tmp)
+    out[:, 1:-1] += dt * source
+    ws.padded, ws.spare = ws.spare, ws.padded
+    ws.u = ws.padded[1:-1, 1:-1]
 
 
 def _march(scenario: Scenario, u0: float, velocity, source, visit=None, reverse=False):
@@ -144,7 +147,7 @@ def _march(scenario: Scenario, u0: float, velocity, source, visit=None, reverse=
     source (a scalar or a field) of the step from k to k+1.  Level k goes to
     slot k, or to slot n_time - k if ``reverse``, so a time-reversed march
     comes out on the original time grid.  ``level`` is the workspace's field,
-    overwritten by the next step.  Without ``visit`` the levels are collected
+    overwritten by a later step.  Without ``visit`` the levels are collected
     and the history (n_time+1, n_grid+1, n_grid+1) is returned.
     """
     params, h, dt, n_steps = scenario.dispersion, scenario.h, scenario.dt, scenario.n_time
@@ -152,6 +155,7 @@ def _march(scenario: Scenario, u0: float, velocity, source, visit=None, reverse=
     if not cfl.passed:
         raise DispersionError(cfl.finding)
     coeffs = _edge_coefficients(params.mu, h, velocity)
+    weights = _stencil_weights(velocity, params.mu, params.kappa, h, dt)
     ws = _Workspace(scenario.n_grid + 1)
     history = None
     if visit is None:
@@ -161,7 +165,7 @@ def _march(scenario: Scenario, u0: float, velocity, source, visit=None, reverse=
     ws.u[...] = u0
     visit(slots[0], ws.u)
     for k in range(n_steps):
-        advance_field(ws, coeffs, velocity, params.mu, params.kappa, h, dt, source(k))
+        advance_field(ws, coeffs, weights, dt, source(k))
         visit(slots[k + 1], ws.u)
     if not np.all(np.isfinite(ws.u)):
         raise DispersionError("field blew up: non-finite values (instability)")

@@ -146,7 +146,7 @@ class AdjointContractor:
 
     Only covered grid points with both indices >= 1 contribute, matching
     the spatial quadrature of the pollution objective; a level's raster
-    entries are added to their (road, cell) in entry order.
+    entries are added to their (road, cell) in entry order, from 0.0.
     """
 
     def __init__(self, sc: Scenario):
@@ -157,17 +157,17 @@ class AdjointContractor:
         self._i, self._j = raster.points_i[entry_point], raster.points_j[entry_point]
         self._weight = raster.entry_weight[keep_entry]
         self._slot = raster.entry_road[keep_entry] * sc.n_cells + raster.entry_cell[keep_entry]
-        self._shape = (sc.n_time + 1, sc.n_roads, sc.n_cells)
-        self._pairing = np.zeros((sc.n_time + 1, sc.n_roads * sc.n_cells))
+        self._pairing = np.zeros((sc.n_time + 1, sc.n_roads, sc.n_cells))
         self._level0 = math.nan
 
     def __call__(self, k: int, level: np.ndarray) -> None:
-        np.add.at(self._pairing[k], self._slot, level[self._i, self._j] * self._weight)
+        weights = level[self._i, self._j] * self._weight
+        self._pairing[k].flat = np.bincount(self._slot, weights, minlength=self._pairing[k].size)
         if k == 0:
             self._level0 = float(np.sum(level[1:, 1:]))
 
     def contraction(self) -> AdjointContraction:
-        return AdjointContraction(self._pairing.reshape(self._shape), self._level0)
+        return AdjointContraction(self._pairing, self._level0)
 
 
 def contract_adjoint(scenario: Scenario) -> AdjointContraction:

@@ -339,6 +339,33 @@ class TestSimulate:
         assert vector(changed, cache) == vector(changed, tmp_path / "cold")
         assert len(list(cache.glob("adjoint-*.npz"))) == (2 if new_file else 1)
 
+    def test_cache_key_names_the_transport_step(self, fast_scenario_path, tmp_path):
+        # a contraction marched by the term-by-term step differs from the
+        # five-weight stencil's in its last bits, so its file is not read
+        scenario = load_scenario(fast_scenario_path.read_text())
+        term_by_term_payload = {
+            "side": scenario.domain_side,
+            "n_grid": scenario.n_grid,
+            "mu": scenario.dispersion.mu,
+            "kappa": scenario.dispersion.kappa,
+            "wind": list(scenario.dispersion.wind),
+            "horizon": scenario.horizon,
+            "n_time": scenario.n_time,
+            "n_cells": scenario.n_cells,
+            "roads": [[list(r.tail), list(r.head), r.width] for r in scenario.roads],
+        }
+        old_key = hashlib.sha256(json.dumps(term_by_term_payload, sort_keys=True).encode()).hexdigest()[:16]
+        assert old_key != cli._adjoint_cache_key(scenario)
+        fresh, path = cli.cached_adjoint(scenario, tmp_path)
+        old = tmp_path / f"adjoint-{old_key}.npz"
+        path.rename(old)
+        _rewritten(lambda m: m.update(pairing=m["pairing"] * (1.0 + 2.0**-50)))(old)
+        old_bytes = old.read_bytes()
+        again, again_path = cli.cached_adjoint(scenario, tmp_path)
+        assert again_path == path
+        assert again.pairing.tobytes() == fresh.pairing.tobytes()
+        assert old.read_bytes() == old_bytes
+
     def test_cold_cache_never_holds_the_adjoint_history(self, diamond, tmp_path):
         # the history would be (n_time+1)(n_grid+1)^2 doubles, 17.9 MB on the diamond
         history_bytes = (diamond.n_time + 1) * (diamond.n_grid + 1) ** 2 * 8

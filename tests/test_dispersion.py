@@ -7,6 +7,7 @@ import pytest
 from tramopt.dispersion import (
     DispersionError,
     _edge_coefficients,
+    _stencil_weights,
     _Workspace,
     advance_field,
     cfl_check_adjoint,
@@ -109,23 +110,41 @@ def _neumann_coeffs():
     return {"left": 1.0, "right": 1.0, "bottom": 1.0, "top": 1.0}
 
 
-def _advanced(u, coeffs, velocity, **params):
+def _advanced(u, coeffs, velocity, mu, kappa, h, dt, source):
     """``u`` after one ``advance_field`` step in a march's workspace."""
     ws = _Workspace(u.shape[0])
     ws.u[...] = u
-    advance_field(ws, coeffs, velocity, **params)
+    advance_field(ws, coeffs, _stencil_weights(velocity, mu, kappa, h, dt), dt, source)
     return ws.u.copy()
 
 
-def _reference_step(u, coeffs, velocity, mu, kappa, h, dt, source):
-    """The step as one expression on a ghost-padded copy of ``u`` (reference)."""
+def _neighbors(u, coeffs):
+    """East, west, north and south neighbors of ``u`` from a ghost-padded copy."""
     ext = np.zeros((u.shape[0] + 2, u.shape[1] + 2))
     ext[1:-1, 1:-1] = u
     ext[0, 1:-1] = coeffs["left"] * u[1, :]
     ext[-1, 1:-1] = coeffs["right"] * u[-2, :]
     ext[1:-1, 0] = coeffs["bottom"] * u[:, 1]
     ext[1:-1, -1] = coeffs["top"] * u[:, -2]
-    east, west, north, south = ext[2:, 1:-1], ext[:-2, 1:-1], ext[1:-1, 2:], ext[1:-1, :-2]
+    return ext[2:, 1:-1], ext[:-2, 1:-1], ext[1:-1, 2:], ext[1:-1, :-2]
+
+
+def _reference_step(u, coeffs, velocity, mu, kappa, h, dt, source):
+    """The step as one five-weight expression on a ghost-padded copy of ``u``
+    (reference), its weights written out here."""
+    east, west, north, south = _neighbors(u, coeffs)
+    ax, ay = velocity
+    d = mu / (h * h)
+    c_c = 1.0 - dt * (4.0 * d + (abs(ax) + abs(ay)) / h + kappa)
+    c_e, c_w = dt * (d - min(ax, 0.0) / h), dt * (d + max(ax, 0.0) / h)
+    c_n, c_s = dt * (d - min(ay, 0.0) / h), dt * (d + max(ay, 0.0) / h)
+    return c_c * u + c_e * east + c_w * west + c_n * north + c_s * south + dt * source
+
+
+def _term_by_term_step(u, coeffs, velocity, mu, kappa, h, dt, source):
+    """The step as diffusion, advection, reaction and source, term by term
+    (second reference: the same operator in another rounding order)."""
+    east, west, north, south = _neighbors(u, coeffs)
     ax, ay = velocity
     lap = (east + west + north + south - 4.0 * u) * (mu / (h * h))
     adv = (
@@ -135,16 +154,46 @@ def _reference_step(u, coeffs, velocity, mu, kappa, h, dt, source):
     return u + dt * (lap - adv - kappa * u + source)
 
 
-@pytest.mark.parametrize("velocity", [(0.8, -0.4), (-1.0, 0.5), (0.0, 0.0)])
-def test_step_rounds_as_the_expression(velocity):
-    # the in-place step writes each product in the expression's order, so
-    # it gives the expression's bits, Robin edges and a field source included
+_STEP_VELOCITIES = [(0.8, -0.4), (-1.0, 0.5), (0.0, 0.0)]
+
+
+def _step_case(velocity):
     rng = np.random.default_rng(11)
     u = rng.random((9, 9)) - 0.5
     params = dict(mu=0.02, kappa=0.3, h=0.1, dt=0.01, source=rng.random((9, 9)))
-    coeffs = _edge_coefficients(0.02, 0.1, velocity)
+    return u, _edge_coefficients(0.02, 0.1, velocity), params
+
+
+@pytest.mark.parametrize("velocity", _STEP_VELOCITIES)
+def test_step_rounds_as_the_expression(velocity):
+    # the step adds the five weighted terms and the source in the
+    # expression's order, so it gives the expression's bits, Robin edges and
+    # a field source included
+    u, coeffs, params = _step_case(velocity)
     got = _advanced(u, coeffs, velocity, **params)
     assert got.tobytes() == _reference_step(u, coeffs, velocity, **params).tobytes()
+
+
+@pytest.mark.parametrize("velocity", _STEP_VELOCITIES)
+def test_step_agrees_with_the_term_by_term_expression(velocity):
+    # the same operator rounded another way: equal to a few ulps of the field
+    u, coeffs, params = _step_case(velocity)
+    got = _advanced(u, coeffs, velocity, **params)
+    want = _term_by_term_step(u, coeffs, velocity, **params)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("wind", [(1.0, 1.0), (-1.0, 0.5), (-0.3, -2.0), (2.0, -0.7)])
+@pytest.mark.parametrize("mu, h", [(1e-6, 0.05), (0.02, 0.1)])
+def test_weights_nonnegative_at_the_cfl_bound(wind, mu, h):
+    # at the largest dt the gate passes, and with kappa at its own bound,
+    # every weight of the step is >= 0, for the adjoint's reversed wind too
+    dt = cfl_check_adjoint(h, 1.0, DispersionParams(mu, 0.0, wind)).dt_bound
+    kappa = (1.0 / 3.0) / dt
+    assert cfl_check_adjoint(h, dt, DispersionParams(mu, kappa, wind)).passed
+    for velocity in (wind, (-wind[0], -wind[1])):
+        weights = _stencil_weights(velocity, mu, kappa, h, dt)
+        assert min(weights) >= 0.0, weights
 
 
 class TestStencils:

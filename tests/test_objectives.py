@@ -292,3 +292,26 @@ def test_streamed_contraction_is_the_history_contraction_bitwise(diamond, name):
     assert got.pairing.shape == want.shape
     assert got.pairing.tobytes() == want.tobytes()
     assert got.level0.hex() == float(np.sum(p[0, 1:, 1:])).hex()
+
+
+def test_contracted_level_is_the_add_at_form():
+    # entries of one (road, cell) are added in entry order from 0.0, as
+    # np.add.at does; the level's values span twenty orders of magnitude
+    # and both signs, so another order of the sums would change their bits
+    sc = _chain(1)
+    rng = np.random.default_rng(3)
+    n1 = sc.n_grid + 1
+    level = rng.standard_normal((n1, n1)) * 10.0 ** rng.integers(-10, 10, (n1, n1))
+    contractor = AdjointContractor(sc)
+    contractor(5, level)
+    raster = rasterize_network(sc)
+    point = raster.entry_point
+    keep = (raster.points_i[point] >= 1) & (raster.points_j[point] >= 1)
+    want = np.zeros((sc.n_roads, sc.n_cells))
+    np.add.at(
+        want, (raster.entry_road[keep], raster.entry_cell[keep]),
+        level[raster.points_i[point[keep]], raster.points_j[point[keep]]] * raster.entry_weight[keep],
+    )
+    got = contractor.contraction().pairing[5]
+    assert np.array_equal(got, want)
+    assert not np.any(contractor.contraction().pairing[4])
