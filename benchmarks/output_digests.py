@@ -2,7 +2,7 @@
 
     python3 benchmarks/output_digests.py --src TREE/src > digests.json
 
-It imports ``tramopt`` from ``--src`` and runs seven commands through
+It imports ``tramopt`` from ``--src`` and runs eight commands through
 ``tramopt.cli.main``, each into its own temporary directory:
 
 * optimize-diamond: ``optimize`` on ``scenarios/diamond.json``, 2d, delta 0,
@@ -19,6 +19,9 @@ It imports ``tramopt`` from ``--src`` and runs seven commands through
   limits at 1.0: junctions of every kind, and a queue that reaches 0.31,
   where the diamond's stays at 0
 * simulate-empty-raster: ``simulate`` of one road that covers no grid point
+* simulate-edge-road: ``simulate`` of one road that covers the grid rows
+  j = 0 and j = 1: the emission field writes both, the adjoint's
+  contraction skips row 0 as the objective's quadrature does
 
 For each it prints the exit code and the digests of the stdout and of every
 file written except ``manifest.json``, which holds timestamps; the adjoint
@@ -81,6 +84,20 @@ EMPTY_RASTER = {
     "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1], "phi0": 0},
     "emission": {"theta": 0.5},
 }
+#: h = 0.1 and a width-0.1 road along y = 0.05, half a width from rows j = 0 and 1
+EDGE_ROAD = {
+    "horizon": 1.0,
+    "domain": {"side": 3, "n_grid": 30},
+    "discretization": {"n_cells": 20, "n_time": 100},
+    "roads": [
+        {"id": 1, "start": [1.0, 0.05], "end": [2.0, 0.05], "width": 0.1,
+         "rho_max": 1, "rho0": 0.5, "v_min": 0.25, "v_max": 2}
+    ],
+    "access": [{"road": 1, "inflow": 0.25}],
+    "exits": [1],
+    "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1], "phi0": 0.1},
+    "emission": {"theta": 0.5},
+}
 
 
 def _sha(data: bytes) -> str:
@@ -99,6 +116,8 @@ def _cases(inputs: Path) -> dict[str, list[str]]:
     chain_path.write_text(json.dumps(_chain_document()))
     empty_path = inputs / "empty_raster.json"
     empty_path.write_text(json.dumps(EMPTY_RASTER))
+    edge_path = inputs / "edge_road.json"
+    edge_path.write_text(json.dumps(EDGE_ROAD))
     diamond = ["--scenario", str(DIAMOND)]
     return {
         "optimize-diamond": ["optimize", *diamond, "--mode", "2d", "--delta", "0",
@@ -112,6 +131,7 @@ def _cases(inputs: Path) -> dict[str, list[str]]:
         "simulate-diamond": ["simulate", *diamond, "--policy", SIMULATED_POLICY],
         "simulate-chain": ["simulate", "--scenario", str(chain_path), "--policy", ",".join(["1.0"] * 21)],
         "simulate-empty-raster": ["simulate", "--scenario", str(empty_path), "--policy", "1"],
+        "simulate-edge-road": ["simulate", "--scenario", str(edge_path), "--policy", "1.5"],
     }
 
 
@@ -178,7 +198,8 @@ def compare(a: Path, b: Path) -> dict:
         case = stdout.stem
         da, db = a / case, b / case
         names = {p.name for p in (*da.iterdir(), *db.iterdir())} - {"manifest.json"}
-        row = {"stdout": _text_change(stdout.read_text(), (b / stdout.name).read_text())}
+        text_a, text_b = stdout.read_text(), (b / stdout.name).read_text()
+        row = {"stdout": "identical" if text_a == text_b else _text_change(text_a, text_b)}
         for name in sorted(n for n in names if not n.startswith("adjoint-")):
             fa, fb = da / name, db / name
             if not (fa.exists() and fb.exists()):

@@ -425,30 +425,45 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _front_columns(path: Path, names: list[str]) -> list[list[float]]:
+    """Each data row of a stored front as the finite numbers of ``names``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ScenarioError(f"{path}: not a CSV file of UTF-8 text: {exc}") from None
+    missing = set(names) - set(reader.fieldnames or [])
+    if missing and rows:
+        raise ScenarioError(f"{path}: missing columns {sorted(missing)}")
+    for n, row in enumerate(rows, start=1):
+        for name in names:
+            try:
+                x = float(row[name])
+            except (TypeError, ValueError):  # a short row holds None
+                x = math.nan
+            if not math.isfinite(x):
+                raise ScenarioError(f"{path}: row {n}, column {name}: not a finite number: {row[name]!r}")
+            row[name] = x
+    return [[row[name] for name in names] for row in rows]
+
+
 def cmd_export(args) -> int:
     if not math.isfinite(args.delta):
         raise PolicyError(f"delta must be a finite number, got {args.delta}")
     front_path = Path(args.front)
-    with open(front_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-        fields = reader.fieldnames or []
-    needed = {"j_diff", "j_queue"} if args.coords == "diff-queue" else {"j_flow", "j_diff", "j_queue"}
-    missing = needed - set(fields)
-    if missing and rows:
-        raise ScenarioError(f"{front_path}: missing columns {sorted(missing)}")
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.coords == "diff-queue":
         header = ["j_diff", "j_queue"]
-        out_rows = [(float(r["j_diff"]), float(r["j_queue"])) for r in rows]
+        out_rows = _front_columns(front_path, header)
     else:
         header = ["j_flow", "j_poll"]
         out_rows = [
-            (float(r["j_flow"]), float(r["j_diff"]) + args.delta * float(r["j_queue"]))
-            for r in rows
+            (j_flow, j_diff + args.delta * j_queue)
+            for j_flow, j_diff, j_queue in _front_columns(front_path, ["j_flow", "j_diff", "j_queue"])
         ]
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / f"front_{args.coords}.csv"
     _write_csv(target, header, out_rows)
     _write_manifest(

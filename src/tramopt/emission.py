@@ -4,18 +4,22 @@ A grid point belongs to a road when its distance to the road's segment is
 at most half the road width and the perpendicular foot falls inside the
 segment (boundary ties count as covered).  Each covered point carries the
 finite-volume cell of that foot; points covered by several roads average
-the width-scaled rates of all of them.
+the width-scaled rates of all of them.  That rule is one linear map from
+road cells to grid points, and a ``RasterMap`` is its one implementation:
+it scatters road-cell rates onto a grid level for the emission field, and
+gathers a grid level onto road cells for the adjoint's contraction.  Both
+add the entries of a bin in entry order, starting from 0.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from tramopt.network import Scenario
-from tramopt.traffic import greenshields_flux
+from tramopt.traffic import _policy_array, greenshields_flux
 
 
 def emission_rate(flow, rho, theta, out=None):
@@ -26,31 +30,46 @@ def emission_rate(flow, rho, theta, out=None):
 
 @dataclass
 class RasterMap:
-    """Precomputed road-coverage structure of the control-area grid.
-
-    Flattened layout: ``points_i/points_j`` list the covered grid indices in
-    (i, j) order, ``counts`` how many roads cover each of them.  Each (point,
-    road) pair appears once in the ``entry_*`` arrays, ordered by point and
-    then road; ``entry_weight`` already folds in the 1/width scaling and the
-    1/|covering roads| average.
+    """The raster map's entries, one per (covered point, covering road),
+    ordered by point in (i, j) order, then by road.  Entry k maps road cell
+    ``slot[k]`` = road index * ``n_cells`` + cell index to grid point
+    (``i[k]``, ``j[k]``) with ``weight[k]``, the 1/width scaling times the
+    1/|covering roads| average.  ``scatter`` and ``gather`` add the entries
+    of a bin in entry order, starting from 0.0, as ``np.bincount`` does.
     """
 
     n_grid: int
-    points_i: np.ndarray
-    points_j: np.ndarray
-    counts: np.ndarray
-    entry_point: np.ndarray
-    entry_road: np.ndarray
-    entry_cell: np.ndarray
-    entry_weight: np.ndarray
-    road_point_counts: np.ndarray
+    n_cells: int
+    i: np.ndarray
+    j: np.ndarray
+    slot: np.ndarray
+    weight: np.ndarray
+
+    def scatter(self, rates: np.ndarray, out: np.ndarray) -> None:
+        """Write the field of the (roads, cells) ``rates`` into the grid level ``out``."""
+        point = self.i * (self.n_grid + 1) + self.j
+        sums = np.bincount(point, rates.ravel()[self.slot] * self.weight, minlength=out.size)
+        out[...] = sums.reshape(out.shape)
+
+    def gather(self, level: np.ndarray, out: np.ndarray) -> None:
+        """Write the grid ``level``'s weighted sum per road cell into the (roads, cells) ``out``."""
+        sums = np.bincount(self.slot, level[self.i, self.j] * self.weight, minlength=out.size)
+        out[...] = sums.reshape(out.shape)
+
+    def select(self, keep: np.ndarray) -> RasterMap:
+        """The map of the entries where ``keep`` is true."""
+        return replace(self, i=self.i[keep], j=self.j[keep], slot=self.slot[keep], weight=self.weight[keep])
+
+    def cover_counts(self, n_roads: int) -> np.ndarray:
+        """The number of grid points each road covers."""
+        return np.bincount(self.slot // self.n_cells, minlength=n_roads)
 
 
 def rasterize_network(scenario: Scenario) -> RasterMap:
     """Compute road coverage of all grid points; policy-independent."""
     h = scenario.h
     n = scenario.n_grid
-    hits = []  # per road: grid indices and arc length of the covered points
+    hits = []  # per road: grid indices, slots and widths of the covered points
     for e, road in enumerate(scenario.roads):
         (ax, ay), (bx, by) = road.tail, road.head
         half_w = road.width / 2.0
@@ -73,33 +92,20 @@ def rasterize_network(scenario: Scenario) -> RasterMap:
             & (t <= 1.0 + 1e-12)
             & (dist <= half_w * (1.0 + 1e-12) + 1e-15)
         )
-        hits.append((ii[hit], jj[hit], np.full(np.count_nonzero(hit), e), t[hit] * road.length))
+        cell = np.minimum((t[hit] * road.length / scenario.ds).astype(int), scenario.n_cells - 1)
+        hits.append((ii[hit], jj[hit], e * scenario.n_cells + cell, np.full(cell.size, road.width)))
 
-    i, j, entry_road, s = (np.concatenate(parts) for parts in zip(*hits))
-    order = np.lexsort((entry_road, j, i))
-    i, j, entry_road, s = i[order], j[order], entry_road[order], s[order]
-    first = np.ones(i.size, dtype=bool)
-    first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
-    entry_point = np.cumsum(first) - 1
-    counts = np.bincount(entry_point)
-    widths = np.array([r.width for r in scenario.roads])
-    return RasterMap(
-        n_grid=n,
-        points_i=i[first],
-        points_j=j[first],
-        counts=counts,
-        entry_point=entry_point,
-        entry_road=entry_road,
-        entry_cell=np.minimum((s / scenario.ds).astype(int), scenario.n_cells - 1),
-        entry_weight=1.0 / (widths[entry_road] * counts[entry_point]),
-        road_point_counts=np.bincount(entry_road, minlength=scenario.n_roads),
-    )
+    # a road covers a point once, so ordering a point's slots orders its roads
+    i, j, slot, width = (np.concatenate(parts) for parts in zip(*hits))
+    order = np.lexsort((slot, j, i))
+    i, j, slot, width = i[order], j[order], slot[order], width[order]
+    point = i * (n + 1) + j
+    weight = 1.0 / (width * np.bincount(point)[point])
+    return RasterMap(n_grid=n, n_cells=scenario.n_cells, i=i, j=j, slot=slot, weight=weight)
 
 
 def cell_rates(densities: np.ndarray, scenario: Scenario, policy) -> np.ndarray:
     """Emission rate per (time, road, cell) from a density history."""
-    from tramopt.traffic import _policy_array
-
     v = _policy_array(policy, scenario)
     rho_max = np.array([r.rho_max for r in scenario.roads])
     flow = greenshields_flux(densities, v[None, :, None], rho_max[None, :, None])
@@ -114,10 +120,7 @@ def emission_field(traj, raster: RasterMap, scenario: Scenario, policy) -> np.nd
         raise ValueError("trajectory and scenario time grids do not match")
 
     rates = cell_rates(traj.densities, scenario, policy)
-    n_steps = rates.shape[0]
-    field = np.zeros((n_steps, scenario.n_grid + 1, scenario.n_grid + 1))
-    contrib = rates[:, raster.entry_road, raster.entry_cell] * raster.entry_weight
-    acc = np.zeros((raster.points_i.size, n_steps))
-    np.add.at(acc, raster.entry_point, contrib.T)
-    field[:, raster.points_i, raster.points_j] = acc.T
+    field = np.empty((rates.shape[0], scenario.n_grid + 1, scenario.n_grid + 1))
+    for level_rates, level in zip(rates, field):
+        raster.scatter(level_rates, out=level)
     return field

@@ -159,9 +159,7 @@ def _seed_points(lower, upper, rng) -> list[tuple[float, ...]]:
     return unique
 
 
-def pareto_search(
-    lower, upper, *, budget: int, seed: int, map_fn, track_history: bool = False
-) -> tuple[ParetoArchive, dict]:
+def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[ParetoArchive, dict]:
     """Explore the Pareto front over the box [lower, upper] in ``budget``
     evaluations from starting points drawn with ``seed``.
 
@@ -196,7 +194,6 @@ def pareto_search(
     for p, v in sorted(zip(seeds, results)):
         archive.insert(p, v, _INITIAL_MESH)
 
-    history: list[np.ndarray] = []
     iterations = 0
     while len(evaluated) < budget:
         active = [
@@ -252,8 +249,6 @@ def pareto_search(
                 entry.mesh = min(entry.mesh * _EXPANSION, _MESH_CAP)
             else:
                 entry.mesh *= _CONTRACTION
-        if track_history:
-            history.append(archive.values())
 
     diagnostics = {
         "evaluations": len(evaluated),
@@ -263,8 +258,6 @@ def pareto_search(
             (e.mesh * float(np.max(ranges)) for e in archive.entries), default=0.0
         ),
     }
-    if track_history:
-        diagnostics["history"] = history
     return archive, diagnostics
 
 

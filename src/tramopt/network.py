@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 Point = tuple[float, float]
@@ -581,7 +581,6 @@ class CflReport:
 class ValidationReport:
     findings: tuple[str, ...]
     cfl: CflReport
-    road_cover_counts: dict[int, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -605,11 +604,8 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     if not cfl.passed:
         findings.append(cfl.finding)
 
-    raster = rasterize_network(scenario)
-    cover_counts = {}
-    for road in scenario.roads:
-        count = raster.road_point_counts[scenario.road_index(road.id)]
-        cover_counts[road.id] = int(count)
+    counts = rasterize_network(scenario).cover_counts(scenario.n_roads)
+    for road, count in zip(scenario.roads, counts.tolist()):
         if count < scenario.n_cells:
             findings.append(
                 f"road {road.id} invisible to grid: covers {count} grid points, "
@@ -617,9 +613,7 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
             )
 
     findings.extend(_graph_findings(scenario))
-    return ValidationReport(
-        findings=tuple(findings), cfl=cfl, road_cover_counts=cover_counts
-    )
+    return ValidationReport(findings=tuple(findings), cfl=cfl)
 
 
 def _graph_findings(scenario: Scenario) -> list[str]:

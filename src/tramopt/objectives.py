@@ -144,25 +144,19 @@ class AdjointContractor:
     """The ``visit`` callback of the adjoint march that contracts each level
     with the raster weights as it is made.
 
-    Only covered grid points with both indices >= 1 contribute, matching
-    the spatial quadrature of the pollution objective; a level's raster
-    entries are added to their (road, cell) in entry order, from 0.0.
+    Only raster entries of grid points with both indices >= 1 contribute,
+    matching the spatial quadrature of the pollution objective; the map's
+    ``gather`` adds them to their (road, cell) in entry order, from 0.0.
     """
 
     def __init__(self, sc: Scenario):
         raster = rasterize_network(sc)
-        keep_point = (raster.points_i >= 1) & (raster.points_j >= 1)
-        keep_entry = keep_point[raster.entry_point]
-        entry_point = raster.entry_point[keep_entry]
-        self._i, self._j = raster.points_i[entry_point], raster.points_j[entry_point]
-        self._weight = raster.entry_weight[keep_entry]
-        self._slot = raster.entry_road[keep_entry] * sc.n_cells + raster.entry_cell[keep_entry]
+        self._raster = raster.select((raster.i >= 1) & (raster.j >= 1))
         self._pairing = np.zeros((sc.n_time + 1, sc.n_roads, sc.n_cells))
         self._level0 = math.nan
 
     def __call__(self, k: int, level: np.ndarray) -> None:
-        weights = level[self._i, self._j] * self._weight
-        self._pairing[k].flat = np.bincount(self._slot, weights, minlength=self._pairing[k].size)
+        self._raster.gather(level, out=self._pairing[k])
         if k == 0:
             self._level0 = float(np.sum(level[1:, 1:]))
 

@@ -239,16 +239,51 @@ class TestValidate:
             (lambda doc: doc.__setitem__("horizon", float("nan")), "horizon: expected a finite number"),
             (lambda doc: doc["dispersion"].__setitem__("mu", float("inf")), "dispersion.mu: expected a finite number"),
             (lambda doc: doc["domain"].__setitem__("n_grid", True), "domain.n_grid: must be a positive integer"),
+            (lambda doc: [doc], "scenario: top level must be an object"),
+            (lambda doc: doc.__setitem__("roads", []), "roads: expected a non-empty list"),
+            (lambda doc: doc["roads"][1].__setitem__("id", 1), "roads: duplicate road ids"),
+            (lambda doc: doc["roads"][0].__setitem__("id", 1.0), "roads[0]: id must be an integer"),
+            (lambda doc: doc["roads"][0].__setitem__("start", [2.78]), "roads[0].start: expected [x, y]"),
+            (lambda doc: doc["roads"][0].__setitem__("v_min", 3), "roads[0]: v_min 3.0 exceeds v_max 2.0"),
+            (lambda doc: doc["roads"][0].__setitem__("rho0", "0.3"), "roads[0].rho0: expected a number or a list"),
+            (lambda doc: doc["roads"][0].__setitem__("end", [2.78, 1.5]), "roads[0]: zero-length road"),
+            (lambda doc: doc["junctions"][0].__setitem__("kind", "3to1"), "junctions[0]: kind must be one of"),
+            (lambda doc: doc["junctions"][0].__setitem__("kind", "1to1"),
+             "junctions[0]: kind 1to1 needs 1 incoming and 1 outgoing roads, got 1/2"),
+            (lambda doc: doc["objectives"].__setitem__("mode", "4d"), "objectives.mode: must be one of"),
         ],
-        ids=["junction-not-object", "in-not-list", "access-road-list", "horizon-nan", "mu-infinity", "n-grid-true"],
+        ids=["junction-not-object", "in-not-list", "access-road-list", "horizon-nan", "mu-infinity", "n-grid-true",
+             "top-level-list", "no-roads", "duplicate-id", "float-id", "start-one-number", "v-min-above-v-max",
+             "rho0-string", "zero-length", "unknown-kind", "kind-arity", "unknown-mode"],
     )
     def test_malformed_scenario_exits_two(self, tmp_path, diamond_path, capsys, damage, message):
         doc = json.loads(diamond_path.read_text())
-        damage(doc)
+        replaced = damage(doc)  # a damage that builds a new document returns it
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc if replaced is None else replaced))
         assert run_cli("validate", "--scenario", str(path)) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize(
+        "damage, finding",
+        [
+            (lambda doc: doc.__setitem__("access", []), "road 1 tail attached to nothing (flux 0 assumed)"),
+            (lambda doc: doc["access"].append({"road": 2, "inflow": 0.1}),
+             "road 2 tail attached twice: junction 0, access boundary"),
+            (lambda doc: doc["exits"].append(5), "road 5 head attached twice: junction 3, exit"),
+        ],
+        ids=["tail-free", "tail-twice", "head-twice"],
+    )
+    def test_graph_finding_exits_one(self, tmp_path, diamond_path, capsys, damage, finding):
+        doc = json.loads(diamond_path.read_text())
+        damage(doc)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(path)) == 1
+        assert capsys.readouterr().out.splitlines()[0] == finding
 
 
 class TestSimulate:
@@ -762,6 +797,25 @@ class TestExport:
             "--out", str(tmp_path / "exp"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "data, coords, message",
+        [
+            (b"1.0,0.5,0.1,abc,0.1\n", "flow-poll", "row 2, column j_queue: not a finite number: 'abc'"),
+            (b"1.0,0.5,0.1\n", "diff-queue", "row 2, column j_queue: not a finite number: None"),
+            (b"1.0,0.5,\xff\xfe,0.2,0.1\n", "diff-queue", "not a CSV file of UTF-8 text"),
+            (b"1.0,inf,nan,0.2,0.1\n", "flow-poll", "row 2, column j_flow: not a finite number: 'inf'"),
+        ],
+        ids=["not-a-number", "short-row", "not-utf8", "non-finite"],
+    )
+    def test_malformed_front_exits_two(self, tmp_path, capsys, data, coords, message):
+        front = tmp_path / "front.csv"
+        front.write_bytes(b"v_1,j_flow,j_diff,j_queue,j_poll\n1.0,0.5,0.1,0.2,0.1\n" + data)
+        out = tmp_path / "exp"
+        assert run_cli("export", "--front", str(front), "--coords", coords, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {front}: {message}") and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_benchmark_tracer_sees_one_search(fast_scenario_path, tmp_path):

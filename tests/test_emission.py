@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -57,10 +58,10 @@ class TestRasterize:
         # h = 0.5, width 1.0: rows within one grid line of the centerline
         s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=1.0)])
         raster = rasterize_network(s)
-        assert np.all(raster.counts == 1)
-        ys = np.unique(raster.points_j)
+        assert len(set(zip(raster.i.tolist(), raster.j.tolist()))) == raster.i.size  # one road each
+        ys = np.unique(raster.j)
         assert list(ys) == [2, 3, 4]  # y = 1.0, 1.5, 2.0
-        xs = np.unique(raster.points_i)
+        xs = np.unique(raster.i)
         assert list(xs) == [1, 2, 3, 4, 5]  # feet inside [0.5, 2.5]
 
     def test_crossing_roads_counted_twice(self):
@@ -71,35 +72,33 @@ class TestRasterize:
             ]
         )
         raster = rasterize_network(s)
-        at = {(i, j): c for i, j, c in zip(raster.points_i, raster.points_j, raster.counts)}
+        at = Counter(zip(raster.i.tolist(), raster.j.tolist()))
         assert at[(3, 3)] == 2  # center of the cross
         assert at[(1, 3)] == 1  # on road 1 only
 
     def test_point_beyond_head_not_covered(self):
         s = _scenario([_road(1, [0.5, 1.5], [2.0, 1.5], width=1.0)])
         raster = rasterize_network(s)
-        pts = set(zip(raster.points_i.tolist(), raster.points_j.tolist()))
+        pts = set(zip(raster.i.tolist(), raster.j.tolist()))
         assert (5, 3) not in pts  # x = 2.5: foot would fall outside [0, L]
 
     def test_footpoint_cells_half_open(self):
         s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=1.0)], n_cells=4)
         raster = rasterize_network(s)
         cover = {}  # grid point -> its (road index, cell index) entries
-        for p, road, cell in zip(raster.entry_point, raster.entry_road, raster.entry_cell):
-            point = (int(raster.points_i[p]), int(raster.points_j[p]))
-            cover.setdefault(point, []).append((int(road), int(cell)))
+        for i, j, slot in zip(raster.i.tolist(), raster.j.tolist(), raster.slot.tolist()):
+            cover.setdefault((i, j), []).append(divmod(slot, s.n_cells))
         assert cover[(1, 3)] == [(0, 0)]  # x = 0.5 -> s = 0 -> first cell
         assert cover[(5, 3)] == [(0, 3)]  # x = 2.5 -> s = L -> last cell
 
     def test_policy_independent(self, diamond):
         a = rasterize_network(diamond)
         b = rasterize_network(diamond)
-        assert np.array_equal(a.entry_point, b.entry_point)
-        assert np.array_equal(a.entry_weight, b.entry_weight)
+        assert np.array_equal(a.slot, b.slot)
+        assert np.array_equal(a.weight, b.weight)
 
 
-_RASTER_FIELDS = ("points_i", "points_j", "counts", "entry_point", "entry_road",
-                  "entry_cell", "entry_weight", "road_point_counts")
+_RASTER_FIELDS = ("i", "j", "slot", "weight")
 _COORDS = st.one_of(st.floats(-1.5, 4.5), st.integers(-3, 9).map(lambda k: k * 0.5))
 _DIRECTIONS = st.one_of(
     st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]),
@@ -135,17 +134,13 @@ def _reference_raster(s):
                 if -1e-12 <= t <= 1.0 + 1e-12 and dist <= road.width / 2.0 * (1.0 + 1e-12) + 1e-15:
                     cell = min(int(t * road.length / s.ds), s.n_cells - 1)
                     cover.setdefault((i, j), []).append((e, cell))
-    points = sorted(cover)
-    entries = [(p, e, cell, len(cover[pt])) for p, pt in enumerate(points) for e, cell in cover[pt]]
+    entries = [(pt, e, cell, len(cover[pt])) for pt in sorted(cover) for e, cell in cover[pt]]
     return {
-        "points_i": [i for i, _ in points],
-        "points_j": [j for _, j in points],
-        "counts": [len(cover[pt]) for pt in points],
-        "entry_point": [p for p, _, _, _ in entries],
-        "entry_road": [e for _, e, _, _ in entries],
-        "entry_cell": [cell for _, _, cell, _ in entries],
-        "entry_weight": [1.0 / (s.roads[e].width * count) for _, e, _, count in entries],
-        "road_point_counts": [sum(e == r for _, e, _, _ in entries) for r in range(s.n_roads)],
+        "i": [i for (i, _), _, _, _ in entries],
+        "j": [j for (_, j), _, _, _ in entries],
+        "slot": [e * s.n_cells + cell for _, e, cell, _ in entries],
+        "weight": [1.0 / (s.roads[e].width * count) for _, e, _, count in entries],
+        "cover_counts": [sum(e == r for _, e, _, _ in entries) for r in range(s.n_roads)],
     }
 
 
@@ -153,10 +148,12 @@ def _reference_raster(s):
 def test_raster_matches_point_by_point_rule(scenario):
     raster = rasterize_network(scenario)
     expected = _reference_raster(scenario)
+    assert (raster.n_grid, raster.n_cells) == (scenario.n_grid, scenario.n_cells)
     for name in _RASTER_FIELDS:
         got = getattr(raster, name)
-        assert got.dtype == (float if name == "entry_weight" else int), name
+        assert got.dtype == (float if name == "weight" else int), name
         assert got.tolist() == expected[name], name
+    assert raster.cover_counts(scenario.n_roads).tolist() == expected["cover_counts"]
 
 
 class TestEmissionField:
@@ -190,7 +187,7 @@ class TestEmissionField:
         s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)], n_grid=60)
         _, raster, field = self._field_for(s)
         mask = np.ones(field.shape[1:], dtype=bool)
-        mask[raster.points_i, raster.points_j] = False
+        mask[raster.i, raster.j] = False
         assert not np.any(field[:, mask])
 
     def test_nonnegative_and_linear_in_theta(self):
@@ -217,8 +214,8 @@ class TestEmissionField:
         f_thin = emission_field(traj, rasterize_network(s_thin), s_thin, policy)
         f_wide = emission_field(traj, rasterize_network(s_wide), s_wide, policy)
         thin_pts = rasterize_network(s_thin)
-        vals_thin = f_thin[0, thin_pts.points_i, thin_pts.points_j]
-        vals_wide = f_wide[0, thin_pts.points_i, thin_pts.points_j]
+        vals_thin = f_thin[0, thin_pts.i, thin_pts.j]
+        vals_wide = f_wide[0, thin_pts.i, thin_pts.j]
         assert vals_wide == pytest.approx(vals_thin / 2.0)
 
     def test_grid_mismatch_rejected(self, diamond):

@@ -89,6 +89,23 @@ class TestArchive:
         assert not archive.insert((0.9,), (1.0, 1.0), mesh=0.25)
         assert archive.entries[0].policy == (0.1,)
 
+    def test_hypervolume_never_falls_across_inserts(self):
+        # the search changes its archive only through insert, so this covers
+        # its hypervolume over iterations; half the points lie on a 0.1 grid,
+        # so equal and weakly dominated vectors occur
+        rng = np.random.default_rng(11)
+        points = rng.random((400, 2)) * 1.2
+        points[::2] = np.round(points[::2], 1)
+        arch = ParetoArchive()
+        hv = 0.0
+        accepted = 0
+        for k, value in enumerate(points):
+            accepted += arch.insert((float(k),), value, 0.25)
+            after = hypervolume_2d(arch.values(), (1.1, 1.1))
+            assert after >= hv - 1e-12
+            hv = after
+        assert hv > 0.0 and 0 < accepted < len(points)
+
 
 def _two_parabolas(x):
     return np.array([x[0] ** 2, (x[0] - 1.0) ** 2])
@@ -144,13 +161,6 @@ class TestParetoSearch:
         ]
         assert np.array_equal(runs[0].policies(), runs[1].policies())
         assert np.array_equal(runs[0].values(), runs[1].values())
-
-    def test_hypervolume_nondecreasing_over_iterations(self):
-        arch, diag = pareto_search(
-            [0.0], [1.0], budget=300, seed=4, map_fn=_batched(_two_parabolas), track_history=True
-        )
-        hv = [hypervolume_2d(values, (1.1, 1.1)) for values in diag["history"]]
-        assert all(b >= a - 1e-12 for a, b in zip(hv, hv[1:]))
 
     def test_seed_corners_drawn_coordinatewise_past_twelve_dimensions(self):
         # 2**13 corners are too many to choose among, so past d = 12 each

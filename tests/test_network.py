@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tramopt.emission import rasterize_network
 from tramopt.network import (
     PolicyError,
     ScenarioError,
@@ -68,10 +70,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="distribution rates must sum to 1"):
             load_scenario(json.dumps(doc))
 
-    def test_unknown_road_reference(self):
+    def test_unknown_road_reference(self, diamond):
         doc = _minimal_doc(exits=[7])
         with pytest.raises(ScenarioError, match="unknown road 7"):
             load_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError, match="unknown road id 7"):
+            diamond.road_index(7)
 
     def test_negative_width(self):
         doc = _minimal_doc()
@@ -191,7 +195,7 @@ class TestValidation:
         assert report.ok
         assert report.cfl.passed
         assert report.cfl.dt_bound == pytest.approx(0.008333, abs=5e-7)
-        assert all(count >= diamond.n_cells for count in report.road_cover_counts.values())
+        assert np.all(rasterize_network(diamond).cover_counts(diamond.n_roads) >= diamond.n_cells)
 
     def test_cfl_violation_flagged(self, diamond):
         import dataclasses

@@ -23,13 +23,15 @@ from tramopt.objectives import (
 from tramopt.traffic import TrafficTrajectory, greenshields_flux, max_stable_dt, simulate_traffic
 
 
-def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0, y=1.5):
+def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0, y=1.5, vertical=False):
+    """One road from (1, y) to (2, y), or with x and y swapped if ``vertical``."""
+    start, end = ([y, 1.0], [y, 2.0]) if vertical else ([1.0, y], [2.0, y])
     doc = {
         "horizon": T,
         "domain": {"side": 3, "n_grid": 30},
         "discretization": {"n_cells": n_cells, "n_time": n_time},
         "roads": [
-            {"id": 1, "start": [1.0, y], "end": [2.0, y], "width": 0.1,
+            {"id": 1, "start": start, "end": end, "width": 0.1,
              "rho_max": 1, "rho0": rho0, "v_min": 0.25, "v_max": 2}
         ],
         "junctions": [],
@@ -269,25 +271,26 @@ def _chain(k: int):
     return load_scenario(json.dumps(chain.make_chain(k, 1)))
 
 
-@pytest.mark.parametrize("name", ["diamond", "chain-1", "bottom-edge"])
+@pytest.mark.parametrize("name", ["diamond", "chain-1", "bottom-edge", "left-edge"])
 def test_streamed_contraction_is_the_history_contraction_bitwise(diamond, name):
     # reference: the whole adjoint history, every raster entry of a point
     # with both indices >= 1 weighted and added into its (road, cell) for
     # all times at once, in entry order; the bottom-edge road covers the
-    # grid rows j = 0, which the quadrature skips, and j = 1
-    sc = {"diamond": diamond, "chain-1": _chain(1), "bottom-edge": _single_road(y=0.05)}[name]
+    # grid rows j = 0, which the quadrature skips, and j = 1, the left-edge
+    # road the columns i = 0 and i = 1
+    sc = {"diamond": diamond, "chain-1": _chain(1), "bottom-edge": _single_road(y=0.05),
+          "left-edge": _single_road(y=0.05, vertical=True)}[name]
     p = solve_adjoint(sc)
     raster = rasterize_network(sc)
-    point = raster.entry_point
-    keep = (raster.points_i[point] >= 1) & (raster.points_j[point] >= 1)
+    keep = (raster.i >= 1) & (raster.j >= 1)
     assert keep.any()
-    assert name != "bottom-edge" or not keep.all()
-    i, j = raster.points_i[point[keep]], raster.points_j[point[keep]]
-    want = np.zeros((sc.n_time + 1, sc.n_roads, sc.n_cells))
+    assert not name.endswith("-edge") or not keep.all()
+    want = np.zeros((sc.n_time + 1, sc.n_roads * sc.n_cells))
     np.add.at(
-        want, (slice(None), raster.entry_road[keep], raster.entry_cell[keep]),
-        p[:, i, j] * raster.entry_weight[keep],
+        want, (slice(None), raster.slot[keep]),
+        p[:, raster.i[keep], raster.j[keep]] * raster.weight[keep],
     )
+    want = want.reshape(sc.n_time + 1, sc.n_roads, sc.n_cells)
     got = contract_adjoint(sc)
     assert got.pairing.shape == want.shape
     assert got.pairing.tobytes() == want.tobytes()
@@ -305,13 +308,43 @@ def test_contracted_level_is_the_add_at_form():
     contractor = AdjointContractor(sc)
     contractor(5, level)
     raster = rasterize_network(sc)
-    point = raster.entry_point
-    keep = (raster.points_i[point] >= 1) & (raster.points_j[point] >= 1)
-    want = np.zeros((sc.n_roads, sc.n_cells))
-    np.add.at(
-        want, (raster.entry_road[keep], raster.entry_cell[keep]),
-        level[raster.points_i[point[keep]], raster.points_j[point[keep]]] * raster.entry_weight[keep],
-    )
+    keep = (raster.i >= 1) & (raster.j >= 1)
+    want = np.zeros(sc.n_roads * sc.n_cells)
+    np.add.at(want, raster.slot[keep], level[raster.i[keep], raster.j[keep]] * raster.weight[keep])
     got = contractor.contraction().pairing[5]
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want.reshape(sc.n_roads, sc.n_cells))
     assert not np.any(contractor.contraction().pairing[4])
+
+
+def _star(n_roads=4):
+    """Roads of length 1 and width 0.3 crossing at (1.5, 1.5), h = 0.1: up
+    to ``n_roads`` roads cover a grid point near the crossing."""
+    roads = []
+    for k in range(n_roads):
+        dx, dy = 0.5 * math.cos(math.pi * k / n_roads), 0.5 * math.sin(math.pi * k / n_roads)
+        roads.append({"id": k + 1, "start": [1.5 - dx, 1.5 - dy], "end": [1.5 + dx, 1.5 + dy], "width": 0.3,
+                      "rho_max": 1, "rho0": 0.5, "v_min": 0.25, "v_max": 2})
+    doc = {
+        "horizon": 1.0, "domain": {"side": 3, "n_grid": 30}, "discretization": {"n_cells": 10, "n_time": 100},
+        "roads": roads, "exits": [r["id"] for r in roads],
+        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]}, "emission": {"theta": 0.5},
+    }
+    return load_scenario(json.dumps(doc))
+
+
+def test_scattered_level_is_the_add_at_form():
+    # the entries of one grid point are added in entry order from 0.0, as
+    # np.add.at does; the rates span twenty orders of magnitude and both
+    # signs, and points near the crossing sum four roads, so another order
+    # of the sums would change their bits.  Points no road covers get 0.0.
+    sc = _star()
+    rng = np.random.default_rng(4)
+    rates = rng.standard_normal((sc.n_roads, sc.n_cells)) * 10.0 ** rng.integers(-10, 10, (sc.n_roads, sc.n_cells))
+    raster = rasterize_network(sc)
+    n1 = sc.n_grid + 1
+    assert np.bincount(raster.i * n1 + raster.j).max() == 4
+    want = np.zeros((n1, n1))
+    np.add.at(want, (raster.i, raster.j), rates.ravel()[raster.slot] * raster.weight)
+    got = np.full((n1, n1), np.nan)
+    raster.scatter(rates, out=got)
+    assert np.array_equal(got, want)
