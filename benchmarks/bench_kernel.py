@@ -9,20 +9,25 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
 
 * Scoring: ``PolicyEvaluator.score`` on the batches the search scores,
   recorded by a ``score`` passed to ``cli.search_front`` (the wiring
-  ``tramopt optimize`` uses) with search seed 7: on
-  ``scenarios/diamond.json`` (2d, budget 300) and on the chain of 4 diamonds
-  from ``perfbench/chain.py`` (3d, delta 0.5, budget 120).  B = 1 is the
-  first seed point.  Both trees must have ``cli.search_front``.  The main
-  process asks the two workers in turn for one timed scoring of a batch,
-  alternating which goes first, ``--pairs`` times per batch, so that a slow
-  spell of a shared host hits both sides of a pair.  Wall and CPU time are
-  kept; a speed-up is the median over pairs of the parent's time over the
-  change's.
+  ``tramopt optimize`` uses), per ``SEARCHES``: on ``scenarios/diamond.json``
+  (2d, budget 300, search seed 7), on the chain of 4 diamonds from
+  ``perfbench/chain.py`` (3d, delta 0.5, budget 120, search seed 7) and on
+  the criterion-7 search (the diamond, 2d, budget 4000, search seed 0),
+  whose fifth batch, B = 682, is timed.  B = 1 is the first seed point.
+  Both trees must have ``cli.search_front``.  The main process asks the two
+  workers in turn for one timed scoring of a batch, alternating which goes
+  first, ``--pairs`` times per batch, so that a slow spell of a shared host
+  hits both sides of a pair.  Wall and CPU time are kept and both are
+  reported; a speed-up is the median over pairs of the parent's time over
+  the change's.  CPU time counts only the worker's own process, so it
+  spreads less than wall time on a shared host.
 * Stages: ``--traced`` traced scorings per batch and tree, alternated, with
   the median of each stage reported.  A line tracer charges the time of
   every line of the step, the road update, the march and the objective
   tally to a stage (``STAGES``) by the line's text, so the same rules read
-  both trees.
+  both trees.  The couplings are the lines of the step that no other rule
+  claims and every line of the link pass (``_couple``), which older trees
+  write inline in the step.
   Tracing slows every line by about the same amount, so it inflates the
   stages made of many cheap lines (the couplings); compare a stage between
   the trees rather than with the untraced scoring time.
@@ -53,19 +58,21 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEARCH_SEED = 7
 CHAIN_SEED = 1
 CHAIN_DIAMONDS = 4
 #: diamonds per chain of the cold adjoint set-ups
 ADJOINT_CHAINS = (1, 4, 16)
-#: batch sizes timed per scenario; all but 1 occur as whole poll batches
-BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86)}
-BUDGETS = {"diamond": 300, "chain": 120}
+#: batch sizes timed per search; all but 1 occur as whole poll batches
+BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (682,)}
+#: per search: its scenario, budget and search seed
+SEARCHES = {"diamond": ("diamond", 300, 7), "chain": ("chain", 120, 7), "criterion-7": ("diamond", 4000, 0)}
 STAGES = ("envelopes", "interior", "couplings", "update", "Q", "tally", "other")
 #: the kernel's functions whose lines are charged to stages: the step, the
-#: road update it calls (absent from older trees, which update inline) and
-#: the march
-KERNEL_FRAMES = ("_godunov_step", "_update_roads", "_march")
+#: link pass and the road update it calls (absent from older trees, which
+#: couple and update inline) and the march
+KERNEL_FRAMES = ("_godunov_step", "_couple", "_update_roads", "_march")
+#: the functions whose lines no other rule claims are couplings
+COUPLING_FRAMES = ("_godunov_step", "_couple")
 
 
 # -- worker side: runs inside one tree ---------------------------------------
@@ -85,7 +92,7 @@ def _scenario(tree: Path, name: str, diamonds: int = CHAIN_DIAMONDS):
     return load_scenario(json.dumps(chain.make_chain(diamonds, CHAIN_SEED)))
 
 
-def _poll_batches(evaluator, budget: int) -> dict[int, list]:
+def _poll_batches(evaluator, budget: int, seed: int) -> dict[int, list]:
     """The batches a seeded search scores, by size; B = 1 is the first policy."""
     from tramopt.cli import search_front
 
@@ -95,7 +102,7 @@ def _poll_batches(evaluator, budget: int) -> dict[int, list]:
         seen.setdefault(len(policies), list(policies))
         return evaluator.score(policies)
 
-    search_front(evaluator, budget, SEARCH_SEED, score=record)
+    search_front(evaluator, budget, seed, score=record)
     first = next(iter(seen.values()))
     seen[1] = first[:1]
     return seen
@@ -134,7 +141,7 @@ class LineClock:
             r"out=rho|out=diff|rho = rho|rho\.shape|ws\.faces|_update_roads\(", text
         ):
             return "update"
-        return "couplings" if code.co_name == "_godunov_step" else "other"
+        return "couplings" if code.co_name in COUPLING_FRAMES else "other"
 
     def _charge(self):
         now = time.perf_counter()
@@ -194,9 +201,9 @@ def serve(tree: Path) -> None:
 
     work = {}
     for name, sizes in BATCHES.items():
-        sc = _scenario(tree, name)
-        evaluator = PolicyEvaluator(sc)
-        batches = _poll_batches(evaluator, BUDGETS[name])
+        scenario, budget, seed = SEARCHES[name]
+        evaluator = PolicyEvaluator(_scenario(tree, scenario))
+        batches = _poll_batches(evaluator, budget, seed)
         work.update({f"{name}/B={b}": (evaluator, batches[b]) for b in sizes})
     print("ready", flush=True)
     for line in sys.stdin:
@@ -371,9 +378,11 @@ def main() -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
         w, c = row["wall_s"], row["cpu_s"]
-        print(f"{key:14s} wall parent {w['parent']['median'] * 1e3:7.1f} ms change "
+        print(f"{key:17s} wall parent {w['parent']['median'] * 1e3:7.1f} ms change "
               f"{w['change']['median'] * 1e3:7.1f} ms  x{w['speedup_median_of_pairs']:.2f} "
-              f"(wins {w['change_wins']})  cpu x{c['speedup_median_of_pairs']:.2f}")
+              f"(wins {w['change_wins']})  cpu parent {c['parent']['median'] * 1e3:7.1f} ms change "
+              f"{c['change']['median'] * 1e3:7.1f} ms  x{c['speedup_median_of_pairs']:.2f} "
+              f"(wins {c['change_wins']})")
     for k, rows in result["adjoint_chain"].items():
         for key, row in rows.items():
             print(f"adjoint {k:5s} {key:12s} parent {row['parent']['median']:8.2f}  change {row['change']['median']:8.2f}")

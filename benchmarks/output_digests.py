@@ -2,7 +2,7 @@
 
     python3 benchmarks/output_digests.py --src TREE/src > digests.json
 
-It imports ``tramopt`` from ``--src`` and runs eight commands through
+It imports ``tramopt`` from ``--src`` and runs nine commands through
 ``tramopt.cli.main``, each into its own temporary directory:
 
 * optimize-diamond: ``optimize`` on ``scenarios/diamond.json``, 2d, delta 0,
@@ -22,6 +22,10 @@ It imports ``tramopt`` from ``--src`` and runs eight commands through
 * simulate-edge-road: ``simulate`` of one road that covers the grid rows
   j = 0 and j = 1: the emission field writes both, the adjoint's
   contraction skips row 0 as the objective's quadrature does
+* simulate-two-access: ``simulate`` on ``scenarios/two_access.json`` with
+  two substeps per output step: two access roads, one with an inflow
+  series and one whose queue starts at 0.05, merging 2to1, a 1to2 into two
+  exits, rho_max 1.5 and 0.8, and a road whose tail is attached to nothing
 
 For each it prints the exit code and the digests of the stdout and of every
 file written except ``manifest.json``, which holds timestamps; the adjoint
@@ -66,7 +70,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 DIAMOND = ROOT / "scenarios" / "diamond.json"
+TWO_ACCESS = ROOT / "scenarios" / "two_access.json"
 SIMULATED_POLICY = "1.5,0.5,1,1,0.75,2"
+#: v above 6.4 on roads 3 and 6 takes two substeps per output step
+TWO_ACCESS_POLICY = "1.5,0.5,7,1,0.75,7.5,1"
 #: a number in printed text; digits inside a name such as v_1 are not one
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\b(?:inf|nan)\b")
 
@@ -132,6 +139,7 @@ def _cases(inputs: Path) -> dict[str, list[str]]:
         "simulate-chain": ["simulate", "--scenario", str(chain_path), "--policy", ",".join(["1.0"] * 21)],
         "simulate-empty-raster": ["simulate", "--scenario", str(empty_path), "--policy", "1"],
         "simulate-edge-road": ["simulate", "--scenario", str(edge_path), "--policy", "1.5"],
+        "simulate-two-access": ["simulate", "--scenario", str(TWO_ACCESS), "--policy", TWO_ACCESS_POLICY],
     }
 
 

@@ -457,10 +457,14 @@ def cmd_export(args) -> int:
         out_rows = _front_columns(front_path, header)
     else:
         header = ["j_flow", "j_poll"]
-        out_rows = [
-            (j_flow, j_diff + args.delta * j_queue)
-            for j_flow, j_diff, j_queue in _front_columns(front_path, ["j_flow", "j_diff", "j_queue"])
-        ]
+        out_rows = []
+        for n, (j_flow, j_diff, j_queue) in enumerate(
+            _front_columns(front_path, ["j_flow", "j_diff", "j_queue"]), start=1
+        ):
+            j_poll = j_diff + args.delta * j_queue
+            if not math.isfinite(j_poll):
+                raise PolicyError(f"{front_path}: row {n}: j_poll = j_diff + delta*j_queue = {j_poll} is not finite")
+            out_rows.append((j_flow, j_poll))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -516,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000, help="policy evaluations of the search, > 0")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes scoring each poll batch (default 1). On the "
-                        "diamond with 2 cores, --jobs 2 took 0.7-0.9 s against 0.5-0.6 s for "
-                        "--jobs 1 at budget 300, and 3.4-3.6 s against 5.3-5.9 s at 4000. "
+                        "diamond with 2 cores, --jobs 2 took about 1.5 times as long as --jobs 1 "
+                        "at budget 300 and about 0.6 times as long at 4000. "
                         "Workers are spawned, so a program calling main() in-process needs an "
                         "'if __name__ == \"__main__\":' guard")
     p.add_argument("--cache-dir", default=None,

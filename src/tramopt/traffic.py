@@ -6,18 +6,21 @@ demand/supply solutions, access roads buffer prescribed inflow in point
 queues, and exit roads discharge at free flow.
 
 One kernel steps a batch of policies together as (batch, roads, cells)
-arrays, coupling all junctions of a kind at once; ``simulate_traffic`` runs
-it for one policy and keeps the history, ``simulate_batch`` runs many and
-hands each output step to a callback instead.  A march allocates its
-arrays once, in a ``_Workspace``, and every substep writes into them: the
-densities are updated in place, and the per-road parameters are stored at
-full (batch, roads, cells) shape so that no operation broadcasts a
-per-road column.  A substep first couples the roads, giving each one the
-fluxes through its two ends, then updates them all in ``_update_roads``:
-the interface fluxes in one pass over the batch's cells laid end to end,
-the boundary fluxes put in, the conservative add and the clip.
-``step_single_road`` is that same update on one road with prescribed end
-fluxes.
+arrays; ``simulate_traffic`` runs it for one policy and keeps the history,
+``simulate_batch`` runs many and hands each output step to a callback
+instead.  ``_compile`` turns a scenario's junctions, exits and access queues
+into one table of links, each passing min(A, B) of two operands (a 2to1
+link takes max(B, C) for B), so a substep couples them all in one pass,
+``_couple``, that gathers every operand with one index.  A march allocates
+its arrays once, in a ``_Workspace``, and every substep writes into them:
+the densities and queues are updated in place, and the per-road parameters
+are stored at full (batch, roads, cells) shape so that no operation
+broadcasts a per-road column.  A substep first couples the roads, giving
+each one the fluxes through its two ends, then updates them all in
+``_update_roads``: the interface fluxes in one pass over the batch's cells
+laid end to end, the boundary fluxes put in, the conservative add and the
+clip.  ``step_single_road`` is that same update on one road with
+prescribed end fluxes.
 """
 
 from __future__ import annotations
@@ -80,44 +83,12 @@ def _envelopes(rho, flow, cap, critical, dem, sup, below):
     np.copyto(sup, cap, where=below)
 
 
-# ---------------------------------------------------------------------------
-# junction coupling (closed forms for the three basis junctions)
-#
-# Each rule is written once, on arrays; the stepping kernel applies it to all
-# junctions of a kind at once, and the tests call the same rule.  A 1to1
-# junction passes min{demand, supply}, which the kernel takes inline.
-
-
-def _diverge(d, s2, s3, alpha2, alpha3):
-    """1to2: the demand split by the distribution rates, each share capped by its supply."""
-    q2 = np.minimum(alpha2 * d, s2)
-    q3 = np.minimum(alpha3 * d, s3)
-    return q2 + q3, q2, q3
-
-
-def _merge(d1, d2, s, beta1, beta2):
-    """2to1: priority shares of the supply, the slack one road leaves given to the other."""
-    q1 = np.minimum(d1, np.maximum(beta1 * s, s - d2))
-    q2 = np.minimum(d2, np.maximum(beta2 * s, s - d1))
-    return q1, q2, q1 + q2
-
-
-def _discharge(ell, q_in, road_supply, dt):
-    """Point queue: discharge min{q_in + ell/dt, supply}; returns (next length, outflow)."""
-    q_out = np.minimum(q_in + ell / dt, road_supply)
-    return np.maximum(ell + dt * (q_in - q_out), 0.0), q_out
-
-
 def max_stable_dt(v_maxes, ds: float) -> float:
     """Largest stable time step: ds over the speed-limit bound on |Q'|."""
     v = np.asarray(v_maxes, dtype=float)
     if v.size == 0:
         raise TrafficError("empty network")
     return ds / float(np.max(v))
-
-
-# ---------------------------------------------------------------------------
-# stepping
 
 
 @dataclass
@@ -138,98 +109,182 @@ class TrafficTrajectory:
     external_inflow: np.ndarray  # (n_time, n_access)
 
 
+# ---------------------------------------------------------------------------
+# junction coupling: one table of links
+#
+# Every flux a substep couples, through a junction, out of an exit or out of
+# an access queue, is one link, and every link passes min(A, B) of two
+# operands (Garavello & Piccoli, Traffic Flow on Networks, 2006):
+#
+#   1to1          min(d, s)
+#   1to2 branch   min(alpha_b d, s_b)
+#   2to1 branch   min(d_a, max(beta_a s, s - d_b))
+#   exit          min(d, d) = d
+#   access queue  min(q_in + ell/dt, s),  then ell <- max(ell + dt (q_in - q), 0)
+#
+# with d the demand at an incoming road's head and s the supply at an
+# outgoing road's tail.  Only the 2to1 links take the max: on a -0.0 operand
+# numpy's vectorised max returns its second operand and its scalar loop its
+# first, so a max on the other links would make their bits depend on the
+# loop.  A road end receives its link's flow plus a second link's flow (the
+# 1to2 head and the 2to1 tail) or plus -0.0, which, unlike +0.0, adds
+# nothing to any number.
+
+
 @dataclass(frozen=True)
 class _Network:
-    """A scenario's couplings as index arrays, compiled once per scenario.
+    """A scenario's couplings as one table of n links, compiled once per scenario.
 
-    ``heads`` lists the roads whose head demand a step needs, in groups:
-    1to1 incoming, 1to2 incoming, 2to1 first and second incoming, exits.
-    ``tails`` lists the roads whose tail supply it needs: 1to1 outgoing,
-    1to2 first and second outgoing, 2to1 outgoing, access roads.  A group
-    holds one entry per junction, exit or queue, so a step couples all
-    junctions of a kind at once.
+    An operand is the demand at a road's last cell or the supply at its
+    first: ``side`` (0 demand, 1 supply) and ``slot`` (road * cells + cell)
+    list operand A of every link, then operand B of every link, then
+    operand C of the 2to1 links, rows ``merge``.  ``coef`` (2, n, 1) scales
+    A and B: a 1to2 link's A by its distribution rate, a 2to1 link's B by
+    its priority rate, the rest by 1.  The access links, rows ``access``,
+    take q_in + ell/dt for A.  ``end_links`` (2, 2 * roads) names the two
+    flow rows each road end adds, its tail at 2 * road and its head at
+    2 * road + 1: row n is -0.0 and row n + 1 is +0.0, the flux of an end
+    no link writes.  Where two links write one end, the later of the heads
+    (1to1, 1to2, first and second 2to1 incoming, exits) or of the tails
+    (1to1, first and second 1to2 outgoing, 2to1, access) wins.
     """
 
     rho_max: np.ndarray  # (n_roads, 1)
     rho0: np.ndarray  # (n_roads, n_cells)
     queue0: np.ndarray  # (n_access,)
-    heads: np.ndarray
-    head_groups: tuple[slice, ...]
-    tails: np.ndarray
-    tail_groups: tuple[slice, ...]
-    alpha: np.ndarray  # (2, 1to2 junctions) distribution rates
-    beta: np.ndarray  # (2, 2to1 junctions) priority rates
+    side: np.ndarray  # (2 n + 2to1 links,)
+    slot: np.ndarray  # (2 n + 2to1 links,)
+    coef: np.ndarray  # (2, n, 1)
+    merge: slice
+    access: slice
+    end_links: np.ndarray  # (2, 2 n_roads)
     inflow: np.ndarray  # (n_access, n_time) prescribed access rates
 
 
 def _compile(scenario: Scenario) -> _Network:
-    idx = scenario.road_index
+    idx, cells = scenario.road_index, scenario.n_cells
     kind = {k: [j for j in scenario.junctions if j.kind == k] for k in ("1to1", "1to2", "2to1")}
+    links = []  # per link: operand A, operand B, operand C or None, coefficients of A and B
+    heads, tails = [[] for _ in range(5)], [[] for _ in range(5)]  # per group: (road, links)
 
-    def ends(k, side, n):
-        return [idx(getattr(j, side)[n]) for j in kind[k]]
+    def dem(road):
+        return 0, idx(road) * cells + cells - 1
 
-    def layout(*groups):
-        bounds = np.cumsum([0] + [len(g) for g in groups])
-        slices = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
-        return np.array([r for g in groups for r in g], dtype=int), slices
+    def sup(road):
+        return 1, idx(road) * cells
 
-    heads, head_groups = layout(
-        ends("1to1", "incoming", 0), ends("1to2", "incoming", 0),
-        ends("2to1", "incoming", 0), ends("2to1", "incoming", 1),
-        [idx(r) for r in scenario.exits],
-    )
-    tails, tail_groups = layout(
-        ends("1to1", "outgoing", 0), ends("1to2", "outgoing", 0),
-        ends("1to2", "outgoing", 1), ends("2to1", "outgoing", 0),
-        [idx(a.road) for a in scenario.access],
-    )
+    def link(a, b, c=None, coef=(1.0, 1.0)):
+        links.append((a, b, c, coef))
+        return len(links) - 1
+
+    for j in kind["1to1"]:
+        (i,), (o,) = j.incoming, j.outgoing
+        q = link(dem(i), sup(o))
+        heads[0].append((i, q))
+        tails[0].append((o, q))
+    for j in kind["1to2"]:
+        (i,), (o1, o2) = j.incoming, j.outgoing
+        q1, q2 = (link(dem(i), sup(o), coef=(a, 1.0)) for o, a in zip((o1, o2), j.alpha))
+        heads[1].append((i, q1, q2))
+        tails[1].append((o1, q1))
+        tails[2].append((o2, q2))
+    for r in scenario.exits:
+        heads[4].append((r, link(dem(r), dem(r))))
+    first_merge = len(links)
+    for j in kind["2to1"]:
+        (i1, i2), (o,) = j.incoming, j.outgoing
+        q1 = link(dem(i1), sup(o), dem(i2), (1.0, j.beta[0]))
+        q2 = link(dem(i2), sup(o), dem(i1), (1.0, j.beta[1]))
+        heads[2].append((i1, q1))
+        heads[3].append((i2, q2))
+        tails[3].append((o, q1, q2))
+    first_access = len(links)
+    for a in scenario.access:
+        tails[4].append((a.road, link(sup(a.road), sup(a.road))))
+
+    n = len(links)
+    operands = [l[0] for l in links] + [l[1] for l in links] + [l[2] for l in links[first_merge:first_access]]
+    ends = {2 * idx(road) + side: (*q, n)[:2] for side, groups in ((1, heads), (0, tails))
+            for group in groups for road, *q in group}
     inflow = np.zeros((len(scenario.access), scenario.n_time))
-    for slot, a in enumerate(scenario.access):
-        inflow[slot, :] = a.inflow if isinstance(a.inflow, tuple) else float(a.inflow)
-    rho_max = np.array([[r.rho_max] for r in scenario.roads], dtype=float)
+    for row, a in enumerate(scenario.access):
+        inflow[row, :] = a.inflow if isinstance(a.inflow, tuple) else float(a.inflow)
     return _Network(
-        rho_max=rho_max,
+        rho_max=np.array([[r.rho_max] for r in scenario.roads], dtype=float),
         rho0=np.array([r.rho0 for r in scenario.roads], dtype=float),
         queue0=np.array([a.queue0 for a in scenario.access], dtype=float),
-        heads=heads,
-        head_groups=head_groups,
-        tails=tails,
-        tail_groups=tail_groups,
-        alpha=np.array([j.alpha for j in kind["1to2"]], dtype=float).reshape(-1, 2).T,
-        beta=np.array([j.beta for j in kind["2to1"]], dtype=float).reshape(-1, 2).T,
+        side=np.array([s for s, _ in operands], dtype=int),
+        slot=np.array([x for _, x in operands], dtype=int),
+        coef=np.array([l[3] for l in links], dtype=float).reshape(n, 2).T[..., None].copy(),
+        merge=slice(first_merge, first_access),
+        access=slice(first_access, n),
+        end_links=np.array([ends.get(e, (n + 1, n + 1)) for e in range(2 * scenario.n_roads)]).T.copy(),
         inflow=inflow,
     )
+
+
+# ---------------------------------------------------------------------------
+# stepping
 
 
 class _Workspace:
     """The arrays a march of B policies steps in, allocated once.
 
-    ``flow``, ``dem``, ``sup``, ``diff`` and ``below`` are (B, roads,
-    cells) buffers every substep overwrites; ``v``, ``cap``, ``rho_max``
-    and ``critical`` hold the per-road parameters at that same shape, since
-    a (B, roads, 1) operand makes numpy loop over one road's cells at a
-    time.  ``faces`` holds the B * roads * cells + 1 interfaces of the
-    cells laid end to end; ``left`` and ``right`` view it as every cell's
-    left and right interface, (B, roads, cells).  ``inflow`` and
+    ``flow``, ``diff`` and ``below`` are (B, roads, cells) buffers every
+    substep overwrites, and so are ``dem`` and ``sup``, the two halves of
+    ``env`` (2, B, roads, cells), so that one index gathers every link
+    operand.  ``v``, ``cap``, ``rho_max`` and ``critical`` hold the per-road
+    parameters at that same shape, since a (B, roads, 1) operand makes
+    numpy loop over one road's cells at a time.  ``faces`` holds the B *
+    roads * cells + 1 interfaces of the cells laid end to end; ``left`` and
+    ``right`` view it as every cell's left and right interface, (B, roads,
+    cells); its two outer entries, which no face writes, stay 0, so that
+    the differences taken over them read no stale memory.  ``inflow`` and
     ``outflow`` are the fluxes through each road's two ends, (B, roads),
-    views of ``ends`` (B, roads, 2); an end no coupling writes keeps flux 0.
+    views of ``ends`` (roads, 2, B), which the link pass writes whole.
     ``rho_max`` is given per road, (roads, 1), or as one number.
+
+    With a network ``net`` it also holds the link pass's arrays, one column
+    per policy, and views of them made once: ``gathered``, every operand,
+    from the flat index ``gather_at`` into ``env``, viewed as ``ab`` (2, n,
+    B), its rows ``a`` and ``b``, and ``c``, with ``merged`` the 2to1
+    links' B and ``released`` the access links' A; ``spare`` for the 2to1
+    links' s - d; ``flows``, the links' flows and the -0.0 and +0.0 rows,
+    viewed as ``link_flows`` and, (B, n_access), ``discharged``; ``both``,
+    the two flows of each end; ``end_rows``, ``ends`` as (2 * roads, B);
+    and ``queued`` (B, n_access) for the queue update.
     """
 
-    def __init__(self, rho_max, v: np.ndarray, rho: np.ndarray):
+    def __init__(self, rho_max, v: np.ndarray, rho: np.ndarray, net: _Network | None = None):
         shape = rho.shape
         v = v[:, :, None]
         self.v, self.cap, self.rho_max, self.critical = (
             np.broadcast_to(a, shape).copy()
             for a in (v, flux_capacity(v, rho_max), rho_max, rho_max / 2.0)
         )
-        self.flow, self.dem, self.sup, self.diff = (np.empty(shape) for _ in range(4))
+        self.env = np.empty((2,) + shape)
+        self.dem, self.sup = self.env
+        self.flow, self.diff = np.empty(shape), np.empty(shape)
         self.below = np.empty(shape, dtype=bool)
-        self.faces = np.empty(rho.size + 1)
+        self.faces = np.zeros(rho.size + 1)
         self.left, self.right = self.faces[:-1].reshape(shape), self.faces[1:].reshape(shape)
-        self.ends = np.zeros(shape[:2] + (2,))
-        self.inflow, self.outflow = self.ends[..., 0], self.ends[..., 1]
+        self.ends = np.zeros((shape[1], 2, shape[0]))
+        self.inflow, self.outflow = self.ends[:, 0].T, self.ends[:, 1].T
+        if net is not None:
+            b, n, size = shape[0], net.coef.shape[1], rho[0].size
+            self.gather_at = (net.side * rho.size + net.slot)[:, None] + size * np.arange(b)
+            self.gathered = np.empty(self.gather_at.shape)
+            self.ab = self.gathered[:2 * n].reshape(2, n, b)
+            self.a, self.b = self.ab
+            self.c = self.gathered[2 * n:]
+            self.merged, self.released = self.b[net.merge], self.a[net.access]
+            self.spare = np.empty(self.c.shape)
+            self.flows = np.full((n + 2, b), -0.0)
+            self.flows[n + 1] = 0.0
+            self.link_flows, self.discharged = self.flows[:n], self.flows[net.access].T
+            self.both = np.empty(net.end_links.shape + (b,))
+            self.end_rows = self.ends.reshape(-1, b)
+            self.queued = np.empty((b, len(net.queue0)))
         _flux(rho, self.v, self.rho_max, self.flow, self.diff)
 
 
@@ -263,27 +318,39 @@ def _update_roads(ws: _Workspace, rho, lam) -> None:
     _flux(rho, ws.v, ws.rho_max, ws.flow, diff)
 
 
+def _couple(net: _Network, ws: _Workspace, queues, q_in, dt):
+    """Every link's flow from the envelopes in ``ws.env``, in one pass.
+
+    Writes each coupled road end's flux into ``ws.ends`` and the new queue
+    lengths into ``queues`` (B, n_access), which it returns; ``q_in`` holds
+    the access rates of this step, (n_access,).  ``ws`` must have been made
+    with ``net``.
+    """
+    ws.env.reshape(-1).take(ws.gather_at, out=ws.gathered, mode="clip")
+    np.subtract(ws.merged, ws.c, out=ws.spare)  # s - d_b, before s is scaled
+    np.multiply(net.coef, ws.ab, out=ws.ab)
+    np.maximum(ws.merged, ws.spare, out=ws.merged)
+    np.add(q_in[:, None], np.divide(queues.T, dt, out=ws.released), out=ws.released)
+    np.minimum(ws.a, ws.b, out=ws.link_flows)
+    queued = np.subtract(q_in, ws.discharged, out=ws.queued)
+    np.add(queues, np.multiply(dt, queued, out=queued), out=queued)
+    np.maximum(queued, 0.0, out=queues)
+    both = ws.flows.take(net.end_links, axis=0, out=ws.both, mode="clip")
+    np.add(both[0], both[1], out=ws.end_rows)
+    return queues
+
+
 def _godunov_step(net: _Network, ws: _Workspace, rho, queues, q_in, dt, lam):
     """One step of size dt of a batch of densities ``rho`` (B, roads, cells).
 
-    The couplings give every road's boundary fluxes from the envelopes at
-    its ends, then ``_update_roads`` steps the roads.  ``rho`` is updated in
-    place and ``ws.flow``, which must hold Q(rho) on entry, holds Q of the
-    new densities on return; ``lam`` is dt / ds.  Returns the new queue
-    lengths.
+    The links give every road's boundary fluxes from the envelopes at its
+    ends, then ``_update_roads`` steps the roads.  ``rho`` and ``queues``
+    are updated in place, and ``ws.flow``, which must hold Q(rho) on entry,
+    holds Q of the new densities on return; ``lam`` is dt / ds.  Returns
+    the new queue lengths.
     """
-    dem, sup = ws.dem, ws.sup
-    _envelopes(rho, ws.flow, ws.cap, ws.critical, dem, sup, ws.below)
-    d = dem[:, net.heads, -1]
-    s = sup[:, net.tails, 0]
-    d_11, d_12, d_21a, d_21b, d_exit = (d[:, g] for g in net.head_groups)
-    s_11, s_12a, s_12b, s_21, s_access = (s[:, g] for g in net.tail_groups)
-    q_11 = np.minimum(d_11, s_11)
-    q_12, q_12a, q_12b = _diverge(d_12, s_12a, s_12b, *net.alpha)
-    q_21a, q_21b, q_21 = _merge(d_21a, d_21b, s_21, *net.beta)
-    queues, q_access = _discharge(queues, q_in, s_access, dt)
-    ws.outflow[:, net.heads] = np.concatenate((q_11, q_12, q_21a, q_21b, d_exit), axis=1)
-    ws.inflow[:, net.tails] = np.concatenate((q_11, q_12a, q_12b, q_21, q_access), axis=1)
+    _envelopes(rho, ws.flow, ws.cap, ws.critical, ws.dem, ws.sup, ws.below)
+    queues = _couple(net, ws, queues, q_in, dt)
     _update_roads(ws, rho, lam)
     return queues
 
@@ -313,8 +380,8 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: b
     After each output step k = 1..n_time, yields the batch's densities and
     their flux Q, both (B, roads, cells), its queue lengths (B, n_access),
     and, if ``ends``, its mean (inflow, outflow) per road over the step's
-    substeps, (B, roads, 2), else None.  The densities and Q are workspace
-    arrays the next step overwrites.  Q is computed once per substep: it
+    substeps, (B, roads, 2), else None.  The densities, Q and the queue
+    lengths are workspace arrays the next step overwrites.  Q is computed once per substep: it
     gives the next substep's demand and supply and is the flow the
     objectives sum.
     """
@@ -322,7 +389,7 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: b
     lam = dt / scenario.ds
     rho = np.repeat(net.rho0[None], len(v), axis=0)
     queues = np.repeat(net.queue0[None], len(v), axis=0)
-    ws = _Workspace(net.rho_max, v, rho)
+    ws = _Workspace(net.rho_max, v, rho, net)
     mean_ends = np.zeros_like(ws.ends) if ends else None
     for k in range(scenario.n_time):
         if ends:
@@ -331,7 +398,7 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: b
             queues = _godunov_step(net, ws, rho, queues, net.inflow[:, k], dt, lam)
             if ends:
                 np.add(mean_ends, ws.ends, out=mean_ends)
-        yield rho, ws.flow, queues, (mean_ends / n_sub if ends else None)
+        yield rho, ws.flow, queues, ((mean_ends / n_sub).transpose(2, 0, 1) if ends else None)
 
 
 def _policy_array(policy, scenario: Scenario) -> np.ndarray:

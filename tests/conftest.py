@@ -11,6 +11,7 @@ hypothesis.settings.load_profile("ci")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DIAMOND_PATH = REPO_ROOT / "scenarios" / "diamond.json"
+TWO_ACCESS_PATH = REPO_ROOT / "scenarios" / "two_access.json"
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +22,13 @@ def diamond_path() -> Path:
 @pytest.fixture(scope="session")
 def diamond():
     return load_scenario(DIAMOND_PATH.read_text())
+
+
+@pytest.fixture(scope="session")
+def two_access():
+    """Two access roads (an inflow series; a queue at 0.05) merging 2to1, a
+    1to2 into two exits, rho_max 1.5 and 0.8, and a road with a free tail."""
+    return load_scenario(TWO_ACCESS_PATH.read_text())
 
 
 @pytest.fixture(scope="session")

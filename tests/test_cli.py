@@ -789,6 +789,19 @@ class TestExport:
         assert "error:" in capsys.readouterr().err
         assert not (out / "front_flow-poll.csv").exists()
 
+    def test_overflowing_poll_exits_one(self, tmp_path, capsys):
+        # finite columns whose j_diff + delta*j_queue leaves the float range
+        front = tmp_path / "front.csv"
+        front.write_text("v_1,j_flow,j_diff,j_queue,j_poll\n1.0,0.5,0.1,0.2,0.1\n1.0,0.5,1e308,1e308,1e308\n")
+        out = tmp_path / "exp"
+        code = run_cli(
+            "export", "--front", str(front), "--coords", "flow-poll", "--delta", "1", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {front}: row 2: j_poll") and "inf" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_columns_exit_two(self, tmp_path):
         broken = tmp_path / "broken.csv"
         broken.write_text("a,b\n1,2\n")

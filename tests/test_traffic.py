@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -11,11 +12,9 @@ from tramopt.network import load_scenario
 from tramopt.traffic import (
     TrafficError,
     _compile,
-    _discharge,
-    _diverge,
+    _couple,
     _envelopes,
     _godunov_step,
-    _merge,
     _Workspace,
     flux_capacity,
     greenshields_flux,
@@ -28,6 +27,11 @@ from tramopt.traffic import (
 densities = st.floats(0.0, 1.0)
 #: diamond policies the kernel is checked against the per-junction reference on
 REFERENCE_POLICIES = [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0, 0.25, 1, 0.5, 0.8, 1]]
+#: two-access policies: two substeps per output step (v above 6.4 on roads 3
+#: and 6), one, and one that grows both queues
+TWO_ACCESS_POLICIES = [
+    [1.5, 0.5, 7, 1, 0.75, 7.5, 1], [2, 2, 1, 0.5, 0.5, 1, 2], [0.3, 0.3, 8, 2, 2, 0.25, 0.25],
+]
 
 
 def _kernel_envelopes(rho, v_max, rho_max):
@@ -109,26 +113,26 @@ class TestJunctions:
         assert _one_to_one_fluxes(0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
 
     def test_one_to_two_supply_constrained(self):
-        q1, q2, q3 = _diverge(0.2, 0.05, 0.2, 0.5, 0.5)
+        q1, q2, q3 = _kernel_diverge(0.2, 0.05, 0.2, 0.5, 0.5)
         assert (q1, q2, q3) == pytest.approx((0.15, 0.05, 0.10))
 
     def test_one_to_two_no_demand(self):
-        assert _diverge(0.0, 1.0, 1.0, 0.5, 0.5) == (0.0, 0.0, 0.0)
+        assert _kernel_diverge(0.0, 1.0, 1.0, 0.5, 0.5) == (0.0, 0.0, 0.0)
 
     def test_one_to_two_unconstrained_splits_by_alpha(self):
-        q1, q2, q3 = _diverge(0.2, 1.0, 1.0, 0.5, 0.5)
+        q1, q2, q3 = _kernel_diverge(0.2, 1.0, 1.0, 0.5, 0.5)
         assert (q1, q2, q3) == pytest.approx((0.2, 0.1, 0.1))
 
     def test_two_to_one_symmetric_split(self):
-        q1, q2, q3 = _merge(0.3, 0.3, 0.25, 0.5, 0.5)
+        q1, q2, q3 = _kernel_merge(0.3, 0.3, 0.25, 0.5, 0.5)
         assert (q1, q2, q3) == pytest.approx((0.125, 0.125, 0.25))
 
     def test_two_to_one_reallocates_slack(self):
-        q1, q2, q3 = _merge(0.05, 0.3, 0.25, 0.5, 0.5)
+        q1, q2, q3 = _kernel_merge(0.05, 0.3, 0.25, 0.5, 0.5)
         assert (q1, q2, q3) == pytest.approx((0.05, 0.2, 0.25))
 
     def test_two_to_one_empty(self):
-        assert _merge(0.0, 0.0, 0.3, 0.5, 0.5) == (0.0, 0.0, 0.0)
+        assert _kernel_merge(0.0, 0.0, 0.3, 0.5, 0.5) == (0.0, 0.0, 0.0)
 
     @given(
         d1=st.floats(0.0, 0.25),
@@ -136,28 +140,36 @@ class TestJunctions:
         s=st.floats(0.0, 0.25),
     )
     def test_two_to_one_conserves_and_respects_supply(self, d1, d2, s):
-        q1, q2, q3 = _merge(d1, d2, s, 0.5, 0.5)
+        q1, q2, q3 = _kernel_merge(d1, d2, s, 0.5, 0.5)
+        assert (q1, q2, q3) == _merge(d1, d2, s, 0.5, 0.5)
         assert q3 == q1 + q2
         assert q3 <= s + 1e-15
         assert q1 <= d1 + 1e-15 and q2 <= d2 + 1e-15
 
     @given(d1=st.floats(0.0, 0.25), s2=st.floats(0.0, 0.25), s3=st.floats(0.0, 0.25))
     def test_one_to_two_conserves(self, d1, s2, s3):
-        q1, q2, q3 = _diverge(d1, s2, s3, 0.5, 0.5)
+        q1, q2, q3 = _kernel_diverge(d1, s2, s3, 0.5, 0.5)
+        assert (q1, q2, q3) == _diverge(d1, s2, s3, 0.5, 0.5)
         assert q1 == q2 + q3
+
+    @given(rates=st.floats(0.01, 0.99), d=st.floats(0.0, 0.25), s=st.floats(0.0, 0.25))
+    def test_uneven_rates_match_the_reference(self, rates, d, s):
+        split = (rates, 1.0 - rates)
+        assert _kernel_diverge(d, s, 0.5 * s, *split) == _diverge(d, s, 0.5 * s, *split)
+        assert _kernel_merge(d, 0.5 * d, s, *split) == _merge(d, 0.5 * d, s, *split)
 
 
 class TestQueue:
     def test_supply_exceeds_demand(self):
-        assert _discharge(0.0, 0.25, 0.3, 0.01) == (0.0, 0.25)
+        assert _kernel_discharge(0.0, 0.25, 0.3, 0.01) == (0.0, 0.25)
 
     def test_capped_by_supply(self):
-        ell, q = _discharge(0.1, 0.25, 0.2, 0.01)
+        ell, q = _kernel_discharge(0.1, 0.25, 0.2, 0.01)
         assert q == pytest.approx(0.2)
         assert ell == pytest.approx(0.1005)
 
     def test_queue_drains_fully(self):
-        ell, q = _discharge(0.002, 0.0, 0.5, 0.01)
+        ell, q = _kernel_discharge(0.002, 0.0, 0.5, 0.01)
         assert q == pytest.approx(0.2)
         assert ell == pytest.approx(0.0, abs=1e-15)
 
@@ -168,9 +180,10 @@ class TestQueue:
         dt=st.floats(1e-4, 0.1),
     )
     def test_never_negative_and_nonincreasing_without_inflow(self, ell, q_in, sup, dt):
-        ell_next, _ = _discharge(ell, q_in, sup, dt)
+        ell_next, q = _kernel_discharge(ell, q_in, sup, dt)
+        assert (ell_next, q) == _discharge(ell, q_in, sup, dt)
         assert ell_next >= 0.0
-        drained, _ = _discharge(ell, 0.0, sup, dt)
+        drained, _ = _kernel_discharge(ell, 0.0, sup, dt)
         assert drained <= ell + 1e-15
 
 
@@ -225,28 +238,74 @@ def _loop_scenario():
     return load_scenario(json.dumps(doc))
 
 
-def _one_to_one_fluxes(rho_in, v_in, rho_out, v_out):
-    """(flux out of road 1's head, flux into road 2's tail) in one kernel step
-    of a 1to1 junction between two one-cell roads at rho_max 1."""
+def _one_cell_network(n_roads, junctions=(), access=(), exits=()):
+    """A scenario of ``n_roads`` parallel one-cell roads of unit length at
+    rho_max 1, coupled as given."""
     road = {"width": 0.1, "rho_max": 1, "rho0": 0.0, "v_min": 0.25, "v_max": 2}
     doc = {
         "horizon": 1.0,
         "domain": {"side": 3, "n_grid": 60},
         "discretization": {"n_cells": 1, "n_time": 50},
-        "roads": [{"id": 1, "start": [0.5, 1.5], "end": [1.5, 1.5], **road},
-                  {"id": 2, "start": [1.5, 1.5], "end": [2.5, 1.5], **road}],
-        "junctions": [{"kind": "1to1", "in": [1], "out": [2]}],
-        "access": [],
-        "exits": [2],
+        "roads": [{"id": i, "start": [0.5, 0.3 * i], "end": [1.5, 0.3 * i], **road}
+                  for i in range(1, n_roads + 1)],
+        "junctions": list(junctions),
+        "access": list(access),
+        "exits": list(exits),
         "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
         "emission": {"theta": 0.5},
         "objectives": {"delta": 0, "mode": "2d"},
     }
-    net = _compile(load_scenario(json.dumps(doc)))
+    return load_scenario(json.dumps(doc))
+
+
+def _one_to_one_fluxes(rho_in, v_in, rho_out, v_out):
+    """(flux out of road 1's head, flux into road 2's tail) in one kernel step
+    of a 1to1 junction between two one-cell roads at rho_max 1."""
+    net = _compile(_one_cell_network(2, [{"kind": "1to1", "in": [1], "out": [2]}], exits=[2]))
     rho = np.array([[[rho_in], [rho_out]]])
-    ws = _Workspace(net.rho_max, np.array([[v_in, v_out]]), rho)
+    ws = _Workspace(net.rho_max, np.array([[v_in, v_out]]), rho, net)
     _godunov_step(net, ws, rho, np.zeros((1, 0)), net.inflow[:, 0], 0.02, 0.0)
     return ws.outflow[0, 0], ws.inflow[0, 1]
+
+
+@functools.cache
+def _one_junction(kind, rates=None):
+    """The link table of one junction between one-cell roads: 1to2 from road
+    1 into roads 2 and 3, 2to1 from roads 1 and 2 into road 3, or an access
+    queue onto road 1."""
+    if kind == "access":
+        return _compile(_one_cell_network(1, access=[{"road": 1, "inflow": 0.0}]))
+    ends = {"1to2": ([1], [2, 3], "alpha"), "2to1": ([1, 2], [3], "beta")}[kind]
+    junction = {"kind": kind, "in": ends[0], "out": ends[1], ends[2]: list(rates)}
+    return _compile(_one_cell_network(3, [junction]))
+
+
+def _kernel_couple(net, demand, supply, queues=(), q_in=(), dt=0.01):
+    """(outflow, inflow) per road and the queue lengths after the kernel's
+    link pass, given each road's demand at its head and supply at its tail."""
+    rho = np.zeros((1, len(demand), 1))
+    ws = _Workspace(net.rho_max, np.ones((1, len(demand))), rho, net)
+    ws.dem[0, :, 0], ws.sup[0, :, 0] = demand, supply
+    ell = _couple(net, ws, np.array([queues], dtype=float), np.array(q_in, dtype=float), dt)
+    return ws.outflow[0].tolist(), ws.inflow[0].tolist(), ell[0].tolist()
+
+
+def _kernel_diverge(d, s2, s3, alpha2, alpha3):
+    """(q1, q2, q3) of the kernel's 1to2 links, as ``_diverge`` returns them."""
+    out, into, _ = _kernel_couple(_one_junction("1to2", (alpha2, alpha3)), [d, 0, 0], [0, s2, s3])
+    return out[0], into[1], into[2]
+
+
+def _kernel_merge(d1, d2, s, beta1, beta2):
+    """(q1, q2, q3) of the kernel's 2to1 links, as ``_merge`` returns them."""
+    out, into, _ = _kernel_couple(_one_junction("2to1", (beta1, beta2)), [d1, d2, 0], [0, 0, s])
+    return out[0], out[1], into[2]
+
+
+def _kernel_discharge(ell, q_in, road_supply, dt):
+    """(next length, outflow) of the kernel's access link, as ``_discharge``."""
+    _, into, queues = _kernel_couple(_one_junction("access"), [0], [road_supply], [ell], [q_in], dt)
+    return queues[0], into[0]
 
 
 class TestStepping:
@@ -347,6 +406,17 @@ class TestSimulateTraffic:
         # the first policy two substeps and the second one
         _assert_matches_reference(coarse_diamond(n_cells, n_time), policy)
 
+    @pytest.mark.parametrize("policy", TWO_ACCESS_POLICIES)
+    def test_kernel_matches_reference_on_two_access(self, two_access, policy):
+        _assert_matches_reference(two_access, policy)
+
+    def test_kernel_matches_reference_with_nothing_attached(self):
+        # no junction, exit or access: the link table is empty and both
+        # ends keep flux 0
+        scenario = _one_cell_network(1)
+        road = dataclasses.replace(scenario.roads[0], rho0=(0.1, 0.9, 0.4, 0.7))
+        _assert_matches_reference(dataclasses.replace(scenario, roads=(road,), n_cells=4), [1.5])
+
     def test_deterministic(self, diamond):
         a = simulate_traffic(diamond, [1.0] * 6)
         b = simulate_traffic(diamond, [1.0] * 6)
@@ -356,9 +426,38 @@ class TestSimulateTraffic:
 
 def _assert_matches_reference(scenario, policy):
     traj = simulate_traffic(scenario, policy)
-    densities, queues = _reference_run(scenario, policy)
+    densities, queues, inflow, outflow = _reference_run(scenario, policy)
     assert np.array_equal(traj.densities, densities)
     assert np.array_equal(traj.queues, queues)
+    assert np.array_equal(traj.inflow, inflow)
+    assert np.array_equal(traj.outflow, outflow)
+
+
+# The junction and queue rules written out on scalars, apart from the
+# kernel's link table (Garavello & Piccoli, Traffic Flow on Networks, 2006).
+
+
+def _diverge(d, s2, s3, alpha2, alpha3):
+    """1to2: the demand split by the distribution rates, each share capped by
+    its supply; returns (outflow, inflow 2, inflow 3)."""
+    q2 = min(alpha2 * d, s2)
+    q3 = min(alpha3 * d, s3)
+    return q2 + q3, q2, q3
+
+
+def _merge(d1, d2, s, beta1, beta2):
+    """2to1: priority shares of the supply, the slack one road leaves given
+    to the other; returns (outflow 1, outflow 2, inflow)."""
+    q1 = min(d1, max(beta1 * s, s - d2))
+    q2 = min(d2, max(beta2 * s, s - d1))
+    return q1, q2, q1 + q2
+
+
+def _discharge(ell, q_in, road_supply, dt):
+    """Point queue: discharge min{q_in + ell/dt, supply}; returns (next
+    length, outflow)."""
+    q_out = min(q_in + ell / dt, road_supply)
+    return max(ell + dt * (q_in - q_out), 0.0), q_out
 
 
 def _reference_envelopes(rho, v_max, rho_max):
@@ -382,9 +481,11 @@ def _reference_road_step(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
 
 
 def _reference_run(scenario, policy):
-    """Densities and queues stepped one junction, queue and road at a time,
-    with the envelopes written out and the kernel's junction and queue rules
-    applied to scalars: the reference for the batched kernel."""
+    """Densities, queues and the mean end fluxes of each output step (inflow
+    at the tail, outflow at the head), stepped one junction, queue and road
+    at a time with the envelopes and the junction and queue rules written
+    out on scalars: the reference for the batched kernel.  An end fluxes
+    mean adds its substeps' fluxes from 0 and divides by their number."""
     v = np.asarray(policy, dtype=float)
     n_roads, idx = scenario.n_roads, scenario.road_index
     rho_max = [r.rho_max for r in scenario.roads]
@@ -392,8 +493,9 @@ def _reference_run(scenario, policy):
     ell = [a.queue0 for a in scenario.access]
     n_sub = max(1, math.ceil(scenario.dt / max_stable_dt(v, scenario.ds) - 1e-12))
     dt = scenario.dt / n_sub
-    densities, queues = [rho], [list(ell)]
+    densities, queues, inflow, outflow = [rho], [list(ell)], [], []
     for k in range(scenario.n_time):
+        sum_in, sum_out = np.zeros(n_roads), np.zeros(n_roads)
         for _ in range(n_sub):
             d = [float(_reference_envelopes(rho[e, -1], v[e], rho_max[e])[0]) for e in range(n_roads)]
             s = [float(_reference_envelopes(rho[e, 0], v[e], rho_max[e])[1]) for e in range(n_roads)]
@@ -417,6 +519,9 @@ def _reference_run(scenario, policy):
                 _reference_road_step(rho[e], v[e], rho_max[e], scenario.ds, dt, f_in[e], f_out[e])
                 for e in range(n_roads)
             ])
+            sum_in, sum_out = sum_in + f_in, sum_out + f_out
         densities.append(rho)
         queues.append(list(ell))
-    return np.array(densities), np.array(queues)
+        inflow.append(sum_in / n_sub)
+        outflow.append(sum_out / n_sub)
+    return np.array(densities), np.array(queues), np.array(inflow), np.array(outflow)
