@@ -463,7 +463,9 @@ def cmd_export(args) -> int:
         ):
             j_poll = j_diff + args.delta * j_queue
             if not math.isfinite(j_poll):
-                raise PolicyError(f"{front_path}: row {n}: j_poll = j_diff + delta*j_queue = {j_poll} is not finite")
+                raise PolicyError(
+                    f"{front_path}: row {n}: j_poll = j_diff + delta*j_queue = {j_poll} is not finite"
+                )
             out_rows.append((j_flow, j_poll))
 
     out_dir = Path(args.out)

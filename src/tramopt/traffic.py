@@ -209,8 +209,9 @@ def _compile(scenario: Scenario) -> _Network:
     inflow = np.zeros((len(scenario.access), scenario.n_time))
     for row, a in enumerate(scenario.access):
         inflow[row, :] = a.inflow if isinstance(a.inflow, tuple) else float(a.inflow)
+    rho_max = np.array([[r.rho_max] for r in scenario.roads], dtype=float)
     return _Network(
-        rho_max=np.array([[r.rho_max] for r in scenario.roads], dtype=float),
+        rho_max=rho_max,
         rho0=np.array([r.rho0 for r in scenario.roads], dtype=float),
         queue0=np.array([a.queue0 for a in scenario.access], dtype=float),
         side=np.array([s for s, _ in operands], dtype=int),
@@ -381,9 +382,9 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: b
     their flux Q, both (B, roads, cells), its queue lengths (B, n_access),
     and, if ``ends``, its mean (inflow, outflow) per road over the step's
     substeps, (B, roads, 2), else None.  The densities, Q and the queue
-    lengths are workspace arrays the next step overwrites.  Q is computed once per substep: it
-    gives the next substep's demand and supply and is the flow the
-    objectives sum.
+    lengths are workspace arrays the next step overwrites.  Q is computed
+    once per substep: it gives the next substep's demand and supply and is
+    the flow the objectives sum.
     """
     dt = scenario.dt / n_sub
     lam = dt / scenario.ds
