@@ -41,7 +41,7 @@ from tramopt.network import (
     PolicyError,
     Scenario,
     ScenarioError,
-    SpeedLimitPolicy,
+    check_policies,
     load_scenario,
     validate_scenario,
 )
@@ -222,12 +222,12 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def _parse_policy(text: str, scenario: Scenario) -> SpeedLimitPolicy:
+def _parse_policy(text: str, scenario: Scenario) -> np.ndarray:
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise PolicyError(f"cannot parse policy {text!r}: {exc}") from None
-    return SpeedLimitPolicy.checked(values, scenario)
+    return check_policies([values], scenario)[0]
 
 
 def cmd_simulate(args) -> int:
@@ -259,8 +259,8 @@ def cmd_simulate(args) -> int:
     _write_csv(
         out_dir / "objectives.csv",
         header,
-        [list(policy.values) + [breakdown.j_flow, breakdown.j_diff,
-                                breakdown.j_queue, breakdown.j_poll]],
+        [policy.tolist() + [breakdown.j_flow, breakdown.j_diff,
+                            breakdown.j_queue, breakdown.j_poll]],
     )
     _write_manifest(
         out_dir,
@@ -268,7 +268,7 @@ def cmd_simulate(args) -> int:
             "command": "simulate",
             "scenario_path": str(args.scenario),
             "scenario_sha256": _scenario_hash(text),
-            "policy": list(policy.values),
+            "policy": policy.tolist(),
             "started": started,
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "outputs": [
@@ -430,10 +430,12 @@ def _front_columns(path: Path, names: list[str]) -> list[list[float]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            rows = list(reader)
+            fields, rows = reader.fieldnames, list(reader)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ScenarioError(f"{path}: not a CSV file of UTF-8 text: {exc}") from None
-    missing = set(names) - set(reader.fieldnames or [])
+    if fields is None:
+        raise ScenarioError(f"{path}: no header line")
+    missing = set(names) - set(fields)
     if missing and rows:
         raise ScenarioError(f"{path}: missing columns {sorted(missing)}")
     for n, row in enumerate(rows, start=1):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tramopt.network import Scenario
-from tramopt.traffic import _policy_array, greenshields_flux
+from tramopt.network import Scenario, check_policies
+from tramopt.traffic import greenshields_flux
 
 
 def emission_rate(flow, rho, theta, out=None):
@@ -105,8 +105,10 @@ def rasterize_network(scenario: Scenario) -> RasterMap:
 
 
 def cell_rates(densities: np.ndarray, scenario: Scenario, policy) -> np.ndarray:
-    """Emission rate per (time, road, cell) from a density history."""
-    v = _policy_array(policy, scenario)
+    """Emission rate per (time, road, cell) from a density history under
+    ``policy``, one speed limit per road; ``check_policies`` raises
+    ``PolicyError`` for one outside the box."""
+    v = check_policies([policy], scenario)[0]
     rho_max = np.array([r.rho_max for r in scenario.roads])
     flow = greenshields_flux(densities, v[None, :, None], rho_max[None, :, None])
     return emission_rate(flow, densities, scenario.theta)

@@ -119,12 +119,6 @@ class ParetoArchive:
         self._next_seq += 1
         return True
 
-    def policies(self) -> np.ndarray:
-        return np.array([e.policy for e in self.entries])
-
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries])
-
 
 # poll step per member as a fraction of each coordinate's box width: its
 # start, its growth after a successful poll (capped at the whole width) and

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
+
+import numpy as np
 
 Point = tuple[float, float]
 
@@ -155,27 +157,33 @@ class Scenario:
         return lower, upper
 
 
-@dataclass(frozen=True)
-class SpeedLimitPolicy:
-    """One speed limit per road, ordered like ``Scenario.roads``."""
+def check_policies(policies, scenario: Scenario) -> np.ndarray:
+    """A batch of speed-limit policies as a ``(B, roads)`` float array.
 
-    values: tuple[float, ...]
-
-    @classmethod
-    def checked(cls, values: Sequence[float], scenario: Scenario) -> "SpeedLimitPolicy":
-        values = tuple(float(v) for v in values)
-        if len(values) != scenario.n_roads:
-            raise PolicyError(
-                f"policy has {len(values)} components, scenario has {scenario.n_roads} roads"
-            )
-        for v, road in zip(values, scenario.roads):
-            if not math.isfinite(v):
-                raise PolicyError(f"V_{road.id} = {v} is not a finite number")
-            if v > road.v_max:
-                raise PolicyError(f"V_{road.id} = {v} exceeds upper bound {road.v_max}")
-            if v < road.v_min:
-                raise PolicyError(f"V_{road.id} = {v} falls below lower bound {road.v_min}")
-        return cls(values)
+    This is the one check of the feasible set.  A row of the wrong length
+    raises ``PolicyError``, and so does the first bad value in row-major
+    order: not finite, above its road's v_max or below its v_min, tested in
+    that order.  An empty batch gives a ``(0, roads)`` array.
+    """
+    n = scenario.n_roads
+    try:
+        v = np.asarray(policies, dtype=float).reshape(len(policies), n)
+    except (TypeError, ValueError):  # rows of the wrong length, or entries that are not numbers
+        for row in policies:
+            if len(row) != n:
+                raise PolicyError(f"policy has {len(row)} components, scenario has {n} roads") from None
+        raise PolicyError("a policy holds an entry that is not a number") from None
+    lower, upper = scenario.policy_bounds()
+    bad = ~((v >= np.array(lower)) & (v <= np.array(upper)))
+    if bad.any():
+        b, j = divmod(int(np.argmax(bad)), n)
+        x, road = float(v[b, j]), scenario.roads[j]
+        if not math.isfinite(x):
+            raise PolicyError(f"V_{road.id} = {x} is not a finite number")
+        if x > road.v_max:
+            raise PolicyError(f"V_{road.id} = {x} exceeds upper bound {road.v_max}")
+        raise PolicyError(f"V_{road.id} = {x} falls below lower bound {road.v_min}")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tramopt.network import Scenario, SpeedLimitPolicy
+from tramopt.network import Scenario, check_policies
 
 _DENSITY_SLACK = 1e-12
 
@@ -402,19 +402,6 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: b
         yield rho, ws.flow, queues, ((mean_ends / n_sub).transpose(2, 0, 1) if ends else None)
 
 
-def _policy_array(policy, scenario: Scenario) -> np.ndarray:
-    values = policy.values if isinstance(policy, SpeedLimitPolicy) else policy
-    v = np.asarray(values, dtype=float)
-    if v.shape != (scenario.n_roads,):
-        raise TrafficError(
-            f"policy must have one speed limit per road ({scenario.n_roads})"
-        )
-    lower, upper = scenario.policy_bounds()
-    if not np.all((v >= np.asarray(lower)) & (v <= np.asarray(upper))):
-        raise TrafficError("policy violates the speed-limit box constraints")
-    return v
-
-
 def _substeps(v: np.ndarray, scenario: Scenario) -> int:
     """Equal substeps per output step that the CFL bound requires at limits v."""
     return max(1, math.ceil(scenario.dt / max_stable_dt(v, scenario.ds) - 1e-12))
@@ -428,8 +415,10 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     requires; snapshots land exactly on the output time grid and boundary
     fluxes are recorded as per-interval means, so discrete mass balance holds
     to rounding.  ``observe`` sees every output step as in ``simulate_batch``.
+    ``policy`` is one speed limit per road; ``check_policies`` raises
+    ``PolicyError`` for one outside the box.
     """
-    v = _policy_array(policy, scenario)[None]
+    v = check_policies([policy], scenario)
     net = _compile(scenario)
     n_time, n_roads = scenario.n_time, scenario.n_roads
     densities = np.empty((n_time + 1,) + net.rho0.shape)
@@ -465,10 +454,12 @@ def simulate_batch(scenario: Scenario, policies, observe) -> None:
     ``rows`` of one group with their densities and flux Q, both (len(rows),
     roads, cells), and their queue lengths (len(rows), n_access).  The
     densities and Q are the march's workspace, valid until ``observe``
-    returns.
+    returns.  ``policies`` holds one row of speed limits per policy, one per
+    road; ``check_policies`` raises ``PolicyError`` for the first row outside
+    the box.  An empty batch never calls ``observe``.
     """
     net = _compile(scenario)
-    v = np.array([_policy_array(p, scenario) for p in policies]).reshape(-1, scenario.n_roads)
+    v = check_policies(policies, scenario)
     n_sub = np.array([_substeps(row, scenario) for row in v], dtype=int)
     for n in np.unique(n_sub):
         rows = np.flatnonzero(n_sub == n)

@@ -257,9 +257,9 @@ def test_criterion_6_optimizer_sanity():
         [0.0], [1.0], budget=500, seed=FRONT_SEED, map_fn=lambda xs: [objectives(x) for x in xs]
     )
     elapsed = time.perf_counter() - t0
-    values = archive.values()
+    values = np.array([e.value for e in archive.entries])
     mutually_nondominated = len(nondominated_filter(values)) == len(values)
-    xs = np.sort(archive.policies()[:, 0])
+    xs = np.sort([e.policy[0] for e in archive.entries])
     gap = float(np.max(np.diff(xs)))
     spans = xs[0] <= 0.02 and xs[-1] >= 0.98
     hv = hypervolume_2d(values, (1.1, 1.1))

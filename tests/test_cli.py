@@ -802,14 +802,20 @@ class TestExport:
         assert err.startswith(f"error: {front}: row 2: j_poll") and "inf" in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_missing_columns_exit_two(self, tmp_path):
-        broken = tmp_path / "broken.csv"
-        broken.write_text("a,b\n1,2\n")
-        code = run_cli(
-            "export", "--front", str(broken), "--coords", "diff-queue",
-            "--out", str(tmp_path / "exp"),
-        )
-        assert code == 2
+    def test_missing_columns_exit_two(self, tmp_path, capsys):
+        cases = {
+            "other-columns": ("a,b\n1,2\n", "diff-queue", "missing columns"),
+            "zero-bytes": ("", "flow-poll", "no header line"),
+        }
+        for name, (text, coords, message) in cases.items():
+            broken = tmp_path / f"{name}.csv"
+            broken.write_text(text)
+            out = tmp_path / f"exp-{name}"
+            code = run_cli("export", "--front", str(broken), "--coords", coords, "--out", str(out))
+            assert code == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {broken}: {message}") and err.count("\n") == 1, name
+            assert not out.exists(), name
 
     @pytest.mark.parametrize(
         "data, coords, message",

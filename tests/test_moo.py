@@ -28,6 +28,14 @@ def brute_force_front(values: np.ndarray) -> set[tuple[float, ...]]:
     return set(kept)
 
 
+def _policies(archive) -> np.ndarray:
+    return np.array([e.policy for e in archive.entries])
+
+
+def _values(archive) -> np.ndarray:
+    return np.array([e.value for e in archive.entries])
+
+
 class TestNondominatedFilter:
     def test_simple_example(self):
         values = np.array([[1, 2], [2, 1], [2, 2]])
@@ -101,7 +109,7 @@ class TestArchive:
         accepted = 0
         for k, value in enumerate(points):
             accepted += arch.insert((float(k),), value, 0.25)
-            after = hypervolume_2d(arch.values(), (1.1, 1.1))
+            after = hypervolume_2d(_values(arch), (1.1, 1.1))
             assert after >= hv - 1e-12
             hv = after
         assert hv > 0.0 and 0 < accepted < len(points)
@@ -121,7 +129,7 @@ class TestParetoSearch:
         arch, diag = pareto_search(
             [0.0], [1.0], budget=500, seed=0, map_fn=_batched(_two_parabolas)
         )
-        xs = np.sort(arch.policies()[:, 0])
+        xs = np.sort(_policies(arch)[:, 0])
         assert xs[0] <= 1e-9 and xs[-1] >= 1.0 - 1e-9
         assert np.max(np.diff(xs)) < 0.1
         assert diag["evaluations"] <= 500
@@ -131,27 +139,27 @@ class TestParetoSearch:
             [0.0], [1.0], budget=200, seed=1, map_fn=_batched(lambda x: np.array([x[0], x[0]]))
         )
         assert len(arch) == 1
-        assert arch.policies()[0, 0] == pytest.approx(0.0, abs=2e-3)
+        assert _policies(arch)[0, 0] == pytest.approx(0.0, abs=2e-3)
 
     def test_feasible_ideal_point_reached(self):
         arch, diag = pareto_search(
             [0.0, 0.0], [1.0, 1.0], budget=400, seed=3, map_fn=_batched(lambda x: x.copy())
         )
-        best = arch.policies()
+        best = _policies(arch)
         assert np.max(np.abs(best)) < 2.0 * max(diag["max_step"], 1e-3)
 
     def test_archive_mutually_nondominated(self):
         arch, _ = pareto_search(
             [0.0], [1.0], budget=300, seed=5, map_fn=_batched(_two_parabolas)
         )
-        values = arch.values()
+        values = _values(arch)
         assert len(nondominated_filter(values)) == len(values)
 
     def test_policies_respect_box_exactly(self):
         arch, _ = pareto_search(
             [0.25], [2.0], budget=200, seed=2, map_fn=_batched(_two_parabolas)
         )
-        pols = arch.policies()
+        pols = _policies(arch)
         assert np.all(pols >= 0.25) and np.all(pols <= 2.0)
 
     def test_deterministic_for_fixed_seed(self):
@@ -159,8 +167,8 @@ class TestParetoSearch:
             pareto_search([0.0], [1.0], budget=300, seed=9, map_fn=_batched(_two_parabolas))[0]
             for _ in range(2)
         ]
-        assert np.array_equal(runs[0].policies(), runs[1].policies())
-        assert np.array_equal(runs[0].values(), runs[1].values())
+        assert np.array_equal(_policies(runs[0]), _policies(runs[1]))
+        assert np.array_equal(_values(runs[0]), _values(runs[1]))
 
     def test_seed_corners_drawn_coordinatewise_past_twelve_dimensions(self):
         # 2**13 corners are too many to choose among, so past d = 12 each

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -5,15 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tramopt.emission import rasterize_network
+from tramopt.cli import main
+from tramopt.emission import emission_field, rasterize_network
 from tramopt.network import (
     PolicyError,
     ScenarioError,
-    SpeedLimitPolicy,
+    check_policies,
     load_scenario,
     serialize_scenario,
     validate_scenario,
 )
+from tramopt.objectives import PolicyEvaluator
+from tramopt.traffic import simulate_traffic
 
 
 def _minimal_doc(**overrides):
@@ -238,14 +243,105 @@ class TestValidation:
 class TestPolicy:
     def test_bounds_enforced(self, diamond):
         with pytest.raises(PolicyError, match="V_1 = 3.0 exceeds upper bound 2"):
-            SpeedLimitPolicy.checked([3, 1, 1, 1, 1, 1], diamond)
+            check_policies([[3, 1, 1, 1, 1, 1]], diamond)
         with pytest.raises(PolicyError, match="below lower bound"):
-            SpeedLimitPolicy.checked([1, 1, 0.1, 1, 1, 1], diamond)
+            check_policies([[1, 1, 0.1, 1, 1, 1]], diamond)
 
     def test_dimension_checked(self, diamond):
         with pytest.raises(PolicyError, match="components"):
-            SpeedLimitPolicy.checked([1, 1], diamond)
+            check_policies([[1, 1]], diamond)
 
     def test_feasible_accepted(self, diamond):
-        p = SpeedLimitPolicy.checked([0.25, 2, 1, 1, 1, 1], diamond)
-        assert p.values == (0.25, 2.0, 1.0, 1.0, 1.0, 1.0)
+        (p,) = check_policies([[0.25, 2, 1, 1, 1, 1]], diamond)
+        assert p.tolist() == [0.25, 2.0, 1.0, 1.0, 1.0, 1.0]
+
+    def test_first_bad_entry_in_row_major_order_named(self, diamond):
+        batch = [[1] * 6, [1, 1, 0.1, 1, 1, 3], [3, 1, 1, 1, 1, 1]]
+        with pytest.raises(PolicyError, match="^V_3 = 0.1 falls below lower bound 0.25$"):
+            check_policies(batch, diamond)
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_infinite_limit_named_not_finite_before_its_bound(self, diamond, value):
+        with pytest.raises(PolicyError, match=f"^V_2 = {value} is not a finite number$"):
+            check_policies([[1, value, 1, 1, 1, 1]], diamond)
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            ([[1] * 6, [1] * 7, [1] * 2], "policy has 7 components, scenario has 6 roads"),
+            ([[1] * 6, [1, "a", 1, 1, 1, 1]], "a policy holds an entry that is not a number"),
+            ([[1, [1, 2], 1, 1, 1, 1]], "a policy holds an entry that is not a number"),
+        ],
+        ids=["ragged", "text", "nested"],
+    )
+    def test_malformed_batch_is_a_policy_error(self, diamond, batch, message):
+        with pytest.raises(PolicyError, match=f"^{message}$"):
+            check_policies(batch, diamond)
+
+    def test_empty_batch_stays_empty(self, diamond):
+        assert check_policies([], diamond).shape == (0, 6)
+        assert check_policies(np.empty((0, 6)), diamond).shape == (0, 6)
+
+
+#: infeasible diamond policies and the message of the one box rule on each
+BAD_POLICIES = {
+    "above": ([3.0, 1, 1, 1, 1, 1], "V_1 = 3.0 exceeds upper bound 2.0"),
+    "below": ([1, 1, 0.1, 1, 1, 1], "V_3 = 0.1 falls below lower bound 0.25"),
+    "nan": ([1, 1, 1, float("nan"), 1, 1], "V_4 = nan is not a finite number"),
+    "inf": ([1, 1, 1, 1, 1, float("inf")], "V_6 = inf is not a finite number"),
+    "short": ([1, 1], "policy has 2 components, scenario has 6 roads"),
+}
+FEASIBLE = [1.0] * 6
+
+
+@pytest.fixture(scope="module")
+def small_evaluator(diamond, coarse_diamond):
+    return PolicyEvaluator(coarse_diamond(4, diamond.n_time))
+
+
+@pytest.fixture(scope="module")
+def policy_entry_points(small_evaluator, diamond_path, tmp_path_factory):
+    """Each entry point that takes a policy, as a function of one bad policy
+    that raises the ``PolicyError`` it gives.  ``score`` gets the bad policy
+    in the middle of a feasible batch, so a short one makes it ragged."""
+    scenario = small_evaluator.scenario
+    traj = simulate_traffic(scenario, FEASIBLE)
+    raster = rasterize_network(scenario)
+    out = tmp_path_factory.mktemp("sim") / "out"
+
+    def cli(policy):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([
+                "simulate", "--scenario", str(diamond_path),
+                f"--policy={','.join(map(repr, policy))}", "--out", str(out),
+            ])
+        printed = err.getvalue()
+        assert code == 1 and not out.exists()
+        assert printed.startswith("error: ") and printed.count("\n") == 1
+        raise PolicyError(printed.removeprefix("error: ").rstrip("\n"))
+
+    return {
+        "cli-simulate": cli,
+        "simulate_traffic": lambda policy: simulate_traffic(scenario, policy),
+        "components": small_evaluator.components,
+        "score": lambda policy: small_evaluator.score([FEASIBLE, FEASIBLE, policy, FEASIBLE]),
+        "emission_field": lambda policy: emission_field(traj, raster, scenario, policy),
+    }
+
+
+@pytest.mark.parametrize("case", list(BAD_POLICIES))
+@pytest.mark.parametrize(
+    "entry", ["cli-simulate", "simulate_traffic", "components", "score", "emission_field"]
+)
+def test_every_entry_point_gives_the_box_rule_message(policy_entry_points, entry, case):
+    policy, message = BAD_POLICIES[case]
+    with pytest.raises(PolicyError) as caught:
+        policy_entry_points[entry](policy)
+    assert str(caught.value) == message
+
+
+def test_score_takes_an_empty_batch_and_rejects_a_ragged_one(small_evaluator):
+    assert small_evaluator.score([]) == []
+    with pytest.raises(PolicyError, match="^policy has 7 components, scenario has 6 roads$"):
+        small_evaluator.score([FEASIBLE, FEASIBLE + [1.0], FEASIBLE[:2]])

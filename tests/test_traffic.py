@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tramopt.network import load_scenario
+from tramopt.network import PolicyError, load_scenario
 from tramopt.traffic import (
     TrafficError,
     _compile,
@@ -374,7 +374,7 @@ class TestSimulateTraffic:
         assert np.all(traj.densities <= 1.0)
 
     def test_infeasible_policy_rejected(self, diamond):
-        with pytest.raises(TrafficError):
+        with pytest.raises(PolicyError, match="^V_1 = 3.0 exceeds upper bound 2.0$"):
             simulate_traffic(diamond, [3.0, 1, 1, 1, 1, 1])
 
     @given(
