@@ -22,7 +22,7 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   the change's.  CPU time counts only the worker's own process, so it
   spreads less than wall time on a shared host.
 * Stages: ``--traced`` traced scorings per batch and tree, alternated, with
-  the median of each stage reported.  A line tracer charges the time of
+  the median of each stage reported; 0 skips them.  A line tracer charges the time of
   every line of the step, the road update, the march and the objective
   tally to a stage (``STAGES``) by the line's text, so the same rules read
   both trees.  The couplings are the lines of the step that no other rule
@@ -36,7 +36,7 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   ``ADJOINT_CHAINS`` diamonds (k = 1, 4 and 16 have n_grid 100, 180 and 560), each
   in a fresh process: its wall time and the process's peak RSS
   (``ru_maxrss``) after it, ``--adjoint-runs`` times per chain and tree,
-  alternating which tree goes first.
+  alternating which tree goes first; 0 skips them.
 
 Needs only the standard library and numpy.  Not part of the test suite.
 """
@@ -73,6 +73,9 @@ STAGES = ("envelopes", "interior", "couplings", "update", "Q", "tally", "other")
 KERNEL_FRAMES = ("_godunov_step", "_couple", "_update_roads", "_march")
 #: the functions whose lines no other rule claims are couplings
 COUPLING_FRAMES = ("_godunov_step", "_couple")
+#: the objective tally's functions in objectives.py: its per-step ``__call__``
+#: in older trees, its per-group ``__call__`` and per-step ``step`` in newer ones
+TALLY_FRAMES = ("__call__", "step")
 
 
 # -- worker side: runs inside one tree ---------------------------------------
@@ -121,12 +124,12 @@ class LineClock:
     def traced(code) -> bool:
         if code.co_name in KERNEL_FRAMES:
             return code.co_filename.endswith("traffic.py")
-        return code.co_name == "__call__" and code.co_filename.endswith("objectives.py")
+        return code.co_name in TALLY_FRAMES and code.co_filename.endswith("objectives.py")
 
     @staticmethod
     def stage(frame) -> str:
         code = frame.f_code
-        if code.co_name == "__call__":
+        if code.co_name in TALLY_FRAMES:
             return "tally"
         import linecache
 
@@ -273,9 +276,10 @@ def _summary(samples: list[float]) -> dict:
     return {"median": statistics.median(samples), "q1": q[0], "q3": q[2], "n": len(samples)}
 
 
-def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict]:
+def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict | None]:
     """Alternated scoring samples, then ``traced`` alternated traced runs per
-    batch and tree, summarised as the median time of each stage."""
+    batch and tree, summarised as the median time of each stage (None if
+    ``traced`` is 0)."""
     keys = [f"{name}/B={b}" for name, sizes in BATCHES.items() for b in sizes]
     samples = {t: {k: [] for k in keys} for t in trees}
     workers = {}
@@ -296,7 +300,7 @@ def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict
         stages = {
             t: {k: {s: statistics.median(run[s] for run in v) for s in STAGES} for k, v in runs[t].items()}
             for t in trees
-        }
+        } if traced else None
     finally:
         for w in workers.values():
             w.close()
@@ -352,8 +356,6 @@ def main() -> int:
             "change": _git("rev-parse", "HEAD") + ("+uncommitted" if _git("status", "--porcelain", "--", "src") else ""),
         },
         "scoring": {},
-        "stages_traced_ms": {},
-        "adjoint_chain": {},
     }
     for key in samples["change"]:
         row = {}
@@ -367,14 +369,14 @@ def main() -> int:
                 "change_wins": f"{sum(a > b for a, b in zip(p, c))}/{len(p)}",
             }
         result["scoring"][key] = row
-    for t in trees:
-        result["stages_traced_ms"][t] = {
+    if stages is not None:
+        result["stages_traced_ms"] = {t: {
             key: {s: round(1e3 * v, 2) for s, v in totals.items()} for key, totals in stages[t].items()
-        }
-    for k, runs in adjoint.items():
-        result["adjoint_chain"][f"k={k}"] = {
+        } for t in trees}
+    if args.adjoint_runs:
+        result["adjoint_chain"] = {f"k={k}": {
             key: {t: _summary(runs[t][key]) for t in trees} for key in ("setup_s", "peak_rss_mb")
-        }
+        } for k, runs in adjoint.items()}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
         w, c = row["wall_s"], row["cpu_s"]
@@ -383,7 +385,7 @@ def main() -> int:
               f"(wins {w['change_wins']})  cpu parent {c['parent']['median'] * 1e3:7.1f} ms change "
               f"{c['change']['median'] * 1e3:7.1f} ms  x{c['speedup_median_of_pairs']:.2f} "
               f"(wins {c['change_wins']})")
-    for k, rows in result["adjoint_chain"].items():
+    for k, rows in result.get("adjoint_chain", {}).items():
         for key, row in rows.items():
             print(f"adjoint {k:5s} {key:12s} parent {row['parent']['median']:8.2f}  change {row['change']['median']:8.2f}")
     return 0

@@ -35,7 +35,7 @@ from tramopt import __version__
 # solve_adjoint is not called here but stays a name of this module, which
 # perfbench/spans.py wraps
 from tramopt.dispersion import DispersionError, solve_adjoint  # noqa: F401
-from tramopt.emission import emission_field, rasterize_network
+from tramopt.emission import RasterMap, emission_field, rasterize_network
 from tramopt.moo import normalize_front, pareto_search
 from tramopt.network import (
     PolicyError,
@@ -154,9 +154,12 @@ def _adjoint_cache_key(scenario: Scenario) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContraction, Path]:
+def cached_adjoint(
+    scenario: Scenario, cache_dir: Path, raster: RasterMap | None = None
+) -> tuple[AdjointContraction, Path]:
     """The scenario's adjoint contraction, loaded from a content-addressed
-    cache file ``adjoint-<key>.npz`` or made by ``contract_adjoint``.
+    cache file ``adjoint-<key>.npz`` or made by ``contract_adjoint``, with
+    the scenario's ``raster`` if given.
 
     A cache file that cannot be read or fails a member's CRC check, or whose
     pairing or level-0 sum has the wrong shape or dtype or is not finite, is
@@ -184,7 +187,7 @@ def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContract
     # RuntimeError (NotImplementedError for an unknown method)
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, RuntimeError):
         pass
-    contraction = contract_adjoint(scenario)
+    contraction = contract_adjoint(scenario, raster)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     # np.savez's layout, but with ZipInfo's fixed time stamp, so that the
     # same contraction is always the same bytes
@@ -196,10 +199,11 @@ def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContract
     return contraction, path
 
 
-def _evaluator(scenario: Scenario, args, out_dir) -> tuple[PolicyEvaluator, Path]:
+def _evaluator(scenario: Scenario, args, out_dir, raster: RasterMap | None = None) -> tuple[PolicyEvaluator, Path]:
     """The command's evaluator and its adjoint cache file, in ``--cache-dir``
-    or else ``out_dir``."""
-    contraction, path = cached_adjoint(scenario, Path(args.cache_dir or out_dir))
+    or else ``out_dir``; a cache miss contracts the adjoint with ``raster``
+    if given."""
+    contraction, path = cached_adjoint(scenario, Path(args.cache_dir or out_dir), raster)
     return PolicyEvaluator(scenario, adjoint=contraction), path
 
 
@@ -238,7 +242,7 @@ def cmd_simulate(args) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     raster = rasterize_network(scenario)
-    evaluator, adjoint_path = _evaluator(scenario, args, out_dir)
+    evaluator, adjoint_path = _evaluator(scenario, args, out_dir, raster)
     tally = ObjectiveTally(evaluator, 1)
     traj = simulate_traffic(scenario, policy, observe=tally)
     (breakdown,) = tally.breakdowns()

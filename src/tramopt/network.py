@@ -444,12 +444,11 @@ def load_scenario(config_text: str) -> Scenario:
         n_time=n_time,
     )
     _check_grid(scenario)
-    from tramopt.traffic import _substeps  # the kernel's CFL rule; traffic imports this module
+    from tramopt.traffic import _substep_counts  # the kernel's CFL rule; traffic imports this module
 
-    try:
-        substeps = _substeps(scenario.policy_bounds()[1], scenario)
-    except (OverflowError, ZeroDivisionError):  # a CFL ratio past the float range
-        substeps = math.inf
+    with np.errstate(over="ignore", divide="ignore"):  # a CFL ratio past the float range is inf
+        substeps = float(_substep_counts(np.array([scenario.policy_bounds()[1]]), scenario)[0])
+    substeps = int(substeps) if math.isfinite(substeps) else math.inf
     _check_work(n_time, n_grid, n_cells, len(roads), substeps)
     return scenario
 

@@ -15,6 +15,7 @@ breakdown per policy.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 from tramopt.dispersion import solve_adjoint
 # cell_rates is not called here but stays a name of this module, which
 # perfbench/spans.py wraps
-from tramopt.emission import cell_rates, emission_rate, rasterize_network  # noqa: F401
+from tramopt.emission import RasterMap, cell_rates, emission_rate, rasterize_network  # noqa: F401
 from tramopt.network import PolicyError, Scenario
 from tramopt.traffic import simulate_batch, simulate_traffic
 
@@ -81,8 +82,15 @@ class ObjectiveTally:
 
     Per policy and output step k >= 1 it keeps the flow summed over all
     cells, the emission rate paired with the contracted adjoint, and the
-    total queue; the sums over time are taken per policy at the end.  The
-    emission rate of a step is formed in a workspace the next step reuses.
+    total queue, in a (3, B, n_time) store whose rows follow the march
+    order; the sums over time are taken per policy at the end.  Each
+    substep group of the march enters it once, with ``rows``, the group's
+    slice of the march order, and the workspace arrays it steps in, the
+    same for the whole group.  The tally then views those arrays as
+    (len(rows), -1) and its store as the group's rows, allocates the
+    group's emission rate buffer, and holds one ``np.errstate`` for the
+    group's march, so that each step only forms the rate, pairs it and
+    adds three sums straight into its rows.
     """
 
     def __init__(self, evaluator: "PolicyEvaluator", n_policies: int):
@@ -90,28 +98,38 @@ class ObjectiveTally:
         self.evaluator = evaluator
         self._pairing = evaluator._pairing.reshape(sc.n_time + 1, -1)
         self._steps = np.zeros((3, n_policies, sc.n_time))  # flow, emission, queue
-        self._rate = np.empty((0, self._pairing.shape[1]))
 
-    def __call__(self, rows, k, rho, flow, queues) -> None:
-        b = len(rows)
-        if len(self._rate) != b:
-            self._rate = np.empty((b, self._pairing.shape[1]))
-        flow, rate = flow.reshape(b, -1), self._rate
+    @contextlib.contextmanager
+    def __call__(self, rows: slice, rho, flow, queues):
+        b = rows.stop - rows.start
+        flow, rho = flow.reshape(b, -1), rho.reshape(b, -1)
+        rate = np.empty(flow.shape)
+        theta, pairing = np.array(self.evaluator.scenario.theta), self._pairing
+        flows, emitted, queued = self._steps[:, rows]
+
+        def step(k):
+            emission_rate(flow, rho, theta, out=rate)
+            np.multiply(rate, pairing[k], out=rate)
+            np.add.reduce(flow, axis=1, out=flows[:, k - 1])
+            np.add.reduce(rate, axis=1, out=emitted[:, k - 1])
+            np.add.reduce(queues, axis=1, out=queued[:, k - 1])
+
         # a scenario's numbers may overflow these sums; ``breakdowns`` reports it
         with np.errstate(over="ignore"):
-            emission_rate(flow, rho.reshape(b, -1), self.evaluator.scenario.theta, out=rate)
-            np.multiply(rate, self._pairing[k], out=rate)
-            self._steps[0, rows, k - 1] = flow.sum(axis=1)
-            self._steps[1, rows, k - 1] = rate.sum(axis=1)
-            self._steps[2, rows, k - 1] = queues.sum(axis=1)
+            yield step
 
-    def breakdowns(self) -> list[ObjectiveBreakdown]:
-        """One breakdown per policy.  A component that is not finite, because
-        the scenario's numbers overflow it, raises ``PolicyError`` naming it."""
+    def breakdowns(self, order=None) -> list[ObjectiveBreakdown]:
+        """One breakdown per policy, in batch order: ``order``, as
+        ``simulate_batch`` returns it, gives the batch position of each row
+        of the store, which by default is that position.  A component that
+        is not finite, because the scenario's numbers overflow it, raises
+        ``PolicyError`` naming it."""
         sc = self.evaluator.scenario
         phi0_term = self.evaluator.phi0_term
         with np.errstate(over="ignore"):
             totals = self._steps.sum(axis=2).T
+        if order is not None:
+            totals = totals[np.argsort(order)]
         breakdowns = [
             ObjectiveBreakdown(
                 j_flow=float(sc.dt * sc.ds * flow),
@@ -147,10 +165,11 @@ class AdjointContractor:
     Only raster entries of grid points with both indices >= 1 contribute,
     matching the spatial quadrature of the pollution objective; the map's
     ``gather`` adds them to their (road, cell) in entry order, from 0.0.
+    ``raster`` is the scenario's ``RasterMap``, made here if not given.
     """
 
-    def __init__(self, sc: Scenario):
-        raster = rasterize_network(sc)
+    def __init__(self, sc: Scenario, raster: RasterMap | None = None):
+        raster = rasterize_network(sc) if raster is None else raster
         self._raster = raster.select((raster.i >= 1) & (raster.j >= 1))
         self._pairing = np.zeros((sc.n_time + 1, sc.n_roads, sc.n_cells))
         self._level0 = math.nan
@@ -164,9 +183,10 @@ class AdjointContractor:
         return AdjointContraction(self._pairing, self._level0)
 
 
-def contract_adjoint(scenario: Scenario) -> AdjointContraction:
-    """Solve the scenario's adjoint, contracting each level as it is made."""
-    contractor = AdjointContractor(scenario)
+def contract_adjoint(scenario: Scenario, raster: RasterMap | None = None) -> AdjointContraction:
+    """Solve the scenario's adjoint, contracting each level as it is made
+    with the scenario's ``raster``, made here if not given."""
+    contractor = AdjointContractor(scenario, raster)
     solve_adjoint(scenario, contractor)
     return contractor.contraction()
 
@@ -195,8 +215,7 @@ class PolicyEvaluator:
         """Breakdowns of a batch of policies from one pass of the traffic kernel."""
         policies = list(policies)
         tally = ObjectiveTally(self, len(policies))
-        simulate_batch(self.scenario, policies, tally)
-        return tally.breakdowns()
+        return tally.breakdowns(simulate_batch(self.scenario, policies, tally))
 
     def components(self, policy) -> ObjectiveBreakdown:
         tally = ObjectiveTally(self, 1)

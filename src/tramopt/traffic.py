@@ -7,15 +7,16 @@ queues, and exit roads discharge at free flow.
 
 One kernel steps a batch of policies together as (batch, roads, cells)
 arrays; ``simulate_traffic`` runs it for one policy and keeps the history,
-``simulate_batch`` runs many and hands each output step to a callback
+``simulate_batch`` runs many and hands each output step to an observer
 instead.  ``_compile`` turns a scenario's junctions, exits and access queues
 into one table of links, each passing min(A, B) of two operands (a 2to1
 link takes max(B, C) for B), so a substep couples them all in one pass,
 ``_couple``, that gathers every operand with one index.  A march allocates
-its arrays once, in a ``_Workspace``, and every substep writes into them:
-the densities and queues are updated in place, and the per-road parameters
-are stored at full (batch, roads, cells) shape so that no operation
-broadcasts a per-road column.  A substep first couples the roads, giving
+its arrays and binds every rule's operands once, in a ``_Workspace``, and
+every substep writes into them, so a step makes only its rules' ufunc
+calls: the densities and queues are updated in place, and the per-road
+parameters are stored at full (batch, roads, cells) shape so that no
+operation broadcasts a per-road column.  A substep first couples the roads, giving
 each one the fluxes through its two ends, then updates them all in
 ``_update_roads``: the interface fluxes in one pass over the batch's cells
 laid end to end, the boundary fluxes put in, the conservative add and the
@@ -25,7 +26,7 @@ prescribed end fluxes.
 
 from __future__ import annotations
 
-import math
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ import numpy as np
 from tramopt.network import Scenario, check_policies
 
 _DENSITY_SLACK = 1e-12
+# the constants of the step as 0-d arrays: numpy takes a Python float
+# operand through a slower promotion path, and the result is the same
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
 
 
 class TrafficError(ValueError):
@@ -49,7 +53,7 @@ def _flux(rho, v_max, rho_max, out, scratch):
     """Q(rho) = v_max * rho * (1 - rho / rho_max) into ``out``, using ``scratch``."""
     np.multiply(v_max, rho, out=out)
     np.divide(rho, rho_max, out=scratch)
-    np.subtract(1.0, scratch, out=scratch)
+    np.subtract(_ONE, scratch, out=scratch)
     return np.multiply(out, scratch, out=out)
 
 
@@ -77,18 +81,19 @@ def _envelopes(rho, flow, cap, critical, dem, sup, below):
     the critical density and the capacity above it, supply the reverse.
     """
     np.less_equal(rho, critical, out=below)
-    np.copyto(dem, cap)
+    dem[...] = cap
     np.copyto(dem, flow, where=below)
-    np.copyto(sup, flow)
+    sup[...] = flow
     np.copyto(sup, cap, where=below)
 
 
-def max_stable_dt(v_maxes, ds: float) -> float:
-    """Largest stable time step: ds over the speed-limit bound on |Q'|."""
+def max_stable_dt(v_maxes, ds: float):
+    """Largest stable time step: ds over the speed-limit bound on |Q'|, of
+    the limits of one policy, or per row of a (B, roads) batch."""
     v = np.asarray(v_maxes, dtype=float)
-    if v.size == 0:
+    if v.shape[-1] == 0:
         raise TrafficError("empty network")
-    return ds / float(np.max(v))
+    return ds / np.max(v, axis=-1)
 
 
 @dataclass
@@ -229,73 +234,88 @@ def _compile(scenario: Scenario) -> _Network:
 
 
 class _Workspace:
-    """The arrays a march of B policies steps in, allocated once.
+    """The arrays a march of B policies steps in, allocated once, and the
+    operands of its rules, bound once.
 
-    ``flow``, ``diff`` and ``below`` are (B, roads, cells) buffers every
+    A rule takes its operands as arguments, and the workspace binds them,
+    views included, for the whole march, so that a substep makes only the
+    rules' ufunc calls: ``envelope`` is the argument tuple of
+    ``_envelopes``, ``roads`` that of ``_update_roads`` and, with a network
+    ``net``, ``links`` that of ``_couple`` after its access rates.
+
+    ``flow`` and the scratch ``diff`` are (B, roads, cells) buffers every
     substep overwrites, and so are ``dem`` and ``sup``, the two halves of
-    ``env`` (2, B, roads, cells), so that one index gathers every link
+    one (2, B, roads, cells) array, so that one index gathers every link
     operand.  ``v``, ``cap``, ``rho_max`` and ``critical`` hold the per-road
     parameters at that same shape, since a (B, roads, 1) operand makes
     numpy loop over one road's cells at a time.  ``faces`` holds the B *
-    roads * cells + 1 interfaces of the cells laid end to end; ``left`` and
-    ``right`` view it as every cell's left and right interface, (B, roads,
-    cells); its two outer entries, which no face writes, stay 0, so that
-    the differences taken over them read no stale memory.  ``inflow`` and
-    ``outflow`` are the fluxes through each road's two ends, (B, roads),
-    views of ``ends`` (roads, 2, B), which the link pass writes whole.
-    ``rho_max`` is given per road, (roads, 1), or as one number.
+    roads * cells + 1 interfaces of the cells laid end to end, viewed as
+    every cell's left and right interface, (B, roads, cells); its two outer
+    entries, which no face writes, stay 0, so that the differences taken
+    over them read no stale memory.  ``inflow`` and ``outflow`` are the
+    fluxes through each road's two ends, (B, roads), views of ``ends``
+    (roads, 2, B), which the link pass writes whole.  ``rho_max`` is given
+    per road, (roads, 1), or as one number, and ``lam`` is dt / ds.
 
-    With a network ``net`` it also holds the link pass's arrays, one column
-    per policy, and views of them made once: ``gathered``, every operand,
-    from the flat index ``gather_at`` into ``env``, viewed as ``ab`` (2, n,
-    B), its rows ``a`` and ``b``, and ``c``, with ``merged`` the 2to1
-    links' B and ``released`` the access links' A; ``spare`` for the 2to1
-    links' s - d; ``flows``, the links' flows and the -0.0 and +0.0 rows,
-    viewed as ``link_flows`` and, (B, n_access), ``discharged``; ``both``,
-    the two flows of each end; ``end_rows``, ``ends`` as (2 * roads, B);
-    and ``queued`` (B, n_access) for the queue update.
+    With a network it also allocates the link pass's arrays, one column
+    per policy, and makes the views ``_couple`` names; ``queues`` (B,
+    n_access) are the queue lengths, which a step of length ``dt`` updates
+    in place.
     """
 
-    def __init__(self, rho_max, v: np.ndarray, rho: np.ndarray, net: _Network | None = None):
+    def __init__(self, rho_max, v: np.ndarray, rho: np.ndarray, lam: float,
+                 net: _Network | None = None, queues: np.ndarray | None = None, dt: float | None = None):
         shape = rho.shape
         v = v[:, :, None]
-        self.v, self.cap, self.rho_max, self.critical = (
+        v, cap, rho_max, critical = (
             np.broadcast_to(a, shape).copy()
             for a in (v, flux_capacity(v, rho_max), rho_max, rho_max / 2.0)
         )
-        self.env = np.empty((2,) + shape)
-        self.dem, self.sup = self.env
-        self.flow, self.diff = np.empty(shape), np.empty(shape)
-        self.below = np.empty(shape, dtype=bool)
-        self.faces = np.zeros(rho.size + 1)
-        self.left, self.right = self.faces[:-1].reshape(shape), self.faces[1:].reshape(shape)
+        env = np.empty((2,) + shape)
+        self.dem, self.sup = env
+        self.flow, diff = np.empty(shape), np.empty(shape)
+        faces = np.zeros(rho.size + 1)
+        left, right = faces[:-1].reshape(shape), faces[1:].reshape(shape)
         self.ends = np.zeros((shape[1], 2, shape[0]))
         self.inflow, self.outflow = self.ends[:, 0].T, self.ends[:, 1].T
+        self.envelope = (rho, self.flow, cap, critical, self.dem, self.sup, np.empty(shape, dtype=bool))
+        interior = None if shape[2] == 1 else (
+            self.dem.reshape(-1)[:-1], self.sup.reshape(-1)[1:], faces[1:-1], left, right)
+        boundary = (self.inflow, self.outflow, diff[..., 0], diff[..., -1], right[..., 0], left[..., -1])
+        self.roads = (rho, self.flow, diff, v, rho_max, np.array(lam), interior, boundary)
         if net is not None:
-            b, n, size = shape[0], net.coef.shape[1], rho[0].size
-            self.gather_at = (net.side * rho.size + net.slot)[:, None] + size * np.arange(b)
-            self.gathered = np.empty(self.gather_at.shape)
-            self.ab = self.gathered[:2 * n].reshape(2, n, b)
-            self.a, self.b = self.ab
-            self.c = self.gathered[2 * n:]
-            self.merged, self.released = self.b[net.merge], self.a[net.access]
-            self.spare = np.empty(self.c.shape)
-            self.flows = np.full((n + 2, b), -0.0)
-            self.flows[n + 1] = 0.0
-            self.link_flows, self.discharged = self.flows[:n], self.flows[net.access].T
-            self.both = np.empty(net.end_links.shape + (b,))
-            self.end_rows = self.ends.reshape(-1, b)
-            self.queued = np.empty((b, len(net.queue0)))
-        _flux(rho, self.v, self.rho_max, self.flow, self.diff)
+            batch, n, size = shape[0], net.coef.shape[1], rho[0].size
+            gather_at = (net.side * rho.size + net.slot)[:, None] + size * np.arange(batch)
+            gathered = np.empty(gather_at.shape)
+            ab = gathered[:2 * n].reshape(2, n, batch)
+            c = gathered[2 * n:]
+            flows = np.full((n + 2, batch), -0.0)
+            flows[n + 1] = 0.0
+            both = np.empty(net.end_links.shape + (batch,))
+            self.links = (
+                env.reshape(-1), gather_at, gathered, ab[1, net.merge], c, np.empty(c.shape),
+                net.coef, ab, queues, np.array(dt), ab[0, net.access].T, *ab, flows[:n],
+                flows[net.access].T, np.empty((batch, len(net.queue0))), flows, net.end_links, both, *both,
+                self.ends.reshape(-1, batch),
+            )
+        _flux(rho, v, rho_max, self.flow, diff)
 
 
-def _update_roads(ws: _Workspace, rho, lam) -> None:
+def _update_roads(rho, flow, diff, v, rho_max, lam, interior, boundary) -> None:
     """The Godunov update of every road, given its two boundary fluxes.
 
-    ``ws.dem`` and ``ws.sup`` must hold the envelopes of ``rho`` and
-    ``ws.inflow``/``ws.outflow`` the fluxes through each road's ends; ``lam``
-    is dt / ds.  ``rho`` is updated in place, clipped to [0, rho_max], and
-    ``ws.flow`` receives Q of the new densities.
+    The operands are those ``_Workspace.roads`` binds: the densities ``rho``,
+    updated in place and clipped to [0, rho_max], ``flow``, which receives
+    Q of the new densities, the scratch ``diff`` and the road parameters
+    ``v`` and ``rho_max``, all (B, roads, cells), and ``lam`` = dt / ds.
+    The workspace's ``dem`` and ``sup`` must hold the envelopes of ``rho``,
+    and its ``inflow`` and ``outflow`` the fluxes through each road's ends.
+    ``interior`` is None on one-cell roads, else the demand of every cell
+    but the last and the supply of every cell but the first, laid end to
+    end, the faces between them and the views ``left`` and ``right``.
+    ``boundary`` holds ``inflow``, ``outflow``, the first and the last cell
+    of ``diff`` and the right face of each road's first cell and the left
+    face of its last.
 
     The interior interface fluxes min{D(left), S(right)} come from one pass
     over the cells laid end to end, which also pairs each road's last cell
@@ -304,56 +324,66 @@ def _update_roads(ws: _Workspace, rho, lam) -> None:
     with the boundary fluxes, and on one-cell roads, where the first cell
     is the last, from the boundary fluxes alone.
     """
-    diff = ws.diff
-    if rho.shape[2] == 1:
-        np.subtract(ws.inflow, ws.outflow, out=diff[..., 0])
+    inflow, outflow, first, last, right_of_first, left_of_last = boundary
+    if interior is None:
+        np.subtract(inflow, outflow, out=first)
     else:
-        np.minimum(ws.dem.reshape(-1)[:-1], ws.sup.reshape(-1)[1:], out=ws.faces[1:-1])
-        np.subtract(ws.left, ws.right, out=diff)
-        np.subtract(ws.inflow, ws.right[..., 0], out=diff[..., 0])
-        np.subtract(ws.left[..., -1], ws.outflow, out=diff[..., -1])
+        dem_cells, sup_cells, inner_faces, left, right = interior
+        np.minimum(dem_cells, sup_cells, out=inner_faces)
+        np.subtract(left, right, out=diff)
+        np.subtract(inflow, right_of_first, out=first)
+        np.subtract(left_of_last, outflow, out=last)
     np.multiply(diff, lam, out=diff)
     np.add(rho, diff, out=rho)
-    np.maximum(rho, 0.0, out=rho)
-    np.minimum(rho, ws.rho_max, out=rho)
-    _flux(rho, ws.v, ws.rho_max, ws.flow, diff)
+    np.maximum(rho, _ZERO, out=rho)
+    np.minimum(rho, rho_max, out=rho)
+    _flux(rho, v, rho_max, flow, diff)
 
 
-def _couple(net: _Network, ws: _Workspace, queues, q_in, dt):
-    """Every link's flow from the envelopes in ``ws.env``, in one pass.
+def _couple(q_in, env, gather_at, gathered, merged, c, spare, coef, ab, queues, dt, released,
+            a, b, link_flows, discharged, queued, flows, end_links, both, first, second, end_rows):
+    """Every link's flow from the envelopes in ``env``, in one pass.
 
-    Writes each coupled road end's flux into ``ws.ends`` and the new queue
-    lengths into ``queues`` (B, n_access), which it returns; ``q_in`` holds
-    the access rates of this step, (n_access,).  ``ws`` must have been made
-    with ``net``.
+    ``q_in`` holds the access rates of this step, (n_access,); the other
+    operands are those ``_Workspace.links`` binds.  ``gathered`` receives
+    every operand from ``env``, the workspace's demand and supply laid
+    flat, at ``gather_at``; ``ab`` (2, n, B) views its operands A and B,
+    which ``coef`` scales, with rows ``a`` and ``b``, and ``c`` views its
+    operands C.  ``merged`` views the 2to1 links' B, which becomes
+    max(B, s - d_b) through ``spare``, and ``released`` (B, n_access) the
+    access links' A.  ``flows`` holds ``link_flows``, the links' flows,
+    then a -0.0 and a +0.0 row, and ``discharged`` (B, n_access) views the
+    access links' flows.  The queue lengths ``queues`` (B, n_access) are
+    updated in place through ``queued`` over the step ``dt``.  ``both``
+    receives the two flow rows of each road end, from ``end_links``, and
+    its halves ``first`` and ``second`` add into ``end_rows``, the
+    workspace's ``ends`` as (2 * roads, B).
     """
-    ws.env.reshape(-1).take(ws.gather_at, out=ws.gathered, mode="clip")
-    np.subtract(ws.merged, ws.c, out=ws.spare)  # s - d_b, before s is scaled
-    np.multiply(net.coef, ws.ab, out=ws.ab)
-    np.maximum(ws.merged, ws.spare, out=ws.merged)
-    np.add(q_in[:, None], np.divide(queues.T, dt, out=ws.released), out=ws.released)
-    np.minimum(ws.a, ws.b, out=ws.link_flows)
-    queued = np.subtract(q_in, ws.discharged, out=ws.queued)
+    env.take(gather_at, out=gathered, mode="clip")
+    np.subtract(merged, c, out=spare)  # s - d_b, before s is scaled
+    np.multiply(coef, ab, out=ab)
+    np.maximum(merged, spare, out=merged)
+    np.add(q_in, np.divide(queues, dt, out=released), out=released)
+    np.minimum(a, b, out=link_flows)
+    np.subtract(q_in, discharged, out=queued)
     np.add(queues, np.multiply(dt, queued, out=queued), out=queued)
-    np.maximum(queued, 0.0, out=queues)
-    both = ws.flows.take(net.end_links, axis=0, out=ws.both, mode="clip")
-    np.add(both[0], both[1], out=ws.end_rows)
-    return queues
+    np.maximum(queued, _ZERO, out=queues)
+    flows.take(end_links, axis=0, out=both, mode="clip")
+    np.add(first, second, out=end_rows)
 
 
-def _godunov_step(net: _Network, ws: _Workspace, rho, queues, q_in, dt, lam):
-    """One step of size dt of a batch of densities ``rho`` (B, roads, cells).
+def _godunov_step(ws: _Workspace, q_in) -> None:
+    """One step of the densities and queue lengths ``ws`` was made with.
 
     The links give every road's boundary fluxes from the envelopes at its
-    ends, then ``_update_roads`` steps the roads.  ``rho`` and ``queues``
-    are updated in place, and ``ws.flow``, which must hold Q(rho) on entry,
-    holds Q of the new densities on return; ``lam`` is dt / ds.  Returns
-    the new queue lengths.
+    ends, then ``_update_roads`` steps the roads.  The densities and queue
+    lengths are updated in place, and ``ws.flow``, which must hold Q of the
+    densities on entry, holds Q of the new densities on return; ``q_in``
+    holds the access rates of this step, (n_access,).
     """
-    _envelopes(rho, ws.flow, ws.cap, ws.critical, ws.dem, ws.sup, ws.below)
-    queues = _couple(net, ws, queues, q_in, dt)
-    _update_roads(ws, rho, lam)
-    return queues
+    _envelopes(*ws.envelope)
+    _couple(q_in, *ws.links)
+    _update_roads(*ws.roads)
 
 
 def step_single_road(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
@@ -368,43 +398,57 @@ def step_single_road(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
     """
     rho = np.array(rho, dtype=float).reshape(1, 1, -1)
     _check_density(rho, rho_max)
-    ws = _Workspace(rho_max, np.array([[v_max]], dtype=float), rho)
-    _envelopes(rho, ws.flow, ws.cap, ws.critical, ws.dem, ws.sup, ws.below)
+    ws = _Workspace(rho_max, np.array([[v_max]], dtype=float), rho, dt / ds)
+    _envelopes(*ws.envelope)
     ws.inflow[:], ws.outflow[:] = flux_in, flux_out
-    _update_roads(ws, rho, dt / ds)
+    _update_roads(*ws.roads)
     return rho[0, 0]
 
 
-def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, ends: bool = False):
+def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, observe, rows: slice,
+           mean_ends: np.ndarray | None = None) -> None:
     """Advance a batch of policies sharing a substep count over the horizon.
 
-    After each output step k = 1..n_time, yields the batch's densities and
-    their flux Q, both (B, roads, cells), its queue lengths (B, n_access),
-    and, if ``ends``, its mean (inflow, outflow) per road over the step's
-    substeps, (B, roads, 2), else None.  The densities, Q and the queue
-    lengths are workspace arrays the next step overwrites.  Q is computed
-    once per substep: it gives the next substep's demand and supply and is
-    the flow the objectives sum.
+    ``observe(rows, rho, flow, queues)`` is entered once, as a context
+    manager around the whole march, with the batch's densities and their
+    flux Q, both (B, roads, cells), and its queue lengths (B, n_access).
+    These are the workspace arrays every step overwrites, the same for the
+    whole march.  The value it gives is called as ``step(k)`` after each
+    output step k = 1..n_time, when the arrays hold that step's values.
+    Q is computed once per substep: it gives the next substep's demand and
+    supply and is the flow the objectives sum.  With ``mean_ends`` (roads,
+    2, B), the march also writes into it, before each ``step(k)``, the mean
+    inflow and outflow of every road over the step's substeps.
     """
     dt = scenario.dt / n_sub
-    lam = dt / scenario.ds
     rho = np.repeat(net.rho0[None], len(v), axis=0)
     queues = np.repeat(net.queue0[None], len(v), axis=0)
-    ws = _Workspace(net.rho_max, v, rho, net)
-    mean_ends = np.zeros_like(ws.ends) if ends else None
-    for k in range(scenario.n_time):
-        if ends:
-            mean_ends.fill(0.0)
-        for _ in range(n_sub):
-            queues = _godunov_step(net, ws, rho, queues, net.inflow[:, k], dt, lam)
-            if ends:
-                np.add(mean_ends, ws.ends, out=mean_ends)
-        yield rho, ws.flow, queues, ((mean_ends / n_sub).transpose(2, 0, 1) if ends else None)
+    ws = _Workspace(net.rho_max, v, rho, dt / scenario.ds, net, queues, dt)
+    with observe(rows, rho, ws.flow, queues) as step:
+        for k, q_in in enumerate(net.inflow.T, 1):
+            if mean_ends is None:
+                for _ in range(n_sub):
+                    _godunov_step(ws, q_in)
+            else:
+                mean_ends.fill(0.0)
+                for _ in range(n_sub):
+                    _godunov_step(ws, q_in)
+                    np.add(mean_ends, ws.ends, out=mean_ends)
+                np.divide(mean_ends, n_sub, out=mean_ends)
+            step(k)
 
 
-def _substeps(v: np.ndarray, scenario: Scenario) -> int:
-    """Equal substeps per output step that the CFL bound requires at limits v."""
-    return max(1, math.ceil(scenario.dt / max_stable_dt(v, scenario.ds) - 1e-12))
+def _substep_counts(v: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Equal substeps per output step that the CFL bound requires, one per
+    row of speed limits ``v`` (B, roads), as floats: inf where the ratio
+    leaves the float range."""
+    return np.maximum(np.ceil(scenario.dt / max_stable_dt(v, scenario.ds) - 1e-12), 1.0)
+
+
+@contextlib.contextmanager
+def _unobserved(rows, rho, flow, queues):
+    """The observer that sees nothing."""
+    yield lambda k: None
 
 
 def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTrajectory:
@@ -414,9 +458,9 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     grid step is split into however many equal substeps the CFL bound
     requires; snapshots land exactly on the output time grid and boundary
     fluxes are recorded as per-interval means, so discrete mass balance holds
-    to rounding.  ``observe`` sees every output step as in ``simulate_batch``.
-    ``policy`` is one speed limit per road; ``check_policies`` raises
-    ``PolicyError`` for one outside the box.
+    to rounding.  ``observe`` sees the march as in ``simulate_batch``, with
+    ``rows`` slice(0, 1).  ``policy`` is one speed limit per road;
+    ``check_policies`` raises ``PolicyError`` for one outside the box.
     """
     v = check_policies([policy], scenario)
     net = _compile(scenario)
@@ -426,14 +470,19 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     inflow = np.empty((n_time, n_roads))
     outflow = np.empty((n_time, n_roads))
     densities[0], queues[0] = net.rho0, net.queue0
-    rows = np.arange(1)
-    steps = _march(net, scenario, v, _substeps(v[0], scenario), ends=True)
-    for k, (rho, flow, ell, ends) in enumerate(steps, 1):
-        densities[k], queues[k] = rho[0], ell[0]
-        inflow[k - 1], outflow[k - 1] = ends[0].T
-        if observe is not None:
-            observe(rows, k, rho, flow, ell)
+    ends = np.zeros((n_roads, 2, 1))
 
+    @contextlib.contextmanager
+    def record(rows, rho, flow, ell):
+        with (observe or _unobserved)(rows, rho, flow, ell) as observed:
+            def step(k):
+                densities[k], queues[k] = rho[0], ell[0]
+                inflow[k - 1], outflow[k - 1] = ends[..., 0].T
+                observed(k)
+
+            yield step
+
+    _march(net, scenario, v, int(_substep_counts(v, scenario)[0]), record, slice(0, 1), ends)
     return TrafficTrajectory(
         times=np.arange(n_time + 1) * scenario.dt,
         densities=densities,
@@ -445,26 +494,33 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     )
 
 
-def simulate_batch(scenario: Scenario, policies, observe) -> None:
+def simulate_batch(scenario: Scenario, policies, observe) -> np.ndarray:
     """Run a batch of policies over the horizon together, keeping no history.
 
-    The batch is grouped by substep count, so every policy steps with exactly
-    the dt it would get alone.  After each output step k = 1..n_time,
-    ``observe(rows, k, rho, flow, queues)`` receives the batch positions
-    ``rows`` of one group with their densities and flux Q, both (len(rows),
-    roads, cells), and their queue lengths (len(rows), n_access).  The
-    densities and Q are the march's workspace, valid until ``observe``
-    returns.  ``policies`` holds one row of speed limits per policy, one per
-    road; ``check_policies`` raises ``PolicyError`` for the first row outside
-    the box.  An empty batch never calls ``observe``.
+    The batch is marched in groups of equal substep count, so every policy
+    steps with exactly the dt it would get alone.  The groups go in
+    increasing substep count, each in batch order; the returned ``order``
+    lists the batch positions in that march order, so that each group is a
+    contiguous slice ``rows`` of it.  Each group enters
+    ``observe(rows, rho, flow, queues)`` once, as a context manager around
+    its march, with its densities and flux Q, both (len(rows), roads,
+    cells), and its queue lengths (len(rows), n_access): the march's
+    workspace, the same arrays for the whole group, which every step
+    overwrites.  The value it gives is called as ``step(k)`` after each
+    output step k = 1..n_time, when the arrays hold that step's values.
+    ``policies`` holds one row of speed limits per policy, one per road;
+    ``check_policies`` raises ``PolicyError`` for the first row outside the
+    box.  An empty batch never enters ``observe``.
     """
     net = _compile(scenario)
     v = check_policies(policies, scenario)
-    n_sub = np.array([_substeps(row, scenario) for row in v], dtype=int)
-    for n in np.unique(n_sub):
-        rows = np.flatnonzero(n_sub == n)
-        for k, (rho, flow, queues, _) in enumerate(_march(net, scenario, v[rows], int(n)), 1):
-            observe(rows, k, rho, flow, queues)
+    n_sub = _substep_counts(v, scenario)
+    order = np.argsort(n_sub, kind="stable")
+    counts, starts = np.unique(n_sub[order], return_index=True)
+    for n, start, stop in zip(counts, starts, [*starts[1:], len(order)]):
+        rows = slice(int(start), int(stop))
+        _march(net, scenario, v[order[rows]], int(n), observe, rows)
+    return order
 
 
 def mass_balance_residuals(traj: TrafficTrajectory, scenario: Scenario) -> np.ndarray:

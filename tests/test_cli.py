@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from tramopt import cli, objectives
 from tramopt.cli import main, read_emission_bin
-from tramopt.network import ScenarioError, load_scenario
+from tramopt.emission import rasterize_network
+from tramopt.network import PolicyError, ScenarioError, load_scenario
 from tramopt.objectives import PolicyEvaluator
 from tramopt.traffic import simulate_traffic
 
@@ -523,6 +524,25 @@ class TestSimulate:
         assert not any((out / name).exists() for name in (
             "trajectory.csv", "queues.csv", "flows.csv", "emission.bin", "objectives.csv"))
 
+    def test_one_rasterization_per_call(self, fast_scenario_path, tmp_path, monkeypatch):
+        # a cache miss contracts the adjoint with the raster the command made
+        # for its emission field; a hit needs only that one
+        made = []
+
+        def counted(scenario):
+            made.append(scenario)
+            return rasterize_network(scenario)
+
+        monkeypatch.setattr(cli, "rasterize_network", counted)
+        monkeypatch.setattr(objectives, "rasterize_network", counted)
+        cache = tmp_path / "cache"
+        for calls, name in enumerate(("miss", "hit"), 1):
+            code = run_cli("simulate", "--scenario", str(fast_scenario_path), "--policy", "1,1,1,1,1,1",
+                           "--out", str(tmp_path / name), "--cache-dir", str(cache))
+            assert code == 0
+            assert len(made) == calls
+            assert len(list(cache.glob("adjoint-*.npz"))) == 1
+
     def test_road_covering_no_grid_point_simulates(self, tmp_path, capsys):
         # h = 0.5 and a width-0.1 road centred between two grid lines: no grid
         # point is covered, so the raster and the emission field are empty
@@ -704,6 +724,16 @@ class TestOptimize:
         )
         assert code == 1
         assert "error: " in capsys.readouterr().err
+
+    def test_overflowing_score_raises_without_a_warning(self, tmp_path, diamond_path):
+        # the tally's errstate covers every step of the march it scores
+        scenario = load_scenario(_overflowing_scenario(tmp_path, diamond_path).read_text())
+        evaluator = PolicyEvaluator(scenario)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(PolicyError, match="j_diff = inf is not finite"):
+                evaluator.score([[1.0] * 6, [2.0] * 6, [0.5] * 6])
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capfd, jobs):

@@ -75,11 +75,48 @@ def _tallied(scenario, traj, policy):
     )
     v = np.asarray(policy, dtype=float)[:, None]
     rho_max = np.array([[r.rho_max] for r in scenario.roads])
-    for k in range(1, scenario.n_time + 1):
-        rho = traj.densities[k]
-        flow = greenshields_flux(rho, v, rho_max)
-        tally(np.arange(1), k, rho[None], flow[None], traj.queues[k][None])
+    # the tally reads one set of arrays for the whole march, as the kernel's workspace
+    rho, flow = np.empty((2, 1) + traj.densities.shape[1:])
+    queues = np.empty((1, traj.queues.shape[1]))
+    with tally(slice(0, 1), rho, flow, queues) as step:
+        for k in range(1, scenario.n_time + 1):
+            rho[0] = traj.densities[k]
+            flow[0] = greenshields_flux(rho[0], v, rho_max)
+            queues[0] = traj.queues[k]
+            step(k)
     return tally.breakdowns()[0]
+
+
+def test_tally_of_a_whole_slice_equals_its_groups_bitwise(diamond):
+    # the same steps fed as one group over the whole store, and as one
+    # group per policy whose rows run against batch order, mapped back
+    sc = dataclasses.replace(diamond, n_time=40)
+    rng = np.random.default_rng(11)
+    adjoint = rng.random((sc.n_time + 1, sc.n_grid + 1, sc.n_grid + 1))
+    ev = PolicyEvaluator(sc, adjoint=_contracted(sc, adjoint))
+    policies = [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0] * 6, [0.25, 2, 1, 0.5, 2, 1.2]]
+    trajs = [simulate_traffic(sc, p) for p in policies]
+    v = np.array(policies)[:, :, None]
+    rho_max = np.array([[r.rho_max] for r in sc.roads])
+
+    def fed(groups, order=None):
+        tally = ObjectiveTally(ev, len(policies))
+        for rows in groups:
+            at = np.arange(len(policies))[rows] if order is None else order[rows]
+            rho = np.empty((len(at),) + trajs[0].densities.shape[1:])
+            flow, queues = np.empty(rho.shape), np.empty((len(at), len(sc.access)))
+            with tally(rows, rho, flow, queues) as step:
+                for k in range(1, sc.n_time + 1):
+                    for i, b in enumerate(at):
+                        rho[i] = trajs[b].densities[k]
+                        queues[i] = trajs[b].queues[k]
+                    flow[...] = greenshields_flux(rho, v[at], rho_max)
+                    step(k)
+        return np.array([[b.j_flow, b.j_diff, b.j_queue] for b in tally.breakdowns(order)]).tobytes()
+
+    order = np.array([2, 1, 0])
+    assert fed([slice(0, 3)]) == fed([slice(2, 3), slice(1, 2), slice(0, 1)], order)
+    assert fed([slice(0, 3)]) == fed([slice(0, 1), slice(1, 3)], order)
 
 
 class TestJFlow:
@@ -233,6 +270,19 @@ class TestBatchEqualsSerial:
         # n_time mixes one and two substeps again; on one-cell roads the
         # first cell is the last
         _assert_batch_equals_one_by_one(coarse_diamond(n_cells, n_time), policies, mode)
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_interleaved_substep_groups_equal_one_by_one(self, diamond, policies, mode):
+        # the two substep groups alternate through the batch, 2, 1, 2, 1, ...:
+        # each is marched as a slice of the batch in march order and its
+        # breakdowns are put back in batch order.  Each policy that needs
+        # two substeps at n_time 100 is followed by itself capped at 1.
+        sc = dataclasses.replace(diamond, n_time=100)
+        two = [p for p in policies if math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) == 2]
+        interleaved = [q for p in two for q in (p, np.minimum(p, 1.0))]
+        counts = [math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) for p in interleaved]
+        assert len(two) >= 8 and counts == [2, 1] * len(two)
+        _assert_batch_equals_one_by_one(sc, interleaved, mode)
 
     def test_pickled_evaluator_scores_bitwise_the_same(self, diamond, policies):
         # workers receive the evaluator pickled: it must carry only the

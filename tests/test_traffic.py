@@ -15,6 +15,7 @@ from tramopt.traffic import (
     _couple,
     _envelopes,
     _godunov_step,
+    _substep_counts,
     _Workspace,
     flux_capacity,
     greenshields_flux,
@@ -198,6 +199,19 @@ class TestCfl:
         with pytest.raises(TrafficError):
             max_stable_dt([], 0.05)
 
+    def test_substep_counts_are_the_scalar_rule_row_by_row(self, diamond):
+        # at n_time 100, dt * v / ds is 1 at v = 1 and 2 at v = 2, up to one
+        # ulp above, which the 1e-12 guard keeps from adding a substep
+        sc = dataclasses.replace(diamond, n_time=100)
+        rng = np.random.default_rng(5)
+        lower, upper = (np.array(b) for b in sc.policy_bounds())
+        v = np.vstack([np.ones(6), np.full(6, 2.0), [0.25, 1, 1.5, 1, 0.5, 1],
+                       lower + rng.random((9, 6)) * (upper - lower)])
+        expected = [max(1, math.ceil(sc.dt / (sc.ds / max(row)) - 1e-12)) for row in v.tolist()]
+        counts = _substep_counts(v, sc)
+        assert counts.tolist() == expected
+        assert expected[:3] == [1, 2, 2] and set(expected) == {1, 2}
+
 
 def _single_road_scenario(rho0=0.5, inflow=0.25, v_max=2.0, n_cells=20, n_time=100):
     doc = {
@@ -263,8 +277,8 @@ def _one_to_one_fluxes(rho_in, v_in, rho_out, v_out):
     of a 1to1 junction between two one-cell roads at rho_max 1."""
     net = _compile(_one_cell_network(2, [{"kind": "1to1", "in": [1], "out": [2]}], exits=[2]))
     rho = np.array([[[rho_in], [rho_out]]])
-    ws = _Workspace(net.rho_max, np.array([[v_in, v_out]]), rho, net)
-    _godunov_step(net, ws, rho, np.zeros((1, 0)), net.inflow[:, 0], 0.02, 0.0)
+    ws = _Workspace(net.rho_max, np.array([[v_in, v_out]]), rho, 0.0, net, np.zeros((1, 0)), 0.02)
+    _godunov_step(ws, net.inflow[:, 0])
     return ws.outflow[0, 0], ws.inflow[0, 1]
 
 
@@ -284,9 +298,10 @@ def _kernel_couple(net, demand, supply, queues=(), q_in=(), dt=0.01):
     """(outflow, inflow) per road and the queue lengths after the kernel's
     link pass, given each road's demand at its head and supply at its tail."""
     rho = np.zeros((1, len(demand), 1))
-    ws = _Workspace(net.rho_max, np.ones((1, len(demand))), rho, net)
+    ell = np.array([queues], dtype=float)
+    ws = _Workspace(net.rho_max, np.ones((1, len(demand))), rho, 0.0, net, ell, dt)
     ws.dem[0, :, 0], ws.sup[0, :, 0] = demand, supply
-    ell = _couple(net, ws, np.array([queues], dtype=float), np.array(q_in, dtype=float), dt)
+    _couple(np.array(q_in, dtype=float), *ws.links)
     return ws.outflow[0].tolist(), ws.inflow[0].tolist(), ell[0].tolist()
 
 
