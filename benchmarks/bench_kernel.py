@@ -327,6 +327,8 @@ def main() -> int:
         return 0
     if args.out is None:
         parser.error("--out is required: name the record to write")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1: the scoring pairs are the record")
 
     import numpy as np
 

@@ -104,6 +104,8 @@ class ObjectiveTally:
         b = rows.stop - rows.start
         flow, rho = flow.reshape(b, -1), rho.reshape(b, -1)
         rate = np.empty(flow.shape)
+        # theta as a 0-d array, as the traffic step's constants: the same
+        # product, without numpy's slower path for a Python float operand
         theta, pairing = np.array(self.evaluator.scenario.theta), self._pairing
         flows, emitted, queued = self._steps[:, rows]
 

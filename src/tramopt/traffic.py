@@ -292,10 +292,12 @@ class _Workspace:
             flows = np.full((n + 2, batch), -0.0)
             flows[n + 1] = 0.0
             both = np.empty(net.end_links.shape + (batch,))
+            merged, released = ab[1, net.merge], ab[0, net.access].T
+            link_flows, discharged = flows[:n], flows[net.access].T
+            spare, queued = np.empty(c.shape), np.empty((batch, len(net.queue0)))
             self.links = (
-                env.reshape(-1), gather_at, gathered, ab[1, net.merge], c, np.empty(c.shape),
-                net.coef, ab, queues, np.array(dt), ab[0, net.access].T, *ab, flows[:n],
-                flows[net.access].T, np.empty((batch, len(net.queue0))), flows, net.end_links, both, *both,
+                env.reshape(-1), gather_at, gathered, merged, c, spare, net.coef, ab, queues, np.array(dt),
+                released, *ab, link_flows, discharged, queued, flows, net.end_links, both, *both,
                 self.ends.reshape(-1, batch),
             )
         _flux(rho, v, rho_max, self.flow, diff)
