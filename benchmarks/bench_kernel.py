@@ -31,12 +31,16 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   Tracing slows every line by about the same amount, so it inflates the
   stages made of many cheap lines (the couplings); compare a stage between
   the trees rather than with the untraced scoring time.
-* Adjoint: the cold set-up that ``tramopt optimize`` runs, ``cli.cached_adjoint``
-  into an empty directory and then ``PolicyEvaluator``, on the chains of
-  ``ADJOINT_CHAINS`` diamonds (k = 1, 4 and 16 have n_grid 100, 180 and 560), each
-  in a fresh process: its wall time and the process's peak RSS
-  (``ru_maxrss``) after it, ``--adjoint-runs`` times per chain and tree,
-  alternating which tree goes first; 0 skips them.
+* Adjoint: the cold set-up that ``tramopt optimize`` and ``simulate`` run,
+  ``cli.cached_adjoint`` into an empty directory and then
+  ``PolicyEvaluator``, per ``ADJOINT_SETUPS``: on ``scenarios/diamond.json``
+  (the set-up of perfbench's ``simulate-diamond``) and on the chains of
+  k = 1, 4 and 16 diamonds (n_grid 100, 180 and 560), each in a fresh
+  process: its wall and CPU time and the process's peak RSS
+  (``ru_maxrss``) after it, ``--adjoint-runs`` times per set-up and tree,
+  alternating which tree goes first; 0 skips them.  The times are reported
+  as the scoring times are: a speed-up is the median over pairs of the
+  parent's time over the change's.
 
 Needs only the standard library and numpy.  Not part of the test suite.
 """
@@ -60,8 +64,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CHAIN_SEED = 1
 CHAIN_DIAMONDS = 4
-#: diamonds per chain of the cold adjoint set-ups
-ADJOINT_CHAINS = (1, 4, 16)
+#: the cold adjoint set-ups: the diamond, and chains of k diamonds
+ADJOINT_SETUPS = ("diamond", "k=1", "k=4", "k=16")
 #: batch sizes timed per search; all but 1 occur as whole poll batches
 BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (682,)}
 #: per search: its scenario, budget and search seed
@@ -179,21 +183,21 @@ class LineClock:
             self._charge()
 
 
-def adjoint_worker(tree: Path, diamonds: int) -> dict:
-    """Cold set-up of the chain of ``diamonds`` diamonds in this fresh process:
-    the adjoint cache call ``optimize`` makes, into an empty directory, and
-    the evaluator made from what it returns."""
+def adjoint_worker(tree: Path, setup: str) -> dict:
+    """Cold set-up ``setup`` of ``ADJOINT_SETUPS`` in this fresh process: the
+    adjoint cache call ``optimize`` makes, into an empty directory, and the
+    evaluator made from what it returns."""
     sys.path.insert(0, str(tree / "src"))
     from tramopt.cli import cached_adjoint
     from tramopt.objectives import PolicyEvaluator
 
-    sc = _scenario(tree, "chain", diamonds)
+    sc = _scenario(tree, "diamond") if setup == "diamond" else _scenario(tree, "chain", int(setup[2:]))
     with tempfile.TemporaryDirectory() as cache:
-        t = time.perf_counter()
+        wall, cpu = time.perf_counter(), time.process_time()
         adjoint, _ = cached_adjoint(sc, Path(cache))
         PolicyEvaluator(sc, adjoint=adjoint)
-        seconds = time.perf_counter() - t
-    return {"setup_s": seconds, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def serve(tree: Path) -> None:
@@ -265,8 +269,8 @@ def _export(rev: str, dest: Path) -> Path:
     return dest / "tree"
 
 
-def _adjoint(tree: Path, diamonds: int) -> dict:
-    done = subprocess.run([sys.executable, __file__, "--adjoint", str(tree), "--diamonds", str(diamonds)],
+def _adjoint(tree: Path, setup: str) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--adjoint", str(tree), "--setup", setup],
                           check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -274,6 +278,26 @@ def _adjoint(tree: Path, diamonds: int) -> dict:
 def _summary(samples: list[float]) -> dict:
     q = statistics.quantiles(samples, n=4) if len(samples) > 1 else [samples[0]] * 3
     return {"median": statistics.median(samples), "q1": q[0], "q3": q[2], "n": len(samples)}
+
+
+def _compared(p: list[float], c: list[float]) -> dict:
+    """Paired times of the parent and the change, pair i taken together."""
+    return {
+        "parent": _summary(p),
+        "change": _summary(c),
+        "speedup_median_of_pairs": statistics.median(a / b for a, b in zip(p, c)),
+        "change_wins": f"{sum(a > b for a, b in zip(p, c))}/{len(p)}",
+    }
+
+
+def _speeds(row: dict) -> str:
+    """The wall and CPU columns of one printed row of times."""
+    return "  ".join(
+        f"{name} parent {row[clock]['parent']['median'] * 1e3:7.1f} ms change "
+        f"{row[clock]['change']['median'] * 1e3:7.1f} ms  x{row[clock]['speedup_median_of_pairs']:.2f} "
+        f"(wins {row[clock]['change_wins']})"
+        for name, clock in (("wall", "wall_s"), ("cpu", "cpu_s"))
+    )
 
 
 def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict | None]:
@@ -312,8 +336,8 @@ def main() -> int:
     parser.add_argument("--parent", default="HEAD", help="git revision to compare the working tree with")
     parser.add_argument("--pairs", type=int, default=15, help="alternated scorings per batch and tree")
     parser.add_argument("--traced", type=int, default=3, help="traced scorings per batch and tree")
-    parser.add_argument("--adjoint-runs", type=int, default=3, help="cold set-ups per chain and tree")
-    parser.add_argument("--diamonds", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--adjoint-runs", type=int, default=3, help="cold set-ups per set-up and tree")
+    parser.add_argument("--setup", choices=ADJOINT_SETUPS, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help="the record to write, such as BENCH_12.json (required)")
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--adjoint", type=Path, help=argparse.SUPPRESS)
@@ -323,7 +347,7 @@ def main() -> int:
         serve(args.serve)
         return 0
     if args.adjoint:
-        print(json.dumps(adjoint_worker(args.adjoint, args.diamonds)))
+        print(json.dumps(adjoint_worker(args.adjoint, args.setup)))
         return 0
     if args.out is None:
         parser.error("--out is required: name the record to write")
@@ -335,8 +359,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _export(args.parent, Path(tmp)), "change": ROOT}
         samples, stages = measure(trees, args.pairs, args.traced)
-        adjoint = {k: {t: {"setup_s": [], "peak_rss_mb": []} for t in trees} for k in ADJOINT_CHAINS}
-        for k in ADJOINT_CHAINS:
+        adjoint = {k: {t: {"wall_s": [], "cpu_s": [], "peak_rss_mb": []} for t in trees} for k in ADJOINT_SETUPS}
+        for k in ADJOINT_SETUPS:
             for r in range(args.adjoint_runs):
                 for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
                     for key, value in _adjoint(trees[t], k).items():
@@ -360,36 +384,25 @@ def main() -> int:
         "scoring": {},
     }
     for key in samples["change"]:
-        row = {}
-        for clock in ("wall_s", "cpu_s"):
-            p = [s[clock] for s in samples["parent"][key]]
-            c = [s[clock] for s in samples["change"][key]]
-            row[clock] = {
-                "parent": _summary(p),
-                "change": _summary(c),
-                "speedup_median_of_pairs": statistics.median(a / b for a, b in zip(p, c)),
-                "change_wins": f"{sum(a > b for a, b in zip(p, c))}/{len(p)}",
-            }
-        result["scoring"][key] = row
+        result["scoring"][key] = {clock: _compared(
+            [s[clock] for s in samples["parent"][key]], [s[clock] for s in samples["change"][key]]
+        ) for clock in ("wall_s", "cpu_s")}
     if stages is not None:
         result["stages_traced_ms"] = {t: {
             key: {s: round(1e3 * v, 2) for s, v in totals.items()} for key, totals in stages[t].items()
         } for t in trees}
     if args.adjoint_runs:
-        result["adjoint_chain"] = {f"k={k}": {
-            key: {t: _summary(runs[t][key]) for t in trees} for key in ("setup_s", "peak_rss_mb")
+        result["adjoint_setup"] = {k: {
+            **{clock: _compared(runs["parent"][clock], runs["change"][clock]) for clock in ("wall_s", "cpu_s")},
+            "peak_rss_mb": {t: _summary(runs[t]["peak_rss_mb"]) for t in trees},
         } for k, runs in adjoint.items()}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
-        w, c = row["wall_s"], row["cpu_s"]
-        print(f"{key:17s} wall parent {w['parent']['median'] * 1e3:7.1f} ms change "
-              f"{w['change']['median'] * 1e3:7.1f} ms  x{w['speedup_median_of_pairs']:.2f} "
-              f"(wins {w['change_wins']})  cpu parent {c['parent']['median'] * 1e3:7.1f} ms change "
-              f"{c['change']['median'] * 1e3:7.1f} ms  x{c['speedup_median_of_pairs']:.2f} "
-              f"(wins {c['change_wins']})")
-    for k, rows in result.get("adjoint_chain", {}).items():
-        for key, row in rows.items():
-            print(f"adjoint {k:5s} {key:12s} parent {row['parent']['median']:8.2f}  change {row['change']['median']:8.2f}")
+        print(f"{key:17s} {_speeds(row)}")
+    for k, row in result.get("adjoint_setup", {}).items():
+        rss = row["peak_rss_mb"]
+        print(f"adjoint {k:9s} {_speeds(row)}  peak MB parent {rss['parent']['median']:.1f} "
+              f"change {rss['change']['median']:.1f}")
     return 0
 
 

@@ -4,8 +4,8 @@ Both solvers share one march: one explicit step (five-point diffusion,
 componentwise upwind advection, forward Euler in time) on the square grid,
 behind one CFL gate.  The step is linear in a point and its four neighbors,
 so it is one weighted five-point stencil, u <- cC u + cE E + cW W + cN N +
-cS S + dt*source, its terms added left to right; ``advance_field`` gives the
-weights, computed once per march.  Boundary stencils are closed by
+cS S + dt*source, its terms added left to right; ``advance_field`` is that
+step, with the weights of ``_stencil_weights``.  Boundary stencils are closed by
 eliminating ghost points through one rule for both problems: the Robin
 condition mu du/deta - (v.eta) u = 0 on each edge where the marched velocity
 v enters the domain (v.eta < 0), Neumann du/deta = 0 elsewhere.  The adjoint
@@ -16,7 +16,15 @@ per scenario and reused for every policy.
 The march steps a padded field between two copies and hands each time
 level to a callback as it is made.  Scoring contracts each adjoint level
 there and keeps only the contraction; the oracles collect the whole
-(n_time+1, n_grid+1, n_grid+1) history.
+(n_time+1, n_grid+1, n_grid+1) history.  A step reads one copy and writes
+the other, so the march's ``_Workspace`` binds every operand of the step
+once for each of the two parities (which copy is read), and a step makes
+only the stencil's ufunc calls.  The march asks ``term(k)`` for the step's
+dt*source term, already multiplied out: the adjoint's is one 0-d array made
+once, the forward problem's the emission level in padded rows.  The step
+adds it over whole padded rows, ghost columns included, which is harmless
+because the next step's ghost fill overwrites those columns before any
+read.
 """
 
 from __future__ import annotations
@@ -79,14 +87,43 @@ def _edge_coefficients(mu: float, h: float, velocity) -> dict[str, float]:
 
 
 class _Workspace:
-    """The field ``u`` of a march inside one ghost layer per edge, twice: a
-    step reads ``padded`` and writes ``spare``, then the two swap.  Made once
-    per march, with the step's temporary."""
+    """The field ``u`` of a march inside one ghost layer per edge, twice, and
+    the operands of its step, bound once per march.
 
-    def __init__(self, n1: int):
-        self.padded, self.spare = np.zeros((2, n1 + 2, n1 + 2))
-        self.u = self.padded[1:-1, 1:-1]
-        self.tmp = np.empty((n1, n1 + 2))
+    A step reads one padded buffer and writes the other, and the next step
+    reads what this one wrote, so the workspace binds both buffer parities:
+    ``steps[parity]`` is (ghosts, terms, out, u) for the step that reads
+    buffer ``parity``, and ``parity`` names the buffer that holds the
+    current level ``u``.  ``ghosts`` are the four edges' (multiplier,
+    mirror, ghost) triples: the ghost row or column, and the interior one
+    it mirrors.  ``terms`` are the five (weight, view) pairs (cC, cE, cW,
+    cN, cS), each view the read buffer's padded rows 1..n1, or their shift
+    by one row or column, (n1, n1 + 2).  ``out`` is the written buffer's
+    padded rows 1..n1 and ``u`` its level.  Multipliers and weights are 0-d
+    arrays: numpy takes a Python float operand through a slower promotion
+    path, and the result is the same.  ``tmp`` is the step's temporary.
+    """
+
+    def __init__(self, n1: int, coeffs: dict[str, float], weights):
+        pads = np.zeros((2, n1 + 2, n1 + 2))
+        c = {edge: np.array(value) for edge, value in coeffs.items()}
+        weights = [np.array(value) for value in weights]
+        m = n1 + 2
+        steps = []
+        for ext, written in zip(pads, pads[::-1]):
+            ghosts = (
+                (c["left"], ext[2, 1:-1], ext[0, 1:-1]),
+                (c["right"], ext[-3, 1:-1], ext[-1, 1:-1]),
+                (c["bottom"], ext[1:-1, 2], ext[1:-1, 0]),
+                (c["top"], ext[1:-1, -3], ext[1:-1, -1]),
+            )
+            flat = ext.reshape(-1)
+            views = (flat[m + shift:(m - 1) * m + shift].reshape(m - 2, m) for shift in (0, m, -m, 1, -1))
+            steps.append((ghosts, tuple(zip(weights, views)), written[1:-1], written[1:-1, 1:-1]))
+        self.steps = tuple(steps)
+        self.parity = 0
+        self.u = pads[0, 1:-1, 1:-1]
+        self.tmp = np.empty((n1, m))
 
 
 def _stencil_weights(velocity, mu, kappa, h, dt) -> tuple[float, float, float, float, float]:
@@ -103,60 +140,78 @@ def _stencil_weights(velocity, mu, kappa, h, dt) -> tuple[float, float, float, f
     )
 
 
-def advance_field(ws: _Workspace, coeffs, weights, dt, source) -> None:
+def advance_field(ws: _Workspace, term) -> None:
     """One explicit step of du/dt = mu*lap(u) - velocity.grad(u) - kappa*u + source
     on ``ws.u``, which holds the new field after it.
 
     ``u`` is indexed [i, j] with x = i*h, y = j*h; every grid point is
     updated, the boundary closed by ghost values from the edge multipliers
-    ``coeffs``.  The step is u <- cC u + cE E + cW W + cN N + cS S + dt*source,
-    its terms added left to right, so every level rounds as that expression
-    does; the adjoint cache key names this form.  ``weights`` are
-    (cC, cE, cW, cN, cS) from ``_stencil_weights``:
+    the workspace binds.  The step is u <- cC u + cE E + cW W + cN N + cS S
+    + term, its terms added left to right, so every level rounds as that
+    expression with term = dt*source does; the adjoint cache key names this
+    form.  The weights are ``_stencil_weights``':
     cE = dt*(mu/h^2 - min(ax, 0)/h), cW = dt*(mu/h^2 + max(ax, 0)/h), cN and
     cS alike with ay, and cC = 1 - dt*(4 mu/h^2 + (|ax| + |ay|)/h + kappa).
+
     Each term is one pass over the padded rows 1..n1 whole, or their shift
-    by one row or column; what lands in the ghost columns is overwritten by
-    the next ghost fill.
+    by one row or column, and ``term`` is added over those whole rows too:
+    a 0-d array for a constant source, or (n1, n1 + 2) padded rows from
+    ``_field_terms``, since a pass over contiguous rows is cheaper than one
+    over the strided (n1, n1) interior.  What lands in the two ghost
+    columns, the term included, is never read: the next step's ghost fill
+    overwrites them first, and the level ``u`` excludes them.
     """
-    ext, out, tmp = ws.padded, ws.spare[1:-1], ws.tmp
+    ghosts, terms, out, u = ws.steps[ws.parity]
     # ghost layer: the edge's multiplier times the mirrored interior
     # neighbor; the corners stay unused
-    np.multiply(coeffs["left"], ext[2, 1:-1], out=ext[0, 1:-1])
-    np.multiply(coeffs["right"], ext[-3, 1:-1], out=ext[-1, 1:-1])
-    np.multiply(coeffs["bottom"], ext[1:-1, 2], out=ext[1:-1, 0])
-    np.multiply(coeffs["top"], ext[1:-1, -3], out=ext[1:-1, -1])
-
-    m, flat = ext.shape[0], ext.reshape(-1)
-    point, *neighbors = (
-        flat[m + shift:(m - 1) * m + shift].reshape(m - 2, m) for shift in (0, m, -m, 1, -1)
-    )
-    np.multiply(weights[0], point, out=out)
-    for weight, neighbor in zip(weights[1:], neighbors):
+    for multiplier, mirror, ghost in ghosts:
+        np.multiply(multiplier, mirror, out=ghost)
+    (weight, point), *neighbors = terms
+    np.multiply(weight, point, out=out)
+    tmp = ws.tmp
+    for weight, neighbor in neighbors:
         out += np.multiply(weight, neighbor, out=tmp)
-    out[:, 1:-1] += dt * source
-    ws.padded, ws.spare = ws.spare, ws.padded
-    ws.u = ws.padded[1:-1, 1:-1]
+    out += term
+    ws.parity ^= 1
+    ws.u = u
 
 
-def _march(scenario: Scenario, u0: float, velocity, source, visit=None, reverse=False):
+def _field_terms(dt: float, fields: np.ndarray):
+    """``term(k)`` for a march whose source of the step from k is the field
+    ``fields[k]``, (n1, n1): dt * fields[k] written into the interior
+    columns of one buffer of (n1, n1 + 2) padded rows, whose ghost columns
+    stay 0.  Each call overwrites the buffer it returns."""
+    rows = np.zeros(fields.shape[1:-1] + (fields.shape[-1] + 2,))
+    inner, dt = rows[:, 1:-1], np.array(dt)
+
+    def term(k: int) -> np.ndarray:
+        np.multiply(dt, fields[k], out=inner)
+        return rows
+
+    return term
+
+
+def _march(scenario: Scenario, u0: float, velocity, term, visit=None, reverse=False):
     """March the scenario's n_time steps with ``velocity`` from the constant
     field ``u0``, handing each level to ``visit(slot, level)`` as it is made.
 
-    The CFL gate runs first, before ``source`` is called: ``source(k)`` is the
-    source (a scalar or a field) of the step from k to k+1.  Level k goes to
-    slot k, or to slot n_time - k if ``reverse``, so a time-reversed march
-    comes out on the original time grid.  ``level`` is the workspace's field,
-    overwritten by a later step.  Without ``visit`` the levels are collected
-    and the history (n_time+1, n_grid+1, n_grid+1) is returned.
+    The CFL gate runs first, before ``term`` is called: ``term(k)`` is the
+    dt*source term that ``advance_field`` adds in the step from k to k+1, a
+    0-d array or padded rows.  Level k goes to slot k, or to slot
+    n_time - k if ``reverse``, so a time-reversed march comes out on the
+    original time grid.  ``level`` is the workspace's field, overwritten by
+    a later step.  Without ``visit`` the levels are collected and the
+    history (n_time+1, n_grid+1, n_grid+1) is returned.
     """
     params, h, dt, n_steps = scenario.dispersion, scenario.h, scenario.dt, scenario.n_time
     cfl = cfl_check_adjoint(h, dt, params)
     if not cfl.passed:
         raise DispersionError(cfl.finding)
-    coeffs = _edge_coefficients(params.mu, h, velocity)
-    weights = _stencil_weights(velocity, params.mu, params.kappa, h, dt)
-    ws = _Workspace(scenario.n_grid + 1)
+    ws = _Workspace(
+        scenario.n_grid + 1,
+        _edge_coefficients(params.mu, h, velocity),
+        _stencil_weights(velocity, params.mu, params.kappa, h, dt),
+    )
     history = None
     if visit is None:
         history = np.empty((n_steps + 1,) + ws.u.shape)
@@ -165,12 +220,11 @@ def _march(scenario: Scenario, u0: float, velocity, source, visit=None, reverse=
     ws.u[...] = u0
     visit(slots[0], ws.u)
     for k in range(n_steps):
-        advance_field(ws, coeffs, weights, dt, source(k))
+        advance_field(ws, term(k))
         visit(slots[k + 1], ws.u)
     if not np.all(np.isfinite(ws.u)):
         raise DispersionError("field blew up: non-finite values (instability)")
     return history
-
 
 def solve_adjoint(scenario: Scenario, visit=None) -> np.ndarray | None:
     """Solve the backward pollution-sensitivity problem once per scenario.
@@ -182,10 +236,8 @@ def solve_adjoint(scenario: Scenario, visit=None) -> np.ndarray | None:
     reversed wind and the constant source 1/(T*|area|).
     """
     wind = scenario.dispersion.wind
-    return _march(
-        scenario, 0.0, (-wind[0], -wind[1]),
-        lambda k: 1.0 / (scenario.horizon * scenario.area), visit, reverse=True,
-    )
+    term = np.array(scenario.dt * (1.0 / (scenario.horizon * scenario.area)))
+    return _march(scenario, 0.0, (-wind[0], -wind[1]), lambda k: term, visit, reverse=True)
 
 
 def solve_dispersion_forward(scenario: Scenario, emission: np.ndarray) -> np.ndarray:
@@ -199,4 +251,4 @@ def solve_dispersion_forward(scenario: Scenario, emission: np.ndarray) -> np.nda
     n1 = scenario.n_grid + 1
     if emission.shape != (scenario.n_time + 1, n1, n1):
         raise ValueError("emission field does not match the scenario grids")
-    return _march(scenario, params.phi0, params.wind, emission.__getitem__)
+    return _march(scenario, params.phi0, params.wind, _field_terms(scenario.dt, emission))

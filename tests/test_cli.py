@@ -310,6 +310,16 @@ class TestSimulate:
         assert code == 1
         assert "V_1 = 3.0 exceeds upper bound 2" in capsys.readouterr().err
 
+    def test_unparsable_policy_exits_one(self, fast_scenario_path, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--scenario", str(fast_scenario_path),
+            "--policy", "1,1,x,1,1,1", "--out", str(tmp_path / "x"),
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: cannot parse policy '1,1,x,1,1,1'")
+        assert "Traceback" not in captured.err + captured.out
+
     @pytest.mark.parametrize("policy", ["nan,1,1,1,1,1", "1,1,inf,1,1,1", "1,1,1,1,1,-inf"])
     def test_non_finite_policy_exits_one(self, fast_scenario_path, tmp_path, capsys, policy):
         code = run_cli(

@@ -8,6 +8,7 @@ from tramopt.dispersion import (
     DispersionError,
     _edge_coefficients,
     _stencil_weights,
+    _field_terms,
     _Workspace,
     advance_field,
     cfl_check_adjoint,
@@ -110,12 +111,30 @@ def _neumann_coeffs():
     return {"left": 1.0, "right": 1.0, "bottom": 1.0, "top": 1.0}
 
 
+def _terms(dt, sources):
+    """``term(k)`` of a march whose step k has the source ``sources[k]``: the
+    forward problem's padded rows for fields, the adjoint's 0-d array for
+    numbers."""
+    if np.ndim(sources[0]):
+        return _field_terms(dt, np.asarray(sources))
+    return lambda k: np.array(dt * sources[k])
+
+
+def _marched(u, coeffs, velocity, mu, kappa, h, dt, sources):
+    """The levels after each of ``len(sources)`` consecutive ``advance_field``
+    steps from ``u`` in one march's workspace, step k with ``sources[k]``."""
+    ws = _Workspace(u.shape[0], coeffs, _stencil_weights(velocity, mu, kappa, h, dt))
+    ws.u[...] = u
+    term, levels = _terms(dt, sources), []
+    for k in range(len(sources)):
+        advance_field(ws, term(k))
+        levels.append(ws.u.copy())
+    return levels
+
+
 def _advanced(u, coeffs, velocity, mu, kappa, h, dt, source):
     """``u`` after one ``advance_field`` step in a march's workspace."""
-    ws = _Workspace(u.shape[0])
-    ws.u[...] = u
-    advance_field(ws, coeffs, _stencil_weights(velocity, mu, kappa, h, dt), dt, source)
-    return ws.u.copy()
+    return _marched(u, coeffs, velocity, mu, kappa, h, dt, [source])[0]
 
 
 def _neighbors(u, coeffs):
@@ -172,6 +191,22 @@ def test_step_rounds_as_the_expression(velocity):
     u, coeffs, params = _step_case(velocity)
     got = _advanced(u, coeffs, velocity, **params)
     assert got.tobytes() == _reference_step(u, coeffs, velocity, **params).tobytes()
+
+
+@pytest.mark.parametrize("velocity", _STEP_VELOCITIES)
+@pytest.mark.parametrize("field", [True, False], ids=["field-term", "constant-term"])
+def test_consecutive_steps_round_as_the_expression(velocity, field):
+    # three steps read and write both buffers of the workspace, each with
+    # its own bound operands; each level has the expression's bits
+    u, coeffs, params = _step_case(velocity)
+    rng = np.random.default_rng(12)
+    sources = list(rng.random((3,) + u.shape)) if field else [0.7, -1.3, 0.0]
+    params.pop("source")
+    levels = _marched(u, coeffs, velocity, sources=sources, **params)
+    want = u
+    for k, got in enumerate(levels):
+        want = _reference_step(want, coeffs, velocity, source=sources[k], **params)
+        assert got.tobytes() == want.tobytes(), k
 
 
 @pytest.mark.parametrize("velocity", _STEP_VELOCITIES)
@@ -324,3 +359,27 @@ class TestForwardDispersion:
         s = _tiny_scenario()
         with pytest.raises(ValueError):
             solve_dispersion_forward(s, np.zeros((3, 3, 3)))
+
+    def test_every_level_rounds_as_the_reference_steps(self):
+        # the march's padded source rows give each level the bits of the
+        # reference step looped over the emission levels
+        s = _tiny_scenario(kappa=0.5, wind=(1.0, -0.5), phi0=0.2)
+        params = s.dispersion
+        rng = np.random.default_rng(13)
+        emission = rng.random((s.n_time + 1, s.n_grid + 1, s.n_grid + 1))
+        phi = solve_dispersion_forward(s, emission)
+        coeffs = _edge_coefficients(params.mu, s.h, params.wind)
+        want = np.full(phi[0].shape, params.phi0)
+        assert phi[0].tobytes() == want.tobytes()
+        for k in range(s.n_time):
+            want = _reference_step(
+                want, coeffs, params.wind, params.mu, params.kappa, s.h, s.dt, emission[k]
+            )
+            assert phi[k + 1].tobytes() == want.tobytes(), k
+
+    def test_overflowing_field_raises(self):
+        # an emission near the largest double overflows within the horizon
+        s = _tiny_scenario(n_time=400, horizon=5.0)
+        emission = np.full((s.n_time + 1, s.n_grid + 1, s.n_grid + 1), 1e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DispersionError, match="blew up"):
+            solve_dispersion_forward(s, emission)

@@ -224,3 +224,10 @@ class TestEmissionField:
         raster = rasterize_network(s)
         with pytest.raises(ValueError):
             emission_field(traj, raster, diamond, [1.0] * 6)
+
+    def test_time_grid_mismatch_rejected(self):
+        s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)])
+        traj = simulate_traffic(s, [1.0])
+        longer = dataclasses.replace(s, n_time=s.n_time + 1)
+        with pytest.raises(ValueError, match="time grids"):
+            emission_field(traj, rasterize_network(s), longer, [1.0])

@@ -54,6 +54,10 @@ class TestNondominatedFilter:
     def test_empty(self):
         assert len(nondominated_filter([])) == 0
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="n_points, n_objectives"):
+            nondominated_filter([1.0, 2.0])
+
     @given(
         values=arrays(
             float,
@@ -68,11 +72,16 @@ class TestNondominatedFilter:
 
 
 class TestHypervolume:
+    def test_no_points_no_area(self):
+        assert hypervolume_2d([], (3, 3)) == 0.0
+
     def test_hand_computed_union_of_rectangles(self):
         assert hypervolume_2d([(1, 2), (2, 1)], (3, 3)) == pytest.approx(3.0)
 
     def test_points_beyond_reference_ignored(self):
         assert hypervolume_2d([(4, 4)], (3, 3)) == 0.0
+        # on the reference in one coordinate: not below it, so no area
+        assert hypervolume_2d([(3, 1), (1, 3)], (3, 3)) == 0.0
         # (5, 0.5) exceeds the reference in one coordinate: no dominated area
         assert hypervolume_2d([(1, 1), (5, 0.5)], (3, 3)) == pytest.approx(4.0)
 

@@ -190,6 +190,16 @@ class TestJDiff:
         s = _single_road()
         assert j_diff_forward(np.zeros((s.n_time + 1, 31, 31)), s) == 0.0
 
+    def test_fields_off_the_scenario_grids_rejected(self):
+        s = _single_road(n_time=20)
+        fits, short = (np.zeros((n, s.n_grid + 1, s.n_grid + 1)) for n in (s.n_time + 1, s.n_time))
+        with pytest.raises(ValueError, match="emission/adjoint"):
+            j_diff_adjoint(fits, short, 0.0, s)
+        with pytest.raises(ValueError, match="emission/adjoint"):
+            j_diff_adjoint(short, short, 0.0, s)
+        with pytest.raises(ValueError, match="concentration"):
+            j_diff_forward(short, s)
+
     def test_adjoint_matches_forward_on_small_problem(self):
         s = _single_road(T=2.0, n_time=300, inflow=0.25)
         policy = [1.0]
@@ -225,6 +235,11 @@ class TestEvaluatePolicy:
         b = ObjectiveBreakdown(j_flow=1.0, j_diff=0.3, j_queue=2.0, delta=0.5)
         assert b.vector("2d") == pytest.approx([-1.0, 0.3 + 1.0])
         assert b.vector("3d") == pytest.approx([-1.0, 0.3, 2.0])
+
+    def test_unknown_mode_rejected(self):
+        b = ObjectiveBreakdown(j_flow=1.0, j_diff=0.3, j_queue=2.0, delta=0.5)
+        with pytest.raises(ValueError, match="unknown objective mode '4d'"):
+            b.vector("4d")
 
     def test_repeat_evaluations_bitwise_identical(self, diamond):
         adjoint = contract_adjoint(diamond)
