@@ -17,14 +17,12 @@ The march steps a padded field between two copies and hands each time
 level to a callback as it is made.  Scoring contracts each adjoint level
 there and keeps only the contraction; the oracles collect the whole
 (n_time+1, n_grid+1, n_grid+1) history.  A step reads one copy and writes
-the other, so the march's ``_Workspace`` binds every operand of the step
-once for each of the two parities (which copy is read), and a step makes
-only the stencil's ufunc calls.  The march asks ``term(k)`` for the step's
-dt*source term, already multiplied out: the adjoint's is one 0-d array made
-once, the forward problem's the emission level in padded rows.  The step
-adds it over whole padded rows, ghost columns included, which is harmless
-because the next step's ghost fill overwrites those columns before any
-read.
+the other, so ``_Workspace`` binds the step's operands once per march for
+each of the two parities, and a step makes only the stencil's ufunc calls.
+The march asks ``term(k)`` for the step's dt*source term: one 0-d array for
+the adjoint, the emission level in padded rows for the forward problem.  The
+step adds it over whole padded rows; the ghost columns take it harmlessly,
+since the next ghost fill overwrites them before any read.
 """
 
 from __future__ import annotations
@@ -95,20 +93,22 @@ class _Workspace:
     ``steps[parity]`` is (ghosts, terms, out, u) for the step that reads
     buffer ``parity``, and ``parity`` names the buffer that holds the
     current level ``u``.  ``ghosts`` are the four edges' (multiplier,
-    mirror, ghost) triples: the ghost row or column, and the interior one
-    it mirrors.  ``terms`` are the five (weight, view) pairs (cC, cE, cW,
+    mirror, ghost) triples: a ghost row or column is the multiplier times
+    the interior one it mirrors.  ``terms`` are the five (weight, view) pairs (cC, cE, cW,
     cN, cS), each view the read buffer's padded rows 1..n1, or their shift
     by one row or column, (n1, n1 + 2).  ``out`` is the written buffer's
-    padded rows 1..n1 and ``u`` its level.  Multipliers and weights are 0-d
+    padded rows 1..n1, ghost columns included, where the step also adds its
+    ``term(k)`` (the next step's ghost fill overwrites those columns), and
+    ``u`` is its level.  Multipliers and weights are 0-d
     arrays: numpy takes a Python float operand through a slower promotion
     path, and the result is the same.  ``tmp`` is the step's temporary.
     """
 
     def __init__(self, n1: int, coeffs: dict[str, float], weights):
-        pads = np.zeros((2, n1 + 2, n1 + 2))
+        m = n1 + 2
+        pads = np.zeros((2, m, m))
         c = {edge: np.array(value) for edge, value in coeffs.items()}
         weights = [np.array(value) for value in weights]
-        m = n1 + 2
         steps = []
         for ext, written in zip(pads, pads[::-1]):
             ghosts = (
@@ -118,7 +118,7 @@ class _Workspace:
                 (c["top"], ext[1:-1, -3], ext[1:-1, -1]),
             )
             flat = ext.reshape(-1)
-            views = (flat[m + shift:(m - 1) * m + shift].reshape(m - 2, m) for shift in (0, m, -m, 1, -1))
+            views = (flat[m + shift:(m - 1) * m + shift].reshape(n1, m) for shift in (0, m, -m, 1, -1))
             steps.append((ghosts, tuple(zip(weights, views)), written[1:-1], written[1:-1, 1:-1]))
         self.steps = tuple(steps)
         self.parity = 0
@@ -159,7 +159,9 @@ def advance_field(ws: _Workspace, term) -> None:
     ``_field_terms``, since a pass over contiguous rows is cheaper than one
     over the strided (n1, n1) interior.  What lands in the two ghost
     columns, the term included, is never read: the next step's ghost fill
-    overwrites them first, and the level ``u`` excludes them.
+    overwrites them first, and the level ``u`` excludes them.  The step
+    reads buffer ``ws.parity`` through that parity's bound operands, writes
+    the other buffer and flips ``ws.parity``.
     """
     ghosts, terms, out, u = ws.steps[ws.parity]
     # ghost layer: the edge's multiplier times the mirrored interior
@@ -197,11 +199,13 @@ def _march(scenario: Scenario, u0: float, velocity, term, visit=None, reverse=Fa
 
     The CFL gate runs first, before ``term`` is called: ``term(k)`` is the
     dt*source term that ``advance_field`` adds in the step from k to k+1, a
-    0-d array or padded rows.  Level k goes to slot k, or to slot
-    n_time - k if ``reverse``, so a time-reversed march comes out on the
-    original time grid.  ``level`` is the workspace's field, overwritten by
-    a later step.  Without ``visit`` the levels are collected and the
-    history (n_time+1, n_grid+1, n_grid+1) is returned.
+    0-d array or (n1, n1 + 2) padded rows, whose ghost columns the next
+    step's ghost fill overwrites.  The workspace binds the step's operands
+    for both buffer parities once, before the first step.  Level k goes to
+    slot k, or to slot n_time - k if ``reverse``, so a time-reversed march
+    comes out on the original time grid.  ``level`` is the workspace's
+    field, overwritten by a later step.  Without ``visit`` the levels are
+    collected and the history (n_time+1, n_grid+1, n_grid+1) is returned.
     """
     params, h, dt, n_steps = scenario.dispersion, scenario.h, scenario.dt, scenario.n_time
     cfl = cfl_check_adjoint(h, dt, params)
@@ -225,6 +229,7 @@ def _march(scenario: Scenario, u0: float, velocity, term, visit=None, reverse=Fa
     if not np.all(np.isfinite(ws.u)):
         raise DispersionError("field blew up: non-finite values (instability)")
     return history
+
 
 def solve_adjoint(scenario: Scenario, visit=None) -> np.ndarray | None:
     """Solve the backward pollution-sensitivity problem once per scenario.
