@@ -7,8 +7,8 @@ import pytest
 from tramopt.dispersion import (
     DispersionError,
     _edge_coefficients,
-    _stencil_weights,
     _field_terms,
+    _stencil_weights,
     _Workspace,
     advance_field,
     cfl_check_adjoint,
