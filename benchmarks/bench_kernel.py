@@ -1,4 +1,4 @@
-"""Layer bench of the traffic kernel and the adjoint set-up, on two source trees.
+"""Layer bench of the traffic kernel, the adjoint set-up and ``simulate``, on two source trees.
 
     python3 benchmarks/bench_kernel.py --parent HEAD~1 --pairs 15 --out BENCH_N.json
 
@@ -38,9 +38,21 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   k = 1, 4 and 16 diamonds (n_grid 100, 180 and 560), each in a fresh
   process: its wall and CPU time and the process's peak RSS
   (``ru_maxrss``) after it, ``--adjoint-runs`` times per set-up and tree,
-  alternating which tree goes first; 0 skips them.  The times are reported
-  as the scoring times are: a speed-up is the median over pairs of the
-  parent's time over the change's.
+  alternating which tree goes first; 0 skips them.  A speed-up is the
+  median over pairs of the parent's wall time over the change's, with CPU
+  time kept as a column: a process's CPU clock can read above its wall
+  clock for one single-threaded set-up of tens of milliseconds on a loaded
+  host, so for these rows wall time over many pairs is the sharper measure.
+* Simulate: whole ``tramopt simulate`` calls through ``cli.main``, all
+  limits at 1.0, per ``SIMULATE_SETUPS``: on ``scenarios/diamond.json`` and
+  on the chain of k = 4 diamonds.  Per set-up and tree, every call writes
+  into one reused ``--out`` with one ``--cache-dir``, so after a first,
+  untimed call each call rewrites the files of the one before it from a
+  warm cache.  Each call runs in a fresh process: its wall and CPU time and
+  the process's peak RSS after it, ``--simulate-runs`` pairs per set-up,
+  alternating which tree goes first, reported as the set-ups are.  Then one
+  call per tree on the chain of k = 16 diamonds (a 1.5 GB emission field),
+  with a cold cache, for its peak RSS alone; 0 skips the section.
 
 Needs only the standard library and numpy.  Not part of the test suite.
 """
@@ -48,11 +60,14 @@ Needs only the standard library and numpy.  Not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -66,6 +81,9 @@ CHAIN_SEED = 1
 CHAIN_DIAMONDS = 4
 #: the cold adjoint set-ups: the diamond, and chains of k diamonds
 ADJOINT_SETUPS = ("diamond", "k=1", "k=4", "k=16")
+#: the simulate calls timed in pairs, and the one run once per tree for its peak
+SIMULATE_SETUPS = ("diamond", "k=4")
+SIMULATE_PEAK_ONLY = "k=16"
 #: batch sizes timed per search; all but 1 occur as whole poll batches
 BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (682,)}
 #: per search: its scenario, budget and search seed
@@ -200,6 +218,20 @@ def adjoint_worker(tree: Path, setup: str) -> dict:
     return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def simulate_worker(tree: Path, argv: list[str]) -> dict:
+    """One ``tramopt simulate`` call with ``argv`` in this fresh process."""
+    sys.path.insert(0, str(tree / "src"))
+    from tramopt.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        wall, cpu = time.perf_counter(), time.process_time()
+        code = main(argv)
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    if code != 0:
+        raise RuntimeError(f"simulate exited {code}: {argv}")
+    return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 def serve(tree: Path) -> None:
     """Set up every batch of ``BATCHES``, then answer ``score KEY`` with one
     timed scoring and ``stages KEY`` with one traced one, a JSON line each."""
@@ -275,6 +307,45 @@ def _adjoint(tree: Path, setup: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def _simulate(tree: Path, argv: list[str]) -> dict:
+    done = subprocess.run([sys.executable, __file__, "--simulate", str(tree), "--argv", json.dumps(argv)],
+                          check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def measure_simulate(trees: dict[str, Path], runs: int, work: Path) -> dict:
+    """Per ``SIMULATE_SETUPS`` and tree, a first untimed call and then
+    ``runs`` alternated calls into one reused ``--out``; then one cold call
+    per tree on ``SIMULATE_PEAK_ONLY``, its output removed after it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import chain
+
+    def argv(setup: str, t: str) -> list[str]:
+        if setup == "diamond":
+            path = ROOT / "scenarios" / "diamond.json"
+        else:
+            path = work / f"chain-{setup}.json"
+            if not path.exists():
+                path.write_text(json.dumps(chain.make_chain(int(setup[2:]), CHAIN_SEED)))
+        n_roads = len(json.loads(path.read_text())["roads"])
+        return ["simulate", "--scenario", str(path), "--policy", ",".join(["1.0"] * n_roads),
+                "--out", str(work / t / setup / "out"), "--cache-dir", str(work / t / setup / "cache")]
+
+    samples = {k: {t: {"wall_s": [], "cpu_s": [], "peak_rss_mb": []} for t in trees} for k in SIMULATE_SETUPS}
+    for k in SIMULATE_SETUPS:
+        for t in trees:
+            _simulate(trees[t], argv(k, t))
+        for r in range(runs):
+            for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
+                for key, value in _simulate(trees[t], argv(k, t)).items():
+                    samples[k][t][key].append(value)
+    peak = {}
+    for t in trees:
+        peak[t] = _simulate(trees[t], argv(SIMULATE_PEAK_ONLY, t))["peak_rss_mb"]
+        shutil.rmtree(work / t / SIMULATE_PEAK_ONLY)
+    return {"timed": samples, "peak_only": peak}
+
+
 def _summary(samples: list[float]) -> dict:
     q = statistics.quantiles(samples, n=4) if len(samples) > 1 else [samples[0]] * 3
     return {"median": statistics.median(samples), "q1": q[0], "q3": q[2], "n": len(samples)}
@@ -298,6 +369,24 @@ def _speeds(row: dict) -> str:
         f"(wins {row[clock]['change_wins']})"
         for name, clock in (("wall", "wall_s"), ("cpu", "cpu_s"))
     )
+
+
+def _whole_runs(runs: dict, trees) -> dict:
+    """A row of whole-process runs: wall time's speed-up and wins as its
+    headline, both clocks compared and the peak RSS of each tree."""
+    row = {clock: _compared(runs["parent"][clock], runs["change"][clock]) for clock in ("wall_s", "cpu_s")}
+    return {
+        "speedup_median_of_pairs": row["wall_s"]["speedup_median_of_pairs"],
+        "change_wins": row["wall_s"]["change_wins"],
+        **row,
+        "peak_rss_mb": {t: _summary(runs[t]["peak_rss_mb"]) for t in trees},
+    }
+
+
+def _whole_line(name: str, row: dict) -> str:
+    rss = row["peak_rss_mb"]
+    return (f"{name:17s} x{row['speedup_median_of_pairs']:.2f} wall (wins {row['change_wins']})  {_speeds(row)}  "
+            f"peak MB parent {rss['parent']['median']:.1f} change {rss['change']['median']:.1f}")
 
 
 def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict | None]:
@@ -337,10 +426,14 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=15, help="alternated scorings per batch and tree")
     parser.add_argument("--traced", type=int, default=3, help="traced scorings per batch and tree")
     parser.add_argument("--adjoint-runs", type=int, default=3, help="cold set-ups per set-up and tree")
+    parser.add_argument("--simulate-runs", type=int, default=10,
+                        help="alternated simulate pairs per set-up, after one untimed call per tree")
     parser.add_argument("--setup", choices=ADJOINT_SETUPS, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help="the record to write, such as BENCH_12.json (required)")
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--adjoint", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--simulate", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--argv", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.serve:
@@ -349,10 +442,15 @@ def main() -> int:
     if args.adjoint:
         print(json.dumps(adjoint_worker(args.adjoint, args.setup)))
         return 0
+    if args.simulate:
+        print(json.dumps(simulate_worker(args.simulate, json.loads(args.argv))))
+        return 0
     if args.out is None:
         parser.error("--out is required: name the record to write")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1: the scoring pairs are the record")
+    if min(args.traced, args.adjoint_runs, args.simulate_runs) < 0:
+        parser.error("--traced, --adjoint-runs and --simulate-runs take 0 (skip) or more")
 
     import numpy as np
 
@@ -365,6 +463,7 @@ def main() -> int:
                 for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
                     for key, value in _adjoint(trees[t], k).items():
                         adjoint[k][t][key].append(value)
+        simulate = measure_simulate(trees, args.simulate_runs, Path(tmp) / "simulate") if args.simulate_runs else None
 
     result = {
         "script": "benchmarks/bench_kernel.py",
@@ -392,17 +491,21 @@ def main() -> int:
             key: {s: round(1e3 * v, 2) for s, v in totals.items()} for key, totals in stages[t].items()
         } for t in trees}
     if args.adjoint_runs:
-        result["adjoint_setup"] = {k: {
-            **{clock: _compared(runs["parent"][clock], runs["change"][clock]) for clock in ("wall_s", "cpu_s")},
-            "peak_rss_mb": {t: _summary(runs[t]["peak_rss_mb"]) for t in trees},
-        } for k, runs in adjoint.items()}
+        result["adjoint_setup"] = {k: _whole_runs(runs, trees) for k, runs in adjoint.items()}
+    if simulate is not None:
+        result["simulate"] = {k: _whole_runs(runs, trees) for k, runs in simulate["timed"].items()}
+        result["simulate"][SIMULATE_PEAK_ONLY] = {"peak_rss_mb": simulate["peak_only"]}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
         print(f"{key:17s} {_speeds(row)}")
     for k, row in result.get("adjoint_setup", {}).items():
-        rss = row["peak_rss_mb"]
-        print(f"adjoint {k:9s} {_speeds(row)}  peak MB parent {rss['parent']['median']:.1f} "
-              f"change {rss['change']['median']:.1f}")
+        print(_whole_line(f"adjoint {k}", row))
+    for k, row in result.get("simulate", {}).items():
+        if k == SIMULATE_PEAK_ONLY:
+            print(f"simulate {k:8s} peak MB parent {row['peak_rss_mb']['parent']:.1f} "
+                  f"change {row['peak_rss_mb']['change']:.1f} (one cold call each)")
+        else:
+            print(_whole_line(f"simulate {k}", row))
     return 0
 
 

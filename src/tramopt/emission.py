@@ -6,20 +6,32 @@ segment (boundary ties count as covered).  Each covered point carries the
 finite-volume cell of that foot; points covered by several roads average
 the width-scaled rates of all of them.  That rule is one linear map from
 road cells to grid points, and a ``RasterMap`` is its one implementation:
-it scatters road-cell rates onto a grid level for the emission field, and
+it scatters road-cell rates onto grid levels for the emission field, and
 gathers a grid level onto road cells for the adjoint's contraction.  Both
 add the entries of a bin in entry order, starting from 0.0.
+
+The emission field is made in blocks of levels of at most
+``FIELD_BLOCK_BYTES`` (at least one level), so that a caller writing it
+never holds the whole (n_time + 1, n_grid + 1, n_grid + 1) array: 157.8 MB
+on a chain of 4 diamonds, 1.5 GB on 16.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from tramopt.network import Scenario, check_policies
 from tramopt.traffic import greenshields_flux
+
+#: the most bytes of one block of levels ``emission_field`` yields, unless
+#: one level alone is larger: small enough to add little to a process's peak
+#: memory, large enough that the fixed cost of a scatter and of a write is
+#: paid once per several levels (four on the diamond's 61 x 61 grid)
+FIELD_BLOCK_BYTES = 128 * 1024
 
 
 def emission_rate(flow, rho, theta, out=None):
@@ -45,11 +57,18 @@ class RasterMap:
     slot: np.ndarray
     weight: np.ndarray
 
-    def scatter(self, rates: np.ndarray, out: np.ndarray) -> None:
-        """Write the field of the (roads, cells) ``rates`` into the grid level ``out``."""
+    def scatter(self, rates: np.ndarray) -> np.ndarray:
+        """The grid levels of the (levels, roads, cells) ``rates``, shape
+        (levels, n_grid + 1, n_grid + 1).  One ``np.bincount`` over the bins
+        level * (n_grid + 1)**2 + point makes every level at once; a bin holds
+        the entries of one level's point, so each is still summed in entry
+        order from 0.0, the same bits as a scatter of that level alone."""
+        levels = rates.shape[0]
+        size = (self.n_grid + 1) ** 2
         point = self.i * (self.n_grid + 1) + self.j
-        sums = np.bincount(point, rates.ravel()[self.slot] * self.weight, minlength=out.size)
-        out[...] = sums.reshape(out.shape)
+        bins = (np.arange(levels)[:, None] * size + point).ravel()
+        terms = (rates.reshape(levels, -1)[:, self.slot] * self.weight).ravel()
+        return np.bincount(bins, terms, minlength=levels * size).reshape(levels, self.n_grid + 1, -1)
 
     def gather(self, level: np.ndarray, out: np.ndarray) -> None:
         """Write the grid ``level``'s weighted sum per road cell into the (roads, cells) ``out``."""
@@ -114,15 +133,20 @@ def cell_rates(densities: np.ndarray, scenario: Scenario, policy) -> np.ndarray:
     return emission_rate(flow, densities, scenario.theta)
 
 
-def emission_field(traj, raster: RasterMap, scenario: Scenario, policy) -> np.ndarray:
-    """Rasterized emission rates, shape (n_time + 1, n_grid + 1, n_grid + 1)."""
+def emission_field(traj, raster: RasterMap, scenario: Scenario, policy) -> Iterator[np.ndarray]:
+    """Rasterized emission rates, shape (n_time + 1, n_grid + 1, n_grid + 1),
+    as an iterator of blocks of consecutive levels, each at most
+    ``FIELD_BLOCK_BYTES`` or one level; concatenated, they are the field.
+
+    The grid checks, the policy's box check (``PolicyError``) and the road
+    cells' rates run at this call; only the blocks' scatters wait for the
+    iteration.  So a bad input fails where the field is asked for, while the
+    field itself is made as it is consumed, one block held at a time."""
     if raster.n_grid != scenario.n_grid:
         raise ValueError("raster map and scenario grids do not match")
     if traj.densities.shape[0] != scenario.n_time + 1:
         raise ValueError("trajectory and scenario time grids do not match")
 
     rates = cell_rates(traj.densities, scenario, policy)
-    field = np.empty((rates.shape[0], scenario.n_grid + 1, scenario.n_grid + 1))
-    for level_rates, level in zip(rates, field):
-        raster.scatter(level_rates, out=level)
-    return field
+    step = max(1, FIELD_BLOCK_BYTES // (8 * (scenario.n_grid + 1) ** 2))
+    return (raster.scatter(rates[k:k + step]) for k in range(0, len(rates), step))

@@ -91,7 +91,7 @@ def test_criterion_3_adjoint_identity(diamond):
     policy = np.ones(6)
     traj = simulate_traffic(diamond, policy)
     raster = rasterize_network(diamond)
-    field = emission_field(traj, raster, diamond, policy)
+    field = np.concatenate(list(emission_field(traj, raster, diamond, policy)))
     adjoint = solve_adjoint(diamond)
     via_adjoint = j_diff_adjoint(field, adjoint, 0.0, diamond)
     via_forward = j_diff_forward(solve_dispersion_forward(diamond, field), diamond)

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import operator
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -74,6 +75,16 @@ def _overflowing_scenario(tmp_path, diamond_path) -> Path:
 
 #: the contraction of the fast diamond: (n_time+1, roads, cells)
 _FAST_PAIRING_SHAPE = (151, 6, 20)
+
+
+def _written(out: Path) -> dict[str, bytes]:
+    """The bytes of each file in ``out`` by name; the manifest's without its
+    two time stamps."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files["manifest.json"])
+    del manifest["started"], manifest["finished"]
+    files["manifest.json"] = json.dumps(manifest).encode()
+    return files
 
 
 def _cut(size):
@@ -622,6 +633,61 @@ class TestSimulate:
         assert manifest["scenario_sha256"] == digest
 
 
+    def test_simulate_never_holds_the_emission_field(self, fast_scenario_path, tmp_path):
+        # the field is (n_time+1)(n_grid+1)^2 doubles, 4.5 MB on the fast diamond
+        scenario = load_scenario(fast_scenario_path.read_text())
+        field_bytes = (scenario.n_time + 1) * (scenario.n_grid + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            code = run_cli("simulate", "--scenario", str(fast_scenario_path),
+                           "--policy", "1,1,1,1,1,1", "--out", str(tmp_path / "sim"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < field_bytes / 4
+
+    def test_rewritten_outputs_equal_a_fresh_run(self, diamond_path, fast_scenario_path, tmp_path):
+        # the diamond's files are larger than the fast diamond's, so a file
+        # rewritten in place without truncation would keep a stale tail
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for scenario, out in ((diamond_path, reused), (fast_scenario_path, reused), (fast_scenario_path, fresh)):
+            code = run_cli("simulate", "--scenario", str(scenario), "--policy", "1.5,0.5,1,1,0.75,2",
+                           "--out", str(out), *cache)
+            assert code == 0
+        assert _written(reused) == _written(fresh)
+
+    def test_output_name_taken_by_a_directory_exits_two(self, fast_scenario_path, tmp_path, capsys):
+        out = tmp_path / "sim"
+        (out / "emission.bin").mkdir(parents=True)
+        code = run_cli("simulate", "--scenario", str(fast_scenario_path),
+                       "--policy", "1,1,1,1,1,1", "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "emission.bin" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_manifest_renamed_from_this_process_temp_file(self, fast_scenario_path, tmp_path, monkeypatch):
+        # another process's temporary manifest in the same directory is left alone
+        out = tmp_path / "sim"
+        out.mkdir()
+        other = out / f"manifest.json.{os.getpid() + 1}.tmp"
+        other.write_text("half written")
+        renamed = []
+        replace = os.replace
+        monkeypatch.setattr(cli.os, "replace", lambda src, dst: (renamed.append(Path(src).name), replace(src, dst)))
+        for _ in range(2):
+            code = run_cli("simulate", "--scenario", str(fast_scenario_path),
+                           "--policy", "1,1,1,1,1,1", "--out", str(out))
+            assert code == 0
+        assert renamed.count(f"manifest.json.{os.getpid()}.tmp") == 2
+        assert other.read_text() == "half written"
+        assert json.loads((out / "manifest.json").read_text())["command"] == "simulate"
+        assert sorted(p.name for p in out.glob("manifest.json*")) == sorted(["manifest.json", other.name])
+
+
 class TestOptimize:
     def test_front_files_written(self, fast_scenario_path, tmp_path):
         out = tmp_path / "opt"
@@ -650,6 +716,16 @@ class TestOptimize:
             )
             outs.append((out / "front.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_rewritten_outputs_equal_a_fresh_run(self, fast_scenario_path, tmp_path):
+        # the budget-60 front has more rows than the budget-30 one
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for budget, out in (("60", reused), ("30", reused), ("30", fresh)):
+            code = run_cli("optimize", "--scenario", str(fast_scenario_path), "--out", str(out),
+                           "--budget", budget, "--seed", "11", *cache)
+            assert code == 0
+        assert _written(reused) == _written(fresh)
 
     def test_two_jobs_write_the_same_front(self, fast_scenario_path, tmp_path):
         # in the scenario's 2d mode, and in 3d with a queue weight

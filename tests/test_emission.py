@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tramopt import emission
+from tramopt.cli import write_emission_bin
 from tramopt.emission import emission_field, emission_rate, rasterize_network
 from tramopt.network import load_scenario
 from tramopt.traffic import greenshields_flux, simulate_traffic
@@ -161,7 +163,7 @@ class TestEmissionField:
         policy = policy if policy is not None else np.ones(scenario.n_roads)
         traj = simulate_traffic(scenario, policy)
         raster = rasterize_network(scenario)
-        return traj, raster, emission_field(traj, raster, scenario, policy)
+        return traj, raster, np.concatenate(list(emission_field(traj, raster, scenario, policy)))
 
     def test_single_road_rate_scaled_by_width(self):
         # rho = 0.5, V = 1, theta = 0.5: rate 0.5; width 0.1 -> xi = 5.0
@@ -196,8 +198,8 @@ class TestEmissionField:
         policy = [1.0]
         traj = simulate_traffic(s1, policy)
         raster = rasterize_network(s1)
-        f1 = emission_field(traj, raster, s1, policy)
-        f2 = emission_field(traj, raster, s2, policy)
+        f1 = np.concatenate(list(emission_field(traj, raster, s1, policy)))
+        f2 = np.concatenate(list(emission_field(traj, raster, s2, policy)))
         assert np.all(f1 >= 0.0)
         # xi = Q/w + theta*rho/w pointwise: doubling theta adds one density share
         dens_share = f2 - f1
@@ -211,13 +213,16 @@ class TestEmissionField:
         s_wide = _scenario(roads_wide, n_grid=60)
         policy = [1.0]
         traj = simulate_traffic(s_thin, policy)
-        f_thin = emission_field(traj, rasterize_network(s_thin), s_thin, policy)
-        f_wide = emission_field(traj, rasterize_network(s_wide), s_wide, policy)
+        f_thin, f_wide = (
+            np.concatenate(list(emission_field(traj, rasterize_network(s), s, policy))) for s in (s_thin, s_wide)
+        )
         thin_pts = rasterize_network(s_thin)
         vals_thin = f_thin[0, thin_pts.i, thin_pts.j]
         vals_wide = f_wide[0, thin_pts.i, thin_pts.j]
         assert vals_wide == pytest.approx(vals_thin / 2.0)
 
+    # these checks, and the policy's box check, raise at the call itself,
+    # before any block is asked for
     def test_grid_mismatch_rejected(self, diamond):
         s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)])
         traj = simulate_traffic(s, [1.0])
@@ -231,3 +236,42 @@ class TestEmissionField:
         longer = dataclasses.replace(s, n_time=s.n_time + 1)
         with pytest.raises(ValueError, match="time grids"):
             emission_field(traj, rasterize_network(s), longer, [1.0])
+
+
+def _reference_emission_bin(s, densities, policy) -> bytes:
+    """The emission.bin of the field made level by level, each grid point's
+    entries of ``_reference_raster`` added in entry order from 0.0."""
+    raster = _reference_raster(s)
+    v = np.asarray(policy, float)[:, None]
+    rho_max = np.array([r.rho_max for r in s.roads])[:, None]
+    data = [b"TRMO", np.array([1, s.n_grid, s.n_time], dtype="<u4").tobytes()]
+    for rho in densities:
+        rates = emission_rate(greenshields_flux(rho, v, rho_max), rho, s.theta).ravel()
+        level = np.zeros((s.n_grid + 1, s.n_grid + 1))
+        for i, j, slot, weight in zip(raster["i"], raster["j"], raster["slot"], raster["weight"]):
+            level[i, j] += rates[slot] * weight
+        data.append(level.astype("<f8").tobytes())
+    return b"".join(data)
+
+
+@pytest.mark.parametrize("n_grid", [60, 130], ids=["levels-not-a-block-multiple", "level-over-the-budget"])
+def test_emission_bin_is_the_level_by_level_field(n_grid, tmp_path):
+    # two crossing roads of unequal widths, so that some points average two rates
+    s = _scenario(
+        [_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1, rho0=0.3), _road(2, [1.5, 0.5], [1.5, 2.5], width=0.25)],
+        n_grid=n_grid,
+    )
+    policy = [1.0, 1.5]
+    traj = simulate_traffic(s, policy)
+    level_bytes = 8 * (n_grid + 1) ** 2
+    per_block = max(1, emission.FIELD_BLOCK_BYTES // level_bytes)
+    blocks = list(emission_field(traj, rasterize_network(s), s, policy))
+    assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+    assert all(b.nbytes <= max(emission.FIELD_BLOCK_BYTES, level_bytes) for b in blocks)
+    if n_grid == 60:
+        assert per_block > 1 and (s.n_time + 1) % per_block != 0
+    else:
+        assert level_bytes > emission.FIELD_BLOCK_BYTES
+    path = tmp_path / "emission.bin"
+    write_emission_bin(path, iter(blocks), s.n_grid, s.n_time)
+    assert path.read_bytes() == _reference_emission_bin(s, traj.densities, policy)

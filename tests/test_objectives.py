@@ -175,7 +175,7 @@ class TestJDiff:
         shifts = []
         for policy in ([0.5], [1.7]):
             traj = simulate_traffic(s0, policy)
-            field = emission_field(traj, raster, s0, policy)
+            field = np.concatenate(list(emission_field(traj, raster, s0, policy)))
             base = j_diff_adjoint(field, adjoint, 0.0, s0)
             shifted = j_diff_adjoint(field, adjoint, 0.7, s1)
             shifts.append(shifted - base)
@@ -205,7 +205,7 @@ class TestJDiff:
         policy = [1.0]
         traj = simulate_traffic(s, policy)
         raster = rasterize_network(s)
-        field = emission_field(traj, raster, s, policy)
+        field = np.concatenate(list(emission_field(traj, raster, s, policy)))
         adjoint = solve_adjoint(s)
         via_adjoint = j_diff_adjoint(field, adjoint, 0.0, s)
         via_forward = j_diff_forward(solve_dispersion_forward(s, field), s)
@@ -217,7 +217,7 @@ class TestJDiff:
         raster = rasterize_network(diamond)
         ev = PolicyEvaluator(diamond)
         traj = simulate_traffic(diamond, policy)
-        field = emission_field(traj, raster, diamond, policy)
+        field = np.concatenate(list(emission_field(traj, raster, diamond, policy)))
         dense = j_diff_adjoint(field, adjoint, 0.0, diamond)
         assert ev.components(policy).j_diff == pytest.approx(dense, rel=1e-10)
 
@@ -410,6 +410,5 @@ def test_scattered_level_is_the_add_at_form():
     assert np.bincount(raster.i * n1 + raster.j).max() == 4
     want = np.zeros((n1, n1))
     np.add.at(want, (raster.i, raster.j), rates.ravel()[raster.slot] * raster.weight)
-    got = np.full((n1, n1), np.nan)
-    raster.scatter(rates, out=got)
+    (got,) = raster.scatter(rates[None])
     assert np.array_equal(got, want)
