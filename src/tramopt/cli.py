@@ -36,6 +36,7 @@ import os
 import sys
 import time
 import zipfile
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -129,7 +130,7 @@ def _write_series(path: Path, header: list[str], times: np.ndarray, keys: list[s
             fh.write("".join([f"{stamp},{key},{v!r}\r\n" for key, v in zip(keys, row.tolist())]))
 
 
-def write_emission_bin(path: Path, blocks, n_grid: int, n_time: int) -> None:
+def write_emission_bin(path: Path, blocks: Iterable[np.ndarray], n_grid: int, n_time: int) -> None:
     """Flat binary emission field: magic, version, n_grid, n_time (uint32 LE),
     then (n_time+1) row-major float64 slices of shape (n_grid+1, n_grid+1).
 

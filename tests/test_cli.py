@@ -632,7 +632,6 @@ class TestSimulate:
         digest = hashlib.sha256(fast_scenario_path.read_bytes()).hexdigest()
         assert manifest["scenario_sha256"] == digest
 
-
     def test_simulate_never_holds_the_emission_field(self, fast_scenario_path, tmp_path):
         # the field is (n_time+1)(n_grid+1)^2 doubles, 4.5 MB on the fast diamond
         scenario = load_scenario(fast_scenario_path.read_text())
