@@ -46,7 +46,7 @@ from tramopt import __version__
 # solve_adjoint is not called here but stays a name of this module, which
 # perfbench/spans.py wraps
 from tramopt.dispersion import DispersionError, solve_adjoint  # noqa: F401
-from tramopt.emission import RasterMap, emission_field, rasterize_network
+from tramopt.emission import emission_field, rasterize_network
 from tramopt.moo import normalize_front, pareto_search
 from tramopt.network import (
     PolicyError,
@@ -90,20 +90,26 @@ def _create(path: Path, mode: str = "w", **kwargs):
     return open(path, mode, **kwargs)
 
 
+@contextlib.contextmanager
+def _create_whole(path: Path, mode: str = "w"):
+    """``_create`` for a file that appears at ``path`` whole or not at all:
+    the file is written under a temporary name made from this process's id,
+    so two processes writing one directory never rename each other's
+    half-written file.  The old file at ``path`` is unlinked before the
+    rename, which is then no rename over a file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with _create(tmp, mode) as fh:
+        yield fh
+    with contextlib.suppress(FileNotFoundError):
+        path.unlink()
+    os.replace(tmp, path)
+
+
 def _write_manifest(out_dir: Path, payload: dict) -> Path:
-    """Write ``manifest.json`` whole or not at all: through a temporary file
-    named by this process's id, as ``cached_adjoint`` names its own, so two
-    processes writing one directory never rename each other's half-written
-    file.  The old manifest is unlinked before the rename, which is then no
-    rename over a file."""
     payload = {"toolkit_version": __version__, **payload}
     target = out_dir / "manifest.json"
-    tmp = out_dir / f"manifest.json.{os.getpid()}.tmp"
-    with _create(tmp) as fh:
+    with _create_whole(target) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
-    with contextlib.suppress(FileNotFoundError):
-        target.unlink()
-    os.replace(tmp, target)
     return target
 
 
@@ -187,17 +193,14 @@ def _adjoint_cache_key(scenario: Scenario) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def cached_adjoint(
-    scenario: Scenario, cache_dir: Path, raster: RasterMap | None = None
-) -> tuple[AdjointContraction, Path]:
+def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContraction, Path]:
     """The scenario's adjoint contraction, loaded from a content-addressed
-    cache file ``adjoint-<key>.npz`` or made by ``contract_adjoint``, with
-    the scenario's ``raster`` if given.
+    cache file ``adjoint-<key>.npz`` or made by ``contract_adjoint``.
 
     A cache file that cannot be read or fails a member's CRC check, or whose
     pairing or level-0 sum has the wrong shape or dtype or is not finite, is
-    a miss: the contraction
-    is made again and the file replaced atomically.
+    a miss: the contraction is made again and the file replaced whole
+    (``_create_whole``).
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.npz"
@@ -220,23 +223,20 @@ def cached_adjoint(
     # RuntimeError (NotImplementedError for an unknown method)
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, RuntimeError):
         pass
-    contraction = contract_adjoint(scenario, raster)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    contraction = contract_adjoint(scenario)
     # np.savez's layout, but with ZipInfo's fixed time stamp, so that the
     # same contraction is always the same bytes
-    with zipfile.ZipFile(tmp, "w") as archive:
+    with _create_whole(path, "wb") as file, zipfile.ZipFile(file, "w") as archive:
         for name, value in (("pairing", contraction.pairing), ("level0", contraction.level0)):
             with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
                 np.lib.format.write_array(fh, np.asarray(value), allow_pickle=False)
-    os.replace(tmp, path)
     return contraction, path
 
 
-def _evaluator(scenario: Scenario, args, out_dir, raster: RasterMap | None = None) -> tuple[PolicyEvaluator, Path]:
+def _evaluator(scenario: Scenario, args, out_dir) -> tuple[PolicyEvaluator, Path]:
     """The command's evaluator and its adjoint cache file, in ``--cache-dir``
-    or else ``out_dir``; a cache miss contracts the adjoint with ``raster``
-    if given."""
-    contraction, path = cached_adjoint(scenario, Path(args.cache_dir or out_dir), raster)
+    or else ``out_dir``."""
+    contraction, path = cached_adjoint(scenario, Path(args.cache_dir or out_dir))
     return PolicyEvaluator(scenario, adjoint=contraction), path
 
 
@@ -274,12 +274,11 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
-    raster = rasterize_network(scenario)
-    evaluator, adjoint_path = _evaluator(scenario, args, out_dir, raster)
+    evaluator, adjoint_path = _evaluator(scenario, args, out_dir)
     tally = ObjectiveTally(evaluator, 1)
     traj = simulate_traffic(scenario, policy, observe=tally)
     (breakdown,) = tally.breakdowns()
-    blocks = emission_field(traj, raster, scenario, policy)
+    blocks = emission_field(traj, rasterize_network(scenario), scenario, policy)
 
     road_ids = [r.id for r in scenario.roads]
     times = traj.times
@@ -369,8 +368,9 @@ def cmd_optimize(args) -> int:
         raise PolicyError("budget must be positive")
     if args.seed < 0:
         raise PolicyError("seed must be nonnegative")
-    if args.jobs < 1:
-        raise PolicyError("jobs must be at least 1")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise PolicyError(f"jobs must be from 1 to the {cpus} CPUs of this machine, got {args.jobs}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -388,13 +388,7 @@ def cmd_optimize(args) -> int:
     values = np.array([e.value for e in entries])
 
     ideal = values.min(axis=0)
-    skip_axes = ()
-    queue_axis_normalized = None
-    if scenario.mode == "3d" and abs(ideal[2]) < 1e-12:
-        skip_axes = (2,)
-        queue_axis_normalized = False
-    elif scenario.mode == "3d":
-        queue_axis_normalized = True
+    skip_axes = (2,) if scenario.mode == "3d" and abs(ideal[2]) < 1e-12 else ()
     try:
         normalized = normalize_front(values, ideal, skip_axes=skip_axes)
     except ValueError as exc:
@@ -435,8 +429,8 @@ def cmd_optimize(args) -> int:
         "mode": scenario.mode,
         "delta": scenario.delta,
     }
-    if queue_axis_normalized is not None:
-        diag["queue_axis_normalized"] = queue_axis_normalized
+    if scenario.mode == "3d":
+        diag["queue_axis_normalized"] = not skip_axes
     with _create(out_dir / "diagnostics.json") as fh:
         fh.write(json.dumps(diag, indent=2, sort_keys=True))
 
@@ -501,7 +495,7 @@ def cmd_export(args) -> int:
         for n, (j_flow, j_diff, j_queue) in enumerate(
             _front_columns(front_path, ["j_flow", "j_diff", "j_queue"]), start=1
         ):
-            j_poll = j_diff + args.delta * j_queue
+            j_poll = ObjectiveBreakdown(j_flow, j_diff, j_queue, args.delta).j_poll
             if not math.isfinite(j_poll):
                 raise PolicyError(
                     f"{front_path}: row {n}: j_poll = j_diff + delta*j_queue = {j_poll} is not finite"
@@ -538,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a scenario file")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--out", default=None, help="unused; accepted for uniformity")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="simulate one policy and write all fields")
@@ -561,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed of the search's starting points, >= 0")
     p.add_argument("--budget", type=int, default=2000, help="policy evaluations of the search, > 0")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes scoring each poll batch (default 1). On the "
+                   help="worker processes scoring each poll batch, at most one per CPU (default 1). On the "
                         "diamond with 2 cores, --jobs 2 took about 1.5 times as long as --jobs 1 "
                         "at budget 300 and about 0.6 times as long at 4000. "
                         "Workers are spawned, so a program calling main() in-process needs an "

@@ -317,26 +317,19 @@ def _parse_junction(raw: dict, road_ids: set[int], context: str) -> Junction:
     for rid in (*incoming, *outgoing):
         _road_ref(rid, road_ids, context)
 
-    alpha = beta = None
-    if kind == "1to2":
-        alpha_raw = _require(raw, "alpha", context)
-        if not isinstance(alpha_raw, list) or len(alpha_raw) != 2:
-            raise ScenarioError(f"{context}.alpha: expected two rates")
-        alpha = tuple(_number(a, f"{context}.alpha") for a in alpha_raw)
-        if not all(0.0 < a < 1.0 for a in alpha):
-            raise ScenarioError(f"{context}.alpha: rates must lie in (0, 1)")
-        if abs(sum(alpha) - 1.0) > 1e-12:
-            raise ScenarioError(f"{context}.alpha: distribution rates must sum to 1")
-    if kind == "2to1":
-        beta_raw = _require(raw, "beta", context)
-        if not isinstance(beta_raw, list) or len(beta_raw) != 2:
-            raise ScenarioError(f"{context}.beta: expected two rates")
-        beta = tuple(_number(b, f"{context}.beta") for b in beta_raw)
-        if not all(0.0 < b < 1.0 for b in beta):
-            raise ScenarioError(f"{context}.beta: rates must lie in (0, 1)")
-        if abs(sum(beta) - 1.0) > 1e-12:
-            raise ScenarioError(f"{context}.beta: priority rates must sum to 1")
-    return Junction(kind=kind, incoming=incoming, outgoing=outgoing, alpha=alpha, beta=beta)
+    rates = {}
+    for name, owner, meaning in (("alpha", "1to2", "distribution"), ("beta", "2to1", "priority")):
+        if kind != owner:
+            continue
+        given = _require(raw, name, context)
+        if not isinstance(given, list) or len(given) != 2:
+            raise ScenarioError(f"{context}.{name}: expected two rates")
+        rates[name] = tuple(_number(x, f"{context}.{name}") for x in given)
+        if not all(0.0 < x < 1.0 for x in rates[name]):
+            raise ScenarioError(f"{context}.{name}: rates must lie in (0, 1)")
+        if abs(sum(rates[name]) - 1.0) > 1e-12:
+            raise ScenarioError(f"{context}.{name}: {meaning} rates must sum to 1")
+    return Junction(kind=kind, incoming=incoming, outgoing=outgoing, **rates)
 
 
 def load_scenario(config_text: str) -> Scenario:
@@ -638,16 +631,12 @@ def _graph_findings(scenario: Scenario) -> list[str]:
     for rid in scenario.exits:
         heads[rid].append("exit")
 
-    for rid, attachments in tails.items():
-        if not attachments:
-            findings.append(f"road {rid} tail attached to nothing (flux 0 assumed)")
-        elif len(attachments) > 1:
-            findings.append(f"road {rid} tail attached twice: {', '.join(attachments)}")
-    for rid, attachments in heads.items():
-        if not attachments:
-            findings.append(f"road {rid} head attached to nothing (flux 0 assumed)")
-        elif len(attachments) > 1:
-            findings.append(f"road {rid} head attached twice: {', '.join(attachments)}")
+    for end, attached in (("tail", tails), ("head", heads)):
+        for rid, attachments in attached.items():
+            if not attachments:
+                findings.append(f"road {rid} {end} attached to nothing (flux 0 assumed)")
+            elif len(attachments) > 1:
+                findings.append(f"road {rid} {end} attached twice: {', '.join(attachments)}")
 
     # junction geometry: all meeting endpoints should coincide
     for i, j in enumerate(scenario.junctions):

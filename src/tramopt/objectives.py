@@ -24,7 +24,7 @@ import numpy as np
 from tramopt.dispersion import solve_adjoint
 # cell_rates is not called here but stays a name of this module, which
 # perfbench/spans.py wraps
-from tramopt.emission import RasterMap, cell_rates, emission_rate, rasterize_network  # noqa: F401
+from tramopt.emission import cell_rates, emission_rate, rasterize_network  # noqa: F401
 from tramopt.network import PolicyError, Scenario
 from tramopt.traffic import simulate_batch, simulate_traffic
 
@@ -167,11 +167,10 @@ class AdjointContractor:
     Only raster entries of grid points with both indices >= 1 contribute,
     matching the spatial quadrature of the pollution objective; the map's
     ``gather`` adds them to their (road, cell) in entry order, from 0.0.
-    ``raster`` is the scenario's ``RasterMap``, made here if not given.
     """
 
-    def __init__(self, sc: Scenario, raster: RasterMap | None = None):
-        raster = rasterize_network(sc) if raster is None else raster
+    def __init__(self, sc: Scenario):
+        raster = rasterize_network(sc)
         self._raster = raster.select((raster.i >= 1) & (raster.j >= 1))
         self._pairing = np.zeros((sc.n_time + 1, sc.n_roads, sc.n_cells))
         self._level0 = math.nan
@@ -185,10 +184,10 @@ class AdjointContractor:
         return AdjointContraction(self._pairing, self._level0)
 
 
-def contract_adjoint(scenario: Scenario, raster: RasterMap | None = None) -> AdjointContraction:
-    """Solve the scenario's adjoint, contracting each level as it is made
-    with the scenario's ``raster``, made here if not given."""
-    contractor = AdjointContractor(scenario, raster)
+def contract_adjoint(scenario: Scenario) -> AdjointContraction:
+    """Solve the scenario's adjoint, contracting each level with the
+    scenario's raster as it is made."""
+    contractor = AdjointContractor(scenario)
     solve_adjoint(scenario, contractor)
     return contractor.contraction()
 

@@ -57,16 +57,11 @@ def _flux(rho, v_max, rho_max, out, scratch):
     return np.multiply(out, scratch, out=out)
 
 
-def _buffers(n, *operands):
-    """``n`` empty float arrays of the operands' broadcast shape."""
-    shape = np.broadcast_shapes(*map(np.shape, operands))
-    return [np.empty(shape) for _ in range(n)]
-
-
 def greenshields_flux(rho, v_max, rho_max):
     """Concave flux v*rho*(1 - rho/rho_max); peaks at rho_max/2 with value v*rho_max/4."""
     _check_density(rho, rho_max)
-    return _flux(rho, v_max, rho_max, *_buffers(2, rho, v_max, rho_max))[()]
+    shape = np.broadcast_shapes(*map(np.shape, (rho, v_max, rho_max)))
+    return _flux(rho, v_max, rho_max, np.empty(shape), np.empty(shape))[()]
 
 
 def flux_capacity(v_max, rho_max):
@@ -85,15 +80,6 @@ def _envelopes(rho, flow, cap, critical, dem, sup, below):
     np.copyto(dem, flow, where=below)
     sup[...] = flow
     np.copyto(sup, cap, where=below)
-
-
-def max_stable_dt(v_maxes, ds: float):
-    """Largest stable time step: ds over the speed-limit bound on |Q'|, of
-    the limits of one policy, or per row of a (B, roads) batch."""
-    v = np.asarray(v_maxes, dtype=float)
-    if v.shape[-1] == 0:
-        raise TrafficError("empty network")
-    return ds / np.max(v, axis=-1)
 
 
 @dataclass
@@ -443,14 +429,9 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, observe
 def _substep_counts(v: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Equal substeps per output step that the CFL bound requires, one per
     row of speed limits ``v`` (B, roads), as floats: inf where the ratio
-    leaves the float range."""
-    return np.maximum(np.ceil(scenario.dt / max_stable_dt(v, scenario.ds) - 1e-12), 1.0)
-
-
-@contextlib.contextmanager
-def _unobserved(rows, rho, flow, queues):
-    """The observer that sees nothing."""
-    yield lambda k: None
+    leaves the float range.  The largest stable step is ds over the
+    speed-limit bound on |Q'|, the row's largest limit."""
+    return np.maximum(np.ceil(scenario.dt / (scenario.ds / np.max(v, axis=-1)) - 1e-12), 1.0)
 
 
 def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTrajectory:
@@ -476,7 +457,8 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
 
     @contextlib.contextmanager
     def record(rows, rho, flow, ell):
-        with (observe or _unobserved)(rows, rho, flow, ell) as observed:
+        observing = contextlib.nullcontext(lambda k: None) if observe is None else observe(rows, rho, flow, ell)
+        with observing as observed:
             def step(k):
                 densities[k], queues[k] = rho[0], ell[0]
                 inflow[k - 1], outflow[k - 1] = ends[..., 0].T

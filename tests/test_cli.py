@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from tramopt import cli, objectives
 from tramopt.cli import main, read_emission_bin
-from tramopt.emission import rasterize_network
 from tramopt.network import PolicyError, ScenarioError, load_scenario
 from tramopt.objectives import PolicyEvaluator
 from tramopt.traffic import simulate_traffic
@@ -367,6 +366,24 @@ class TestSimulate:
         with np.load(cached) as data:
             assert data["pairing"].shape == _FAST_PAIRING_SHAPE
 
+    def test_damaged_adjoint_cache_unlinked_before_the_rename(self, fast_scenario_path, tmp_path, monkeypatch):
+        # the new contraction is written under this process's temporary name,
+        # and the damaged file is gone when that is renamed to it
+        cache = tmp_path / "cache"
+        argv = ["simulate", "--scenario", str(fast_scenario_path), "--policy", "1,1,1,1,1,1",
+                "--out", str(tmp_path / "sim"), "--cache-dir", str(cache)]
+        assert run_cli(*argv) == 0
+        (cached,) = cache.glob("adjoint-*.npz")
+        cold_bytes = cached.read_bytes()
+        _CACHE_DAMAGE["truncate"](cached)
+        renames = []
+        replace = os.replace
+        monkeypatch.setattr(cli.os, "replace", lambda src, dst: (
+            renames.append((Path(src).name, Path(dst).name, Path(dst).exists())), replace(src, dst)))
+        assert run_cli(*argv) == 0
+        assert (f"{cached.name}.{os.getpid()}.tmp", cached.name, False) in renames
+        assert cached.read_bytes() == cold_bytes
+
     @pytest.mark.parametrize("change, new_file", [
         (("roads", 5, "width", 0.12), True),
         (("roads", 5, "end", [0.62, 0.7]), True),  # road 6 turned about its start, length 1
@@ -544,25 +561,6 @@ class TestSimulate:
         assert "J_diff" not in captured.out
         assert not any((out / name).exists() for name in (
             "trajectory.csv", "queues.csv", "flows.csv", "emission.bin", "objectives.csv"))
-
-    def test_one_rasterization_per_call(self, fast_scenario_path, tmp_path, monkeypatch):
-        # a cache miss contracts the adjoint with the raster the command made
-        # for its emission field; a hit needs only that one
-        made = []
-
-        def counted(scenario):
-            made.append(scenario)
-            return rasterize_network(scenario)
-
-        monkeypatch.setattr(cli, "rasterize_network", counted)
-        monkeypatch.setattr(objectives, "rasterize_network", counted)
-        cache = tmp_path / "cache"
-        for calls, name in enumerate(("miss", "hit"), 1):
-            code = run_cli("simulate", "--scenario", str(fast_scenario_path), "--policy", "1,1,1,1,1,1",
-                           "--out", str(tmp_path / name), "--cache-dir", str(cache))
-            assert code == 0
-            assert len(made) == calls
-            assert len(list(cache.glob("adjoint-*.npz"))) == 1
 
     def test_road_covering_no_grid_point_simulates(self, tmp_path, capsys):
         # h = 0.5 and a width-0.1 road centred between two grid lines: no grid
@@ -790,6 +788,21 @@ class TestOptimize:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not (out / "front.csv").exists()
+
+    @pytest.mark.parametrize("cpus, jobs", [(2, "3"), (None, "2")])
+    def test_jobs_above_the_cpu_count_exits_one(self, fast_scenario_path, tmp_path, capsys, monkeypatch,
+                                                cpus, jobs):
+        # refused before the evaluator or the pool is made; an unknown CPU
+        # count counts as one
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        out = tmp_path / "x"
+        code = run_cli("optimize", "--scenario", str(fast_scenario_path), "--out", str(out),
+                       "--budget", "30", "--jobs", jobs)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: jobs ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_zero_ideal_exits_one(self, tmp_path, diamond_path, capsys):
         # no traffic at all: every policy scores J_flow = J_poll = 0, so the

@@ -20,7 +20,7 @@ from tramopt.objectives import (
     j_diff_adjoint,
     j_diff_forward,
 )
-from tramopt.traffic import TrafficTrajectory, greenshields_flux, max_stable_dt, simulate_traffic
+from tramopt.traffic import TrafficTrajectory, _substep_counts, greenshields_flux, simulate_traffic
 
 
 def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0, y=1.5, vertical=False):
@@ -293,9 +293,9 @@ class TestBatchEqualsSerial:
         # breakdowns are put back in batch order.  Each policy that needs
         # two substeps at n_time 100 is followed by itself capped at 1.
         sc = dataclasses.replace(diamond, n_time=100)
-        two = [p for p in policies if math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) == 2]
+        two = [p for p, n in zip(policies, _substep_counts(np.array(policies), sc)) if n == 2]
         interleaved = [q for p in two for q in (p, np.minimum(p, 1.0))]
-        counts = [math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) for p in interleaved]
+        counts = _substep_counts(np.array(interleaved), sc).tolist()
         assert len(two) >= 8 and counts == [2, 1] * len(two)
         _assert_batch_equals_one_by_one(sc, interleaved, mode)
 
@@ -316,8 +316,7 @@ class TestBatchEqualsSerial:
 
 def _assert_batch_equals_one_by_one(scenario, policies, mode):
     sc = dataclasses.replace(scenario, mode=mode, delta=0.5)
-    substeps = {math.ceil(sc.dt / max_stable_dt(p, sc.ds) - 1e-12) for p in policies}
-    assert substeps == {1, 2}
+    assert set(_substep_counts(np.array(policies), sc).tolist()) == {1, 2}
     adjoint = np.random.default_rng(3).random((sc.n_time + 1, sc.n_grid + 1, sc.n_grid + 1))
     ev = PolicyEvaluator(sc, adjoint=_contracted(sc, adjoint))
 

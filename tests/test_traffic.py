@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tramopt.network import PolicyError, load_scenario
+from tramopt.objectives import AdjointContraction, PolicyEvaluator
 from tramopt.traffic import (
     TrafficError,
     _compile,
@@ -20,7 +21,6 @@ from tramopt.traffic import (
     flux_capacity,
     greenshields_flux,
     mass_balance_residuals,
-    max_stable_dt,
     simulate_traffic,
     step_single_road,
 )
@@ -192,12 +192,15 @@ class TestCfl:
     @pytest.mark.parametrize(
         "v,expected", [(2.0, 0.025), (1.0, 0.05), (0.25, 0.2)]
     )
-    def test_bound_from_speed_limits(self, v, expected):
-        assert max_stable_dt([v] * 3, 0.05) == pytest.approx(expected)
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(TrafficError):
-            max_stable_dt([], 0.05)
+    def test_bound_from_speed_limits(self, diamond, v, expected):
+        # ds = 0.05, so ``expected`` is the stable step ds / v of the largest
+        # limit: the substeps are the fewest that are no longer than it, at
+        # output steps dt from 0.0125 to 0.2 (horizon 5)
+        for n_time in (25, 50, 100, 200, 400):
+            sc = dataclasses.replace(diamond, n_time=n_time)
+            (n_sub,) = _substep_counts(np.array([[0.25, 0.25, v, 0.25, 0.25, 0.25]]), sc).tolist()
+            assert n_sub >= 1 and sc.dt / n_sub <= expected * (1 + 1e-12)
+            assert n_sub == 1 or sc.dt / (n_sub - 1) > expected
 
     def test_substep_counts_are_the_scalar_rule_row_by_row(self, diamond):
         # at n_time 100, dt * v / ds is 1 at v = 1 and 2 at v = 2, up to one
@@ -506,7 +509,7 @@ def _reference_run(scenario, policy):
     rho_max = [r.rho_max for r in scenario.roads]
     rho = np.array([r.rho0 for r in scenario.roads], dtype=float)
     ell = [a.queue0 for a in scenario.access]
-    n_sub = max(1, math.ceil(scenario.dt / max_stable_dt(v, scenario.ds) - 1e-12))
+    n_sub = max(1, math.ceil(scenario.dt / (scenario.ds / max(v)) - 1e-12))
     dt = scenario.dt / n_sub
     densities, queues, inflow, outflow = [rho], [list(ell)], [], []
     for k in range(scenario.n_time):
@@ -540,3 +543,64 @@ def _reference_run(scenario, policy):
         inflow.append(sum_in / n_sub)
         outflow.append(sum_out / n_sub)
     return np.array(densities), np.array(queues), np.array(inflow), np.array(outflow)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: two scenarios whose outputs must agree, with no
+# reference implementation between them
+
+
+def _split_road_pair():
+    """One 40-cell road of length 2, fed by an access queue with a peaked
+    inflow and leaving by an exit, and the same road as two 20-cell roads of
+    length 1 joined by a 1to1 junction: ds is 0.05 in both.  The initial
+    jam across the midpoint reaches 0.9, above the critical density, so the
+    junction's supply is not just the capacity."""
+    n_time = 601
+    t = (np.arange(n_time) + 1) * 5.0 / n_time
+    inflow = (0.1 + 0.7 * np.exp(-(((t - 1.5) / 0.4) ** 2))).tolist()
+    rho0 = (0.1 + 0.8 * np.exp(-(((np.arange(40) - 20.5) / 6.0) ** 2))).tolist()
+
+    def scenario(cuts):
+        n_cells = 40 // (len(cuts) - 1)
+        roads = [
+            {"id": k + 1, "start": [0.5 + a, 1.5], "end": [0.5 + b, 1.5], "width": 0.1, "rho_max": 1,
+             "rho0": rho0[k * n_cells:(k + 1) * n_cells], "v_min": 0.25, "v_max": 2}
+            for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
+        ]
+        doc = {
+            "horizon": 5.0,
+            "domain": {"side": 3, "n_grid": 60},
+            "discretization": {"n_cells": n_cells, "n_time": n_time},
+            "roads": roads,
+            "junctions": [{"kind": "1to1", "in": [k], "out": [k + 1]} for k in range(1, len(roads))],
+            "access": [{"road": 1, "inflow": inflow}],
+            "exits": [len(roads)],
+            "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
+            "emission": {"theta": 0.5},
+            "objectives": {"delta": 0, "mode": "2d"},
+        }
+        return load_scenario(json.dumps(doc))
+
+    return scenario([0.0, 2.0]), scenario([0.0, 1.0, 2.0])
+
+
+def test_split_road_equals_the_whole_road():
+    # the 1to1 link's min(d, s) is the interior face's min(D, S), so a road
+    # split at its midpoint steps bitwise as the whole road, and the flow and
+    # queue sums add the same cells in the same order
+    whole, split = _split_road_pair()
+    limits = [0.6, 1.0, 2.0]
+    for v in limits:
+        one, two = simulate_traffic(whole, [v]), simulate_traffic(split, [v, v])
+        assert one.queues.max() > 0.1  # the peak outruns the road at every limit
+        assert two.densities.reshape(one.densities.shape).tobytes() == one.densities.tobytes()
+        assert two.queues.tobytes() == one.queues.tobytes()
+        assert two.inflow[:, 0].tobytes() == one.inflow[:, 0].tobytes()
+        assert two.outflow[:, 1].tobytes() == one.outflow[:, 0].tobytes()
+    scores = []
+    for sc, width in ((whole, 1), (split, 2)):
+        zero = AdjointContraction(np.zeros((sc.n_time + 1, sc.n_roads, sc.n_cells)), 0.0)
+        scores.append(PolicyEvaluator(sc, adjoint=zero).score([[v] * width for v in limits]))
+    for one, two in zip(*scores):
+        assert np.array([two.j_flow, two.j_queue]).tobytes() == np.array([one.j_flow, one.j_queue]).tobytes()
