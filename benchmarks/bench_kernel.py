@@ -14,6 +14,13 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   ``perfbench/chain.py`` (3d, delta 0.5, budget 120, search seed 7) and on
   the criterion-7 search (the diamond, 2d, budget 4000, search seed 0),
   whose fifth batch, B = 682, is timed.  B = 1 is the first seed point.
+  The congested rows score the diamond search's B = 26 and B = 154
+  batches on a congested diamond (``CONGESTED``: every road's rho0 at
+  0.85 and the access inflow at 0.6), so that a change to the envelopes'
+  masks is timed where most cells sit above the critical density, not
+  only where most sit below it.  Each row also gives the mean share of
+  cells above the critical density over the output steps of its scoring,
+  read once from the change's tree (the densities are the same in both).
   Both trees must have ``cli.search_front``.  The main process asks the two
   workers in turn for one timed scoring of a batch, alternating which goes
   first, ``--pairs`` times per batch, so that a slow spell of a shared host
@@ -84,10 +91,18 @@ ADJOINT_SETUPS = ("diamond", "k=1", "k=4", "k=16")
 #: the simulate calls timed in pairs, and the one run once per tree for its peak
 SIMULATE_SETUPS = ("diamond", "k=4")
 SIMULATE_PEAK_ONLY = "k=16"
-#: batch sizes timed per search; all but 1 occur as whole poll batches
-BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (682,)}
-#: per search: its scenario, budget and search seed
-SEARCHES = {"diamond": ("diamond", 300, 7), "chain": ("chain", 120, 7), "criterion-7": ("diamond", 4000, 0)}
+#: batch sizes timed per row group; all but 1 occur as whole poll batches
+BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (682,), "congested": (26, 154)}
+#: per row group: the scenario searched, its budget and search seed, and
+#: the scenario the search's batches are scored on
+SEARCHES = {
+    "diamond": ("diamond", 300, 7, "diamond"),
+    "chain": ("chain", 120, 7, "chain"),
+    "criterion-7": ("diamond", 4000, 0, "diamond"),
+    "congested": ("diamond", 300, 7, "congested"),
+}
+#: the congested diamond: every road's initial density and every access inflow
+CONGESTED = {"rho0": 0.85, "inflow": 0.6}
 STAGES = ("envelopes", "interior", "couplings", "update", "Q", "tally", "other")
 #: the kernel's functions whose lines are charged to stages: the step, the
 #: link pass and the road update it calls (absent from older trees, which
@@ -108,9 +123,14 @@ def _scenario(tree: Path, name: str, diamonds: int = CHAIN_DIAMONDS):
 
     from tramopt.network import load_scenario
 
-    if name == "diamond":
-        sc = load_scenario((tree / "scenarios" / "diamond.json").read_text())
-        return dataclasses.replace(sc, mode="2d", delta=0.0)
+    if name in ("diamond", "congested"):
+        doc = json.loads((tree / "scenarios" / "diamond.json").read_text())
+        if name == "congested":
+            for road in doc["roads"]:
+                road["rho0"] = CONGESTED["rho0"]
+            for access in doc["access"]:
+                access["inflow"] = CONGESTED["inflow"]
+        return dataclasses.replace(load_scenario(json.dumps(doc)), mode="2d", delta=0.0)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import chain
 
@@ -131,6 +151,27 @@ def _poll_batches(evaluator, budget: int, seed: int) -> dict[int, list]:
     first = next(iter(seen.values()))
     seen[1] = first[:1]
     return seen
+
+
+def _above_critical(evaluator, policies) -> float:
+    """The share of cells above the critical density, over every output
+    step of a march of ``policies`` on the evaluator's scenario."""
+    import numpy as np
+    from tramopt.traffic import simulate_batch
+
+    critical = np.array([[r.rho_max / 2.0] for r in evaluator.scenario.roads])
+    counts = [0, 0]
+
+    @contextlib.contextmanager
+    def observe(rows, rho, *_):
+        def step(k):
+            counts[0] += np.count_nonzero(rho > critical)
+            counts[1] += rho.size
+
+        yield step
+
+    simulate_batch(evaluator.scenario, policies, observe)
+    return counts[0] / counts[1]
 
 
 class LineClock:
@@ -234,27 +275,33 @@ def simulate_worker(tree: Path, argv: list[str]) -> dict:
 
 def serve(tree: Path) -> None:
     """Set up every batch of ``BATCHES``, then answer ``score KEY`` with one
-    timed scoring and ``stages KEY`` with one traced one, a JSON line each."""
+    timed scoring, ``stages KEY`` with one traced one and ``above KEY``
+    with the batch's share of cells above the critical density, a JSON
+    line each."""
+    import functools
+
     sys.path.insert(0, str(tree / "src"))
     from tramopt.objectives import PolicyEvaluator
 
+    evaluator = functools.cache(lambda scenario: PolicyEvaluator(_scenario(tree, scenario)))
+    batches = functools.cache(lambda scenario, budget, seed: _poll_batches(evaluator(scenario), budget, seed))
     work = {}
     for name, sizes in BATCHES.items():
-        scenario, budget, seed = SEARCHES[name]
-        evaluator = PolicyEvaluator(_scenario(tree, scenario))
-        batches = _poll_batches(evaluator, budget, seed)
-        work.update({f"{name}/B={b}": (evaluator, batches[b]) for b in sizes})
+        searched, budget, seed, scored = SEARCHES[name]
+        work.update({f"{name}/B={b}": (evaluator(scored), batches(searched, budget, seed)[b]) for b in sizes})
     print("ready", flush=True)
     for line in sys.stdin:
         kind, key = line.split()
-        evaluator, policies = work[key]
+        scorer, policies = work[key]
         if kind == "score":
             wall, cpu = time.perf_counter(), time.process_time()
-            evaluator.score(policies)
+            scorer.score(policies)
             reply = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
+        elif kind == "above":
+            reply = {"above_critical": _above_critical(scorer, policies)}
         else:
             clock = LineClock()
-            clock.run(lambda: evaluator.score(policies))
+            clock.run(lambda: scorer.score(policies))
             reply = clock.totals
         print(json.dumps(reply), flush=True)
 
@@ -389,16 +436,18 @@ def _whole_line(name: str, row: dict) -> str:
             f"peak MB parent {rss['parent']['median']:.1f} change {rss['change']['median']:.1f}")
 
 
-def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict | None]:
-    """Alternated scoring samples, then ``traced`` alternated traced runs per
-    batch and tree, summarised as the median time of each stage (None if
-    ``traced`` is 0)."""
+def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict, dict | None]:
+    """Each batch's share of cells above the critical density, from the
+    change's tree, alternated scoring samples, then ``traced`` alternated
+    traced runs per batch and tree, summarised as the median time of each
+    stage (None if ``traced`` is 0)."""
     keys = [f"{name}/B={b}" for name, sizes in BATCHES.items() for b in sizes]
     samples = {t: {k: [] for k in keys} for t in trees}
     workers = {}
     try:
         for t, tree in trees.items():
             workers[t] = Worker(tree)
+        above = {key: workers["change"].ask("above", key)["above_critical"] for key in keys}
         for r in range(pairs):
             for i, key in enumerate(keys):
                 order = list(trees) if (r + i) % 2 == 0 else list(trees)[::-1]
@@ -417,7 +466,7 @@ def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict
     finally:
         for w in workers.values():
             w.close()
-    return samples, stages
+    return above, samples, stages
 
 
 def main() -> int:
@@ -456,7 +505,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _export(args.parent, Path(tmp)), "change": ROOT}
-        samples, stages = measure(trees, args.pairs, args.traced)
+        above, samples, stages = measure(trees, args.pairs, args.traced)
         adjoint = {k: {t: {"wall_s": [], "cpu_s": [], "peak_rss_mb": []} for t in trees} for k in ADJOINT_SETUPS}
         for k in ADJOINT_SETUPS:
             for r in range(args.adjoint_runs):
@@ -486,6 +535,7 @@ def main() -> int:
         result["scoring"][key] = {clock: _compared(
             [s[clock] for s in samples["parent"][key]], [s[clock] for s in samples["change"][key]]
         ) for clock in ("wall_s", "cpu_s")}
+        result["scoring"][key]["above_critical"] = above[key]
     if stages is not None:
         result["stages_traced_ms"] = {t: {
             key: {s: round(1e3 * v, 2) for s, v in totals.items()} for key, totals in stages[t].items()
@@ -497,7 +547,7 @@ def main() -> int:
         result["simulate"][SIMULATE_PEAK_ONLY] = {"peak_rss_mb": simulate["peak_only"]}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
-        print(f"{key:17s} {_speeds(row)}")
+        print(f"{key:17s} above critical {row['above_critical']:6.1%}  {_speeds(row)}")
     for k, row in result.get("adjoint_setup", {}).items():
         print(_whole_line(f"adjoint {k}", row))
     for k, row in result.get("simulate", {}).items():

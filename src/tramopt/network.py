@@ -448,8 +448,9 @@ def load_scenario(config_text: str) -> Scenario:
 
 def _check_grid(scenario: Scenario) -> None:
     """Reject derived numbers the solvers meet past the float range: side**2,
-    h**2, horizon * side**2 and per road the squared length and the bounding
-    box in grid units.  x * x leaves the range where x**2 does, without raising."""
+    h**2, horizon * side**2 and per road the squared length, the bounding
+    box in grid units and v_max * rho_max, which bounds the road's flux and
+    capacity.  x * x leaves the range where x**2 does, without raising."""
     side, h = scenario.domain_side, scenario.h
     if not (side * side < math.inf and h * h > 0.0 and scenario.horizon * (side * side) > 0.0):
         raise ScenarioError(
@@ -463,6 +464,11 @@ def _check_grid(scenario: Scenario) -> None:
             raise ScenarioError(
                 f"roads[{i}]: start, end and width put the squared length or the bounding box "
                 f"in grid units of {h} past the float range"
+            )
+        if not road.v_max * road.rho_max < math.inf:
+            raise ScenarioError(
+                f"roads[{i}]: road {road.id}'s v_max * rho_max = {road.v_max} * {road.rho_max} "
+                "is past the float range"
             )
 
 

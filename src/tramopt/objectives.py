@@ -87,10 +87,11 @@ class ObjectiveTally:
     substep group of the march enters it once, with ``rows``, the group's
     slice of the march order, and the workspace arrays it steps in, the
     same for the whole group.  The tally then views those arrays as
-    (len(rows), -1) and its store as the group's rows, allocates the
-    group's emission rate buffer, and holds one ``np.errstate`` for the
-    group's march, so that each step only forms the rate, pairs it and
-    adds three sums straight into its rows.
+    (len(rows), -1) and its store as the group's rows, and holds one
+    ``np.errstate`` for the group's march, so that each step only forms
+    the rate, pairs it and adds three sums straight into its rows.  The
+    rate is formed in the march's ``scratch``, which no step of the march
+    reads before writing it, so the tally allocates no buffer of its own.
     """
 
     def __init__(self, evaluator: "PolicyEvaluator", n_policies: int):
@@ -100,10 +101,9 @@ class ObjectiveTally:
         self._steps = np.zeros((3, n_policies, sc.n_time))  # flow, emission, queue
 
     @contextlib.contextmanager
-    def __call__(self, rows: slice, rho, flow, queues):
+    def __call__(self, rows: slice, rho, flow, queues, scratch):
         b = rows.stop - rows.start
-        flow, rho = flow.reshape(b, -1), rho.reshape(b, -1)
-        rate = np.empty(flow.shape)
+        flow, rho, rate = flow.reshape(b, -1), rho.reshape(b, -1), scratch.reshape(b, -1)
         # theta as a 0-d array, as the traffic step's constants: the same
         # product, without numpy's slower path for a Python float operand
         theta, pairing = np.array(self.evaluator.scenario.theta), self._pairing

@@ -68,18 +68,20 @@ def flux_capacity(v_max, rho_max):
     return v_max * rho_max / 4.0
 
 
-def _envelopes(rho, flow, cap, critical, dem, sup, below):
+def _envelopes(rho, cap, critical, dem, sup, above):
     """Demand and supply of densities rho into ``dem`` and ``sup``.
 
-    ``flow`` is Q(rho), ``cap`` the capacity and ``critical`` the critical
-    density; ``below`` receives the mask rho <= critical.  Demand is Q up to
-    the critical density and the capacity above it, supply the reverse.
+    ``dem`` holds Q(rho) on entry, ``cap`` is the capacity and ``critical``
+    the critical density; ``above`` receives the mask rho > critical.
+    Demand is Q up to the critical density and the capacity above it,
+    supply the reverse.  Most cells sit below the critical density, so the
+    masked copies patch only the cells above it: supply is filled with the
+    capacity and takes Q there, then demand takes the capacity there.
     """
-    np.less_equal(rho, critical, out=below)
-    dem[...] = cap
-    np.copyto(dem, flow, where=below)
-    sup[...] = flow
-    np.copyto(sup, cap, where=below)
+    np.greater(rho, critical, out=above)
+    sup[...] = cap
+    np.copyto(sup, dem, where=above)
+    np.copyto(dem, cap, where=above)
 
 
 @dataclass
@@ -229,19 +231,24 @@ class _Workspace:
     ``_envelopes``, ``roads`` that of ``_update_roads`` and, with a network
     ``net``, ``links`` that of ``_couple`` after its access rates.
 
-    ``flow`` and the scratch ``diff`` are (B, roads, cells) buffers every
-    substep overwrites, and so are ``dem`` and ``sup``, the two halves of
-    one (2, B, roads, cells) array, so that one index gathers every link
-    operand.  ``v``, ``cap``, ``rho_max`` and ``critical`` hold the per-road
-    parameters at that same shape, since a (B, roads, 1) operand makes
-    numpy loop over one road's cells at a time.  ``faces`` holds the B *
-    roads * cells + 1 interfaces of the cells laid end to end, viewed as
-    every cell's left and right interface, (B, roads, cells); its two outer
-    entries, which no face writes, stay 0, so that the differences taken
-    over them read no stale memory.  ``inflow`` and ``outflow`` are the
-    fluxes through each road's two ends, (B, roads), views of ``ends``
-    (roads, 2, B), which the link pass writes whole.  ``rho_max`` is given
-    per road, (roads, 1), or as one number, and ``lam`` is dt / ds.
+    ``dem`` and ``sup`` are (B, roads, cells) buffers every substep
+    overwrites, the two halves of one (2, B, roads, cells) array, so that
+    one index gathers every link operand.  ``flow`` is ``dem`` itself: the
+    road update writes Q of the new densities into it, the observer reads
+    it there, and the next substep's envelopes fill ``sup`` from it before
+    they patch it into the demand.  The scratch ``diff``, also (B, roads,
+    cells), holds nothing from one substep to the next, so the observer
+    may write into it.  ``v``, ``cap``, ``rho_max`` and ``critical`` hold
+    the per-road parameters at that same shape, since a (B, roads, 1)
+    operand makes numpy loop over one road's cells at a time.  ``faces``
+    holds the B * roads * cells + 1 interfaces of the cells laid end to
+    end, viewed as every cell's left and right interface, (B, roads,
+    cells); its two outer entries, which no face writes, stay 0, so that
+    the differences taken over them read no stale memory.  ``inflow`` and
+    ``outflow`` are the fluxes through each road's two ends, (B, roads),
+    views of ``ends`` (roads, 2, B), which the link pass writes whole.
+    ``rho_max`` is given per road, (roads, 1), or as one number, and
+    ``lam`` is dt / ds.
 
     With a network it also allocates the link pass's arrays, one column
     per policy, and makes the views ``_couple`` names; ``queues`` (B,
@@ -259,12 +266,13 @@ class _Workspace:
         )
         env = np.empty((2,) + shape)
         self.dem, self.sup = env
-        self.flow, diff = np.empty(shape), np.empty(shape)
+        self.flow = self.dem
+        diff = self.diff = np.empty(shape)
         faces = np.zeros(rho.size + 1)
         left, right = faces[:-1].reshape(shape), faces[1:].reshape(shape)
         self.ends = np.zeros((shape[1], 2, shape[0]))
         self.inflow, self.outflow = self.ends[:, 0].T, self.ends[:, 1].T
-        self.envelope = (rho, self.flow, cap, critical, self.dem, self.sup, np.empty(shape, dtype=bool))
+        self.envelope = (rho, cap, critical, self.dem, self.sup, np.empty(shape, dtype=bool))
         interior = None if shape[2] == 1 else (
             self.dem.reshape(-1)[:-1], self.sup.reshape(-1)[1:], faces[1:-1], left, right)
         boundary = (self.inflow, self.outflow, diff[..., 0], diff[..., -1], right[..., 0], left[..., -1])
@@ -293,8 +301,9 @@ def _update_roads(rho, flow, diff, v, rho_max, lam, interior, boundary) -> None:
     """The Godunov update of every road, given its two boundary fluxes.
 
     The operands are those ``_Workspace.roads`` binds: the densities ``rho``,
-    updated in place and clipped to [0, rho_max], ``flow``, which receives
-    Q of the new densities, the scratch ``diff`` and the road parameters
+    updated in place and clipped to [0, rho_max], ``flow``, the workspace's
+    ``dem``, which receives Q of the new densities once the faces have
+    read the demand in it, the scratch ``diff`` and the road parameters
     ``v`` and ``rho_max``, all (B, roads, cells), and ``lam`` = dt / ds.
     The workspace's ``dem`` and ``sup`` must hold the envelopes of ``rho``,
     and its ``inflow`` and ``outflow`` the fluxes through each road's ends.
@@ -363,11 +372,12 @@ def _couple(q_in, env, gather_at, gathered, merged, c, spare, coef, ab, queues, 
 def _godunov_step(ws: _Workspace, q_in) -> None:
     """One step of the densities and queue lengths ``ws`` was made with.
 
-    The links give every road's boundary fluxes from the envelopes at its
-    ends, then ``_update_roads`` steps the roads.  The densities and queue
-    lengths are updated in place, and ``ws.flow``, which must hold Q of the
-    densities on entry, holds Q of the new densities on return; ``q_in``
-    holds the access rates of this step, (n_access,).
+    The envelopes are made from Q in ``ws.flow``, the links give every
+    road's boundary fluxes from the envelopes at its ends, then
+    ``_update_roads`` steps the roads.  The densities and queue lengths are
+    updated in place, and ``ws.flow``, which must hold Q of the densities
+    on entry, holds Q of the new densities on return; ``q_in`` holds the
+    access rates of this step, (n_access,).
     """
     _envelopes(*ws.envelope)
     _couple(q_in, *ws.links)
@@ -397,22 +407,26 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, observe
            mean_ends: np.ndarray | None = None) -> None:
     """Advance a batch of policies sharing a substep count over the horizon.
 
-    ``observe(rows, rho, flow, queues)`` is entered once, as a context
-    manager around the whole march, with the batch's densities and their
-    flux Q, both (B, roads, cells), and its queue lengths (B, n_access).
-    These are the workspace arrays every step overwrites, the same for the
-    whole march.  The value it gives is called as ``step(k)`` after each
-    output step k = 1..n_time, when the arrays hold that step's values.
-    Q is computed once per substep: it gives the next substep's demand and
-    supply and is the flow the objectives sum.  With ``mean_ends`` (roads,
-    2, B), the march also writes into it, before each ``step(k)``, the mean
-    inflow and outflow of every road over the step's substeps.
+    ``observe(rows, rho, flow, queues, scratch)`` is entered once, as a
+    context manager around the whole march, with the batch's densities and
+    their flux Q, both (B, roads, cells), its queue lengths (B, n_access)
+    and ``scratch``, a (B, roads, cells) buffer it may overwrite.  These
+    are the workspace arrays every step overwrites, the same for the whole
+    march: ``flow`` is the workspace's demand buffer and ``scratch`` its
+    ``diff``, which no step reads before writing it.  The value it gives
+    is called as ``step(k)`` after each output step k = 1..n_time, when
+    the arrays hold that step's values; ``step`` must not write ``rho``,
+    ``flow`` or ``queues``.  Q is computed once per substep: it gives the
+    next substep's demand and supply and is the flow the objectives sum.
+    With ``mean_ends`` (roads, 2, B), the march also writes into it, before
+    each ``step(k)``, the mean inflow and outflow of every road over the
+    step's substeps.
     """
     dt = scenario.dt / n_sub
     rho = np.repeat(net.rho0[None], len(v), axis=0)
     queues = np.repeat(net.queue0[None], len(v), axis=0)
     ws = _Workspace(net.rho_max, v, rho, dt / scenario.ds, net, queues, dt)
-    with observe(rows, rho, ws.flow, queues) as step:
+    with observe(rows, rho, ws.flow, queues, ws.diff) as step:
         for k, q_in in enumerate(net.inflow.T, 1):
             if mean_ends is None:
                 for _ in range(n_sub):
@@ -456,8 +470,9 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     ends = np.zeros((n_roads, 2, 1))
 
     @contextlib.contextmanager
-    def record(rows, rho, flow, ell):
-        observing = contextlib.nullcontext(lambda k: None) if observe is None else observe(rows, rho, flow, ell)
+    def record(rows, rho, flow, ell, scratch):
+        observing = (contextlib.nullcontext(lambda k: None) if observe is None
+                     else observe(rows, rho, flow, ell, scratch))
         with observing as observed:
             def step(k):
                 densities[k], queues[k] = rho[0], ell[0]
@@ -486,12 +501,14 @@ def simulate_batch(scenario: Scenario, policies, observe) -> np.ndarray:
     increasing substep count, each in batch order; the returned ``order``
     lists the batch positions in that march order, so that each group is a
     contiguous slice ``rows`` of it.  Each group enters
-    ``observe(rows, rho, flow, queues)`` once, as a context manager around
-    its march, with its densities and flux Q, both (len(rows), roads,
-    cells), and its queue lengths (len(rows), n_access): the march's
-    workspace, the same arrays for the whole group, which every step
-    overwrites.  The value it gives is called as ``step(k)`` after each
-    output step k = 1..n_time, when the arrays hold that step's values.
+    ``observe(rows, rho, flow, queues, scratch)`` once, as a context
+    manager around its march, with its densities and flux Q, both
+    (len(rows), roads, cells), its queue lengths (len(rows), n_access) and
+    a scratch buffer shaped as the densities that it may overwrite: the
+    march's workspace, the same arrays for the whole group, which every
+    step overwrites.  The value it gives is called as ``step(k)`` after
+    each output step k = 1..n_time, when the arrays hold that step's
+    values; it writes only into ``scratch``.
     ``policies`` holds one row of speed limits per policy, one per road;
     ``check_policies`` raises ``PolicyError`` for the first row outside the
     box.  An empty batch never enters ``observe``.

@@ -234,6 +234,22 @@ class TestValidate:
             assert captured.err.startswith("error: ") and message in captured.err
             assert "Traceback" not in captured.err + captured.out
 
+    def test_capacity_past_the_float_range_exits_two(self, tmp_path, diamond_path, capsys):
+        # v_max * rho_max = 2 * 1e308 is inf: the road's capacity overflows
+        # at v = 2, so the scenario is rejected at load, before any warning
+        doc = json.loads(diamond_path.read_text())
+        doc["roads"][2]["rho_max"] = 1e308
+        path = tmp_path / "capacity.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["simulate", "--policy=1,1,2,1,1,1", "--out", str(tmp_path / "sim")]):
+            code, caught = _run_recording_warnings(*argv, "--scenario", str(path))
+            assert code == 2 and caught == []
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "error: roads[2]: road 3's v_max * rho_max = 2.0 * 1e+308 is past the float range"
+            ]
+            assert captured.out == ""
+
     def test_integer_past_the_digit_limit_exits_two(self, tmp_path, diamond_path, capsys):
         # json cannot turn a 5,000-digit literal into an int
         path = tmp_path / "digits.json"

@@ -76,9 +76,9 @@ def _tallied(scenario, traj, policy):
     v = np.asarray(policy, dtype=float)[:, None]
     rho_max = np.array([[r.rho_max] for r in scenario.roads])
     # the tally reads one set of arrays for the whole march, as the kernel's workspace
-    rho, flow = np.empty((2, 1) + traj.densities.shape[1:])
+    rho, flow, scratch = np.empty((3, 1) + traj.densities.shape[1:])
     queues = np.empty((1, traj.queues.shape[1]))
-    with tally(slice(0, 1), rho, flow, queues) as step:
+    with tally(slice(0, 1), rho, flow, queues, scratch) as step:
         for k in range(1, scenario.n_time + 1):
             rho[0] = traj.densities[k]
             flow[0] = greenshields_flux(rho[0], v, rho_max)
@@ -104,8 +104,9 @@ def test_tally_of_a_whole_slice_equals_its_groups_bitwise(diamond):
         for rows in groups:
             at = np.arange(len(policies))[rows] if order is None else order[rows]
             rho = np.empty((len(at),) + trajs[0].densities.shape[1:])
-            flow, queues = np.empty(rho.shape), np.empty((len(at), len(sc.access)))
-            with tally(rows, rho, flow, queues) as step:
+            flow, scratch = np.empty((2,) + rho.shape)
+            queues = np.empty((len(at), len(sc.access)))
+            with tally(rows, rho, flow, queues, scratch) as step:
                 for k in range(1, sc.n_time + 1):
                     for i, b in enumerate(at):
                         rho[i] = trajs[b].densities[k]

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import json
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tramopt.network import PolicyError, load_scenario
-from tramopt.objectives import AdjointContraction, PolicyEvaluator
+from tramopt.objectives import AdjointContraction, ObjectiveTally, PolicyEvaluator
 from tramopt.traffic import (
     TrafficError,
     _compile,
@@ -21,6 +22,7 @@ from tramopt.traffic import (
     flux_capacity,
     greenshields_flux,
     mass_balance_residuals,
+    simulate_batch,
     simulate_traffic,
     step_single_road,
 )
@@ -36,11 +38,11 @@ TWO_ACCESS_POLICIES = [
 
 
 def _kernel_envelopes(rho, v_max, rho_max):
-    """(demand, supply) of densities ``rho`` from the kernel's ``_envelopes``."""
-    flow = greenshields_flux(rho, v_max, rho_max)
-    dem, sup = np.empty(np.shape(flow)), np.empty(np.shape(flow))
-    below = np.empty(np.shape(flow), dtype=bool)
-    _envelopes(rho, flow, flux_capacity(v_max, rho_max), rho_max / 2.0, dem, sup, below)
+    """(demand, supply) of densities ``rho`` from the kernel's ``_envelopes``,
+    which takes Q in the demand buffer."""
+    dem = np.array(greenshields_flux(rho, v_max, rho_max), dtype=float)
+    sup, above = np.empty(dem.shape), np.empty(dem.shape, dtype=bool)
+    _envelopes(rho, flux_capacity(v_max, rho_max), rho_max / 2.0, dem, sup, above)
     return dem[()], sup[()]
 
 
@@ -488,6 +490,35 @@ def _reference_envelopes(rho, v_max, rho_max):
     return np.where(below, q, cap), np.where(below, cap, q)
 
 
+@pytest.mark.parametrize("side", ["below", "above", "mixed"])
+def test_envelopes_equal_the_closed_form_bitwise(side):
+    # the kernel's envelopes, made in a workspace as a march makes them, bit
+    # for bit against the closed form on (B, roads, cells) densities: every
+    # cell at or below the critical density, every cell above it, and both,
+    # with the densities where the branches meet and the ends of the range
+    # (at the critical density itself Q and the capacity are the same bits)
+    rng = np.random.default_rng(5)
+    rho_max = np.array([1.0, 1.5, 0.8, 0.3])
+    crit, zero = rho_max / 2.0, np.zeros(4)
+    under, over = np.nextafter(crit, 0.0), np.nextafter(crit, 1.0)
+    lo, hi, edges = {
+        "below": (zero, crit, [zero, under, crit]),
+        "above": (over, rho_max, [over, rho_max]),
+        "mixed": (zero, rho_max, [zero, under, crit, over, rho_max]),
+    }[side]
+    rho = rng.uniform(lo[:, None], hi[:, None], size=(3, 4, 9))
+    for cell, edge in enumerate(edges):
+        rho[:, :, cell] = edge
+    above = rho > crit[:, None]
+    assert {"below": not above.any(), "above": above.all(), "mixed": 0 < above.mean() < 1}[side]
+    v = rng.uniform(0.25, 2.0, size=(3, 4))
+    ws = _Workspace(rho_max[:, None], v, rho, 0.0)
+    _envelopes(*ws.envelope)
+    dem, sup = _reference_envelopes(rho, v[:, :, None], rho_max[:, None])
+    assert np.array_equal(ws.dem.view(np.int64), dem.view(np.int64))
+    assert np.array_equal(ws.sup.view(np.int64), sup.view(np.int64))
+
+
 def _reference_road_step(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
     """One road's Godunov update written out apart from the kernel: faces
     min{D(left), S(right)} between the prescribed end fluxes, a conservative
@@ -604,3 +635,71 @@ def test_split_road_equals_the_whole_road():
         scores.append(PolicyEvaluator(sc, adjoint=zero).score([[v] * width for v in limits]))
     for one, two in zip(*scores):
         assert np.array([two.j_flow, two.j_queue]).tobytes() == np.array([one.j_flow, one.j_queue]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the observer's scratch: the march hands its observer the step's scratch
+# buffer, which no step reads before writing it
+
+
+def _scribbling(tally, densities, queues, scribble):
+    """An observer around ``tally`` that keeps each output step's densities
+    and queue lengths in ``densities`` and ``queues`` by march row and, with
+    ``scribble``, fills the scratch with NaN before and after each step of
+    the tally."""
+
+    @contextlib.contextmanager
+    def observe(rows, rho, flow, ell, scratch):
+        assert not any(np.shares_memory(scratch, a) for a in (rho, flow, ell))
+        with tally(rows, rho, flow, ell, scratch) as tallied:
+            def step(k):
+                if scribble:
+                    scratch.fill(np.nan)
+                tallied(k)
+                if scribble:
+                    scratch.fill(np.nan)
+                densities[rows, k - 1], queues[rows, k - 1] = rho, ell
+
+            yield step
+
+    return observe
+
+
+@pytest.mark.parametrize("name, policies", [("diamond", REFERENCE_POLICIES), ("two_access", TWO_ACCESS_POLICIES)])
+def test_scratch_written_by_the_observer_changes_nothing(request, name, policies):
+    # NaN in the scratch at every output step leaves the densities, queues,
+    # end fluxes and scores bitwise as they are, through simulate_batch and
+    # through simulate_traffic; the two-access policies march in two groups,
+    # one of them at two substeps per output step
+    sc = request.getfixturevalue(name)
+    pairing = np.random.default_rng(2).random((sc.n_time + 1, sc.n_roads, sc.n_cells))
+    evaluator = PolicyEvaluator(sc, adjoint=AdjointContraction(pairing, 0.0))
+
+    def scores(tally, order=None):
+        return np.array([[b.j_flow, b.j_diff, b.j_queue] for b in tally.breakdowns(order)]).tobytes()
+
+    def run(scribble):
+        n = len(policies)
+        densities = np.empty((n, sc.n_time, sc.n_roads, sc.n_cells))
+        queues = np.empty((n, sc.n_time, len(sc.access)))
+        tally = ObjectiveTally(evaluator, n)
+        order = simulate_batch(sc, policies, _scribbling(tally, densities, queues, scribble))
+        outputs = [order.tobytes(), densities.tobytes(), queues.tobytes(), scores(tally, order)]
+        for policy in policies:
+            tally = ObjectiveTally(evaluator, 1)
+            observe = _scribbling(tally, np.empty_like(densities[:1]), np.empty_like(queues[:1]), scribble)
+            traj = simulate_traffic(sc, policy, observe=observe)
+            outputs += [traj.densities.tobytes(), traj.queues.tobytes(), traj.inflow.tobytes(),
+                        traj.outflow.tobytes(), scores(tally)]
+        return outputs
+
+    assert run(scribble=True) == run(scribble=False)
+
+
+def test_flow_is_the_demand_buffer(diamond):
+    net = _compile(diamond)
+    v = np.array(REFERENCE_POLICIES)
+    rho, queues = np.repeat(net.rho0[None], len(v), axis=0), np.repeat(net.queue0[None], len(v), axis=0)
+    ws = _Workspace(net.rho_max, v, rho, diamond.dt / diamond.ds, net, queues, diamond.dt)
+    assert np.shares_memory(ws.flow, ws.dem)
+    assert not any(np.shares_memory(ws.diff, a) for a in (ws.dem, ws.sup, rho))
