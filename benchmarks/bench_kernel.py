@@ -474,7 +474,9 @@ def main() -> int:
     parser.add_argument("--parent", default="HEAD", help="git revision to compare the working tree with")
     parser.add_argument("--pairs", type=int, default=15, help="alternated scorings per batch and tree")
     parser.add_argument("--traced", type=int, default=3, help="traced scorings per batch and tree")
-    parser.add_argument("--adjoint-runs", type=int, default=3, help="cold set-ups per set-up and tree")
+    parser.add_argument("--adjoint-runs", type=int, default=10,
+                        help="cold set-ups per set-up and tree (default 10; at 3 the process-to-process "
+                             "spread of a cold set-up read as 0.70-0.77x with no set-up code changed)")
     parser.add_argument("--simulate-runs", type=int, default=10,
                         help="alternated simulate pairs per set-up, after one untimed call per tree")
     parser.add_argument("--setup", choices=ADJOINT_SETUPS, help=argparse.SUPPRESS)

@@ -3,10 +3,11 @@
 All numeric output uses round-trip float formatting, so repeated runs with
 the same seed produce byte-identical CSV files.  ``simulate`` writes its time
 series one output step at a time, each step's lines in one write, and its
-emission field one block of levels at a time as ``emission_field`` makes
-them, so no command holds the whole field.  Every command that writes
-results also writes a manifest recording the inputs (including a scenario
-content hash), the seed/budget, and the produced files.
+emission field, made from the flow Q the traffic kernel computed and kept,
+one block of levels at a time as ``emission_field`` makes them, so no
+command holds the whole field or computes Q twice.  Every command that
+writes results also writes a manifest recording the inputs (including a
+scenario content hash), the seed/budget, and the produced files.
 
 Every output file is written as a new file by ``_create``: the old file at
 its path is unlinked first, never truncated in place or renamed over.  On
@@ -73,7 +74,10 @@ def _fmt(x: float) -> str:
 
 
 def _read_scenario(path: str) -> tuple[Scenario, str]:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from None
     return load_scenario(text), text
 
 
@@ -278,7 +282,7 @@ def cmd_simulate(args) -> int:
     tally = ObjectiveTally(evaluator, 1)
     traj = simulate_traffic(scenario, policy, observe=tally)
     (breakdown,) = tally.breakdowns()
-    blocks = emission_field(traj, rasterize_network(scenario), scenario, policy)
+    blocks = emission_field(traj, rasterize_network(scenario), scenario)
 
     road_ids = [r.id for r in scenario.roads]
     times = traj.times

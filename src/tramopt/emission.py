@@ -10,7 +10,9 @@ it scatters road-cell rates onto grid levels for the emission field, and
 gathers a grid level onto road cells for the adjoint's contraction.  Both
 add the entries of a bin in entry order, starting from 0.0.
 
-The emission field is made in blocks of levels of at most
+The rates are made from a ``TrafficTrajectory``'s densities and the flow Q
+the traffic kernel computed with them; this module computes no flux.  The
+emission field is made in blocks of levels of at most
 ``FIELD_BLOCK_BYTES`` (at least one level), so that a caller writing it
 never holds the whole (n_time + 1, n_grid + 1, n_grid + 1) array: 157.8 MB
 on a chain of 4 diamonds, 1.5 GB on 16.
@@ -24,8 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tramopt.network import Scenario, check_policies
-from tramopt.traffic import greenshields_flux
+from tramopt.network import Scenario
 
 #: the most bytes of one block of levels ``emission_field`` yields, unless
 #: one level alone is larger: small enough to add little to a process's peak
@@ -123,23 +124,19 @@ def rasterize_network(scenario: Scenario) -> RasterMap:
     return RasterMap(n_grid=n, n_cells=scenario.n_cells, i=i, j=j, slot=slot, weight=weight)
 
 
-def cell_rates(densities: np.ndarray, scenario: Scenario, policy) -> np.ndarray:
-    """Emission rate per (time, road, cell) from a density history under
-    ``policy``, one speed limit per road; ``check_policies`` raises
-    ``PolicyError`` for one outside the box."""
-    v = check_policies([policy], scenario)[0]
-    rho_max = np.array([r.rho_max for r in scenario.roads])
-    flow = greenshields_flux(densities, v[None, :, None], rho_max[None, :, None])
-    return emission_rate(flow, densities, scenario.theta)
+def cell_rates(traj, scenario: Scenario) -> np.ndarray:
+    """Emission rate per (time, road, cell) of a traffic trajectory, from the
+    flow and the densities it holds."""
+    return emission_rate(traj.flow, traj.densities, scenario.theta)
 
 
-def emission_field(traj, raster: RasterMap, scenario: Scenario, policy) -> Iterator[np.ndarray]:
+def emission_field(traj, raster: RasterMap, scenario: Scenario) -> Iterator[np.ndarray]:
     """Rasterized emission rates, shape (n_time + 1, n_grid + 1, n_grid + 1),
     as an iterator of blocks of consecutive levels, each at most
     ``FIELD_BLOCK_BYTES`` or one level; concatenated, they are the field.
 
-    The grid checks, the policy's box check (``PolicyError``) and the road
-    cells' rates run at this call; only the blocks' scatters wait for the
+    The grid checks and the road cells' rates, from the trajectory's flow
+    and densities, run at this call; only the blocks' scatters wait for the
     iteration.  So a bad input fails where the field is asked for, while the
     field itself is made as it is consumed, one block held at a time."""
     if raster.n_grid != scenario.n_grid:
@@ -147,6 +144,6 @@ def emission_field(traj, raster: RasterMap, scenario: Scenario, policy) -> Itera
     if traj.densities.shape[0] != scenario.n_time + 1:
         raise ValueError("trajectory and scenario time grids do not match")
 
-    rates = cell_rates(traj.densities, scenario, policy)
+    rates = cell_rates(traj, scenario)
     step = max(1, FIELD_BLOCK_BYTES // (8 * (scenario.n_grid + 1) ** 2))
     return (raster.scatter(rates[k:k + step]) for k in range(0, len(rates), step))

@@ -336,7 +336,8 @@ def load_scenario(config_text: str) -> Scenario:
     """Parse a JSON scenario description into a validated ``Scenario``.
 
     Structural problems (missing fields, bad references, rates not summing
-    to one, out-of-range values) raise ``ScenarioError`` with field context;
+    to one, out-of-range values, a road end attached twice) raise
+    ``ScenarioError`` with field context;
     numerical adequacy (CFL, raster visibility) is reported separately by
     ``validate_scenario``.
     """
@@ -436,6 +437,10 @@ def load_scenario(config_text: str) -> Scenario:
         n_cells=n_cells,
         n_time=n_time,
     )
+    for end, attached in _road_ends(scenario).items():
+        for rid, attachments in attached.items():
+            if len(attachments) > 1:
+                raise ScenarioError(f"road {rid} {end} attached twice: {', '.join(attachments)}")
     _check_grid(scenario)
     from tramopt.traffic import _substep_counts  # the kernel's CFL rule; traffic imports this module
 
@@ -598,8 +603,9 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
 
     The report lists findings for: adjoint CFL violations, roads whose
     raster footprint contains fewer grid points than they have cells
-    (invisible to the control-area grid), and dangling or doubly-attached
-    road endpoints.  An empty findings list means the scenario is usable.
+    (invisible to the control-area grid), road ends attached to nothing and
+    junctions whose road endpoints do not coincide.  An empty findings list
+    means the scenario is usable.
     """
     from tramopt.dispersion import cfl_check_adjoint
     from tramopt.emission import rasterize_network
@@ -622,11 +628,11 @@ def validate_scenario(scenario: Scenario) -> ValidationReport:
     return ValidationReport(findings=tuple(findings), cfl=cfl)
 
 
-def _graph_findings(scenario: Scenario) -> list[str]:
-    findings = []
+def _road_ends(scenario: Scenario) -> dict[str, dict[int, list[str]]]:
+    """What each road end is attached to: per end, "tail" or "head", per
+    road id, the junctions, access boundary and exit that name it."""
     tails: dict[int, list[str]] = {r.id: [] for r in scenario.roads}
     heads: dict[int, list[str]] = {r.id: [] for r in scenario.roads}
-
     for i, j in enumerate(scenario.junctions):
         for rid in j.incoming:
             heads[rid].append(f"junction {i}")
@@ -636,13 +642,15 @@ def _graph_findings(scenario: Scenario) -> list[str]:
         tails[a.road].append("access boundary")
     for rid in scenario.exits:
         heads[rid].append("exit")
+    return {"tail": tails, "head": heads}
 
-    for end, attached in (("tail", tails), ("head", heads)):
+
+def _graph_findings(scenario: Scenario) -> list[str]:
+    findings = []
+    for end, attached in _road_ends(scenario).items():
         for rid, attachments in attached.items():
             if not attachments:
                 findings.append(f"road {rid} {end} attached to nothing (flux 0 assumed)")
-            elif len(attachments) > 1:
-                findings.append(f"road {rid} {end} attached twice: {', '.join(attachments)}")
 
     # junction geometry: all meeting endpoints should coincide
     for i, j in enumerate(scenario.junctions):

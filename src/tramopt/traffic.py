@@ -57,13 +57,6 @@ def _flux(rho, v_max, rho_max, out, scratch):
     return np.multiply(out, scratch, out=out)
 
 
-def greenshields_flux(rho, v_max, rho_max):
-    """Concave flux v*rho*(1 - rho/rho_max); peaks at rho_max/2 with value v*rho_max/4."""
-    _check_density(rho, rho_max)
-    shape = np.broadcast_shapes(*map(np.shape, (rho, v_max, rho_max)))
-    return _flux(rho, v_max, rho_max, np.empty(shape), np.empty(shape))[()]
-
-
 def flux_capacity(v_max, rho_max):
     return v_max * rho_max / 4.0
 
@@ -88,6 +81,7 @@ def _envelopes(rho, cap, critical, dem, sup, above):
 class TrafficTrajectory:
     """Snapshots over the time grid plus recorded boundary flows.
 
+    ``flow`` holds Q of ``densities`` as the kernel computed it.
     ``inflow``/``outflow`` hold per grid interval the mean flux entering a
     road at its tail and leaving at its head; ``external_inflow`` holds the
     prescribed access rates actually applied on each interval.
@@ -95,6 +89,7 @@ class TrafficTrajectory:
 
     times: np.ndarray  # (n_time + 1,)
     densities: np.ndarray  # (n_time + 1, n_roads, n_cells)
+    flow: np.ndarray  # (n_time + 1, n_roads, n_cells)
     queues: np.ndarray  # (n_time + 1, n_access)
     access_roads: tuple[int, ...]  # road ids owning the queue columns
     inflow: np.ndarray  # (n_time, n_roads)
@@ -137,9 +132,8 @@ class _Network:
     take q_in + ell/dt for A.  ``end_links`` (2, 2 * roads) names the two
     flow rows each road end adds, its tail at 2 * road and its head at
     2 * road + 1: row n is -0.0 and row n + 1 is +0.0, the flux of an end
-    no link writes.  Where two links write one end, the later of the heads
-    (1to1, 1to2, first and second 2to1 incoming, exits) or of the tails
-    (1to1, first and second 1to2 outgoing, 2to1, access) wins.
+    no link writes.  No two links write one end: ``load_scenario`` rejects
+    a road end attached twice.
     """
 
     rho_max: np.ndarray  # (n_roads, 1)
@@ -451,11 +445,11 @@ def _substep_counts(v: np.ndarray, scenario: Scenario) -> np.ndarray:
 def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTrajectory:
     """Run the traffic model over the whole horizon for a fixed policy.
 
-    This is the batch kernel at batch size one, keeping the history.  The
-    grid step is split into however many equal substeps the CFL bound
-    requires; snapshots land exactly on the output time grid and boundary
-    fluxes are recorded as per-interval means, so discrete mass balance holds
-    to rounding.  ``observe`` sees the march as in ``simulate_batch``, with
+    This is the batch kernel at batch size one, keeping the history, Q
+    included.  The grid step is split into however many equal substeps the
+    CFL bound requires; snapshots land exactly on the output time grid and
+    boundary fluxes are recorded as per-interval means, so discrete mass
+    balance holds to rounding.  ``observe`` sees the march as in ``simulate_batch``, with
     ``rows`` slice(0, 1).  ``policy`` is one speed limit per road;
     ``check_policies`` raises ``PolicyError`` for one outside the box.
     """
@@ -463,6 +457,7 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     net = _compile(scenario)
     n_time, n_roads = scenario.n_time, scenario.n_roads
     densities = np.empty((n_time + 1,) + net.rho0.shape)
+    flows = np.empty(densities.shape)
     queues = np.empty((n_time + 1, len(net.queue0)))
     inflow = np.empty((n_time, n_roads))
     outflow = np.empty((n_time, n_roads))
@@ -471,11 +466,12 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
 
     @contextlib.contextmanager
     def record(rows, rho, flow, ell, scratch):
+        flows[0] = flow[0]
         observing = (contextlib.nullcontext(lambda k: None) if observe is None
                      else observe(rows, rho, flow, ell, scratch))
         with observing as observed:
             def step(k):
-                densities[k], queues[k] = rho[0], ell[0]
+                densities[k], flows[k], queues[k] = rho[0], flow[0], ell[0]
                 inflow[k - 1], outflow[k - 1] = ends[..., 0].T
                 observed(k)
 
@@ -485,6 +481,7 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     return TrafficTrajectory(
         times=np.arange(n_time + 1) * scenario.dt,
         densities=densities,
+        flow=flows,
         queues=queues,
         access_roads=tuple(a.road for a in scenario.access),
         inflow=inflow,

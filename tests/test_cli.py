@@ -28,6 +28,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _command_argv(command, scenario, out):
+    """The arguments of ``command`` run on the scenario file ``scenario``,
+    writing into ``out``."""
+    return {
+        "validate": ["validate"],
+        "simulate": ["simulate", "--policy=1,1,1,1,1,1", "--out", str(out)],
+        "optimize": ["optimize", "--budget", "10", "--out", str(out)],
+    }[command] + ["--scenario", str(scenario)]
+
+
 @pytest.fixture()
 def fast_scenario_path(tmp_path, diamond_path):
     """Diamond with a coarse grid/horizon so CLI runs stay quick."""
@@ -295,22 +305,59 @@ class TestValidate:
         assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize(
-        "damage, finding",
+        "damage, code, line",
         [
-            (lambda doc: doc.__setitem__("access", []), "road 1 tail attached to nothing (flux 0 assumed)"),
-            (lambda doc: doc["access"].append({"road": 2, "inflow": 0.1}),
-             "road 2 tail attached twice: junction 0, access boundary"),
-            (lambda doc: doc["exits"].append(5), "road 5 head attached twice: junction 3, exit"),
+            (lambda doc: doc.__setitem__("access", []), 1, "road 1 tail attached to nothing (flux 0 assumed)"),
+            # a road end attached twice is no finding but a load error
+            (lambda doc: doc["access"].append({"road": 2, "inflow": 0.1}), 2,
+             "error: road 2 tail attached twice: junction 0, access boundary"),
+            (lambda doc: doc["exits"].append(5), 2, "error: road 5 head attached twice: junction 3, exit"),
         ],
         ids=["tail-free", "tail-twice", "head-twice"],
     )
-    def test_graph_finding_exits_one(self, tmp_path, diamond_path, capsys, damage, finding):
+    def test_graph_finding_exits_one(self, tmp_path, diamond_path, capsys, damage, code, line):
         doc = json.loads(diamond_path.read_text())
         damage(doc)
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("validate", "--scenario", str(path)) == 1
-        assert capsys.readouterr().out.splitlines()[0] == finding
+        assert run_cli("validate", "--scenario", str(path)) == code
+        captured = capsys.readouterr()
+        assert (captured.out if code == 1 else captured.err).splitlines()[0] == line
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "optimize"])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: doc["exits"].append(6), "road 6 head attached twice: exit, exit"),
+            (lambda doc: doc["exits"].append(1), "road 1 head attached twice: junction 0, exit"),
+            (lambda doc: doc["junctions"].append(doc["junctions"][1]),
+             "road 5 tail attached twice: junction 1, junction 4"),
+            (lambda doc: doc["junctions"].append({"kind": "1to1", "in": [6], "out": [4]}),
+             "road 4 tail attached twice: junction 2, junction 4"),
+        ],
+        ids=["exit-twice", "access-road-as-exit", "junction-twice", "1to1-onto-a-fed-road"],
+    )
+    def test_road_end_attached_twice_exits_two(self, tmp_path, diamond_path, capsys, command, damage, message):
+        # the kernel would let one of the two links win, so every command
+        # refuses the scenario at load
+        doc = json.loads(diamond_path.read_text())
+        damage(doc)
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(*_command_argv(command, path, tmp_path / "out")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate", "optimize"])
+    def test_scenario_not_utf8_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{")  # a UTF-16 byte-order mark, then "{"
+        assert run_cli(*_command_argv(command, path, tmp_path / "out")) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {path}: not UTF-8 text: ")
+        assert captured.out == ""
 
 
 class TestSimulate:

@@ -12,7 +12,7 @@ from tramopt import emission
 from tramopt.cli import write_emission_bin
 from tramopt.emission import emission_field, emission_rate, rasterize_network
 from tramopt.network import load_scenario
-from tramopt.traffic import greenshields_flux, simulate_traffic
+from tramopt.traffic import simulate_traffic
 
 
 def _scenario(roads, side=3.0, n_grid=6, n_cells=4, theta=0.5):
@@ -31,6 +31,11 @@ def _scenario(roads, side=3.0, n_grid=6, n_cells=4, theta=0.5):
     return load_scenario(json.dumps(doc))
 
 
+def _closed_form_flux(rho, v_max, rho_max):
+    """Q's closed form, in the operation order of the kernel's flux."""
+    return v_max * rho * (1 - rho / rho_max)
+
+
 def _road(rid, start, end, width, rho0=0.5):
     return {"id": rid, "start": start, "end": end, "width": width,
             "rho_max": 1, "rho0": rho0, "v_min": 0.25, "v_max": 2}
@@ -38,19 +43,19 @@ def _road(rid, start, end, width, rho0=0.5):
 
 class TestEmissionRate:
     def test_empty_road_emits_nothing(self):
-        assert emission_rate(greenshields_flux(0.0, 1.7, 1.0), 0.0, 0.9) == 0.0
+        assert emission_rate(_closed_form_flux(0.0, 1.7, 1.0), 0.0, 0.9) == 0.0
 
     def test_flow_plus_weighted_density(self):
-        assert emission_rate(greenshields_flux(0.5, 1.0, 1.0), 0.5, 0.5) == pytest.approx(0.5)
+        assert emission_rate(_closed_form_flux(0.5, 1.0, 1.0), 0.5, 0.5) == pytest.approx(0.5)
 
     def test_jammed_road_emits_density_term_only(self):
-        assert emission_rate(greenshields_flux(1.0, 1.0, 1.0), 1.0, 0.5) == pytest.approx(0.5)
+        assert emission_rate(_closed_form_flux(1.0, 1.0, 1.0), 1.0, 0.5) == pytest.approx(0.5)
 
     @given(rho=st.floats(0.0, 1.0), theta=st.floats(0.0, 2.0))
     @example(rho=1.0, theta=0.0)
     def test_zero_iff_empty(self, rho, theta):
         # zero on an empty road, and on a jammed one (flow 0) when theta is 0
-        rate = emission_rate(greenshields_flux(rho, 1.0, 1.0), rho, theta)
+        rate = emission_rate(_closed_form_flux(rho, 1.0, 1.0), rho, theta)
         assert rate >= 0.0
         assert (rate == 0.0) == (rho == 0.0 or (rho == 1.0 and theta == 0.0))
 
@@ -163,7 +168,7 @@ class TestEmissionField:
         policy = policy if policy is not None else np.ones(scenario.n_roads)
         traj = simulate_traffic(scenario, policy)
         raster = rasterize_network(scenario)
-        return traj, raster, np.concatenate(list(emission_field(traj, raster, scenario, policy)))
+        return traj, raster, np.concatenate(list(emission_field(traj, raster, scenario)))
 
     def test_single_road_rate_scaled_by_width(self):
         # rho = 0.5, V = 1, theta = 0.5: rate 0.5; width 0.1 -> xi = 5.0
@@ -195,11 +200,10 @@ class TestEmissionField:
     def test_nonnegative_and_linear_in_theta(self):
         s1 = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)], theta=0.5)
         s2 = dataclasses.replace(s1, theta=1.0)
-        policy = [1.0]
-        traj = simulate_traffic(s1, policy)
+        traj = simulate_traffic(s1, [1.0])
         raster = rasterize_network(s1)
-        f1 = np.concatenate(list(emission_field(traj, raster, s1, policy)))
-        f2 = np.concatenate(list(emission_field(traj, raster, s2, policy)))
+        f1 = np.concatenate(list(emission_field(traj, raster, s1)))
+        f2 = np.concatenate(list(emission_field(traj, raster, s2)))
         assert np.all(f1 >= 0.0)
         # xi = Q/w + theta*rho/w pointwise: doubling theta adds one density share
         dens_share = f2 - f1
@@ -211,31 +215,29 @@ class TestEmissionField:
         roads_wide = [_road(1, [0.5, 1.5], [2.5, 1.5], width=0.2)]
         s_thin = _scenario(roads_thin, n_grid=60)
         s_wide = _scenario(roads_wide, n_grid=60)
-        policy = [1.0]
-        traj = simulate_traffic(s_thin, policy)
+        traj = simulate_traffic(s_thin, [1.0])
         f_thin, f_wide = (
-            np.concatenate(list(emission_field(traj, rasterize_network(s), s, policy))) for s in (s_thin, s_wide)
+            np.concatenate(list(emission_field(traj, rasterize_network(s), s))) for s in (s_thin, s_wide)
         )
         thin_pts = rasterize_network(s_thin)
         vals_thin = f_thin[0, thin_pts.i, thin_pts.j]
         vals_wide = f_wide[0, thin_pts.i, thin_pts.j]
         assert vals_wide == pytest.approx(vals_thin / 2.0)
 
-    # these checks, and the policy's box check, raise at the call itself,
-    # before any block is asked for
+    # these checks raise at the call itself, before any block is asked for
     def test_grid_mismatch_rejected(self, diamond):
         s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)])
         traj = simulate_traffic(s, [1.0])
         raster = rasterize_network(s)
         with pytest.raises(ValueError):
-            emission_field(traj, raster, diamond, [1.0] * 6)
+            emission_field(traj, raster, diamond)
 
     def test_time_grid_mismatch_rejected(self):
         s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)])
         traj = simulate_traffic(s, [1.0])
         longer = dataclasses.replace(s, n_time=s.n_time + 1)
         with pytest.raises(ValueError, match="time grids"):
-            emission_field(traj, rasterize_network(s), longer, [1.0])
+            emission_field(traj, rasterize_network(s), longer)
 
 
 def _reference_emission_bin(s, densities, policy) -> bytes:
@@ -246,7 +248,7 @@ def _reference_emission_bin(s, densities, policy) -> bytes:
     rho_max = np.array([r.rho_max for r in s.roads])[:, None]
     data = [b"TRMO", np.array([1, s.n_grid, s.n_time], dtype="<u4").tobytes()]
     for rho in densities:
-        rates = emission_rate(greenshields_flux(rho, v, rho_max), rho, s.theta).ravel()
+        rates = emission_rate(_closed_form_flux(rho, v, rho_max), rho, s.theta).ravel()
         level = np.zeros((s.n_grid + 1, s.n_grid + 1))
         for i, j, slot, weight in zip(raster["i"], raster["j"], raster["slot"], raster["weight"]):
             level[i, j] += rates[slot] * weight
@@ -265,7 +267,7 @@ def test_emission_bin_is_the_level_by_level_field(n_grid, tmp_path):
     traj = simulate_traffic(s, policy)
     level_bytes = 8 * (n_grid + 1) ** 2
     per_block = max(1, emission.FIELD_BLOCK_BYTES // level_bytes)
-    blocks = list(emission_field(traj, rasterize_network(s), s, policy))
+    blocks = list(emission_field(traj, rasterize_network(s), s))
     assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
     assert all(b.nbytes <= max(emission.FIELD_BLOCK_BYTES, level_bytes) for b in blocks)
     if n_grid == 60:

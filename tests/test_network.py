@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tramopt.cli import main
-from tramopt.emission import emission_field, rasterize_network
+from tramopt.emission import rasterize_network
 from tramopt.network import (
     PolicyError,
     ScenarioError,
@@ -305,8 +305,6 @@ def policy_entry_points(small_evaluator, diamond_path, tmp_path_factory):
     that raises the ``PolicyError`` it gives.  ``score`` gets the bad policy
     in the middle of a feasible batch, so a short one makes it ragged."""
     scenario = small_evaluator.scenario
-    traj = simulate_traffic(scenario, FEASIBLE)
-    raster = rasterize_network(scenario)
     out = tmp_path_factory.mktemp("sim") / "out"
 
     def cli(policy):
@@ -326,14 +324,11 @@ def policy_entry_points(small_evaluator, diamond_path, tmp_path_factory):
         "simulate_traffic": lambda policy: simulate_traffic(scenario, policy),
         "components": small_evaluator.components,
         "score": lambda policy: small_evaluator.score([FEASIBLE, FEASIBLE, policy, FEASIBLE]),
-        "emission_field": lambda policy: emission_field(traj, raster, scenario, policy),
     }
 
 
 @pytest.mark.parametrize("case", list(BAD_POLICIES))
-@pytest.mark.parametrize(
-    "entry", ["cli-simulate", "simulate_traffic", "components", "score", "emission_field"]
-)
+@pytest.mark.parametrize("entry", ["cli-simulate", "simulate_traffic", "components", "score"])
 def test_every_entry_point_gives_the_box_rule_message(policy_entry_points, entry, case):
     policy, message = BAD_POLICIES[case]
     with pytest.raises(PolicyError) as caught:

@@ -20,7 +20,7 @@ from tramopt.objectives import (
     j_diff_adjoint,
     j_diff_forward,
 )
-from tramopt.traffic import TrafficTrajectory, _substep_counts, greenshields_flux, simulate_traffic
+from tramopt.traffic import TrafficTrajectory, _substep_counts, simulate_traffic
 
 
 def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0, y=1.5, vertical=False):
@@ -54,11 +54,15 @@ def _contracted(scenario, history):
 
 
 def _frozen_trajectory(scenario, rho):
-    """Trajectory pinned at a constant density (oracle for the quadratures)."""
+    """Trajectory pinned at a constant density, with the flow Q's closed form
+    gives it at speed limit 1 on every road (oracle for the quadratures)."""
     shape = (scenario.n_time + 1, scenario.n_roads, scenario.n_cells)
+    rho_max = np.array([[r.rho_max] for r in scenario.roads])
+    densities = np.full(shape, rho)
     return TrafficTrajectory(
         times=np.arange(scenario.n_time + 1) * scenario.dt,
-        densities=np.full(shape, rho),
+        densities=densities,
+        flow=densities * (1 - densities / rho_max),
         queues=np.zeros((scenario.n_time + 1, len(scenario.access))),
         access_roads=tuple(a.road for a in scenario.access),
         inflow=np.zeros((scenario.n_time, scenario.n_roads)),
@@ -67,21 +71,19 @@ def _frozen_trajectory(scenario, rho):
     )
 
 
-def _tallied(scenario, traj, policy):
+def _tallied(scenario, traj):
     """Objectives of a stored trajectory, summed by the kernel's tally."""
     n1 = scenario.n_grid + 1
     tally = ObjectiveTally(
         PolicyEvaluator(scenario, adjoint=_contracted(scenario, np.zeros((scenario.n_time + 1, n1, n1)))), 1
     )
-    v = np.asarray(policy, dtype=float)[:, None]
-    rho_max = np.array([[r.rho_max] for r in scenario.roads])
     # the tally reads one set of arrays for the whole march, as the kernel's workspace
     rho, flow, scratch = np.empty((3, 1) + traj.densities.shape[1:])
     queues = np.empty((1, traj.queues.shape[1]))
     with tally(slice(0, 1), rho, flow, queues, scratch) as step:
         for k in range(1, scenario.n_time + 1):
             rho[0] = traj.densities[k]
-            flow[0] = greenshields_flux(rho[0], v, rho_max)
+            flow[0] = traj.flow[k]
             queues[0] = traj.queues[k]
             step(k)
     return tally.breakdowns()[0]
@@ -96,8 +98,6 @@ def test_tally_of_a_whole_slice_equals_its_groups_bitwise(diamond):
     ev = PolicyEvaluator(sc, adjoint=_contracted(sc, adjoint))
     policies = [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0] * 6, [0.25, 2, 1, 0.5, 2, 1.2]]
     trajs = [simulate_traffic(sc, p) for p in policies]
-    v = np.array(policies)[:, :, None]
-    rho_max = np.array([[r.rho_max] for r in sc.roads])
 
     def fed(groups, order=None):
         tally = ObjectiveTally(ev, len(policies))
@@ -110,8 +110,8 @@ def test_tally_of_a_whole_slice_equals_its_groups_bitwise(diamond):
                 for k in range(1, sc.n_time + 1):
                     for i, b in enumerate(at):
                         rho[i] = trajs[b].densities[k]
+                        flow[i] = trajs[b].flow[k]
                         queues[i] = trajs[b].queues[k]
-                    flow[...] = greenshields_flux(rho, v[at], rho_max)
                     step(k)
         return np.array([[b.j_flow, b.j_diff, b.j_queue] for b in tally.breakdowns(order)]).tobytes()
 
@@ -124,39 +124,39 @@ class TestJFlow:
     def test_zero_for_empty_network(self):
         s = _single_road(rho0=0.0)
         traj = _frozen_trajectory(s, 0.0)
-        assert _tallied(s, traj, [1.0]).j_flow == 0.0
+        assert _tallied(s, traj).j_flow == 0.0
 
     def test_frozen_half_density_matches_analytic_integral(self):
         # Q(0.5) = 0.25 over unit road and T = 5: exactly 1.25
         s = _single_road(T=5.0)
         traj = _frozen_trajectory(s, 0.5)
-        assert _tallied(s, traj, [1.0]).j_flow == pytest.approx(1.25, abs=1e-12)
+        assert _tallied(s, traj).j_flow == pytest.approx(1.25, abs=1e-12)
 
     def test_jammed_network_has_no_flow(self):
         s = _single_road()
         traj = _frozen_trajectory(s, 1.0)
-        assert _tallied(s, traj, [1.0]).j_flow == 0.0
+        assert _tallied(s, traj).j_flow == 0.0
 
 
 class TestJQueue:
     def test_zero_for_empty_queues(self):
         s = _single_road()
         traj = _frozen_trajectory(s, 0.4)
-        assert _tallied(s, traj, [1.0]).j_queue == 0.0
+        assert _tallied(s, traj).j_queue == 0.0
 
     def test_constant_queue_time_average(self):
         s = _single_road()
         traj = _frozen_trajectory(s, 0.4)
         traj.queues[:] = 2.0
-        assert _tallied(s, traj, [1.0]).j_queue == pytest.approx(2.0, abs=1e-12)
+        assert _tallied(s, traj).j_queue == pytest.approx(2.0, abs=1e-12)
 
     def test_linear_queue_right_rectangle_rule(self):
         s = _single_road(T=5.0, n_time=100)
         traj = _frozen_trajectory(s, 0.4)
         traj.queues[:, 0] = traj.times
         expected = 5.0 / 2.0 * (1.0 + 1.0 / s.n_time)
-        assert _tallied(s, traj, [1.0]).j_queue == pytest.approx(expected, abs=1e-12)
-        assert _tallied(s, traj, [1.0]).j_queue == pytest.approx(2.5, abs=0.05)
+        assert _tallied(s, traj).j_queue == pytest.approx(expected, abs=1e-12)
+        assert _tallied(s, traj).j_queue == pytest.approx(2.5, abs=0.05)
 
 
 class TestJDiff:
@@ -176,7 +176,7 @@ class TestJDiff:
         shifts = []
         for policy in ([0.5], [1.7]):
             traj = simulate_traffic(s0, policy)
-            field = np.concatenate(list(emission_field(traj, raster, s0, policy)))
+            field = np.concatenate(list(emission_field(traj, raster, s0)))
             base = j_diff_adjoint(field, adjoint, 0.0, s0)
             shifted = j_diff_adjoint(field, adjoint, 0.7, s1)
             shifts.append(shifted - base)
@@ -206,7 +206,7 @@ class TestJDiff:
         policy = [1.0]
         traj = simulate_traffic(s, policy)
         raster = rasterize_network(s)
-        field = np.concatenate(list(emission_field(traj, raster, s, policy)))
+        field = np.concatenate(list(emission_field(traj, raster, s)))
         adjoint = solve_adjoint(s)
         via_adjoint = j_diff_adjoint(field, adjoint, 0.0, s)
         via_forward = j_diff_forward(solve_dispersion_forward(s, field), s)
@@ -218,7 +218,7 @@ class TestJDiff:
         raster = rasterize_network(diamond)
         ev = PolicyEvaluator(diamond)
         traj = simulate_traffic(diamond, policy)
-        field = np.concatenate(list(emission_field(traj, raster, diamond, policy)))
+        field = np.concatenate(list(emission_field(traj, raster, diamond)))
         dense = j_diff_adjoint(field, adjoint, 0.0, diamond)
         assert ev.components(policy).j_diff == pytest.approx(dense, rel=1e-10)
 

@@ -16,11 +16,11 @@ from tramopt.traffic import (
     _compile,
     _couple,
     _envelopes,
+    _flux,
     _godunov_step,
     _substep_counts,
     _Workspace,
     flux_capacity,
-    greenshields_flux,
     mass_balance_residuals,
     simulate_batch,
     simulate_traffic,
@@ -37,10 +37,21 @@ TWO_ACCESS_POLICIES = [
 ]
 
 
+def _kernel_flux(rho, v_max, rho_max):
+    """Q of the densities ``rho`` from the kernel's ``_flux``, as an array."""
+    rho = np.asarray(rho, dtype=float)
+    return _flux(rho, v_max, rho_max, np.empty(rho.shape), np.empty(rho.shape))
+
+
+def _closed_form_flux(rho, v_max, rho_max):
+    """Q's closed form, in the operation order of the kernel's ``_flux``."""
+    return v_max * rho * (1 - rho / rho_max)
+
+
 def _kernel_envelopes(rho, v_max, rho_max):
     """(demand, supply) of densities ``rho`` from the kernel's ``_envelopes``,
     which takes Q in the demand buffer."""
-    dem = np.array(greenshields_flux(rho, v_max, rho_max), dtype=float)
+    dem = _kernel_flux(rho, v_max, rho_max)
     sup, above = np.empty(dem.shape), np.empty(dem.shape, dtype=bool)
     _envelopes(rho, flux_capacity(v_max, rho_max), rho_max / 2.0, dem, sup, above)
     return dem[()], sup[()]
@@ -54,19 +65,13 @@ def _interface_flux(u, v):
 
 class TestFluxFunctions:
     def test_empty_road(self):
-        assert greenshields_flux(0.0, 1.0, 1.0) == 0.0
+        assert _kernel_flux(0.0, 1.0, 1.0) == 0.0
 
     def test_critical_density_gives_capacity(self):
-        assert greenshields_flux(0.5, 1.0, 1.0) == pytest.approx(0.25)
+        assert _kernel_flux(0.5, 1.0, 1.0) == pytest.approx(0.25)
 
     def test_quarter_density(self):
-        assert greenshields_flux(0.25, 1.0, 1.0) == pytest.approx(0.1875)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(TrafficError):
-            greenshields_flux(1.5, 1.0, 1.0)
-        with pytest.raises(TrafficError):
-            _kernel_envelopes(-0.2, 1.0, 1.0)
+        assert _kernel_flux(0.25, 1.0, 1.0) == pytest.approx(0.1875)
 
     def test_demand_branches(self):
         assert _kernel_envelopes(0.25, 1.0, 1.0)[0] == pytest.approx(0.1875)
@@ -85,7 +90,7 @@ class TestFluxFunctions:
     @given(rho=densities)
     def test_min_of_envelopes_recovers_flux(self, rho):
         # D and S agree with Q on their respective branches
-        q = greenshields_flux(rho, 1.0, 1.0)
+        q = _closed_form_flux(rho, 1.0, 1.0)
         assert min(_kernel_envelopes(rho, 1.0, 1.0)) == pytest.approx(q)
 
 
@@ -484,7 +489,7 @@ def _reference_envelopes(rho, v_max, rho_max):
     """Demand and supply written out apart from the kernel's ``_envelopes``:
     Q up to the critical density rho_max/2 and the capacity v_max rho_max/4
     above it, and the reverse."""
-    q = greenshields_flux(rho, v_max, rho_max)
+    q = _closed_form_flux(rho, v_max, rho_max)
     cap = v_max * rho_max / 4.0
     below = rho <= rho_max / 2.0
     return np.where(below, q, cap), np.where(below, cap, q)
@@ -517,6 +522,31 @@ def test_envelopes_equal_the_closed_form_bitwise(side):
     dem, sup = _reference_envelopes(rho, v[:, :, None], rho_max[:, None])
     assert np.array_equal(ws.dem.view(np.int64), dem.view(np.int64))
     assert np.array_equal(ws.sup.view(np.int64), sup.view(np.int64))
+
+
+def _jammed(scenario):
+    """``scenario`` with every road starting at its rho_max."""
+    roads = tuple(dataclasses.replace(r, rho0=(r.rho_max,) * scenario.n_cells) for r in scenario.roads)
+    return dataclasses.replace(scenario, roads=roads)
+
+
+@pytest.mark.parametrize("case", ["diamond", "two_access", "jammed"])
+def test_trajectory_flow_is_q_of_its_densities_bitwise(case, diamond, two_access):
+    # the trajectory keeps Q as the kernel computed it, level 0 included,
+    # bit for bit the closed form of the densities it keeps; the jammed
+    # start holds densities at the clip's bound rho_max, where Q is 0
+    scenario, policy = {
+        "diamond": (diamond, REFERENCE_POLICIES[0]),
+        "two_access": (two_access, TWO_ACCESS_POLICIES[0]),
+        "jammed": (_jammed(two_access), TWO_ACCESS_POLICIES[2]),
+    }[case]
+    traj = simulate_traffic(scenario, policy)
+    rho_max = np.array([[r.rho_max] for r in scenario.roads])
+    if case == "jammed":
+        assert (traj.densities[1:] == rho_max).any()
+    q = _closed_form_flux(traj.densities, np.array(policy)[:, None], rho_max)
+    assert traj.flow.shape == traj.densities.shape
+    assert np.array_equal(traj.flow.view(np.int64), q.view(np.int64))
 
 
 def _reference_road_step(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
