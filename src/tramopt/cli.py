@@ -357,12 +357,17 @@ def search_front(evaluator: PolicyEvaluator, budget: int, seed: int, score=None)
     return entries, [scored[e.policy] for e in entries], diagnostics
 
 
+def _check_delta(delta: float) -> None:
+    """The queue weight ``--delta``, which a scenario file bounds the same way."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise PolicyError(f"delta must be a finite nonnegative number, got {delta}")
+
+
 def cmd_optimize(args) -> int:
     scenario, text = _read_scenario(args.scenario)
     overrides = {}
     if args.delta is not None:
-        if not (math.isfinite(args.delta) and args.delta >= 0):
-            raise PolicyError(f"delta must be a finite nonnegative number, got {args.delta}")
+        _check_delta(args.delta)
         overrides["delta"] = args.delta
     if args.mode is not None:
         overrides["mode"] = args.mode
@@ -487,8 +492,7 @@ def _front_columns(path: Path, names: list[str]) -> list[list[float]]:
 
 
 def cmd_export(args) -> int:
-    if not math.isfinite(args.delta):
-        raise PolicyError(f"delta must be a finite number, got {args.delta}")
+    _check_delta(args.delta)
     front_path = Path(args.front)
     if args.coords == "diff-queue":
         header = ["j_diff", "j_queue"]

@@ -25,16 +25,20 @@ _GEOM_TOL = 1e-9
 # Ceilings on the work one scenario may ask for, checked by load_scenario
 # before any array is made: the Godunov cell updates of one policy at the
 # box's upper speed limits, n_time * substeps * roads * cells, and the bytes
-# of the float64 adjoint history, (n_time + 1) * (n_grid + 1)**2 * 8.  The
-# diamond needs 7.2e4 and 17 MiB, a chain of 16 diamonds 9.7e5 and 1.4 GiB.
+# of one float64 grid field over time, (n_time + 1) * (n_grid + 1)**2 * 8.
+# That is the payload of the emission.bin simulate writes (16 header bytes
+# precede it) and the size of the oracles' forward and adjoint histories;
+# no command holds the whole field.  The diamond needs 7.2e4 and 17 MiB, a
+# chain of 16 diamonds 9.7e5 and 1.4 GiB.
 MAX_CELL_UPDATES = 10**9
 MAX_ADJOINT_BYTES = 4 * 2**30
 # Also the kernel steps of one policy at the upper speed limits,
 # n_time * substeps, each a pass of a Python loop (n_time also counts the
 # adjoint's steps), and the bytes of one float64 (n_time + 1, roads, cells)
-# array, the size of simulate's density history and of the adjoint's
-# contraction.  The diamond and chains of up to 16 diamonds take 601 steps
-# and 0.58 MB to 7.8 MB.
+# array, the size of the adjoint's contraction and of each of the three
+# such arrays simulate holds: the densities, the flow and the cell rates.
+# The diamond and chains of up to 16 diamonds take 601 steps and 0.58 MB to
+# 7.8 MB.
 MAX_KERNEL_STEPS = 10**6
 MAX_HISTORY_BYTES = 2**30
 _SUBSTEPS = "substep(s) per output step of horizon / n_time at the roads' v_max"

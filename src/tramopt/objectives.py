@@ -82,32 +82,33 @@ class ObjectiveTally:
 
     Per policy and output step k >= 1 it keeps the flow summed over all
     cells, the emission rate paired with the contracted adjoint, and the
-    total queue, in a (3, B, n_time) store whose rows follow the march
-    order; the sums over time are taken per policy at the end.  Each
-    substep group of the march enters it once, with ``rows``, the group's
-    slice of the march order, and the workspace arrays it steps in, the
-    same for the whole group.  The tally then views those arrays as
-    (len(rows), -1) and its store as the group's rows, and holds one
-    ``np.errstate`` for the group's march, so that each step only forms
-    the rate, pairs it and adds three sums straight into its rows.  The
-    rate is formed in the march's ``scratch``, which no step of the march
-    reads before writing it, so the tally allocates no buffer of its own.
+    total queue.  Each substep group of the march enters it once, with
+    ``at``, the group's batch positions, and the workspace arrays it steps
+    in, the same for the whole group.  The tally then views those arrays
+    as (len(at), -1), keeps a (3, len(at), n_time) store for the group and
+    holds one ``np.errstate`` for the group's march, so that each step only
+    forms the rate, pairs it and adds three sums straight into the store;
+    when the march ends, the store's sums over time go to the group's
+    policies.  The rate is formed in the march's ``scratch``, which no step
+    of the march reads before writing it, so the tally allocates no
+    buffer for it.
     """
 
     def __init__(self, evaluator: "PolicyEvaluator", n_policies: int):
         sc = evaluator.scenario
         self.evaluator = evaluator
         self._pairing = evaluator._pairing.reshape(sc.n_time + 1, -1)
-        self._steps = np.zeros((3, n_policies, sc.n_time))  # flow, emission, queue
+        self._totals = np.zeros((n_policies, 3))  # flow, emission, queue
 
     @contextlib.contextmanager
-    def __call__(self, rows: slice, rho, flow, queues, scratch):
-        b = rows.stop - rows.start
+    def __call__(self, at: np.ndarray, rho, flow, queues, scratch):
+        b = len(at)
         flow, rho, rate = flow.reshape(b, -1), rho.reshape(b, -1), scratch.reshape(b, -1)
+        sc, pairing = self.evaluator.scenario, self._pairing
         # theta as a 0-d array, as the traffic step's constants: the same
         # product, without numpy's slower path for a Python float operand
-        theta, pairing = np.array(self.evaluator.scenario.theta), self._pairing
-        flows, emitted, queued = self._steps[:, rows]
+        theta = np.array(sc.theta)
+        flows, emitted, queued = steps = np.zeros((3, b, sc.n_time))
 
         def step(k):
             emission_rate(flow, rho, theta, out=rate)
@@ -119,19 +120,14 @@ class ObjectiveTally:
         # a scenario's numbers may overflow these sums; ``breakdowns`` reports it
         with np.errstate(over="ignore"):
             yield step
+            self._totals[at] = steps.sum(axis=2).T
 
-    def breakdowns(self, order=None) -> list[ObjectiveBreakdown]:
-        """One breakdown per policy, in batch order: ``order``, as
-        ``simulate_batch`` returns it, gives the batch position of each row
-        of the store, which by default is that position.  A component that
-        is not finite, because the scenario's numbers overflow it, raises
+    def breakdowns(self) -> list[ObjectiveBreakdown]:
+        """One breakdown per policy, in batch order.  A component that is
+        not finite, because the scenario's numbers overflow it, raises
         ``PolicyError`` naming it."""
         sc = self.evaluator.scenario
         phi0_term = self.evaluator.phi0_term
-        with np.errstate(over="ignore"):
-            totals = self._steps.sum(axis=2).T
-        if order is not None:
-            totals = totals[np.argsort(order)]
         breakdowns = [
             ObjectiveBreakdown(
                 j_flow=float(sc.dt * sc.ds * flow),
@@ -139,7 +135,7 @@ class ObjectiveTally:
                 j_queue=float(sc.dt / sc.horizon * queued),
                 delta=sc.delta,
             )
-            for flow, emitted, queued in totals
+            for flow, emitted, queued in self._totals
         ]
         for b in breakdowns:
             for name in ("j_flow", "j_diff", "j_queue", "j_poll"):
@@ -216,7 +212,8 @@ class PolicyEvaluator:
         """Breakdowns of a batch of policies from one pass of the traffic kernel."""
         policies = list(policies)
         tally = ObjectiveTally(self, len(policies))
-        return tally.breakdowns(simulate_batch(self.scenario, policies, tally))
+        simulate_batch(self.scenario, policies, tally)
+        return tally.breakdowns()
 
     def components(self, policy) -> ObjectiveBreakdown:
         tally = ObjectiveTally(self, 1)

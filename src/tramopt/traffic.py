@@ -152,7 +152,7 @@ def _compile(scenario: Scenario) -> _Network:
     idx, cells = scenario.road_index, scenario.n_cells
     kind = {k: [j for j in scenario.junctions if j.kind == k] for k in ("1to1", "1to2", "2to1")}
     links = []  # per link: operand A, operand B, operand C or None, coefficients of A and B
-    heads, tails = [[] for _ in range(5)], [[] for _ in range(5)]  # per group: (road, links)
+    ends = {}  # road end (2 * road + side) -> the links that write it
 
     def dem(road):
         return 0, idx(road) * cells + cells - 1
@@ -160,39 +160,32 @@ def _compile(scenario: Scenario) -> _Network:
     def sup(road):
         return 1, idx(road) * cells
 
-    def link(a, b, c=None, coef=(1.0, 1.0)):
+    def link(a, b, c=None, coef=(1.0, 1.0), head=None, tail=None):
+        for road, side in ((tail, 0), (head, 1)):
+            if road is not None:
+                ends.setdefault(2 * idx(road) + side, []).append(len(links))
         links.append((a, b, c, coef))
-        return len(links) - 1
 
     for j in kind["1to1"]:
         (i,), (o,) = j.incoming, j.outgoing
-        q = link(dem(i), sup(o))
-        heads[0].append((i, q))
-        tails[0].append((o, q))
+        link(dem(i), sup(o), head=i, tail=o)
     for j in kind["1to2"]:
         (i,), (o1, o2) = j.incoming, j.outgoing
-        q1, q2 = (link(dem(i), sup(o), coef=(a, 1.0)) for o, a in zip((o1, o2), j.alpha))
-        heads[1].append((i, q1, q2))
-        tails[1].append((o1, q1))
-        tails[2].append((o2, q2))
+        for o, a in zip((o1, o2), j.alpha):
+            link(dem(i), sup(o), coef=(a, 1.0), head=i, tail=o)
     for r in scenario.exits:
-        heads[4].append((r, link(dem(r), dem(r))))
+        link(dem(r), dem(r), head=r)
     first_merge = len(links)
     for j in kind["2to1"]:
         (i1, i2), (o,) = j.incoming, j.outgoing
-        q1 = link(dem(i1), sup(o), dem(i2), (1.0, j.beta[0]))
-        q2 = link(dem(i2), sup(o), dem(i1), (1.0, j.beta[1]))
-        heads[2].append((i1, q1))
-        heads[3].append((i2, q2))
-        tails[3].append((o, q1, q2))
+        link(dem(i1), sup(o), dem(i2), (1.0, j.beta[0]), head=i1, tail=o)
+        link(dem(i2), sup(o), dem(i1), (1.0, j.beta[1]), head=i2, tail=o)
     first_access = len(links)
     for a in scenario.access:
-        tails[4].append((a.road, link(sup(a.road), sup(a.road))))
+        link(sup(a.road), sup(a.road), tail=a.road)
 
     n = len(links)
     operands = [l[0] for l in links] + [l[1] for l in links] + [l[2] for l in links[first_merge:first_access]]
-    ends = {2 * idx(road) + side: (*q, n)[:2] for side, groups in ((1, heads), (0, tails))
-            for group in groups for road, *q in group}
     inflow = np.zeros((len(scenario.access), scenario.n_time))
     for row, a in enumerate(scenario.access):
         inflow[row, :] = a.inflow if isinstance(a.inflow, tuple) else float(a.inflow)
@@ -206,7 +199,8 @@ def _compile(scenario: Scenario) -> _Network:
         coef=np.array([l[3] for l in links], dtype=float).reshape(n, 2).T[..., None].copy(),
         merge=slice(first_merge, first_access),
         access=slice(first_access, n),
-        end_links=np.array([ends.get(e, (n + 1, n + 1)) for e in range(2 * scenario.n_roads)]).T.copy(),
+        end_links=np.array([(*ends[e], n)[:2] if e in ends else (n + 1, n + 1)
+                            for e in range(2 * scenario.n_roads)]).T.copy(),
         inflow=inflow,
     )
 
@@ -397,30 +391,31 @@ def step_single_road(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
     return rho[0, 0]
 
 
-def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, observe, rows: slice,
+def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, observe, at: np.ndarray,
            mean_ends: np.ndarray | None = None) -> None:
     """Advance a batch of policies sharing a substep count over the horizon.
 
-    ``observe(rows, rho, flow, queues, scratch)`` is entered once, as a
-    context manager around the whole march, with the batch's densities and
-    their flux Q, both (B, roads, cells), its queue lengths (B, n_access)
-    and ``scratch``, a (B, roads, cells) buffer it may overwrite.  These
-    are the workspace arrays every step overwrites, the same for the whole
-    march: ``flow`` is the workspace's demand buffer and ``scratch`` its
-    ``diff``, which no step reads before writing it.  The value it gives
-    is called as ``step(k)`` after each output step k = 1..n_time, when
-    the arrays hold that step's values; ``step`` must not write ``rho``,
-    ``flow`` or ``queues``.  Q is computed once per substep: it gives the
-    next substep's demand and supply and is the flow the objectives sum.
-    With ``mean_ends`` (roads, 2, B), the march also writes into it, before
-    each ``step(k)``, the mean inflow and outflow of every road over the
-    step's substeps.
+    ``observe(at, rho, flow, queues, scratch)`` is entered once, as a
+    context manager around the whole march, with ``at``, the batch
+    positions of the policies ``v``, their densities and flux Q, both (B,
+    roads, cells), their queue lengths (B, n_access) and ``scratch``, a
+    (B, roads, cells) buffer it may overwrite.  These are the workspace
+    arrays every step overwrites, the same for the whole march: ``flow`` is
+    the workspace's demand buffer and ``scratch`` its ``diff``, which no
+    step reads before writing it.  The value it gives is called as
+    ``step(k)`` after each output step k = 1..n_time, when the arrays hold
+    that step's values; ``step`` must not write ``rho``, ``flow`` or
+    ``queues``.  Q is computed once per substep: it gives the next
+    substep's demand and supply and is the flow the objectives sum.  With
+    ``mean_ends`` (roads, 2, B), the march also writes into it, before each
+    ``step(k)``, the mean inflow and outflow of every road over the step's
+    substeps.
     """
     dt = scenario.dt / n_sub
     rho = np.repeat(net.rho0[None], len(v), axis=0)
     queues = np.repeat(net.queue0[None], len(v), axis=0)
     ws = _Workspace(net.rho_max, v, rho, dt / scenario.ds, net, queues, dt)
-    with observe(rows, rho, ws.flow, queues, ws.diff) as step:
+    with observe(at, rho, ws.flow, queues, ws.diff) as step:
         for k, q_in in enumerate(net.inflow.T, 1):
             if mean_ends is None:
                 for _ in range(n_sub):
@@ -449,9 +444,10 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     included.  The grid step is split into however many equal substeps the
     CFL bound requires; snapshots land exactly on the output time grid and
     boundary fluxes are recorded as per-interval means, so discrete mass
-    balance holds to rounding.  ``observe`` sees the march as in ``simulate_batch``, with
-    ``rows`` slice(0, 1).  ``policy`` is one speed limit per road;
-    ``check_policies`` raises ``PolicyError`` for one outside the box.
+    balance holds to rounding.  ``observe`` sees the march as in
+    ``simulate_batch``, at batch position 0.  ``policy`` is one speed limit
+    per road; ``check_policies`` raises ``PolicyError`` for one outside the
+    box.
     """
     v = check_policies([policy], scenario)
     net = _compile(scenario)
@@ -465,10 +461,10 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     ends = np.zeros((n_roads, 2, 1))
 
     @contextlib.contextmanager
-    def record(rows, rho, flow, ell, scratch):
+    def record(at, rho, flow, ell, scratch):
         flows[0] = flow[0]
         observing = (contextlib.nullcontext(lambda k: None) if observe is None
-                     else observe(rows, rho, flow, ell, scratch))
+                     else observe(at, rho, flow, ell, scratch))
         with observing as observed:
             def step(k):
                 densities[k], flows[k], queues[k] = rho[0], flow[0], ell[0]
@@ -477,7 +473,7 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
 
             yield step
 
-    _march(net, scenario, v, int(_substep_counts(v, scenario)[0]), record, slice(0, 1), ends)
+    _march(net, scenario, v, int(_substep_counts(v, scenario)[0]), record, np.zeros(1, dtype=int), ends)
     return TrafficTrajectory(
         times=np.arange(n_time + 1) * scenario.dt,
         densities=densities,
@@ -490,35 +486,31 @@ def simulate_traffic(scenario: Scenario, policy, observe=None) -> TrafficTraject
     )
 
 
-def simulate_batch(scenario: Scenario, policies, observe) -> np.ndarray:
+def simulate_batch(scenario: Scenario, policies, observe) -> None:
     """Run a batch of policies over the horizon together, keeping no history.
 
     The batch is marched in groups of equal substep count, so every policy
     steps with exactly the dt it would get alone.  The groups go in
-    increasing substep count, each in batch order; the returned ``order``
-    lists the batch positions in that march order, so that each group is a
-    contiguous slice ``rows`` of it.  Each group enters
-    ``observe(rows, rho, flow, queues, scratch)`` once, as a context
-    manager around its march, with its densities and flux Q, both
-    (len(rows), roads, cells), its queue lengths (len(rows), n_access) and
-    a scratch buffer shaped as the densities that it may overwrite: the
-    march's workspace, the same arrays for the whole group, which every
-    step overwrites.  The value it gives is called as ``step(k)`` after
-    each output step k = 1..n_time, when the arrays hold that step's
-    values; it writes only into ``scratch``.
-    ``policies`` holds one row of speed limits per policy, one per road;
-    ``check_policies`` raises ``PolicyError`` for the first row outside the
-    box.  An empty batch never enters ``observe``.
+    increasing substep count, each in batch order.  Each group enters
+    ``observe(at, rho, flow, queues, scratch)`` once, as a context manager
+    around its march, with ``at``, the batch positions of its policies,
+    its densities and flux Q, both (len(at), roads, cells), its queue
+    lengths (len(at), n_access) and a scratch buffer shaped as the
+    densities that it may overwrite: the march's workspace, the same
+    arrays for the whole group, which every step overwrites.  The value it
+    gives is called as ``step(k)`` after each output step k = 1..n_time,
+    when the arrays hold that step's values; it writes only into
+    ``scratch``.  ``policies`` holds one row of speed limits per policy,
+    one per road; ``check_policies`` raises ``PolicyError`` for the first
+    row outside the box.  An empty batch never enters ``observe``.
     """
     net = _compile(scenario)
     v = check_policies(policies, scenario)
     n_sub = _substep_counts(v, scenario)
-    order = np.argsort(n_sub, kind="stable")
-    counts, starts = np.unique(n_sub[order], return_index=True)
-    for n, start, stop in zip(counts, starts, [*starts[1:], len(order)]):
-        rows = slice(int(start), int(stop))
-        _march(net, scenario, v[order[rows]], int(n), observe, rows)
-    return order
+    # not np.unique: on floats it imports numpy.ma, about 1 MB of peak memory (numpy 2.4)
+    for n in sorted(set(n_sub.tolist())):
+        at = np.flatnonzero(n_sub == n)
+        _march(net, scenario, v[at], int(n), observe, at)
 
 
 def mass_balance_residuals(traj: TrafficTrajectory, scenario: Scenario) -> np.ndarray:

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import functools
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tramopt import cli, objectives
@@ -840,7 +841,7 @@ class TestOptimize:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "arg", ["--delta=nan", "--delta=inf", "--delta=-inf", "--jobs=0", "--jobs=-2", "--seed=-1"]
+        "arg", ["--delta=nan", "--delta=inf", "--delta=-inf", "--delta=-0.5", "--jobs=0", "--jobs=-2", "--seed=-1"]
     )
     def test_bad_search_argument_exits_one(self, fast_scenario_path, tmp_path, capsys, arg):
         out = tmp_path / "x"
@@ -849,7 +850,8 @@ class TestOptimize:
             "--budget", "30", arg,
         )
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "front.csv").exists()
 
     @pytest.mark.parametrize("cpus, jobs", [(2, "3"), (None, "2")])
@@ -967,7 +969,7 @@ class TestExport:
         rows = list(csv.DictReader(open(out / "front_flow-poll.csv")))
         assert rows == []
 
-    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "-0.5"])
     def test_non_finite_delta_exits_one(self, tmp_path, capsys, delta):
         front = tmp_path / "front.csv"
         front.write_text("v_1,j_flow,j_diff,j_queue,j_poll\n1.0,0.5,0.1,0.2,0.1\n")
@@ -977,7 +979,8 @@ class TestExport:
             f"--delta={delta}", "--out", str(out),
         )
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta ") and err.count("\n") == 1
         assert not (out / "front_flow-poll.csv").exists()
 
     def test_overflowing_poll_exits_one(self, tmp_path, capsys):
@@ -1131,3 +1134,41 @@ def test_mutated_inputs_end_in_an_exit_code(doc, policy):
         ]
         for argv in runs:
             assert run_cli(*argv) in (0, 1, 2), argv
+
+
+# raw bytes: the scenario file as any bytes at all, and as the small
+# diamond's JSON text with a few bytes flipped, deleted or inserted.  Half
+# the edits fall on a digit, where they most often leave valid JSON.
+
+_FUZZ_TEXT = json.dumps(_FUZZ_BASE).encode()
+_FUZZ_DIGITS = [i for i, c in enumerate(_FUZZ_TEXT) if chr(c).isdigit()]
+
+
+@st.composite
+def _mutated_text(draw):
+    data = bytearray(_FUZZ_TEXT)
+    for _ in range(draw(st.integers(1, 3))):
+        at = min(draw(st.one_of(st.integers(0, len(data) - 1), st.sampled_from(_FUZZ_DIGITS))), len(data) - 1)
+        edit = draw(st.sampled_from(["flip", "delete", "insert"]))
+        if edit == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif edit == "delete":
+            del data[at]
+        else:
+            data.insert(at, draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+# 25 examples are nearly all rejected as they load; of 200, which take
+# about 2 s, 5 to 15 load and run every command
+@settings(max_examples=200)
+@given(data=st.one_of(st.binary(max_size=64), _mutated_text()))
+def test_raw_bytes_end_in_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_bytes(data)
+        for command in ("validate", "simulate", "optimize"):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                code = run_cli(*_command_argv(command, path, Path(tmp) / command))
+            assert code in (0, 1, 2) and "Traceback" not in printed.getvalue(), (command, printed.getvalue())

@@ -80,7 +80,7 @@ def _tallied(scenario, traj):
     # the tally reads one set of arrays for the whole march, as the kernel's workspace
     rho, flow, scratch = np.empty((3, 1) + traj.densities.shape[1:])
     queues = np.empty((1, traj.queues.shape[1]))
-    with tally(slice(0, 1), rho, flow, queues, scratch) as step:
+    with tally(np.array([0]), rho, flow, queues, scratch) as step:
         for k in range(1, scenario.n_time + 1):
             rho[0] = traj.densities[k]
             flow[0] = traj.flow[k]
@@ -90,8 +90,8 @@ def _tallied(scenario, traj):
 
 
 def test_tally_of_a_whole_slice_equals_its_groups_bitwise(diamond):
-    # the same steps fed as one group over the whole store, and as one
-    # group per policy whose rows run against batch order, mapped back
+    # the same steps fed as one group of the whole batch, and as groups of
+    # batch positions in other orders, one of them not contiguous
     sc = dataclasses.replace(diamond, n_time=40)
     rng = np.random.default_rng(11)
     adjoint = rng.random((sc.n_time + 1, sc.n_grid + 1, sc.n_grid + 1))
@@ -99,25 +99,25 @@ def test_tally_of_a_whole_slice_equals_its_groups_bitwise(diamond):
     policies = [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0] * 6, [0.25, 2, 1, 0.5, 2, 1.2]]
     trajs = [simulate_traffic(sc, p) for p in policies]
 
-    def fed(groups, order=None):
+    def fed(*groups):
         tally = ObjectiveTally(ev, len(policies))
-        for rows in groups:
-            at = np.arange(len(policies))[rows] if order is None else order[rows]
+        for at in map(np.array, groups):
             rho = np.empty((len(at),) + trajs[0].densities.shape[1:])
             flow, scratch = np.empty((2,) + rho.shape)
             queues = np.empty((len(at), len(sc.access)))
-            with tally(rows, rho, flow, queues, scratch) as step:
+            with tally(at, rho, flow, queues, scratch) as step:
                 for k in range(1, sc.n_time + 1):
                     for i, b in enumerate(at):
                         rho[i] = trajs[b].densities[k]
                         flow[i] = trajs[b].flow[k]
                         queues[i] = trajs[b].queues[k]
                     step(k)
-        return np.array([[b.j_flow, b.j_diff, b.j_queue] for b in tally.breakdowns(order)]).tobytes()
+        return np.array([[b.j_flow, b.j_diff, b.j_queue] for b in tally.breakdowns()]).tobytes()
 
-    order = np.array([2, 1, 0])
-    assert fed([slice(0, 3)]) == fed([slice(2, 3), slice(1, 2), slice(0, 1)], order)
-    assert fed([slice(0, 3)]) == fed([slice(0, 1), slice(1, 3)], order)
+    whole = fed((0, 1, 2))
+    assert whole == fed((2,), (1,), (0,))
+    assert whole == fed((2,), (1, 0))
+    assert whole == fed((0, 2), (1,))
 
 
 class TestJFlow:
@@ -290,8 +290,7 @@ class TestBatchEqualsSerial:
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     def test_interleaved_substep_groups_equal_one_by_one(self, diamond, policies, mode):
         # the two substep groups alternate through the batch, 2, 1, 2, 1, ...:
-        # each is marched as a slice of the batch in march order and its
-        # breakdowns are put back in batch order.  Each policy that needs
+        # each is marched at batch positions that are not contiguous.  Each policy that needs
         # two substeps at n_time 100 is followed by itself capped at 1.
         sc = dataclasses.replace(diamond, n_time=100)
         two = [p for p, n in zip(policies, _substep_counts(np.array(policies), sc)) if n == 2]

@@ -611,12 +611,12 @@ def _reference_run(scenario, policy):
 # reference implementation between them
 
 
-def _split_road_pair():
+def _split_road_docs():
     """One 40-cell road of length 2, fed by an access queue with a peaked
     inflow and leaving by an exit, and the same road as two 20-cell roads of
-    length 1 joined by a 1to1 junction: ds is 0.05 in both.  The initial
-    jam across the midpoint reaches 0.9, above the critical density, so the
-    junction's supply is not just the capacity."""
+    length 1 joined by a 1to1 junction, as scenario documents: ds is 0.05 in
+    both.  The initial jam across the midpoint reaches 0.9, above the
+    critical density, so the junction's supply is not just the capacity."""
     n_time = 601
     t = (np.arange(n_time) + 1) * 5.0 / n_time
     inflow = (0.1 + 0.7 * np.exp(-(((t - 1.5) / 0.4) ** 2))).tolist()
@@ -629,7 +629,7 @@ def _split_road_pair():
              "rho0": rho0[k * n_cells:(k + 1) * n_cells], "v_min": 0.25, "v_max": 2}
             for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
         ]
-        doc = {
+        return {
             "horizon": 5.0,
             "domain": {"side": 3, "n_grid": 60},
             "discretization": {"n_cells": n_cells, "n_time": n_time},
@@ -641,9 +641,12 @@ def _split_road_pair():
             "emission": {"theta": 0.5},
             "objectives": {"delta": 0, "mode": "2d"},
         }
-        return load_scenario(json.dumps(doc))
 
     return scenario([0.0, 2.0]), scenario([0.0, 1.0, 2.0])
+
+
+def _split_road_pair():
+    return tuple(load_scenario(json.dumps(doc)) for doc in _split_road_docs())
 
 
 def test_split_road_equals_the_whole_road():
@@ -667,6 +670,52 @@ def test_split_road_equals_the_whole_road():
         assert np.array([two.j_flow, two.j_queue]).tobytes() == np.array([one.j_flow, one.j_queue]).tobytes()
 
 
+def _with_third_road(doc, junction):
+    """The split road ``doc`` with its 1to1 junction replaced by
+    ``junction`` and a third road, 3, of 20 empty cells that nothing feeds
+    and nothing drains.  The traffic model reads no road geometry, so road
+    3 lies anywhere inside the domain."""
+    third = {**doc["roads"][1], "id": 3, "start": [0.5, 0.5], "end": [1.5, 0.5], "rho0": [0.0] * 20}
+    return load_scenario(json.dumps({**doc, "roads": doc["roads"] + [third], "junctions": [junction]}))
+
+
+def _assert_steps_as_the_split_road(scenario):
+    """Roads 1 and 2 of ``scenario`` step bitwise as the split road's two
+    roads, and its queue as the split road's, at three speed limits.  The
+    objectives are left out: the third road's cells reorder their sums."""
+    _, split = _split_road_pair()
+    for v in [0.6, 1.0, 2.0]:
+        one, other = simulate_traffic(split, [v, v]), simulate_traffic(scenario, [v, v, v])
+        assert one.queues.max() > 0.1  # the peak outruns the road at every limit
+        assert other.densities[:, :2].tobytes() == one.densities.tobytes()
+        assert other.queues.tobytes() == one.queues.tobytes()
+        assert other.inflow[:, :2].tobytes() == one.inflow.tobytes()
+        assert other.outflow[:, :2].tobytes() == one.outflow.tobytes()
+
+
+@pytest.mark.parametrize("incoming", [(1, 3), (3, 1)])
+def test_merge_with_an_empty_unfed_road_equals_the_one_to_one(incoming):
+    # the empty road's demand is 0, so road 1's link passes
+    # min(d, max(beta s, s - 0)) = min(d, s), the 1to1 link, and the empty
+    # road's passes min(0, ...) = 0; with road 1 first and then second, road
+    # 2's tail must add both links and each head must take its own
+    _, split = _split_road_docs()
+    _assert_steps_as_the_split_road(
+        _with_third_road(split, {"kind": "2to1", "in": list(incoming), "out": [2], "beta": [0.3, 0.7]}))
+
+
+@pytest.mark.parametrize("outgoing, alpha", [((2, 3), (1.0, 0.0)), ((3, 2), (0.0, 1.0))])
+def test_diverge_sending_everything_one_way_equals_the_one_to_one(outgoing, alpha):
+    # road 2's link passes min(1 d, s), the 1to1 link, and road 3's
+    # min(0 d, s) = 0; with road 2 the first branch and then the second,
+    # road 1's head must add both links.  A scenario file takes no rate of
+    # 0 or 1, so the rates are set on the loaded junction.
+    _, split = _split_road_docs()
+    sc = _with_third_road(split, {"kind": "1to2", "in": [1], "out": list(outgoing), "alpha": [0.5, 0.5]})
+    _assert_steps_as_the_split_road(
+        dataclasses.replace(sc, junctions=(dataclasses.replace(sc.junctions[0], alpha=alpha),)))
+
+
 # ---------------------------------------------------------------------------
 # the observer's scratch: the march hands its observer the step's scratch
 # buffer, which no step reads before writing it
@@ -674,21 +723,21 @@ def test_split_road_equals_the_whole_road():
 
 def _scribbling(tally, densities, queues, scribble):
     """An observer around ``tally`` that keeps each output step's densities
-    and queue lengths in ``densities`` and ``queues`` by march row and, with
-    ``scribble``, fills the scratch with NaN before and after each step of
-    the tally."""
+    and queue lengths in ``densities`` and ``queues`` by batch position
+    and, with ``scribble``, fills the scratch with NaN before and after each
+    step of the tally."""
 
     @contextlib.contextmanager
-    def observe(rows, rho, flow, ell, scratch):
+    def observe(at, rho, flow, ell, scratch):
         assert not any(np.shares_memory(scratch, a) for a in (rho, flow, ell))
-        with tally(rows, rho, flow, ell, scratch) as tallied:
+        with tally(at, rho, flow, ell, scratch) as tallied:
             def step(k):
                 if scribble:
                     scratch.fill(np.nan)
                 tallied(k)
                 if scribble:
                     scratch.fill(np.nan)
-                densities[rows, k - 1], queues[rows, k - 1] = rho, ell
+                densities[at, k - 1], queues[at, k - 1] = rho, ell
 
             yield step
 
@@ -705,16 +754,16 @@ def test_scratch_written_by_the_observer_changes_nothing(request, name, policies
     pairing = np.random.default_rng(2).random((sc.n_time + 1, sc.n_roads, sc.n_cells))
     evaluator = PolicyEvaluator(sc, adjoint=AdjointContraction(pairing, 0.0))
 
-    def scores(tally, order=None):
-        return np.array([[b.j_flow, b.j_diff, b.j_queue] for b in tally.breakdowns(order)]).tobytes()
+    def scores(tally):
+        return np.array([[b.j_flow, b.j_diff, b.j_queue] for b in tally.breakdowns()]).tobytes()
 
     def run(scribble):
         n = len(policies)
         densities = np.empty((n, sc.n_time, sc.n_roads, sc.n_cells))
         queues = np.empty((n, sc.n_time, len(sc.access)))
         tally = ObjectiveTally(evaluator, n)
-        order = simulate_batch(sc, policies, _scribbling(tally, densities, queues, scribble))
-        outputs = [order.tobytes(), densities.tobytes(), queues.tobytes(), scores(tally, order)]
+        simulate_batch(sc, policies, _scribbling(tally, densities, queues, scribble))
+        outputs = [densities.tobytes(), queues.tobytes(), scores(tally)]
         for policy in policies:
             tally = ObjectiveTally(evaluator, 1)
             observe = _scribbling(tally, np.empty_like(densities[:1]), np.empty_like(queues[:1]), scribble)
