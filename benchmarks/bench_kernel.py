@@ -7,13 +7,15 @@ to a temporary directory with ``git archive``) on the same machine.  Each tree
 runs in its own worker process, which imports ``tramopt`` from that tree's
 ``src/`` and sets everything up before anything is timed.
 
-* Scoring: ``PolicyEvaluator.score`` on the batches the search scores,
-  recorded by a ``score`` passed to ``cli.search_front`` (the wiring
-  ``tramopt optimize`` uses), per ``SEARCHES``: on ``scenarios/diamond.json``
+* Scoring: ``PolicyEvaluator.score`` on the batches the change's search
+  scores, recorded by a ``score`` passed to its ``cli.search_front`` (the
+  wiring ``tramopt optimize`` uses) in a process of its own and handed to
+  both workers, so that both trees score the same policies, per
+  ``SEARCHES``: on ``scenarios/diamond.json``
   (2d, budget 300, search seed 7), on the chain of 4 diamonds from
   ``perfbench/chain.py`` (3d, delta 0.5, budget 120, search seed 7) and on
   the criterion-7 search (the diamond, 2d, budget 4000, search seed 0),
-  whose fifth batch, B = 682, is timed.  B = 1 is the first seed point.
+  whose fifth batch, B = 689, is timed.  B = 1 is the first seed point.
   The congested rows score the diamond search's B = 26 and B = 154
   batches on a congested diamond (``CONGESTED``: every road's rho0 at
   0.85 and the access inflow at 0.6), so that a change to the envelopes'
@@ -21,12 +23,11 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   only where most sit below it.  Each row also gives the mean share of
   cells above the critical density over the output steps of its scoring,
   read once from the change's tree (the densities are the same in both).
-  Both trees must have ``cli.search_front``.  The main process asks the two
-  workers in turn for one timed scoring of a batch, alternating which goes
-  first, ``--pairs`` times per batch, so that a slow spell of a shared host
-  hits both sides of a pair.  Wall and CPU time are kept and both are
-  reported; a speed-up is the median over pairs of the parent's time over
-  the change's.  CPU time counts only the worker's own process, so it
+  The main process asks the two workers in turn for one timed scoring of a
+  batch, alternating which goes first, ``--pairs`` times per batch, so that
+  a slow spell of a shared host hits both sides of a pair.  Wall and CPU
+  time are kept and both are reported; a speed-up is the median over pairs
+  of the parent's time over the change's.  CPU time counts only the worker's own process, so it
   spreads less than wall time on a shared host.
 * Stages: ``--traced`` traced scorings per batch and tree, alternated, with
   the median of each stage reported; 0 skips them.  A line tracer charges the time of
@@ -60,6 +61,24 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   alternating which tree goes first, reported as the set-ups are.  Then one
   call per tree on the chain of k = 16 diamonds (a 1.5 GB emission field),
   with a cold cache, for its peak RSS alone; 0 skips the section.
+* Front: the hypervolume each tree's search reaches at a budget, per
+  ``FRONT_SEARCHES``: the diamond (2d, delta 0 and 0.5, budgets 300, 1000
+  and 2000) and the chain of 4 diamonds (3d, delta 0.5, budgets 120 and
+  400), each by ``cli.search_front`` in the scoring workers, for search
+  seeds 0 to ``--front-seeds`` - 1 (0 skips the section), alternating
+  which tree goes first.  The hypervolume is that of the front's
+  (-J_flow, J_poll) points, by perfbench's ``checks.hypervolume_2d``
+  against perfbench's reference points (``FRONT_REFERENCE``), so a 3d
+  front is scored by its projection.  A search is deterministic, so one
+  run per seed and tree suffices.  Per row it reports both trees' medians
+  and the seeds the change wins, ties and loses, with the archive size and
+  the search's wall time as context (not a speed claim).  Then, per seed
+  of each row with budget ``MATCH_BUDGET``, the parent's searches at
+  budgets ``MATCH_BUDGET``, + ``MATCH_STEP``, ... up to ``MATCH_LIMIT``
+  find the first that reaches the change's hypervolume at
+  ``MATCH_BUDGET``: the parent's evaluations to match the change's front.
+  Last, per row with budgets 1000 and 2000, whether the change's median
+  at 1000 reaches the parent's at 2000, ROADMAP item 3's target.
 
 Needs only the standard library and numpy.  Not part of the test suite.
 """
@@ -92,7 +111,7 @@ ADJOINT_SETUPS = ("diamond", "k=1", "k=4", "k=16")
 SIMULATE_SETUPS = ("diamond", "k=4")
 SIMULATE_PEAK_ONLY = "k=16"
 #: batch sizes timed per row group; all but 1 occur as whole poll batches
-BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (682,), "congested": (26, 154)}
+BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (689,), "congested": (26, 154)}
 #: per row group: the scenario searched, its budget and search seed, and
 #: the scenario the search's batches are scored on
 SEARCHES = {
@@ -113,6 +132,18 @@ COUPLING_FRAMES = ("_godunov_step", "_couple")
 #: the objective tally's functions in objectives.py: its per-step ``__call__``
 #: in older trees, its per-group ``__call__`` and per-step ``step`` in newer ones
 TALLY_FRAMES = ("__call__", "step")
+#: the front section's searches: scenario, mode, delta and budgets
+FRONT_SEARCHES = {
+    "diamond/delta=0": ("diamond", "2d", 0.0, (300, 1000, 2000)),
+    "diamond/delta=0.5": ("diamond", "2d", 0.5, (300, 1000, 2000)),
+    "chain/delta=0.5": ("chain", "3d", 0.5, (120, 400)),
+}
+#: perfbench's reference points of the (-J_flow, J_poll) hypervolume
+#: (``HV_REFERENCE`` in ``perfbench/run.py``)
+FRONT_REFERENCE = {"diamond": (0.0, 0.3), "chain": (0.0, 0.6)}
+#: the change's budget whose hypervolume the parent's searches are run to
+#: match, at budgets this far apart, up to the limit
+MATCH_BUDGET, MATCH_STEP, MATCH_LIMIT = 300, 50, 2000
 
 
 # -- worker side: runs inside one tree ---------------------------------------
@@ -153,6 +184,22 @@ def _poll_batches(evaluator, budget: int, seed: int) -> dict[int, list]:
     return seen
 
 
+def record_batches(tree: Path) -> dict[str, list]:
+    """Every batch of ``BATCHES`` that ``tree``'s searches score, by row key."""
+    import functools
+
+    sys.path.insert(0, str(tree / "src"))
+    from tramopt.objectives import PolicyEvaluator
+
+    batches = functools.cache(
+        lambda scenario, budget, seed: _poll_batches(PolicyEvaluator(_scenario(tree, scenario)), budget, seed))
+    found = {}
+    for name, sizes in BATCHES.items():
+        searched, budget, seed, _ = SEARCHES[name]
+        found.update({f"{name}/B={b}": [p.tolist() for p in batches(searched, budget, seed)[b]] for b in sizes})
+    return found
+
+
 def _above_critical(evaluator, policies) -> float:
     """The share of cells above the critical density, over every output
     step of a march of ``policies`` on the evaluator's scenario."""
@@ -172,6 +219,20 @@ def _above_critical(evaluator, policies) -> float:
 
     simulate_batch(evaluator.scenario, policies, observe)
     return counts[0] / counts[1]
+
+
+def _front(evaluator, name: str, budget: int, seed: int) -> dict:
+    """One search of ``evaluator``'s scenario: its front's hypervolume, its
+    archive size and evaluations and its wall time."""
+    import checks
+    from tramopt.cli import search_front
+
+    wall = time.perf_counter()
+    entries, breakdowns, diagnostics = search_front(evaluator, budget, seed)
+    wall = time.perf_counter() - wall
+    points = [(-b.j_flow, b.j_poll) for b in breakdowns]
+    return {"hypervolume": checks.hypervolume_2d(points, FRONT_REFERENCE[name]), "archive": len(entries),
+            "evaluations": diagnostics["evaluations"], "wall_s": wall}
 
 
 class LineClock:
@@ -273,26 +334,35 @@ def simulate_worker(tree: Path, argv: list[str]) -> dict:
     return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
-def serve(tree: Path) -> None:
-    """Set up every batch of ``BATCHES``, then answer ``score KEY`` with one
-    timed scoring, ``stages KEY`` with one traced one and ``above KEY``
-    with the batch's share of cells above the critical density, a JSON
-    line each."""
+def serve(tree: Path, batches: Path) -> None:
+    """Set up the batches that ``record_batches`` wrote to ``batches``, then
+    answer ``score KEY`` with one timed scoring, ``stages KEY`` with one
+    traced one, ``above KEY`` with the batch's share of cells above the
+    critical density and ``front [ROW, SEED, BUDGET]`` with one search of
+    ``FRONT_SEARCHES[ROW]``, a JSON line each."""
+    import dataclasses
     import functools
 
-    sys.path.insert(0, str(tree / "src"))
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
     from tramopt.objectives import PolicyEvaluator
 
     evaluator = functools.cache(lambda scenario: PolicyEvaluator(_scenario(tree, scenario)))
-    batches = functools.cache(lambda scenario, budget, seed: _poll_batches(evaluator(scenario), budget, seed))
-    work = {}
-    for name, sizes in BATCHES.items():
-        searched, budget, seed, scored = SEARCHES[name]
-        work.update({f"{name}/B={b}": (evaluator(scored), batches(searched, budget, seed)[b]) for b in sizes})
+
+    @functools.cache
+    def front_evaluator(row):
+        name, mode, delta, _ = FRONT_SEARCHES[row]
+        return PolicyEvaluator(dataclasses.replace(_scenario(tree, name), mode=mode, delta=delta))
+
+    work = {key: (evaluator(SEARCHES[key.split("/")[0]][3]), policies)
+            for key, policies in json.loads(batches.read_text()).items()}
     print("ready", flush=True)
     for line in sys.stdin:
-        kind, key = line.split()
-        scorer, policies = work[key]
+        kind, key = line.split(maxsplit=1)
+        if kind == "front":
+            row, seed, budget = json.loads(key)
+            print(json.dumps(_front(front_evaluator(row), FRONT_SEARCHES[row][0], budget, seed)), flush=True)
+            continue
+        scorer, policies = work[key.strip()]
         if kind == "score":
             wall, cpu = time.perf_counter(), time.process_time()
             scorer.score(policies)
@@ -312,9 +382,9 @@ def serve(tree: Path) -> None:
 class Worker:
     """A ``serve`` process of one tree, asked one measurement at a time."""
 
-    def __init__(self, tree: Path):
+    def __init__(self, tree: Path, batches: Path):
         self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--serve", str(tree)],
+            [sys.executable, __file__, "--serve", str(tree), "--batches", str(batches)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         if self.proc.stdout.readline().strip() != "ready":
@@ -436,37 +506,127 @@ def _whole_line(name: str, row: dict) -> str:
             f"peak MB parent {rss['parent']['median']:.1f} change {rss['change']['median']:.1f}")
 
 
-def measure(trees: dict[str, Path], pairs: int, traced: int) -> tuple[dict, dict, dict | None]:
+@contextlib.contextmanager
+def _workers(trees: dict[str, Path], batches: Path):
+    """A ``serve`` worker per tree, on the change's batches written to
+    ``batches`` first, closed on exit."""
+    subprocess.run([sys.executable, __file__, "--record", str(trees["change"]), "--batches", str(batches)],
+                   check=True)
+    workers = {}
+    try:
+        for t, tree in trees.items():
+            workers[t] = Worker(tree, batches)
+        yield workers
+    finally:
+        for w in workers.values():
+            w.close()
+
+
+def measure(workers: dict[str, Worker], pairs: int, traced: int) -> tuple[dict, dict, dict | None]:
     """Each batch's share of cells above the critical density, from the
     change's tree, alternated scoring samples, then ``traced`` alternated
     traced runs per batch and tree, summarised as the median time of each
     stage (None if ``traced`` is 0)."""
     keys = [f"{name}/B={b}" for name, sizes in BATCHES.items() for b in sizes]
-    samples = {t: {k: [] for k in keys} for t in trees}
-    workers = {}
-    try:
-        for t, tree in trees.items():
-            workers[t] = Worker(tree)
-        above = {key: workers["change"].ask("above", key)["above_critical"] for key in keys}
-        for r in range(pairs):
-            for i, key in enumerate(keys):
-                order = list(trees) if (r + i) % 2 == 0 else list(trees)[::-1]
-                for t in order:
-                    samples[t][key].append(workers[t].ask("score", key))
-            print(f"pair {r + 1}/{pairs}", file=sys.stderr)
-        runs = {t: {k: [] for k in keys} for t in trees}
-        for r in range(traced):
-            for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
-                for key in keys:
-                    runs[t][key].append(workers[t].ask("stages", key))
-        stages = {
-            t: {k: {s: statistics.median(run[s] for run in v) for s in STAGES} for k, v in runs[t].items()}
-            for t in trees
-        } if traced else None
-    finally:
-        for w in workers.values():
-            w.close()
+    samples = {t: {k: [] for k in keys} for t in workers}
+    above = {key: workers["change"].ask("above", key)["above_critical"] for key in keys}
+    for r in range(pairs):
+        for i, key in enumerate(keys):
+            order = list(workers) if (r + i) % 2 == 0 else list(workers)[::-1]
+            for t in order:
+                samples[t][key].append(workers[t].ask("score", key))
+        print(f"pair {r + 1}/{pairs}", file=sys.stderr)
+    runs = {t: {k: [] for k in keys} for t in workers}
+    for r in range(traced):
+        for t in (list(workers) if r % 2 == 0 else list(workers)[::-1]):
+            for key in keys:
+                runs[t][key].append(workers[t].ask("stages", key))
+    stages = {
+        t: {k: {s: statistics.median(run[s] for run in v) for s in STAGES} for k, v in runs[t].items()}
+        for t in workers
+    } if traced else None
     return above, samples, stages
+
+
+def measure_front(workers: dict[str, Worker], seeds: int) -> tuple[dict, dict]:
+    """Per ``FRONT_SEARCHES`` row, budget and search seed, one search per
+    tree, alternating which goes first; then per seed of each row with
+    ``MATCH_BUDGET``, the parent's first budget from ``MATCH_BUDGET`` in
+    steps of ``MATCH_STEP`` that reaches the change's hypervolume there
+    (None if none up to ``MATCH_LIMIT`` does)."""
+    runs = {row: {b: {t: [] for t in workers} for b in budgets} for row, (*_, budgets) in FRONT_SEARCHES.items()}
+    for seed in range(seeds):
+        for i, (row, (*_, budgets)) in enumerate(FRONT_SEARCHES.items()):
+            for b in budgets:
+                for t in (list(workers) if (seed + i) % 2 == 0 else list(workers)[::-1]):
+                    runs[row][b][t].append(workers[t].ask("front", json.dumps([row, seed, b])))
+        print(f"front seed {seed + 1}/{seeds}", file=sys.stderr)
+    match = {}
+    for row, (*_, budgets) in FRONT_SEARCHES.items():
+        if MATCH_BUDGET not in budgets:
+            continue
+        match[row] = []
+        for seed in range(seeds):
+            target = runs[row][MATCH_BUDGET]["change"][seed]["hypervolume"]
+            match[row].append(next((
+                b for b in range(MATCH_BUDGET, MATCH_LIMIT + 1, MATCH_STEP)
+                if workers["parent"].ask("front", json.dumps([row, seed, b]))["hypervolume"] >= target
+            ), None))
+    return runs, match
+
+
+def _front_rows(runs: dict, match: dict) -> dict:
+    """The front section of the record: per row and budget, every seed's
+    runs and their summary; the parent's budgets to match; item 3's target."""
+    record = {}
+    for row, by_budget in runs.items():
+        record[row] = {}
+        for b, trees in by_budget.items():
+            hv = {t: [r["hypervolume"] for r in trees[t]] for t in trees}
+            diffs = [c - p for p, c in zip(hv["parent"], hv["change"])]
+            record[row][f"budget={b}"] = {
+                "hypervolume_median": {t: statistics.median(v) for t, v in hv.items()},
+                "change_wins_ties_losses": [sum(d > 0 for d in diffs), sum(d == 0 for d in diffs),
+                                            sum(d < 0 for d in diffs)],
+                "losses": [{"seed": s, "change_minus_parent": d} for s, d in enumerate(diffs) if d < 0],
+                "archive_median": {t: statistics.median(r["archive"] for r in v) for t, v in trees.items()},
+                "wall_s_median": {t: statistics.median(r["wall_s"] for r in v) for t, v in trees.items()},
+                "runs": trees,
+            }
+        if row in match:
+            found = [b for b in match[row] if b is not None]
+            record[row][f"parent_budget_to_match_change_at_{MATCH_BUDGET}"] = {
+                "per_seed": match[row],
+                "median": statistics.median(found) if len(found) == len(match[row]) else None,
+                "range": [min(found), max(found)] if found else None,
+            }
+        if {1000, 2000} <= set(by_budget):
+            change, parent = (record[row][f"budget={b}"]["hypervolume_median"][t]
+                              for b, t in ((1000, "change"), (2000, "parent")))
+            record[row]["item_3_target"] = {"change_median_at_1000": change, "parent_median_at_2000": parent,
+                                            "met": change >= parent}
+    return record
+
+
+def _front_lines(record: dict) -> list[str]:
+    lines = []
+    for row, rec in record.items():
+        for key, r in rec.items():
+            if key.startswith("budget="):
+                hv, n, wall = r["hypervolume_median"], r["archive_median"], r["wall_s_median"]
+                lines.append(f"front {row:17s} {key:11s} hypervolume parent {hv['parent']:.4f} change "
+                             f"{hv['change']:.4f}  wins/ties/losses {'/'.join(map(str, r['change_wins_ties_losses']))}"
+                             f"  archive {n['parent']:g}/{n['change']:g}  wall {wall['parent']:.2f}/"
+                             f"{wall['change']:.2f} s")
+        m = rec.get(f"parent_budget_to_match_change_at_{MATCH_BUDGET}")
+        if m is not None:
+            lines.append(f"front {row:17s} parent budget to match the change's {MATCH_BUDGET}: median {m['median']} "
+                         f"range {m['range']} per seed {m['per_seed']}")
+        if "item_3_target" in rec:
+            t = rec["item_3_target"]
+            lines.append(f"front {row:17s} item 3 target: change at 1000 {t['change_median_at_1000']:.4f} "
+                         f"against parent at 2000 {t['parent_median_at_2000']:.4f}: {'met' if t['met'] else 'not met'}")
+    return lines
 
 
 def main() -> int:
@@ -479,16 +639,23 @@ def main() -> int:
                              "spread of a cold set-up read as 0.70-0.77x with no set-up code changed)")
     parser.add_argument("--simulate-runs", type=int, default=10,
                         help="alternated simulate pairs per set-up, after one untimed call per tree")
+    parser.add_argument("--front-seeds", type=int, default=10,
+                        help="search seeds per front search and budget, from 0 (default 10; 0 skips)")
     parser.add_argument("--setup", choices=ADJOINT_SETUPS, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help="the record to write, such as BENCH_12.json (required)")
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--record", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--batches", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--adjoint", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--simulate", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--argv", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.serve:
-        serve(args.serve)
+        serve(args.serve, args.batches)
+        return 0
+    if args.record:
+        args.batches.write_text(json.dumps(record_batches(args.record)))
         return 0
     if args.adjoint:
         print(json.dumps(adjoint_worker(args.adjoint, args.setup)))
@@ -500,14 +667,16 @@ def main() -> int:
         parser.error("--out is required: name the record to write")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1: the scoring pairs are the record")
-    if min(args.traced, args.adjoint_runs, args.simulate_runs) < 0:
-        parser.error("--traced, --adjoint-runs and --simulate-runs take 0 (skip) or more")
+    if min(args.traced, args.adjoint_runs, args.simulate_runs, args.front_seeds) < 0:
+        parser.error("--traced, --adjoint-runs, --simulate-runs and --front-seeds take 0 (skip) or more")
 
     import numpy as np
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _export(args.parent, Path(tmp)), "change": ROOT}
-        above, samples, stages = measure(trees, args.pairs, args.traced)
+        with _workers(trees, Path(tmp) / "batches.json") as workers:
+            above, samples, stages = measure(workers, args.pairs, args.traced)
+            front = measure_front(workers, args.front_seeds) if args.front_seeds else None
         adjoint = {k: {t: {"wall_s": [], "cpu_s": [], "peak_rss_mb": []} for t in trees} for k in ADJOINT_SETUPS}
         for k in ADJOINT_SETUPS:
             for r in range(args.adjoint_runs):
@@ -547,6 +716,8 @@ def main() -> int:
     if simulate is not None:
         result["simulate"] = {k: _whole_runs(runs, trees) for k, runs in simulate["timed"].items()}
         result["simulate"][SIMULATE_PEAK_ONLY] = {"peak_rss_mb": simulate["peak_only"]}
+    if front is not None:
+        result["front"] = _front_rows(*front)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
         print(f"{key:17s} above critical {row['above_critical']:6.1%}  {_speeds(row)}")
@@ -558,6 +729,8 @@ def main() -> int:
                   f"change {row['peak_rss_mb']['change']:.1f} (one cold call each)")
         else:
             print(_whole_line(f"simulate {k}", row))
+    for line in _front_lines(result.get("front", {})):
+        print(line)
     return 0
 
 

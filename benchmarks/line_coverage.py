@@ -16,9 +16,13 @@ Two limits:
 * ``--jobs`` workers are spawned processes and are not traced, so what
   only a worker runs is listed as not run.  The worker path runs the same
   ``PolicyEvaluator.score`` that the in-process tests run.
-* Hypothesis draws new examples on every run, so the statements a fuzz
-  test reaches, mostly rejections in ``network.py``, change from run to
-  run.
+* Hypothesis draws new examples on every run unless pytest is given
+  ``--hypothesis-seed``.  Every statement a fuzz test reaches also has a
+  plain test, so two runs on one tree list the same statements; the CI
+  workflow (``.github/workflows/tier1.yml``) passes
+  ``-- -q --continue-on-collection-errors --hypothesis-seed=0 tests`` and
+  fails unless ``cli.py``'s ``sys.exit(main())`` is the one statement
+  listed.
 
 Needs only the standard library and pytest.  Tracing makes the suite about
 1.5 times as slow.  Not part of the test suite.

@@ -6,8 +6,11 @@ points: an archive of mutually nondominated solutions whose members are
 polled along +/- coordinate directions with per-member adaptive mesh sizes.
 It starts from 4*dim + 2 seed points (the centre, box corners, seeded-random
 interior points) and polls every active member each iteration with fixed
-mesh rules.  Each batch of policies goes to one hook, ``map_fn``, which
-returns their objective vectors.  Runs are deterministic for a fixed seed.
+mesh rules.  The members least polled go first, and among them the most
+isolated ones by crowding distance (Deb, Pratap, Agarwal & Meyarivan 2002),
+so a poll that the budget cuts short extends the front's ends and fills its
+widest gaps first.  Each batch of policies goes to one hook, ``map_fn``,
+which returns their objective vectors.  Runs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -131,6 +134,26 @@ _MESH_CAP = 1.0
 _MIN_MESH = 1e-3
 
 
+def _crowding(values) -> np.ndarray:
+    """Crowding distance of each point of an (n_points, n_objectives) set.
+
+    Per objective, the two extremes get inf and every other point the gap
+    between its two neighbours divided by the objective's range; the
+    objectives' terms are summed, and an objective whose range is 0 adds
+    nothing.  Points tied on an objective are taken in their given order.
+    """
+    v = np.asarray(values, dtype=float)
+    crowding = np.zeros(len(v))
+    for column in v.T:
+        order = np.argsort(column, kind="stable")
+        ranked = column[order]
+        span = ranked[-1] - ranked[0]
+        if span > 0:
+            crowding[order[[0, -1]]] = np.inf
+            crowding[order[1:-1]] += (ranked[2:] - ranked[:-2]) / span
+    return crowding
+
+
 def _seed_points(lower, upper, rng) -> list[tuple[float, ...]]:
     """The centre, min(2**d, 2d) box corners and seeded-random interior
     points, 4d + 2 in all before duplicates are dropped."""
@@ -164,6 +187,12 @@ def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[Pare
     ``map_fn=`` to a call that has none.  Members whose polls all fail
     contract their mesh, successful ones expand it; the search stops on the
     budget or when every member's mesh is below the minimum.
+
+    Each iteration polls its active members in order of (polls, -crowding,
+    seq): the least polled first, then the most isolated by ``_crowding``
+    of the archive's values at the iteration's start (the front's extremes
+    first), then the oldest.  So when the budget cuts a poll short, the
+    policies it drops are those of the most crowded members.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -198,7 +227,8 @@ def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[Pare
         if not active:
             break
         iterations += 1
-        batch = sorted(active, key=lambda e: (e.polls, e.seq))
+        crowding = dict(zip(map(id, archive.entries), _crowding(archive._values)))
+        batch = sorted(active, key=lambda e: (e.polls, -crowding[id(e)], e.seq))
 
         candidates: list[tuple[tuple[float, ...], ArchiveEntry]] = []
         seen = set()

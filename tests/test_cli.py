@@ -277,6 +277,8 @@ class TestValidate:
             (lambda doc: doc.__setitem__("horizon", float("nan")), "horizon: expected a finite number"),
             (lambda doc: doc["dispersion"].__setitem__("mu", float("inf")), "dispersion.mu: expected a finite number"),
             (lambda doc: doc["domain"].__setitem__("n_grid", True), "domain.n_grid: must be a positive integer"),
+            (lambda doc: doc["roads"][0].__setitem__("width", "wide"), "roads[0].width: expected a number, got 'wide'"),
+            (lambda doc: doc["roads"][0].__setitem__("rho_max", True), "roads[0].rho_max: expected a number, got True"),
             (lambda doc: [doc], "scenario: top level must be an object"),
             (lambda doc: doc.__setitem__("roads", []), "roads: expected a non-empty list"),
             (lambda doc: doc["roads"][1].__setitem__("id", 1), "roads: duplicate road ids"),
@@ -291,6 +293,7 @@ class TestValidate:
             (lambda doc: doc["objectives"].__setitem__("mode", "4d"), "objectives.mode: must be one of"),
         ],
         ids=["junction-not-object", "in-not-list", "access-road-list", "horizon-nan", "mu-infinity", "n-grid-true",
+             "width-string", "rho-max-true",
              "top-level-list", "no-roads", "duplicate-id", "float-id", "start-one-number", "v-min-above-v-max",
              "rho0-string", "zero-length", "unknown-kind", "kind-arity", "unknown-mode"],
     )

@@ -6,11 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from tramopt.moo import (
     ParetoArchive,
+    _crowding,
     hypervolume_2d,
     nondominated_filter,
     normalize_front,
     pareto_search,
 )
+from tramopt.objectives import ObjectiveBreakdown
 
 
 def brute_force_front(values: np.ndarray) -> set[tuple[float, ...]]:
@@ -124,6 +126,53 @@ class TestArchive:
         assert hv > 0.0 and 0 < accepted < len(points)
 
 
+# J values on a 0.5 grid half the time, so equal and weakly dominated
+# vectors occur
+_parts = st.one_of(st.floats(0.0, 10.0), st.integers(0, 20).map(lambda k: k / 2.0))
+
+
+@given(
+    parts=st.lists(st.tuples(_parts, _parts, _parts), min_size=1, max_size=30),
+    delta=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+)
+def test_delta_front_lies_inside_the_three_objective_front(parts, delta):
+    # a point dominated in (-J_flow, J_diff, J_queue) is weakly dominated in
+    # (-J_flow, J_diff + delta J_queue) for delta >= 0, so every vector of
+    # the 2d nondominated subset is the projection of a member that the 3d
+    # archive keeps; up to equal vectors, since each side keeps the first
+    # of equal vectors and two 3d vectors can share a projection
+    scored = [ObjectiveBreakdown(f, d, q, delta) for f, d, q in parts]
+    archive = ParetoArchive()
+    for k, b in enumerate(scored):
+        archive.insert((float(k),), (-b.j_flow, b.j_diff, b.j_queue), 0.25)
+    flat = np.array([(-b.j_flow, b.j_poll) for b in scored])
+    kept = {(-b.j_flow, b.j_poll) for b in (scored[int(e.policy[0])] for e in archive.entries)}
+    assert {tuple(v) for v in flat[nondominated_filter(flat)]} <= kept
+
+
+class TestCrowding:
+    def test_two_objectives_by_hand(self):
+        # both ranges are 4: (1, 2) gets 3/4 + 3/4 and (3, 1) 3/4 + 2/4
+        values = [(0.0, 4.0), (1.0, 2.0), (3.0, 1.0), (4.0, 0.0)]
+        assert _crowding(values).tolist() == [np.inf, 1.5, 1.25, np.inf]
+
+    def test_three_objectives_with_ties_and_a_zero_range_axis(self):
+        # axis 0 (range 2) ties 0, 0 and 2, 2, taken in the given order, so
+        # the first of the low pair and the second of the high pair are its
+        # extremes; axis 1 (range 4) has no ties; axis 2 adds nothing
+        values = [(0, 1, 7), (0, 3, 7), (1, 0, 7), (2, 2, 7), (2, 4, 7)]
+        # axis 0: inf, 1/2, 2/2, 1/2, inf; axis 1: 2/4, 2/4, inf, 2/4, inf
+        assert _crowding(values).tolist() == [np.inf, 1.0, np.inf, 1.0, np.inf]
+
+    @pytest.mark.parametrize("values", [[(0.0, 1.0), (1.0, 0.0)], [(0.0, 1.0, 5.0), (1.0, 0.0, 5.0)]])
+    def test_two_points_are_both_extremes(self, values):
+        assert _crowding(values).tolist() == [np.inf, np.inf]
+
+    def test_no_range_on_any_axis_adds_nothing(self):
+        assert _crowding([(1.0, 2.0)]).tolist() == [0.0]
+        assert _crowding([(1.0, 2.0, 3.0)] * 3).tolist() == [0.0, 0.0, 0.0]
+
+
 def _two_parabolas(x):
     return np.array([x[0] ** 2, (x[0] - 1.0) ** 2])
 
@@ -200,6 +249,30 @@ class TestParetoSearch:
         assert all(np.all((lower <= p) & (p <= upper)) for p in batch)
         assert sum(set(p) <= {0.25, 2.0} for p in batch) == 2 * 13
         assert first_batch(7) == batch
+
+    def test_a_poll_cut_by_the_budget_goes_to_the_extremes_and_the_widest_gap_first(self):
+        # the six seed points on [0, 1] get the vectors (a, -a) with a set
+        # by their rank in x, so the archive (every seed, seq by x) has its
+        # extremes at ranks 4 and 5, its widest gap at rank 3 (a = 5,
+        # between 4 and 9) and the oldest members, ranks 0 and 1, crowded;
+        # the poll after the seeds has room for the four policies of ranks
+        # 3 to 5, which polled by age would come last
+        spread = [2.0, 3.0, 4.0, 5.0, 0.0, 9.0]
+        batches = []
+
+        def record(policies):
+            xs = [float(p[0]) for p in policies]
+            batches.append(xs)
+            if len(batches) == 1:
+                return [np.array([a, -a]) for a in (spread[sorted(xs).index(x)] for x in xs)]
+            return [np.array([100.0, 100.0]) for _ in xs]
+
+        pareto_search([0.0], [1.0], budget=6 + 4, seed=0, map_fn=record)
+        seeds, (poll,) = sorted(batches[0]), batches[1:]
+        assert len(seeds) == 6 and len(poll) == 4
+        # a member polls x +/- 0.25 (mesh 0.25 of a unit box), clipped to it
+        step = {x: {min(max(x + s, 0.0), 1.0) for s in (0.25, -0.25)} - set(seeds) for x in seeds}
+        assert set(poll) == step[seeds[3]] | step[seeds[4]] | step[seeds[5]]
 
     def test_budget_zero_rejected(self):
         with pytest.raises(ValueError):

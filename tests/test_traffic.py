@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -668,6 +669,33 @@ def test_split_road_equals_the_whole_road():
         scores.append(PolicyEvaluator(sc, adjoint=zero).score([[v] * width for v in limits]))
     for one, two in zip(*scores):
         assert np.array([two.j_flow, two.j_queue]).tobytes() == np.array([one.j_flow, one.j_queue]).tobytes()
+
+
+@pytest.mark.parametrize("name, policies", [("diamond", REFERENCE_POLICIES), ("two_access", TWO_ACCESS_POLICIES)])
+def test_reordering_the_roads_permutes_every_per_road_output(name, policies):
+    # roads 2..n of the JSON rotated by one, so no road but the first keeps
+    # its place, and each policy with them: every per-road output is the
+    # same bits at the new places.  roads[0] stays first, since ds reads its
+    # length and the roads' lengths differ in the last bits.  The access
+    # queues keep their order, so J_queue is the same bits; J_flow and
+    # J_diff add the same terms in another order, within 4 ulps (J_flow
+    # moved by 2 on the diamond)
+    doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json").read_text())
+    perm = [0, *range(2, len(doc["roads"])), 1]
+    one = load_scenario(json.dumps(doc))
+    other = load_scenario(json.dumps({**doc, "roads": [doc["roads"][k] for k in perm]}))
+    moved = [[p[k] for k in perm] for p in policies]
+    for policy, permuted in zip(policies, moved):
+        a, b = simulate_traffic(one, policy), simulate_traffic(other, permuted)
+        for field in ("densities", "flow", "inflow", "outflow"):
+            assert getattr(b, field).tobytes() == getattr(a, field)[:, perm].tobytes(), field
+        assert b.queues.tobytes() == a.queues.tobytes()
+    evaluators = PolicyEvaluator(one), PolicyEvaluator(other)
+    assert evaluators[1]._pairing.tobytes() == evaluators[0]._pairing[:, perm].tobytes()
+    for a, b in zip(evaluators[0].score(policies), evaluators[1].score(moved)):
+        assert np.float64(b.j_queue).tobytes() == np.float64(a.j_queue).tobytes()
+        for x, y in ((a.j_flow, b.j_flow), (a.j_diff, b.j_diff)):
+            assert abs(x - y) <= 4 * np.spacing(abs(x))
 
 
 def _with_third_road(doc, junction):
