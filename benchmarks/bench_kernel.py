@@ -15,7 +15,7 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   (2d, budget 300, search seed 7), on the chain of 4 diamonds from
   ``perfbench/chain.py`` (3d, delta 0.5, budget 120, search seed 7) and on
   the criterion-7 search (the diamond, 2d, budget 4000, search seed 0),
-  whose fifth batch, B = 689, is timed.  B = 1 is the first seed point.
+  whose fifth batch, B = 556, is timed.  B = 1 is the first seed point.
   The congested rows score the diamond search's B = 26 and B = 154
   batches on a congested diamond (``CONGESTED``: every road's rho0 at
   0.85 and the access inflow at 0.6), so that a change to the envelopes'
@@ -63,8 +63,8 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   with a cold cache, for its peak RSS alone; 0 skips the section.
 * Front: the hypervolume each tree's search reaches at a budget, per
   ``FRONT_SEARCHES``: the diamond (2d, delta 0 and 0.5, budgets 300, 1000
-  and 2000) and the chain of 4 diamonds (3d, delta 0.5, budgets 120 and
-  400), each by ``cli.search_front`` in the scoring workers, for search
+  and 2000) and the chain of 4 diamonds (3d, delta 0.5, budgets 120, 400,
+  1000 and 2000), each by ``cli.search_front`` in the scoring workers, for search
   seeds 0 to ``--front-seeds`` - 1 (0 skips the section), alternating
   which tree goes first.  The hypervolume is that of the front's
   (-J_flow, J_poll) points, by perfbench's ``checks.hypervolume_2d``
@@ -73,12 +73,22 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   run per seed and tree suffices.  Per row it reports both trees' medians
   and the seeds the change wins, ties and loses, with the archive size and
   the search's wall time as context (not a speed claim).  Then, per seed
-  of each row with budget ``MATCH_BUDGET``, the parent's searches at
-  budgets ``MATCH_BUDGET``, + ``MATCH_STEP``, ... up to ``MATCH_LIMIT``
-  find the first that reaches the change's hypervolume at
-  ``MATCH_BUDGET``: the parent's evaluations to match the change's front.
+  of each row of ``FRONT_MATCH``, the parent's searches up its ladder of
+  budgets (the diamond's from 300 in steps of 50 to 2000, the chain's from
+  120 doubling to 3840) find the first that reaches the change's
+  hypervolume at the row's budget (300 or 120): the parent's evaluations
+  to match the change's front, or "not reached" past the ladder's top.
   Last, per row with budgets 1000 and 2000, whether the change's median
   at 1000 reaches the parent's at 2000, ROADMAP item 3's target.
+* End to end: ROADMAP's two end-to-end numbers, as whole processes in
+  alternated pairs, the first tree of a pair alternating.  ``tramopt
+  optimize`` on ``scenarios/diamond.json`` at budget 4000, seed 0,
+  ``--jobs 1`` (``E2E_OPTIMIZE``), ``--optimize-pairs`` pairs, each tree
+  writing into one reused ``--out`` with its own ``--cache-dir`` warmed by
+  a first, untimed call; the SHA-256 of every call's ``front.csv`` is
+  kept.  Then the Tier-1 command (``TIER1``) in each tree's checkout,
+  ``--tier1-pairs`` pairs, with pytest's summary line.  The wall time
+  counts the interpreter's start and its imports; 0 pairs skips a row.
 
 Needs only the standard library and numpy.  Not part of the test suite.
 """
@@ -87,8 +97,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -111,7 +123,7 @@ ADJOINT_SETUPS = ("diamond", "k=1", "k=4", "k=16")
 SIMULATE_SETUPS = ("diamond", "k=4")
 SIMULATE_PEAK_ONLY = "k=16"
 #: batch sizes timed per row group; all but 1 occur as whole poll batches
-BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (689,), "congested": (26, 154)}
+BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (556,), "congested": (26, 154)}
 #: per row group: the scenario searched, its budget and search seed, and
 #: the scenario the search's batches are scored on
 SEARCHES = {
@@ -136,14 +148,22 @@ TALLY_FRAMES = ("__call__", "step")
 FRONT_SEARCHES = {
     "diamond/delta=0": ("diamond", "2d", 0.0, (300, 1000, 2000)),
     "diamond/delta=0.5": ("diamond", "2d", 0.5, (300, 1000, 2000)),
-    "chain/delta=0.5": ("chain", "3d", 0.5, (120, 400)),
+    "chain/delta=0.5": ("chain", "3d", 0.5, (120, 400, 1000, 2000)),
 }
 #: perfbench's reference points of the (-J_flow, J_poll) hypervolume
 #: (``HV_REFERENCE`` in ``perfbench/run.py``)
 FRONT_REFERENCE = {"diamond": (0.0, 0.3), "chain": (0.0, 0.6)}
-#: the change's budget whose hypervolume the parent's searches are run to
-#: match, at budgets this far apart, up to the limit
-MATCH_BUDGET, MATCH_STEP, MATCH_LIMIT = 300, 50, 2000
+#: per front row: the change's budget whose hypervolume the parent's
+#: searches are run to match, and the parent's budgets tried, in order
+FRONT_MATCH = {
+    "diamond/delta=0": (300, range(300, 2001, 50)),
+    "diamond/delta=0.5": (300, range(300, 2001, 50)),
+    "chain/delta=0.5": (120, tuple(120 * 2**k for k in range(6))),
+}
+#: the end-to-end optimize call, run from this checkout, so both trees read its diamond
+E2E_OPTIMIZE = ["optimize", "--scenario", "scenarios/diamond.json", "--budget", "4000", "--seed", "0", "--jobs", "1"]
+#: the Tier-1 command, run in a tree's checkout with its src/ on PYTHONPATH
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 # -- worker side: runs inside one tree ---------------------------------------
@@ -463,6 +483,75 @@ def measure_simulate(trees: dict[str, Path], runs: int, work: Path) -> dict:
     return {"timed": samples, "peak_only": peak}
 
 
+def _timed(tree: Path, argv: list[str], cwd: Path) -> tuple[float, subprocess.CompletedProcess]:
+    """The wall time of one fresh Python process on ``tree``'s ``src/``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(tree / "src"), os.environ.get("PYTHONPATH"))))}
+    wall = time.perf_counter()
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    return time.perf_counter() - wall, done
+
+
+def measure_end_to_end(trees: dict[str, Path], optimize_pairs: int, tier1_pairs: int, work: Path) -> dict:
+    """``optimize_pairs`` alternated pairs of the ``E2E_OPTIMIZE`` call, after
+    one untimed call per tree, with each call's ``front.csv`` digest; then
+    ``tier1_pairs`` alternated pairs of the Tier-1 command, with the last
+    line pytest printed and its exit code."""
+
+    def optimize(t: str) -> tuple[float, str]:
+        out = work / t
+        argv = ["-m", "tramopt.cli", *E2E_OPTIMIZE, "--out", str(out / "out"), "--cache-dir", str(out / "cache")]
+        wall, done = _timed(trees[t], argv, ROOT)
+        if done.returncode != 0:
+            raise RuntimeError(f"optimize on the {t} exited {done.returncode}: {done.stderr[-500:]}")
+        return wall, hashlib.sha256((out / "out" / "front.csv").read_bytes()).hexdigest()
+
+    def tier1(t: str) -> tuple[float, dict]:
+        wall, done = _timed(trees[t], TIER1, trees[t])
+        # the counts of pytest's last line, without its time
+        summary = re.sub(r" in [0-9.]+s.*$", "", done.stdout.strip().splitlines()[-1])
+        return wall, {"exit": done.returncode, "summary": summary}
+
+    def alternated(name: str, pairs: int, run) -> tuple[dict, dict]:
+        """Each tree's wall times and every distinct result of its runs
+        (one, if its runs agree)."""
+        walls, seen = {t: [] for t in trees}, {t: [] for t in trees}
+        for r in range(pairs):
+            for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
+                wall, result = run(t)
+                walls[t].append(wall)
+                if result not in seen[t]:
+                    seen[t].append(result)
+            print(f"end-to-end {name} pair {r + 1}/{pairs}", file=sys.stderr)
+        return _compared(walls["parent"], walls["change"]), seen
+
+    record = {}
+    if optimize_pairs:
+        for t in trees:  # fills each tree's adjoint cache
+            optimize(t)
+        wall, digests = alternated("optimize", optimize_pairs, optimize)
+        record["optimize"] = {"command": "tramopt " + " ".join(E2E_OPTIMIZE), "wall_s": wall,
+                              "front_csv_sha256": digests}
+    if tier1_pairs:
+        wall, results = alternated("tier1", tier1_pairs, tier1)
+        record["tier1"] = {"command": "python " + " ".join(TIER1), "wall_s": wall, "results": results}
+    return record
+
+
+def _end_to_end_lines(record: dict) -> list[str]:
+    lines = []
+    for name, row in record.items():
+        wall = row["wall_s"]
+        line = (f"end-to-end {name:8s} x{wall['speedup_median_of_pairs']:.2f} wall (wins {wall['change_wins']})  "
+                f"parent {wall['parent']['median']:.2f} s change {wall['change']['median']:.2f} s  ")
+        if name == "optimize":
+            digests = row["front_csv_sha256"]
+            line += "front.csv " + "  ".join(f"{t} {' '.join(d[:12] for d in v)}" for t, v in digests.items())
+        else:
+            line += "  ".join(f"{t} {' | '.join(r['summary'] for r in v)}" for t, v in row["results"].items())
+        lines.append(line)
+    return lines
+
+
 def _summary(samples: list[float]) -> dict:
     q = statistics.quantiles(samples, n=4) if len(samples) > 1 else [samples[0]] * 3
     return {"median": statistics.median(samples), "q1": q[0], "q3": q[2], "n": len(samples)}
@@ -550,10 +639,10 @@ def measure(workers: dict[str, Worker], pairs: int, traced: int) -> tuple[dict, 
 
 def measure_front(workers: dict[str, Worker], seeds: int) -> tuple[dict, dict]:
     """Per ``FRONT_SEARCHES`` row, budget and search seed, one search per
-    tree, alternating which goes first; then per seed of each row with
-    ``MATCH_BUDGET``, the parent's first budget from ``MATCH_BUDGET`` in
-    steps of ``MATCH_STEP`` that reaches the change's hypervolume there
-    (None if none up to ``MATCH_LIMIT`` does)."""
+    tree, alternating which goes first; then per seed of each row of
+    ``FRONT_MATCH``, the parent's first budget on the row's ladder that
+    reaches the change's hypervolume at the row's budget (None if none
+    does)."""
     runs = {row: {b: {t: [] for t in workers} for b in budgets} for row, (*_, budgets) in FRONT_SEARCHES.items()}
     for seed in range(seeds):
         for i, (row, (*_, budgets)) in enumerate(FRONT_SEARCHES.items()):
@@ -562,16 +651,17 @@ def measure_front(workers: dict[str, Worker], seeds: int) -> tuple[dict, dict]:
                     runs[row][b][t].append(workers[t].ask("front", json.dumps([row, seed, b])))
         print(f"front seed {seed + 1}/{seeds}", file=sys.stderr)
     match = {}
-    for row, (*_, budgets) in FRONT_SEARCHES.items():
-        if MATCH_BUDGET not in budgets:
-            continue
+    for row, (budget, ladder) in FRONT_MATCH.items():
         match[row] = []
         for seed in range(seeds):
-            target = runs[row][MATCH_BUDGET]["change"][seed]["hypervolume"]
-            match[row].append(next((
-                b for b in range(MATCH_BUDGET, MATCH_LIMIT + 1, MATCH_STEP)
-                if workers["parent"].ask("front", json.dumps([row, seed, b]))["hypervolume"] >= target
-            ), None))
+            target = runs[row][budget]["change"][seed]["hypervolume"]
+
+            def parent(b):
+                if b in runs[row]:  # a search is deterministic: reuse its run
+                    return runs[row][b]["parent"][seed]["hypervolume"]
+                return workers["parent"].ask("front", json.dumps([row, seed, b]))["hypervolume"]
+
+            match[row].append(next((b for b in ladder if parent(b) >= target), None))
     return runs, match
 
 
@@ -594,11 +684,16 @@ def _front_rows(runs: dict, match: dict) -> dict:
                 "runs": trees,
             }
         if row in match:
+            budget, ladder = FRONT_MATCH[row]
             found = [b for b in match[row] if b is not None]
-            record[row][f"parent_budget_to_match_change_at_{MATCH_BUDGET}"] = {
+            # a seed the ladder does not reach counts as above its top
+            median = statistics.median(math.inf if b is None else b for b in match[row])
+            record[row][f"parent_budget_to_match_change_at_{budget}"] = {
+                "ladder": list(ladder),
                 "per_seed": match[row],
-                "median": statistics.median(found) if len(found) == len(match[row]) else None,
+                "median": None if median == math.inf else median,
                 "range": [min(found), max(found)] if found else None,
+                "not_reached": len(match[row]) - len(found),
             }
         if {1000, 2000} <= set(by_budget):
             change, parent = (record[row][f"budget={b}"]["hypervolume_median"][t]
@@ -618,10 +713,13 @@ def _front_lines(record: dict) -> list[str]:
                              f"{hv['change']:.4f}  wins/ties/losses {'/'.join(map(str, r['change_wins_ties_losses']))}"
                              f"  archive {n['parent']:g}/{n['change']:g}  wall {wall['parent']:.2f}/"
                              f"{wall['change']:.2f} s")
-        m = rec.get(f"parent_budget_to_match_change_at_{MATCH_BUDGET}")
-        if m is not None:
-            lines.append(f"front {row:17s} parent budget to match the change's {MATCH_BUDGET}: median {m['median']} "
-                         f"range {m['range']} per seed {m['per_seed']}")
+        if row in FRONT_MATCH:
+            budget, ladder = FRONT_MATCH[row]
+            m = rec[f"parent_budget_to_match_change_at_{budget}"]
+            per_seed = ", ".join("not reached" if b is None else str(b) for b in m["per_seed"])
+            lines.append(f"front {row:17s} parent budget to match the change's {budget} (ladder {ladder[0]}-"
+                         f"{ladder[-1]}): median {'not reached' if m['median'] is None else m['median']}, "
+                         f"not reached by {m['not_reached']} of {len(m['per_seed'])}, per seed [{per_seed}]")
         if "item_3_target" in rec:
             t = rec["item_3_target"]
             lines.append(f"front {row:17s} item 3 target: change at 1000 {t['change_median_at_1000']:.4f} "
@@ -641,6 +739,11 @@ def main() -> int:
                         help="alternated simulate pairs per set-up, after one untimed call per tree")
     parser.add_argument("--front-seeds", type=int, default=10,
                         help="search seeds per front search and budget, from 0 (default 10; 0 skips)")
+    parser.add_argument("--optimize-pairs", type=int, default=10,
+                        help="alternated whole-process pairs of the end-to-end optimize call "
+                             "(default 10, about 10 s a pair; 0 skips)")
+    parser.add_argument("--tier1-pairs", type=int, default=3,
+                        help="alternated pairs of the Tier-1 command (default 3, about 50 s a pair; 0 skips)")
     parser.add_argument("--setup", choices=ADJOINT_SETUPS, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help="the record to write, such as BENCH_12.json (required)")
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
@@ -667,8 +770,10 @@ def main() -> int:
         parser.error("--out is required: name the record to write")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1: the scoring pairs are the record")
-    if min(args.traced, args.adjoint_runs, args.simulate_runs, args.front_seeds) < 0:
-        parser.error("--traced, --adjoint-runs, --simulate-runs and --front-seeds take 0 (skip) or more")
+    if min(args.traced, args.adjoint_runs, args.simulate_runs, args.front_seeds, args.optimize_pairs,
+           args.tier1_pairs) < 0:
+        parser.error("--traced, --adjoint-runs, --simulate-runs, --front-seeds, --optimize-pairs and "
+                     "--tier1-pairs take 0 (skip) or more")
 
     import numpy as np
 
@@ -684,6 +789,7 @@ def main() -> int:
                     for key, value in _adjoint(trees[t], k).items():
                         adjoint[k][t][key].append(value)
         simulate = measure_simulate(trees, args.simulate_runs, Path(tmp) / "simulate") if args.simulate_runs else None
+        end_to_end = measure_end_to_end(trees, args.optimize_pairs, args.tier1_pairs, Path(tmp) / "end-to-end")
 
     result = {
         "script": "benchmarks/bench_kernel.py",
@@ -718,6 +824,8 @@ def main() -> int:
         result["simulate"][SIMULATE_PEAK_ONLY] = {"peak_rss_mb": simulate["peak_only"]}
     if front is not None:
         result["front"] = _front_rows(*front)
+    if end_to_end:
+        result["end_to_end"] = end_to_end
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
         print(f"{key:17s} above critical {row['above_critical']:6.1%}  {_speeds(row)}")
@@ -729,7 +837,7 @@ def main() -> int:
                   f"change {row['peak_rss_mb']['change']:.1f} (one cold call each)")
         else:
             print(_whole_line(f"simulate {k}", row))
-    for line in _front_lines(result.get("front", {})):
+    for line in _front_lines(result.get("front", {})) + _end_to_end_lines(end_to_end):
         print(line)
     return 0
 

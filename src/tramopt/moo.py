@@ -4,13 +4,15 @@ Everything uses the minimization convention (the flow objective enters
 negated).  The search is a multi-directional pattern search on a set of
 points: an archive of mutually nondominated solutions whose members are
 polled along +/- coordinate directions with per-member adaptive mesh sizes.
-It starts from 4*dim + 2 seed points (the centre, box corners, seeded-random
-interior points) and polls every active member each iteration with fixed
-mesh rules.  The members least polled go first, and among them the most
-isolated ones by crowding distance (Deb, Pratap, Agarwal & Meyarivan 2002),
-so a poll that the budget cuts short extends the front's ends and fills its
-widest gaps first.  Each batch of policies goes to one hook, ``map_fn``,
-which returns their objective vectors.  Runs are deterministic for a fixed seed.
+It starts from 4*dim + 2 seed points (the centre, the all-lower and the
+all-upper corner as anchors of the front's ends, seeded-random box corners
+and interior points) and polls every active member each iteration with
+fixed mesh rules.  The members least polled go first, and among them the
+most isolated ones by crowding distance (Deb, Pratap, Agarwal & Meyarivan
+2002), so a poll that the budget cuts short extends the front's ends and
+fills its widest gaps first.  Each batch of policies goes to one hook,
+``map_fn``, which returns their objective vectors.  Runs are deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -155,10 +157,17 @@ def _crowding(values) -> np.ndarray:
 
 
 def _seed_points(lower, upper, rng) -> list[tuple[float, ...]]:
-    """The centre, min(2**d, 2d) box corners and seeded-random interior
-    points, 4d + 2 in all before duplicates are dropped."""
+    """The centre, the two extreme corners ``lower`` and ``upper``, the
+    min(2**d, 2d) drawn box corners that are neither and seeded-random
+    interior points, 4d + 2 in all before duplicates are dropped.
+
+    The extreme corners anchor the front's ends (BiMADS, Audet, Savard &
+    Zghal 2008, starts from the single-objective optima): the drawn corners
+    seldom hold either past a few dimensions, and an objective that grows
+    with every limit, such as the flow, is best at ``upper``."""
     d = len(lower)
-    seeds = [tuple((lower + upper) / 2.0)]
+    anchors = [tuple(lower), tuple(upper)]
+    seeds = [tuple((lower + upper) / 2.0), *anchors]
     n_corners = min(2**d, 2 * d)
     if 2**d <= 4096:
         corner_ids = rng.choice(2**d, size=n_corners, replace=False)
@@ -166,7 +175,9 @@ def _seed_points(lower, upper, rng) -> list[tuple[float, ...]]:
     else:
         bit_rows = rng.integers(0, 2, size=(n_corners, d)).tolist()
     for bits in bit_rows:
-        seeds.append(tuple(np.where(np.array(bits) == 1, upper, lower)))
+        corner = tuple(np.where(np.array(bits) == 1, upper, lower))
+        if corner not in anchors:
+            seeds.append(corner)
     while len(seeds) < 4 * d + 2:
         seeds.append(tuple(lower + rng.random(d) * (upper - lower)))
     unique = []
@@ -182,7 +193,10 @@ def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[Pare
 
     ``map_fn(policies)``, the one hook, gets each whole batch (the seed
     points, then every iteration's poll candidates) as a list of policy
-    arrays and returns their objective vectors in order.  It is keyword-only
+    arrays and returns their objective vectors in order.  The seed batch
+    starts with the centre, ``lower`` and ``upper``, so a budget of 3 or
+    more scores both extreme corners: an objective monotone in every limit
+    is best at one of them.  It is keyword-only
     and named ``map_fn`` because a tracer timing the search passes its own
     ``map_fn=`` to a call that has none.  Members whose polls all fail
     contract their mesh, successful ones expand it; the search stops on the

@@ -182,6 +182,18 @@ def _batched(f):
     return lambda policies: [f(x) for x in policies]
 
 
+def _seed_batch(lower, upper, seed) -> list[tuple[float, ...]]:
+    """The first batch a search over [lower, upper] scores: its seed points."""
+    batches = []
+
+    def record(policies):
+        batches.append([tuple(p) for p in policies])
+        return [np.array([p[0], -p[0]]) for p in policies]
+
+    pareto_search(lower, upper, budget=4 * len(lower) + 2, seed=seed, map_fn=record)
+    return batches[0]
+
+
 class TestParetoSearch:
     def test_sweeps_the_whole_interval(self):
         arch, diag = pareto_search(
@@ -232,23 +244,61 @@ class TestParetoSearch:
         # 2**13 corners are too many to choose among, so past d = 12 each
         # seed corner is drawn one coordinate at a time
         lower, upper = np.full(13, 0.25), np.full(13, 2.0)
-
-        def first_batch(seed):
-            batches = []
-
-            def record(policies):
-                batches.append([tuple(p) for p in policies])
-                return [np.array([p[0], -p[0]]) for p in policies]
-
-            pareto_search(lower, upper, budget=60, seed=seed, map_fn=record)
-            return batches[0]
-
-        batch = first_batch(7)
+        batch = _seed_batch(lower, upper, 7)
         assert len(batch) == 4 * 13 + 2 == len(set(batch))
         assert batch[0] == tuple((lower + upper) / 2.0)
         assert all(np.all((lower <= p) & (p <= upper)) for p in batch)
-        assert sum(set(p) <= {0.25, 2.0} for p in batch) == 2 * 13
-        assert first_batch(7) == batch
+        # the 26 drawn corners and the two extreme ones
+        assert sum(set(p) <= {0.25, 2.0} for p in batch) == 2 * 13 + 2
+        assert _seed_batch(lower, upper, 7) == batch
+
+    @pytest.mark.parametrize("d", [1, 6, 13, 21])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11])
+    def test_seed_batch_holds_both_extreme_corners_once(self, d, seed):
+        lower, upper = np.linspace(0.25, 0.5, d), np.linspace(1.0, 2.0, d)
+        batch = _seed_batch(lower, upper, seed)
+        assert batch[:3] == [tuple((lower + upper) / 2.0), tuple(lower), tuple(upper)]
+        assert len(batch) == 4 * d + 2 == len(set(batch))
+        assert all(np.all((lower <= p) & (p <= upper)) for p in batch)
+        # a drawn corner that is an extreme one is not scored twice
+        assert [p in {tuple(lower), tuple(upper)} for p in batch].count(True) == 2
+
+    @pytest.mark.parametrize("d", [1, 6, 13, 21])
+    @pytest.mark.parametrize("fixed", ["some", "all"])
+    def test_seed_batch_dedupes_on_a_box_with_fixed_limits(self, d, fixed):
+        lower = np.full(d, 0.5)
+        upper = lower.copy() if fixed == "all" else np.where(np.arange(d) % 2 == 0, 1.5, 0.5)
+        for seed in (0, 3):
+            batch = _seed_batch(lower, upper, seed)
+            assert len(batch) == len(set(batch))
+            assert all(np.all((lower <= p) & (p <= upper)) for p in batch)
+            assert batch[0] == tuple((lower + upper) / 2.0)
+            if fixed == "all":
+                assert batch == [tuple(lower)]
+                continue
+            assert batch[1:3] == [tuple(lower), tuple(upper)]
+            # every fixed limit stays put; the drawn corners collapse onto the
+            # corners of the free sub-box and come before the interior points,
+            # whose fill still counts the seeds to 4d + 2
+            free = upper > lower
+            assert all(np.all(np.asarray(p)[~free] == 0.5) for p in batch)
+            is_corner = [set(np.asarray(p)[free]) <= {0.5, 1.5} for p in batch]
+            n_corners = sum(is_corner)
+            assert is_corner == [False] + [True] * n_corners + [False] * (len(batch) - 1 - n_corners)
+            assert n_corners <= 2 ** int(free.sum())
+            assert len(batch) - 1 - n_corners >= 4 * d + 2 - 3 - min(2**d, 2 * d)
+
+    def test_search_scores_the_corner_that_alone_minimizes_an_objective(self):
+        # on 21 roads the first objective is the negated sum of the limits,
+        # least at the all-upper corner and nowhere else, and the second the
+        # sum plus the limits' spread: the all-upper corner is the front's
+        # end on axis 0, which the search misses if it never scores it
+        lower, upper = np.full(21, 0.25), np.full(21, 2.0)
+        arch, _ = pareto_search(
+            lower, upper, budget=120, seed=7,
+            map_fn=_batched(lambda x: np.array([-x.sum(), x.sum() + float(np.ptp(x))])),
+        )
+        assert tuple(upper) in {e.policy for e in arch.entries}
 
     def test_a_poll_cut_by_the_budget_goes_to_the_extremes_and_the_widest_gap_first(self):
         # the six seed points on [0, 1] get the vectors (a, -a) with a set
