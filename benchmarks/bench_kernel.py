@@ -15,10 +15,13 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   (2d, budget 300, search seed 7), on the chain of 4 diamonds from
   ``perfbench/chain.py`` (3d, delta 0.5, budget 120, search seed 7) and on
   the criterion-7 search (the diamond, 2d, budget 4000, search seed 0),
-  whose fifth batch, B = 556, is timed.  B = 1 is the first seed point.
-  The congested rows score the diamond search's B = 26 and B = 154
-  batches on a congested diamond (``CONGESTED``: every road's rho0 at
-  0.85 and the access inflow at 0.6), so that a change to the envelopes'
+  whose fifth batch is timed.  A row is keyed by its batch's position in
+  its search (``BATCHES``, 0 the seed batch), so a change that moves the
+  search's path still times the batch at that position, and the row
+  records the batch's size B.  The "first" row scores the seed batch's
+  first policy alone.  The congested rows score the diamond search's
+  batches 0 and 2 on a congested diamond (``CONGESTED``: every road's
+  rho0 at 0.85 and the access inflow at 0.6), so that a change to the envelopes'
   masks is timed where most cells sit above the critical density, not
   only where most sit below it.  Each row also gives the mean share of
   cells above the critical density over the output steps of its scoring,
@@ -122,8 +125,9 @@ ADJOINT_SETUPS = ("diamond", "k=1", "k=4", "k=16")
 #: the simulate calls timed in pairs, and the one run once per tree for its peak
 SIMULATE_SETUPS = ("diamond", "k=4")
 SIMULATE_PEAK_ONLY = "k=16"
-#: batch sizes timed per row group; all but 1 occur as whole poll batches
-BATCHES = {"diamond": (1, 26, 154), "chain": (34, 86), "criterion-7": (556,), "congested": (26, 154)}
+#: the batches timed per row group, by position in their search (0 is the
+#: seed batch); "first" is the seed batch's first policy alone
+BATCHES = {"diamond": ("first", 0, 2), "chain": (0, 1), "criterion-7": (4,), "congested": (0, 2)}
 #: per row group: the scenario searched, its budget and search seed, and
 #: the scenario the search's batches are scored on
 SEARCHES = {
@@ -188,19 +192,17 @@ def _scenario(tree: Path, name: str, diamonds: int = CHAIN_DIAMONDS):
     return load_scenario(json.dumps(chain.make_chain(diamonds, CHAIN_SEED)))
 
 
-def _poll_batches(evaluator, budget: int, seed: int) -> dict[int, list]:
-    """The batches a seeded search scores, by size; B = 1 is the first policy."""
+def _poll_batches(evaluator, budget: int, seed: int) -> list[list]:
+    """The batches a seeded search scores, in order."""
     from tramopt.cli import search_front
 
-    seen: dict[int, list] = {}
+    seen: list[list] = []
 
     def record(policies):
-        seen.setdefault(len(policies), list(policies))
+        seen.append(list(policies))
         return evaluator.score(policies)
 
     search_front(evaluator, budget, seed, score=record)
-    first = next(iter(seen.values()))
-    seen[1] = first[:1]
     return seen
 
 
@@ -214,9 +216,12 @@ def record_batches(tree: Path) -> dict[str, list]:
     batches = functools.cache(
         lambda scenario, budget, seed: _poll_batches(PolicyEvaluator(_scenario(tree, scenario)), budget, seed))
     found = {}
-    for name, sizes in BATCHES.items():
+    for name, positions in BATCHES.items():
         searched, budget, seed, _ = SEARCHES[name]
-        found.update({f"{name}/B={b}": [p.tolist() for p in batches(searched, budget, seed)[b]] for b in sizes})
+        scored = batches(searched, budget, seed)
+        for at in positions:
+            policies = scored[0][:1] if at == "first" else scored[at]
+            found[f"{name}/batch={at}"] = [p.tolist() for p in policies]
     return found
 
 
@@ -358,7 +363,7 @@ def serve(tree: Path, batches: Path) -> None:
     """Set up the batches that ``record_batches`` wrote to ``batches``, then
     answer ``score KEY`` with one timed scoring, ``stages KEY`` with one
     traced one, ``above KEY`` with the batch's share of cells above the
-    critical density and ``front [ROW, SEED, BUDGET]`` with one search of
+    critical density and its size and ``front [ROW, SEED, BUDGET]`` with one search of
     ``FRONT_SEARCHES[ROW]``, a JSON line each."""
     import dataclasses
     import functools
@@ -388,7 +393,7 @@ def serve(tree: Path, batches: Path) -> None:
             scorer.score(policies)
             reply = {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}
         elif kind == "above":
-            reply = {"above_critical": _above_critical(scorer, policies)}
+            reply = {"above_critical": _above_critical(scorer, policies), "batch_size": len(policies)}
         else:
             clock = LineClock()
             clock.run(lambda: scorer.score(policies))
@@ -612,13 +617,13 @@ def _workers(trees: dict[str, Path], batches: Path):
 
 
 def measure(workers: dict[str, Worker], pairs: int, traced: int) -> tuple[dict, dict, dict | None]:
-    """Each batch's share of cells above the critical density, from the
-    change's tree, alternated scoring samples, then ``traced`` alternated
+    """Each batch's share of cells above the critical density and its size,
+    from the change's tree, alternated scoring samples, then ``traced`` alternated
     traced runs per batch and tree, summarised as the median time of each
     stage (None if ``traced`` is 0)."""
-    keys = [f"{name}/B={b}" for name, sizes in BATCHES.items() for b in sizes]
+    keys = [f"{name}/batch={at}" for name, positions in BATCHES.items() for at in positions]
     samples = {t: {k: [] for k in keys} for t in workers}
-    above = {key: workers["change"].ask("above", key)["above_critical"] for key in keys}
+    above = {key: workers["change"].ask("above", key) for key in keys}
     for r in range(pairs):
         for i, key in enumerate(keys):
             order = list(workers) if (r + i) % 2 == 0 else list(workers)[::-1]
@@ -812,7 +817,7 @@ def main() -> int:
         result["scoring"][key] = {clock: _compared(
             [s[clock] for s in samples["parent"][key]], [s[clock] for s in samples["change"][key]]
         ) for clock in ("wall_s", "cpu_s")}
-        result["scoring"][key]["above_critical"] = above[key]
+        result["scoring"][key].update(above[key])
     if stages is not None:
         result["stages_traced_ms"] = {t: {
             key: {s: round(1e3 * v, 2) for s, v in totals.items()} for key, totals in stages[t].items()
@@ -828,7 +833,7 @@ def main() -> int:
         result["end_to_end"] = end_to_end
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
-        print(f"{key:17s} above critical {row['above_critical']:6.1%}  {_speeds(row)}")
+        print(f"{key:21s} B={row['batch_size']:<4d} above critical {row['above_critical']:6.1%}  {_speeds(row)}")
     for k, row in result.get("adjoint_setup", {}).items():
         print(_whole_line(f"adjoint {k}", row))
     for k, row in result.get("simulate", {}).items():

@@ -64,7 +64,7 @@ from tramopt.objectives import (
     PolicyEvaluator,
     contract_adjoint,
 )
-from tramopt.traffic import TrafficError, simulate_traffic
+from tramopt.traffic import simulate_traffic
 
 _EMISSION_MAGIC = b"TRMO"
 
@@ -197,6 +197,23 @@ def _adjoint_cache_key(scenario: Scenario) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _cached_array(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The member ``name``.npy of a cache archive, which must hold a
+    float64 array of ``shape`` in C order under a version 1.0 npy header,
+    the version ``np.lib.format.write_array`` gives it.  The header is
+    checked before any array is made, since ``read_array`` allocates the
+    shape a header declares before it reads any data; a mismatch raises
+    ``ValueError``.  ``ZipFile.read`` reads the member whole, so a CRC
+    mismatch raises ``BadZipFile``; ``np.load`` stops at the end of the
+    payload the header states and so never checks the CRC."""
+    fh = io.BytesIO(archive.read(f"{name}.npy"))
+    if (np.lib.format.read_magic(fh) != (1, 0)
+            or np.lib.format.read_array_header_1_0(fh) != (shape, False, np.dtype(float))):
+        raise ValueError(f"{name}.npy is not a float64 array of shape {shape}")
+    fh.seek(0)
+    return np.lib.format.read_array(fh, allow_pickle=False)
+
+
 def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContraction, Path]:
     """The scenario's adjoint contraction, loaded from a content-addressed
     cache file ``adjoint-<key>.npz`` or made by ``contract_adjoint``.
@@ -204,24 +221,16 @@ def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContract
     A cache file that cannot be read or fails a member's CRC check, or whose
     pairing or level-0 sum has the wrong shape or dtype or is not finite, is
     a miss: the contraction is made again and the file replaced whole
-    (``_create_whole``).
+    (``_create_whole``).  A member's shape and dtype are read from its
+    header, before its array is made (``_cached_array``).
     """
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.npz"
     shape = (scenario.n_time + 1, scenario.n_roads, scenario.n_cells)
     try:
-        # ZipFile.read reads each member whole, so a CRC mismatch raises
-        # BadZipFile; np.load stops at the end of the npy payload its header
-        # states and so never checks the CRC
         with zipfile.ZipFile(path) as archive:
-            pairing, level0 = (
-                np.lib.format.read_array(io.BytesIO(archive.read(f"{name}.npy")), allow_pickle=False)
-                for name in ("pairing", "level0")
-            )
-        if (
-            pairing.shape == shape and pairing.dtype == float and np.all(np.isfinite(pairing))
-            and level0.shape == () and level0.dtype == float and np.isfinite(level0)
-        ):
+            pairing, level0 = _cached_array(archive, "pairing", shape), _cached_array(archive, "level0", ())
+        if np.all(np.isfinite(pairing)) and np.isfinite(level0):
             return AdjointContraction(pairing, float(level0)), path
     # besides the read errors: a damaged zip entry makes zipfile raise
     # RuntimeError (NotImplementedError for an unknown method)
@@ -563,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000, help="policy evaluations of the search, > 0")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes scoring each poll batch, at most one per CPU (default 1). On the "
-                        "diamond with 2 cores, --jobs 2 took about 1.5 times as long as --jobs 1 "
-                        "at budget 300 and about 0.6 times as long at 4000. "
+                        "diamond with 2 cores, --jobs 2 took about 1.6 times as long as --jobs 1 "
+                        "at budget 300 and about 0.63 times as long at 4000. "
                         "Workers are spawned, so a program calling main() in-process needs an "
                         "'if __name__ == \"__main__\":' guard")
     p.add_argument("--cache-dir", default=None,
@@ -584,7 +593,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PolicyError, TrafficError, DispersionError) as exc:
+    except (PolicyError, DispersionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ScenarioError as exc:

@@ -1,8 +1,8 @@
-"""Pollutant transport on the control area: adjoint and forward solvers.
+"""Pollutant transport on the control area: the adjoint solver and its march.
 
-Both solvers share one march: one explicit step (five-point diffusion,
-componentwise upwind advection, forward Euler in time) on the square grid,
-behind one CFL gate.  The step is linear in a point and its four neighbors,
+The adjoint and forward problems share one march: one explicit step
+(five-point diffusion, componentwise upwind advection, forward Euler in
+time) on the square grid, behind one CFL gate.  The step is linear in a point and its four neighbors,
 so it is one weighted five-point stencil, u <- cC u + cE E + cW W + cN N +
 cS S + dt*source, its terms added left to right; ``advance_field`` is that
 step, with the weights of ``_stencil_weights``.  Boundary stencils are closed by
@@ -15,7 +15,9 @@ per scenario and reused for every policy.
 
 The march steps a padded field between two copies and hands each time
 level to a callback as it is made.  Scoring contracts each adjoint level
-there and keeps only the contraction; the oracles collect the whole
+there and keeps only the contraction.  The forward solve, the oracle of the
+adjoint route, lives with the tests (``tests/oracles.py``): it marches the
+forward problem through the same ``_march`` and collects the whole
 (n_time+1, n_grid+1, n_grid+1) history.  A step reads one copy and writes
 the other, so ``_Workspace`` binds the step's operands once per march for
 each of the two parities, and a step makes only the stencil's ufunc calls.
@@ -155,8 +157,8 @@ def advance_field(ws: _Workspace, term) -> None:
 
     Each term is one pass over the padded rows 1..n1 whole, or their shift
     by one row or column, and ``term`` is added over those whole rows too:
-    a 0-d array for a constant source, or (n1, n1 + 2) padded rows from
-    ``_field_terms``, since a pass over contiguous rows is cheaper than one
+    a 0-d array for a constant source, or (n1, n1 + 2) padded rows for a
+    source field, since a pass over contiguous rows is cheaper than one
     over the strided (n1, n1) interior.  What lands in the two ghost
     columns, the term included, is never read: the next step's ghost fill
     overwrites them first, and the level ``u`` excludes them.  The step
@@ -178,22 +180,7 @@ def advance_field(ws: _Workspace, term) -> None:
     ws.u = u
 
 
-def _field_terms(dt: float, fields: np.ndarray):
-    """``term(k)`` for a march whose source of the step from k is the field
-    ``fields[k]``, (n1, n1): dt * fields[k] written into the interior
-    columns of one buffer of (n1, n1 + 2) padded rows, whose ghost columns
-    stay 0.  Each call overwrites the buffer it returns."""
-    rows = np.zeros(fields.shape[1:-1] + (fields.shape[-1] + 2,))
-    inner, dt = rows[:, 1:-1], np.array(dt)
-
-    def term(k: int) -> np.ndarray:
-        np.multiply(dt, fields[k], out=inner)
-        return rows
-
-    return term
-
-
-def _march(scenario: Scenario, u0: float, velocity, term, visit=None, reverse=False):
+def _march(scenario: Scenario, u0: float, velocity, term, visit, reverse=False) -> None:
     """March the scenario's n_time steps with ``velocity`` from the constant
     field ``u0``, handing each level to ``visit(slot, level)`` as it is made.
 
@@ -204,8 +191,7 @@ def _march(scenario: Scenario, u0: float, velocity, term, visit=None, reverse=Fa
     for both buffer parities once, before the first step.  Level k goes to
     slot k, or to slot n_time - k if ``reverse``, so a time-reversed march
     comes out on the original time grid.  ``level`` is the workspace's
-    field, overwritten by a later step.  Without ``visit`` the levels are
-    collected and the history (n_time+1, n_grid+1, n_grid+1) is returned.
+    field, overwritten by a later step.
     """
     params, h, dt, n_steps = scenario.dispersion, scenario.h, scenario.dt, scenario.n_time
     cfl = cfl_check_adjoint(h, dt, params)
@@ -216,10 +202,6 @@ def _march(scenario: Scenario, u0: float, velocity, term, visit=None, reverse=Fa
         _edge_coefficients(params.mu, h, velocity),
         _stencil_weights(velocity, params.mu, params.kappa, h, dt),
     )
-    history = None
-    if visit is None:
-        history = np.empty((n_steps + 1,) + ws.u.shape)
-        visit = history.__setitem__
     slots = range(n_steps, -1, -1) if reverse else range(n_steps + 1)
     ws.u[...] = u0
     visit(slots[0], ws.u)
@@ -228,32 +210,16 @@ def _march(scenario: Scenario, u0: float, velocity, term, visit=None, reverse=Fa
         visit(slots[k + 1], ws.u)
     if not np.all(np.isfinite(ws.u)):
         raise DispersionError("field blew up: non-finite values (instability)")
-    return history
 
 
-def solve_adjoint(scenario: Scenario, visit=None) -> np.ndarray | None:
+def solve_adjoint(scenario: Scenario, visit) -> None:
     """Solve the backward pollution-sensitivity problem once per scenario.
 
-    Returns p with shape (n_time+1, n_grid+1, n_grid+1) on the original time
-    grid (p[n_time] = 0).  With ``visit``, nothing is kept or returned:
-    ``visit(k, p[k])`` sees each level as it is made, k from n_time down to
-    0.  Internally the time-reversed problem is marched forward with the
-    reversed wind and the constant source 1/(T*|area|).
+    ``visit(k, p[k])`` sees each level of p, (n_grid+1, n_grid+1) on the
+    original time grid, as it is made, k from n_time down to 0 (p[n_time] =
+    0); nothing is kept.  Internally the time-reversed problem is marched
+    forward with the reversed wind and the constant source 1/(T*|area|).
     """
     wind = scenario.dispersion.wind
     term = np.array(scenario.dt * (1.0 / (scenario.horizon * scenario.area)))
-    return _march(scenario, 0.0, (-wind[0], -wind[1]), lambda k: term, visit, reverse=True)
-
-
-def solve_dispersion_forward(scenario: Scenario, emission: np.ndarray) -> np.ndarray:
-    """Solve the concentration evolution driven by a rasterized emission field.
-
-    Validation oracle for the adjoint route: the same march with the
-    physical wind and the emission as source.  Returns phi with shape
-    (n_time+1, n_grid+1, n_grid+1).
-    """
-    params = scenario.dispersion
-    n1 = scenario.n_grid + 1
-    if emission.shape != (scenario.n_time + 1, n1, n1):
-        raise ValueError("emission field does not match the scenario grids")
-    return _march(scenario, params.phi0, params.wind, _field_terms(scenario.dt, emission))
+    _march(scenario, 0.0, (-wind[0], -wind[1]), lambda k: term, visit, reverse=True)

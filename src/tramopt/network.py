@@ -27,9 +27,10 @@ _GEOM_TOL = 1e-9
 # box's upper speed limits, n_time * substeps * roads * cells, and the bytes
 # of one float64 grid field over time, (n_time + 1) * (n_grid + 1)**2 * 8.
 # That is the payload of the emission.bin simulate writes (16 header bytes
-# precede it) and the size of the oracles' forward and adjoint histories;
-# no command holds the whole field.  The diamond needs 7.2e4 and 17 MiB, a
-# chain of 16 diamonds 9.7e5 and 1.4 GiB.
+# precede it) and the size of the forward and adjoint histories that the
+# tests' oracles (tests/oracles.py) collect; no command holds the whole
+# field.  The diamond needs 7.2e4 and 17 MiB, a chain of 16 diamonds 9.7e5
+# and 1.4 GiB.
 MAX_CELL_UPDATES = 10**9
 MAX_ADJOINT_BYTES = 4 * 2**30
 # Also the kernel steps of one policy at the upper speed limits,

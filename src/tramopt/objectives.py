@@ -29,34 +29,6 @@ from tramopt.network import PolicyError, Scenario
 from tramopt.traffic import simulate_batch, simulate_traffic
 
 
-def j_diff_adjoint(
-    emission: np.ndarray, adjoint: np.ndarray, phi0, scenario: Scenario
-) -> float:
-    """Average pollutant mass via the adjoint pairing with the emission field.
-
-    ``phi0`` is the constant initial concentration; its term is
-    policy-independent.
-    """
-    n1 = scenario.n_grid + 1
-    if emission.shape != (scenario.n_time + 1, n1, n1) or adjoint.shape != emission.shape:
-        raise ValueError("emission/adjoint fields do not match the scenario grids")
-    h2 = scenario.h**2
-    source_term = scenario.dt * h2 * float(
-        np.sum(emission[1:, 1:, 1:] * adjoint[1:, 1:, 1:])
-    )
-    initial_term = h2 * float(phi0) * float(np.sum(adjoint[0, 1:, 1:]))
-    return source_term + initial_term
-
-
-def j_diff_forward(concentration: np.ndarray, scenario: Scenario) -> float:
-    """Average pollutant mass from a forward concentration history (oracle)."""
-    n1 = scenario.n_grid + 1
-    if concentration.shape != (scenario.n_time + 1, n1, n1):
-        raise ValueError("concentration field does not match the scenario grids")
-    weight = scenario.dt * scenario.h**2 / (scenario.horizon * scenario.area)
-    return weight * float(np.sum(concentration[1:, 1:, 1:]))
-
-
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
     j_flow: float

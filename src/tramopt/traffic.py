@@ -20,8 +20,9 @@ operation broadcasts a per-road column.  A substep first couples the roads, givi
 each one the fluxes through its two ends, then updates them all in
 ``_update_roads``: the interface fluxes in one pass over the batch's cells
 laid end to end, the boundary fluxes put in, the conservative add and the
-clip.  ``step_single_road`` is that same update on one road with
-prescribed end fluxes.
+clip.  The tests' exact-Riemann road step (``tests/oracles.py``) runs that
+same update on one road of a roads-only network, with prescribed end
+fluxes.
 """
 
 from __future__ import annotations
@@ -33,20 +34,9 @@ import numpy as np
 
 from tramopt.network import Scenario, check_policies
 
-_DENSITY_SLACK = 1e-12
 # the constants of the step as 0-d arrays: numpy takes a Python float
 # operand through a slower promotion path, and the result is the same
 _ZERO, _ONE = np.array(0.0), np.array(1.0)
-
-
-class TrafficError(ValueError):
-    """Raised on infeasible inputs to the traffic model."""
-
-
-def _check_density(rho, rho_max) -> None:
-    rho = np.asarray(rho)
-    if np.any(rho < -_DENSITY_SLACK) or np.any(rho > np.asarray(rho_max) + _DENSITY_SLACK):
-        raise TrafficError(f"density outside [0, rho_max]: {rho!r}")
 
 
 def _flux(rho, v_max, rho_max, out, scratch):
@@ -216,8 +206,8 @@ class _Workspace:
     A rule takes its operands as arguments, and the workspace binds them,
     views included, for the whole march, so that a substep makes only the
     rules' ufunc calls: ``envelope`` is the argument tuple of
-    ``_envelopes``, ``roads`` that of ``_update_roads`` and, with a network
-    ``net``, ``links`` that of ``_couple`` after its access rates.
+    ``_envelopes``, ``roads`` that of ``_update_roads`` and ``links`` that
+    of ``_couple`` after its access rates.
 
     ``dem`` and ``sup`` are (B, roads, cells) buffers every substep
     overwrites, the two halves of one (2, B, roads, cells) array, so that
@@ -235,22 +225,19 @@ class _Workspace:
     the differences taken over them read no stale memory.  ``inflow`` and
     ``outflow`` are the fluxes through each road's two ends, (B, roads),
     views of ``ends`` (roads, 2, B), which the link pass writes whole.
-    ``rho_max`` is given per road, (roads, 1), or as one number, and
-    ``lam`` is dt / ds.
+    ``rho_max`` is the network's, (roads, 1), and ``lam`` is dt / ds.
 
-    With a network it also allocates the link pass's arrays, one column
-    per policy, and makes the views ``_couple`` names; ``queues`` (B,
-    n_access) are the queue lengths, which a step of length ``dt`` updates
-    in place.
+    It also allocates the link pass's arrays, one column per policy, and
+    makes the views ``_couple`` names; ``queues`` (B, n_access) are the
+    queue lengths, which a step of length ``dt`` updates in place.
     """
 
-    def __init__(self, rho_max, v: np.ndarray, rho: np.ndarray, lam: float,
-                 net: _Network | None = None, queues: np.ndarray | None = None, dt: float | None = None):
+    def __init__(self, net: _Network, v: np.ndarray, rho: np.ndarray, lam: float, queues: np.ndarray, dt: float):
         shape = rho.shape
         v = v[:, :, None]
         v, cap, rho_max, critical = (
             np.broadcast_to(a, shape).copy()
-            for a in (v, flux_capacity(v, rho_max), rho_max, rho_max / 2.0)
+            for a in (v, flux_capacity(v, net.rho_max), net.rho_max, net.rho_max / 2.0)
         )
         env = np.empty((2,) + shape)
         self.dem, self.sup = env
@@ -265,23 +252,22 @@ class _Workspace:
             self.dem.reshape(-1)[:-1], self.sup.reshape(-1)[1:], faces[1:-1], left, right)
         boundary = (self.inflow, self.outflow, diff[..., 0], diff[..., -1], right[..., 0], left[..., -1])
         self.roads = (rho, self.flow, diff, v, rho_max, np.array(lam), interior, boundary)
-        if net is not None:
-            batch, n, size = shape[0], net.coef.shape[1], rho[0].size
-            gather_at = (net.side * rho.size + net.slot)[:, None] + size * np.arange(batch)
-            gathered = np.empty(gather_at.shape)
-            ab = gathered[:2 * n].reshape(2, n, batch)
-            c = gathered[2 * n:]
-            flows = np.full((n + 2, batch), -0.0)
-            flows[n + 1] = 0.0
-            both = np.empty(net.end_links.shape + (batch,))
-            merged, released = ab[1, net.merge], ab[0, net.access].T
-            link_flows, discharged = flows[:n], flows[net.access].T
-            spare, queued = np.empty(c.shape), np.empty((batch, len(net.queue0)))
-            self.links = (
-                env.reshape(-1), gather_at, gathered, merged, c, spare, net.coef, ab, queues, np.array(dt),
-                released, *ab, link_flows, discharged, queued, flows, net.end_links, both, *both,
-                self.ends.reshape(-1, batch),
-            )
+        batch, n, size = shape[0], net.coef.shape[1], rho[0].size
+        gather_at = (net.side * rho.size + net.slot)[:, None] + size * np.arange(batch)
+        gathered = np.empty(gather_at.shape)
+        ab = gathered[:2 * n].reshape(2, n, batch)
+        c = gathered[2 * n:]
+        flows = np.full((n + 2, batch), -0.0)
+        flows[n + 1] = 0.0
+        both = np.empty(net.end_links.shape + (batch,))
+        merged, released = ab[1, net.merge], ab[0, net.access].T
+        link_flows, discharged = flows[:n], flows[net.access].T
+        spare, queued = np.empty(c.shape), np.empty((batch, len(net.queue0)))
+        self.links = (
+            env.reshape(-1), gather_at, gathered, merged, c, spare, net.coef, ab, queues, np.array(dt),
+            released, *ab, link_flows, discharged, queued, flows, net.end_links, both, *both,
+            self.ends.reshape(-1, batch),
+        )
         _flux(rho, v, rho_max, self.flow, diff)
 
 
@@ -372,25 +358,6 @@ def _godunov_step(ws: _Workspace, q_in) -> None:
     _update_roads(*ws.roads)
 
 
-def step_single_road(rho, v_max, rho_max, ds, dt, flux_in, flux_out):
-    """One Godunov step of an isolated road with prescribed boundary fluxes.
-
-    This is the kernel's road update on a one-road workspace.  Each interior
-    interface carries min{D(u), S(v)} of its left and right cell averages,
-    which equals Q at the exact entropy solution of the (u, v) Riemann
-    problem at x/t = 0: Q(u) or Q(v) for a shock or a one-sided fan,
-    Q(rho_max/2) for a transonic fan.  The conservative update is clipped
-    to [0, rho_max].
-    """
-    rho = np.array(rho, dtype=float).reshape(1, 1, -1)
-    _check_density(rho, rho_max)
-    ws = _Workspace(rho_max, np.array([[v_max]], dtype=float), rho, dt / ds)
-    _envelopes(*ws.envelope)
-    ws.inflow[:], ws.outflow[:] = flux_in, flux_out
-    _update_roads(*ws.roads)
-    return rho[0, 0]
-
-
 def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, observe, at: np.ndarray,
            mean_ends: np.ndarray | None = None) -> None:
     """Advance a batch of policies sharing a substep count over the horizon.
@@ -414,7 +381,7 @@ def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, observe
     dt = scenario.dt / n_sub
     rho = np.repeat(net.rho0[None], len(v), axis=0)
     queues = np.repeat(net.queue0[None], len(v), axis=0)
-    ws = _Workspace(net.rho_max, v, rho, dt / scenario.ds, net, queues, dt)
+    ws = _Workspace(net, v, rho, dt / scenario.ds, queues, dt)
     with observe(at, rho, ws.flow, queues, ws.diff) as step:
         for k, q_in in enumerate(net.inflow.T, 1):
             if mean_ends is None:
@@ -512,14 +479,3 @@ def simulate_batch(scenario: Scenario, policies, observe) -> None:
         at = np.flatnonzero(n_sub == n)
         _march(net, scenario, v[at], int(n), observe, at)
 
-
-def mass_balance_residuals(traj: TrafficTrajectory, scenario: Scenario) -> np.ndarray:
-    """Per-step defect of global mass balance (roads + queues vs boundary flows)."""
-    ds = scenario.ds
-    dt = scenario.dt
-    road_change = ds * np.sum(traj.densities[1:] - traj.densities[:-1], axis=(1, 2))
-    queue_change = np.sum(traj.queues[1:] - traj.queues[:-1], axis=1)
-    fed = np.sum(traj.external_inflow, axis=1)
-    exit_idx = [scenario.road_index(r) for r in scenario.exits]
-    drained = np.sum(traj.outflow[:, exit_idx], axis=1)
-    return road_change + queue_change - dt * (fed - drained)

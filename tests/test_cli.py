@@ -11,6 +11,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,19 @@ def _nan_entry(members):
     members["pairing"][7, 2, 3] = np.nan
 
 
+def _huge_pairing(path):
+    """Damage: the pairing member replaced, in a sound zip, by an npy header
+    that declares 2**37 doubles (1 TiB) and one double of data."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": (2**37,)})
+    members["pairing.npy"] = header.getvalue() + bytes(8)
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
 def _old_npy(path):
     """Not damage: the whole-history cache file of earlier versions, next to it."""
     np.save(path.with_suffix(".npy"), np.zeros((151, 61, 61)))
@@ -151,6 +165,8 @@ _CACHE_DAMAGE = {
     "npy-header-shift": _flip(b"\x93NUMPY", 8, 4),
     # the compression method of the first central directory entry
     "zip-method": _flip(b"PK\x01\x02", 10, 6),
+    # a header whose shape the reader must refuse before allocating it
+    "huge-shape": _huge_pairing,
     "old-npy": _old_npy,
 }
 
@@ -169,6 +185,22 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert run_cli("validate", "--scenario", str(bad)) == 1
         assert "CFL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_adjoint_cfl_violation_exits_one(self, tmp_path, diamond_path, capsys, command):
+        # the commands run the adjoint march's CFL gate: one error line, no
+        # traceback and no output file
+        doc = json.loads(diamond_path.read_text())
+        doc["discretization"]["n_time"] = 500  # dt = 0.01 > bound
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli(*_command_argv(command, bad, out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: adjoint CFL violated: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+        assert not any(out.iterdir())
 
     def test_missing_file_exits_two(self):
         assert run_cli("validate", "--scenario", "/nonexistent/file.json") == 2

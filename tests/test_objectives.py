@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import adjoint_history, j_diff_adjoint, j_diff_forward, solve_dispersion_forward
 
-from tramopt.dispersion import solve_adjoint, solve_dispersion_forward
 from tramopt.emission import emission_field, rasterize_network
 from tramopt.network import load_scenario
 from tramopt.objectives import (
@@ -17,8 +17,6 @@ from tramopt.objectives import (
     ObjectiveTally,
     PolicyEvaluator,
     contract_adjoint,
-    j_diff_adjoint,
-    j_diff_forward,
 )
 from tramopt.traffic import TrafficTrajectory, _substep_counts, simulate_traffic
 
@@ -163,7 +161,7 @@ class TestJDiff:
     def test_zero_emission_zero_phi0(self):
         s = _single_road()
         zeros = np.zeros((s.n_time + 1, s.n_grid + 1, s.n_grid + 1))
-        adjoint = solve_adjoint(s)
+        adjoint = adjoint_history(s)
         assert j_diff_adjoint(zeros, adjoint, 0.0, s) == 0.0
 
     def test_phi0_term_is_policy_independent_shift(self):
@@ -171,7 +169,7 @@ class TestJDiff:
         s1 = dataclasses.replace(
             s0, dispersion=dataclasses.replace(s0.dispersion, phi0=0.7)
         )
-        adjoint = solve_adjoint(s0)
+        adjoint = adjoint_history(s0)
         raster = rasterize_network(s0)
         shifts = []
         for policy in ([0.5], [1.7]):
@@ -207,14 +205,14 @@ class TestJDiff:
         traj = simulate_traffic(s, policy)
         raster = rasterize_network(s)
         field = np.concatenate(list(emission_field(traj, raster, s)))
-        adjoint = solve_adjoint(s)
+        adjoint = adjoint_history(s)
         via_adjoint = j_diff_adjoint(field, adjoint, 0.0, s)
         via_forward = j_diff_forward(solve_dispersion_forward(s, field), s)
         assert via_adjoint == pytest.approx(via_forward, rel=0.05)
 
     def test_evaluator_matches_dense_pairing(self, diamond):
         policy = [1.2, 0.7, 1.9, 0.4, 1.0, 2.0]
-        adjoint = solve_adjoint(diamond)
+        adjoint = adjoint_history(diamond)
         raster = rasterize_network(diamond)
         ev = PolicyEvaluator(diamond)
         traj = simulate_traffic(diamond, policy)
@@ -344,7 +342,7 @@ def test_streamed_contraction_is_the_history_contraction_bitwise(diamond, name):
     # road the columns i = 0 and i = 1
     sc = {"diamond": diamond, "chain-1": _chain(1), "bottom-edge": _single_road(y=0.05),
           "left-edge": _single_road(y=0.05, vertical=True)}[name]
-    p = solve_adjoint(sc)
+    p = adjoint_history(sc)
     raster = rasterize_network(sc)
     keep = (raster.i >= 1) & (raster.j >= 1)
     assert keep.any()

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import mass_balance_residuals, roads_only_network, step_single_road
 
 from tramopt.network import PolicyError, load_scenario
 from tramopt.objectives import AdjointContraction, ObjectiveTally, PolicyEvaluator
 from tramopt.traffic import (
-    TrafficError,
     _compile,
     _couple,
     _envelopes,
@@ -22,10 +22,8 @@ from tramopt.traffic import (
     _substep_counts,
     _Workspace,
     flux_capacity,
-    mass_balance_residuals,
     simulate_batch,
     simulate_traffic,
-    step_single_road,
 )
 
 densities = st.floats(0.0, 1.0)
@@ -288,7 +286,7 @@ def _one_to_one_fluxes(rho_in, v_in, rho_out, v_out):
     of a 1to1 junction between two one-cell roads at rho_max 1."""
     net = _compile(_one_cell_network(2, [{"kind": "1to1", "in": [1], "out": [2]}], exits=[2]))
     rho = np.array([[[rho_in], [rho_out]]])
-    ws = _Workspace(net.rho_max, np.array([[v_in, v_out]]), rho, 0.0, net, np.zeros((1, 0)), 0.02)
+    ws = _Workspace(net, np.array([[v_in, v_out]]), rho, 0.0, np.zeros((1, 0)), 0.02)
     _godunov_step(ws, net.inflow[:, 0])
     return ws.outflow[0, 0], ws.inflow[0, 1]
 
@@ -310,7 +308,7 @@ def _kernel_couple(net, demand, supply, queues=(), q_in=(), dt=0.01):
     link pass, given each road's demand at its head and supply at its tail."""
     rho = np.zeros((1, len(demand), 1))
     ell = np.array([queues], dtype=float)
-    ws = _Workspace(net.rho_max, np.ones((1, len(demand))), rho, 0.0, net, ell, dt)
+    ws = _Workspace(net, np.ones((1, len(demand))), rho, 0.0, ell, dt)
     ws.dem[0, :, 0], ws.sup[0, :, 0] = demand, supply
     _couple(np.array(q_in, dtype=float), *ws.links)
     return ws.outflow[0].tolist(), ws.inflow[0].tolist(), ell[0].tolist()
@@ -357,7 +355,7 @@ class TestStepping:
 
     @pytest.mark.parametrize("rho", [[1.5], [0.2, -0.1]])
     def test_rejects_density_out_of_range(self, rho):
-        with pytest.raises(TrafficError):
+        with pytest.raises(ValueError, match="density outside"):
             step_single_road(rho, 1.0, 1.0, 0.05, 0.02, 0.0, 0.0)
 
     def test_constant_state_on_loop_is_steady(self):
@@ -518,7 +516,7 @@ def test_envelopes_equal_the_closed_form_bitwise(side):
     above = rho > crit[:, None]
     assert {"below": not above.any(), "above": above.all(), "mixed": 0 < above.mean() < 1}[side]
     v = rng.uniform(0.25, 2.0, size=(3, 4))
-    ws = _Workspace(rho_max[:, None], v, rho, 0.0)
+    ws = _Workspace(roads_only_network(rho_max, rho.shape[2]), v, rho, 0.0, np.zeros((3, 0)), 0.0)
     _envelopes(*ws.envelope)
     dem, sup = _reference_envelopes(rho, v[:, :, None], rho_max[:, None])
     assert np.array_equal(ws.dem.view(np.int64), dem.view(np.int64))
@@ -807,6 +805,6 @@ def test_flow_is_the_demand_buffer(diamond):
     net = _compile(diamond)
     v = np.array(REFERENCE_POLICIES)
     rho, queues = np.repeat(net.rho0[None], len(v), axis=0), np.repeat(net.queue0[None], len(v), axis=0)
-    ws = _Workspace(net.rho_max, v, rho, diamond.dt / diamond.ds, net, queues, diamond.dt)
+    ws = _Workspace(net, v, rho, diamond.dt / diamond.ds, queues, diamond.dt)
     assert np.shares_memory(ws.flow, ws.dem)
     assert not any(np.shares_memory(ws.diff, a) for a in (ws.dem, ws.sup, rho))
