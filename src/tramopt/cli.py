@@ -224,7 +224,6 @@ def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContract
     (``_create_whole``).  A member's shape and dtype are read from its
     header, before its array is made (``_cached_array``).
     """
-    cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.npz"
     shape = (scenario.n_time + 1, scenario.n_roads, scenario.n_cells)
     try:
@@ -237,6 +236,7 @@ def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContract
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, RuntimeError):
         pass
     contraction = contract_adjoint(scenario)
+    cache_dir.mkdir(parents=True, exist_ok=True)
     # np.savez's layout, but with ZipInfo's fixed time stamp, so that the
     # same contraction is always the same bytes
     with _create_whole(path, "wb") as file, zipfile.ZipFile(file, "w") as archive:
@@ -284,10 +284,10 @@ def cmd_simulate(args) -> int:
     scenario, text = _read_scenario(args.scenario)
     policy = _parse_policy(args.policy, scenario)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     evaluator, adjoint_path = _evaluator(scenario, args, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tally = ObjectiveTally(evaluator, 1)
     traj = simulate_traffic(scenario, policy, observe=tally)
     (breakdown,) = tally.breakdowns()
@@ -391,10 +391,10 @@ def cmd_optimize(args) -> int:
         raise PolicyError(f"jobs must be from 1 to the {cpus} CPUs of this machine, got {args.jobs}")
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     evaluator, adjoint_path = _evaluator(scenario, args, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     workers = (
         ProcessPoolExecutor(args.jobs, multiprocessing.get_context("spawn"))
         if args.jobs > 1
@@ -403,7 +403,7 @@ def cmd_optimize(args) -> int:
     with workers as pool:
         score = None if pool is None else functools.partial(_score_sliced, pool, args.jobs, evaluator)
         entries, breakdowns, diagnostics = search_front(evaluator, args.budget, args.seed, score)
-    values = np.array([e.value for e in entries])
+    values = np.array([b.vector(scenario.mode) for b in breakdowns])
 
     ideal = values.min(axis=0)
     skip_axes = (2,) if scenario.mode == "3d" and abs(ideal[2]) < 1e-12 else ()

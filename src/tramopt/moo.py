@@ -73,22 +73,21 @@ def hypervolume_2d(values, reference) -> float:
     return float(area)
 
 
-@dataclass
+@dataclass(eq=False)
 class ArchiveEntry:
     policy: tuple[float, ...]
-    value: tuple[float, ...]
     mesh: float
     polls: int = 0
-    seq: int = 0
 
 
 class ParetoArchive:
-    """Mutually nondominated set of (policy, objective vector) pairs."""
+    """Mutually nondominated set of (policy, objective vector) pairs:
+    ``entries`` in the order they were inserted and ``values``, their
+    objective vectors as the rows of one array."""
 
     def __init__(self):
         self.entries: list[ArchiveEntry] = []
-        self._next_seq = 0
-        self._values: np.ndarray | None = None  # cache aligned with entries
+        self.values: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -101,7 +100,7 @@ class ParetoArchive:
         """
         v = np.asarray(value, dtype=float)
         if self.entries:
-            vals = self._values
+            vals = self.values
             weakly_dominated = np.all(vals <= v, axis=1)
             if bool(np.any(weakly_dominated)):
                 return False
@@ -110,18 +109,10 @@ class ParetoArchive:
                 keep = ~beaten
                 self.entries = [e for e, k in zip(self.entries, keep) if k]
                 vals = vals[keep]
-            self._values = np.vstack([vals, v])
+            self.values = np.vstack([vals, v])
         else:
-            self._values = v.reshape(1, -1)
-        self.entries.append(
-            ArchiveEntry(
-                policy=tuple(np.asarray(policy, dtype=float)),
-                value=tuple(v),
-                mesh=mesh,
-                seq=self._next_seq,
-            )
-        )
-        self._next_seq += 1
+            self.values = v.reshape(1, -1)
+        self.entries.append(ArchiveEntry(policy=tuple(np.asarray(policy, dtype=float)), mesh=mesh))
         return True
 
 
@@ -180,11 +171,7 @@ def _seed_points(lower, upper, rng) -> list[tuple[float, ...]]:
             seeds.append(corner)
     while len(seeds) < 4 * d + 2:
         seeds.append(tuple(lower + rng.random(d) * (upper - lower)))
-    unique = []
-    for s in seeds:
-        if s not in unique:
-            unique.append(s)
-    return unique
+    return list(dict.fromkeys(seeds))
 
 
 def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[ParetoArchive, dict]:
@@ -202,11 +189,12 @@ def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[Pare
     contract their mesh, successful ones expand it; the search stops on the
     budget or when every member's mesh is below the minimum.
 
-    Each iteration polls its active members in order of (polls, -crowding,
-    seq): the least polled first, then the most isolated by ``_crowding``
-    of the archive's values at the iteration's start (the front's extremes
-    first), then the oldest.  So when the budget cuts a poll short, the
-    policies it drops are those of the most crowded members.
+    Each iteration polls its active members in order of (polls, -crowding),
+    ties in archive order, the oldest first: the least polled first, then
+    the most isolated by ``_crowding`` of the archive's values at the
+    iteration's start (the front's extremes first).  So when the budget
+    cuts a poll short, the policies it drops are those of the most crowded
+    members.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -241,15 +229,13 @@ def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[Pare
         if not active:
             break
         iterations += 1
-        crowding = dict(zip(map(id, archive.entries), _crowding(archive._values)))
-        batch = sorted(active, key=lambda e: (e.polls, -crowding[id(e)], e.seq))
+        crowding = dict(zip(archive.entries, _crowding(archive.values)))
+        batch = sorted(active, key=lambda e: (e.polls, -crowding[e]))
 
         candidates: list[tuple[tuple[float, ...], ArchiveEntry]] = []
         seen = set()
-        polled: dict[int, ArchiveEntry] = {}
         for entry in batch:
             base = np.array(entry.policy)
-            fresh = 0
             for axis in range(d):
                 step = entry.mesh * ranges[axis]
                 for sign in (1.0, -1.0):
@@ -260,18 +246,13 @@ def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[Pare
                         continue
                     seen.add(key)
                     candidates.append((key, entry))
-                    fresh += 1
-            if fresh == 0:
-                # everything already known: a completed (failed) poll
-                polled[id(entry)] = entry
-        dropped = candidates[budget - len(evaluated) :]
-        candidates = candidates[: budget - len(evaluated)]
-        cut = {id(e) for _, e in dropped}
-        polled.update(
-            {id(e): e for _, e in candidates if id(e) not in cut}
-        )
+        # a member counts as polled unless the budget cut one of its
+        # candidates; one with no new candidate has a completed (failed) poll
+        room = budget - len(evaluated)
+        cut = {e for _, e in candidates[room:]}
+        candidates = candidates[:room]
 
-        succeeded: set[int] = set()
+        succeeded = set()
         if candidates:
             values = run_batch([c for c, _ in candidates])
             # candidates are distinct policies, so the sort never compares parents;
@@ -279,11 +260,13 @@ def pareto_search(lower, upper, *, budget: int, seed: int, map_fn) -> tuple[Pare
             # directions keep stretching toward the box faces
             for (key, parent), value in sorted(zip(candidates, values)):
                 if archive.insert(key, value, min(parent.mesh * _EXPANSION, _MESH_CAP)):
-                    succeeded.add(id(parent))
+                    succeeded.add(parent)
 
-        for entry_id, entry in polled.items():
+        for entry in batch:
+            if entry in cut:
+                continue
             entry.polls += 1
-            if entry_id in succeeded:
+            if entry in succeeded:
                 entry.mesh = min(entry.mesh * _EXPANSION, _MESH_CAP)
             else:
                 entry.mesh *= _CONTRACTION

@@ -260,7 +260,7 @@ def test_criterion_6_optimizer_sanity():
         [0.0], [1.0], budget=500, seed=FRONT_SEED, map_fn=lambda xs: [objectives(x) for x in xs]
     )
     elapsed = time.perf_counter() - t0
-    values = np.array([e.value for e in archive.entries])
+    values = archive.values
     mutually_nondominated = len(nondominated_filter(values)) == len(values)
     xs = np.sort([e.policy[0] for e in archive.entries])
     gap = float(np.max(np.diff(xs)))

@@ -186,21 +186,26 @@ class TestValidate:
         assert run_cli("validate", "--scenario", str(bad)) == 1
         assert "CFL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["simulate", "optimize"])
-    def test_adjoint_cfl_violation_exits_one(self, tmp_path, diamond_path, capsys, command):
+    @pytest.mark.parametrize(
+        ("command", "cache"),
+        [("simulate", False), ("optimize", False), ("simulate", True), ("optimize", True)],
+        ids=["simulate", "optimize", "simulate-cache-dir", "optimize-cache-dir"],
+    )
+    def test_adjoint_cfl_violation_exits_one(self, tmp_path, diamond_path, capsys, command, cache):
         # the commands run the adjoint march's CFL gate: one error line, no
-        # traceback and no output file
+        # traceback, and neither the output nor the cache directory is made
         doc = json.loads(diamond_path.read_text())
         doc["discretization"]["n_time"] = 500  # dt = 0.01 > bound
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        assert run_cli(*_command_argv(command, bad, out)) == 1
+        out, cache_dir = tmp_path / "out", tmp_path / "cache"
+        extra = ["--cache-dir", str(cache_dir)] if cache else []
+        assert run_cli(*_command_argv(command, bad, out), *extra) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: adjoint CFL violated: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
-        assert not any(out.iterdir())
+        assert not out.exists() and not cache_dir.exists()
 
     def test_missing_file_exits_two(self):
         assert run_cli("validate", "--scenario", "/nonexistent/file.json") == 2

@@ -34,10 +34,6 @@ def _policies(archive) -> np.ndarray:
     return np.array([e.policy for e in archive.entries])
 
 
-def _values(archive) -> np.ndarray:
-    return np.array([e.value for e in archive.entries])
-
-
 class TestNondominatedFilter:
     def test_simple_example(self):
         values = np.array([[1, 2], [2, 1], [2, 2]])
@@ -120,7 +116,7 @@ class TestArchive:
         accepted = 0
         for k, value in enumerate(points):
             accepted += arch.insert((float(k),), value, 0.25)
-            after = hypervolume_2d(_values(arch), (1.1, 1.1))
+            after = hypervolume_2d(arch.values, (1.1, 1.1))
             assert after >= hv - 1e-12
             hv = after
         assert hv > 0.0 and 0 < accepted < len(points)
@@ -222,7 +218,7 @@ class TestParetoSearch:
         arch, _ = pareto_search(
             [0.0], [1.0], budget=300, seed=5, map_fn=_batched(_two_parabolas)
         )
-        values = _values(arch)
+        values = arch.values
         assert len(nondominated_filter(values)) == len(values)
 
     def test_policies_respect_box_exactly(self):
@@ -238,7 +234,7 @@ class TestParetoSearch:
             for _ in range(2)
         ]
         assert np.array_equal(_policies(runs[0]), _policies(runs[1]))
-        assert np.array_equal(_values(runs[0]), _values(runs[1]))
+        assert np.array_equal(runs[0].values, runs[1].values)
 
     def test_seed_corners_drawn_coordinatewise_past_twelve_dimensions(self):
         # 2**13 corners are too many to choose among, so past d = 12 each
@@ -323,6 +319,91 @@ class TestParetoSearch:
         # a member polls x +/- 0.25 (mesh 0.25 of a unit box), clipped to it
         step = {x: {min(max(x + s, 0.0), 1.0) for s in (0.25, -0.25)} - set(seeds) for x in seeds}
         assert set(poll) == step[seeds[3]] | step[seeds[4]] | step[seeds[5]]
+
+    @pytest.mark.parametrize("budget", [6 + 3, 6 + 4])
+    def test_only_a_member_whose_poll_is_whole_counts_as_polled(self, budget):
+        # the seeds and the poll order of the test above: ranks 4 and 5 (the
+        # extremes), then 3, 0, 1 and 2 (by crowding, then age), so the poll
+        # after the seeds makes the candidates 4+, 4-, 3+, 3-, 1+ and 2+;
+        # 0+ and 5- are 4's, and 0-, 1-, 2- and 5+ are clipped onto the box's
+        # ends, which are seeds.  Only 3+ (rank 3 plus a mesh of 0.25) enters
+        # the archive.  A budget of 9 drops 3-, 1+ and 2+, one of 10 only
+        # 1+ and 2+
+        spread = [2.0, 3.0, 4.0, 5.0, 0.0, 9.0]
+        seeds = []
+
+        def record(policies):
+            xs = [float(p[0]) for p in policies]
+            if not seeds:
+                seeds.extend(sorted(xs))
+                return [np.array([a, -a]) for a in (spread[seeds.index(x)] for x in xs)]
+            return [np.array([6.0, -6.0]) if x == seeds[3] + 0.25 else np.array([100.0, 100.0]) for x in xs]
+
+        arch, _ = pareto_search([0.0], [1.0], budget=budget, seed=0, map_fn=record)
+        state = {e.policy[0]: (e.polls, e.mesh) for e in arch.entries}
+        whole = budget == 10
+        assert state == {
+            # 5 and 0 had no new candidate, 4's were scored and failed: halved
+            seeds[4]: (1, 0.125), seeds[5]: (1, 0.125), seeds[0]: (1, 0.125),
+            # 3 succeeded, but counts only if the budget left it 3- as well
+            seeds[3]: (1, 0.5) if whole else (0, 0.25),
+            # 1 and 2 lost their one candidate to the budget: unchanged
+            seeds[1]: (0, 0.25), seeds[2]: (0, 0.25),
+            # a child starts unpolled on its parent's doubled mesh
+            seeds[3] + 0.25: (0, 0.5),
+        }
+
+    def test_a_poll_halves_the_mesh_or_doubles_it_up_to_the_whole_box(self):
+        # every new value of s = x0 + sqrt(2) x1 lies on the front of (s, -s),
+        # so a poll that scores a candidate succeeds.  A budget that ends with
+        # an iteration shows the archive after it: between two such budgets a
+        # member polls once with its mesh halved or doubled, capped at the
+        # whole width 1.0, or is left as it was
+        def line(policies):
+            return [np.array([s, -s]) for s in (p[0] + np.sqrt(2.0) * p[1] for p in policies)]
+
+        sizes = []
+        pareto_search([0.0, 0.0], [1.0, 1.0], budget=400, seed=0,
+                      map_fn=lambda policies: sizes.append(len(policies)) or line(policies))
+        states = []
+        for n in np.cumsum(sizes)[:6]:
+            arch, _ = pareto_search([0.0, 0.0], [1.0, 1.0], budget=int(n), seed=0, map_fn=line)
+            states.append({e.policy: (e.polls, e.mesh) for e in arch.entries})
+        steps = set()
+        for before, after in zip(states, states[1:]):
+            for policy in before.keys() & after.keys():
+                (polls, mesh), (polls_next, mesh_next) = before[policy], after[policy]
+                assert (polls_next, mesh_next) in {
+                    (polls, mesh), (polls + 1, mesh / 2), (polls + 1, min(mesh * 2, 1.0))
+                }
+                steps.add((mesh, mesh_next))
+        assert {(0.25, 0.5), (0.5, 1.0), (1.0, 1.0), (1.0, 0.5), (0.5, 0.25)} <= steps
+
+    def test_members_tied_on_polls_and_crowding_are_polled_in_archive_order(self):
+        # six seeds on [0, 1], mutually nondominated in three objectives;
+        # ranks 1 to 5 in x hold an end of some axis (crowding inf) and rank
+        # 0 does not.  The archive holds them in the order they were
+        # inserted, by x, so the extremes poll by x and rank 0 last
+        vectors = [(3, 3, 3), (0, 5, 4), (6, 0, 4), (4, 4, 0), (5, 1, 6), (7, 2, 1)]
+        batches = []
+
+        def record(policies):
+            xs = [float(p[0]) for p in policies]
+            batches.append(xs)
+            if len(batches) == 1:
+                return [np.array(vectors[sorted(xs).index(x)], dtype=float) for x in xs]
+            return [np.array([100.0] * 3) for _ in xs]
+
+        pareto_search([0.0], [1.0], budget=6 + 6, seed=0, map_fn=record)
+        seeds = sorted(batches[0])
+        assert np.isinf(_crowding(vectors)).tolist() == [False] + [True] * 5
+        # a member polls x +/- 0.25 clipped to the box, new policies only
+        expected = []
+        for x in seeds[1:] + seeds[:1]:
+            for c in (min(x + 0.25, 1.0), max(x - 0.25, 0.0)):
+                if c not in seeds and c not in expected:
+                    expected.append(c)
+        assert batches[1] == expected
 
     def test_budget_zero_rejected(self):
         with pytest.raises(ValueError):
