@@ -13,9 +13,11 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   both workers, so that both trees score the same policies, per
   ``SEARCHES``: on ``scenarios/diamond.json``
   (2d, budget 300, search seed 7), on the chain of 4 diamonds from
-  ``perfbench/chain.py`` (3d, delta 0.5, budget 120, search seed 7) and on
+  ``perfbench/chain.py`` (3d, delta 0.5, budget 120, search seed 7), on
   the criterion-7 search (the diamond, 2d, budget 4000, search seed 0),
-  whose fifth batch is timed.  A row is keyed by its batch's position in
+  whose fifth batch is timed, and on the chain's budget-2000 search
+  (search seed 0), whose second batch, about 1,500 policies, is timed.
+  A row is keyed by its batch's position in
   its search (``BATCHES``, 0 the seed batch), so a change that moves the
   search's path still times the batch at that position, and the row
   records the batch's size B.  The "first" row scores the seed batch's
@@ -85,13 +87,15 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   at 1000 reaches the parent's at 2000, ROADMAP item 3's target.
 * End to end: ROADMAP's two end-to-end numbers, as whole processes in
   alternated pairs, the first tree of a pair alternating.  ``tramopt
-  optimize`` on ``scenarios/diamond.json`` at budget 4000, seed 0,
-  ``--jobs 1`` (``E2E_OPTIMIZE``), ``--optimize-pairs`` pairs, each tree
-  writing into one reused ``--out`` with its own ``--cache-dir`` warmed by
-  a first, untimed call; the SHA-256 of every call's ``front.csv`` is
-  kept.  Then the Tier-1 command (``TIER1``) in each tree's checkout,
-  ``--tier1-pairs`` pairs, with pytest's summary line.  The wall time
-  counts the interpreter's start and its imports; 0 pairs skips a row.
+  optimize`` at ``--jobs 1``, per ``E2E_OPTIMIZE``: on
+  ``scenarios/diamond.json`` at budget 4000, seed 0, and on the chain of 4
+  diamonds (3d, delta 0.5) at budget 2000, seed 0, ``--optimize-pairs``
+  pairs each, each tree writing into one reused ``--out`` with its own
+  ``--cache-dir`` warmed by a first, untimed call; the SHA-256 of every
+  call's ``front.csv`` is kept.  Then the Tier-1 command (``TIER1``) in
+  each tree's checkout, ``--tier1-pairs`` pairs, with pytest's summary
+  line.  The wall time counts the interpreter's start and its imports,
+  and the peak RSS is the process's own (``wait4``); 0 pairs skips a row.
 
 Needs only the standard library and numpy.  Not part of the test suite.
 """
@@ -127,7 +131,8 @@ SIMULATE_SETUPS = ("diamond", "k=4")
 SIMULATE_PEAK_ONLY = "k=16"
 #: the batches timed per row group, by position in their search (0 is the
 #: seed batch); "first" is the seed batch's first policy alone
-BATCHES = {"diamond": ("first", 0, 2), "chain": (0, 1), "criterion-7": (4,), "congested": (0, 2)}
+BATCHES = {"diamond": ("first", 0, 2), "chain": (0, 1), "criterion-7": (4,), "congested": (0, 2),
+           "chain-2000": (1,)}
 #: per row group: the scenario searched, its budget and search seed, and
 #: the scenario the search's batches are scored on
 SEARCHES = {
@@ -135,6 +140,7 @@ SEARCHES = {
     "chain": ("chain", 120, 7, "chain"),
     "criterion-7": ("diamond", 4000, 0, "diamond"),
     "congested": ("diamond", 300, 7, "congested"),
+    "chain-2000": ("chain", 2000, 0, "chain"),
 }
 #: the congested diamond: every road's initial density and every access inflow
 CONGESTED = {"rho0": 0.85, "inflow": 0.6}
@@ -164,8 +170,14 @@ FRONT_MATCH = {
     "diamond/delta=0.5": (300, range(300, 2001, 50)),
     "chain/delta=0.5": (120, tuple(120 * 2**k for k in range(6))),
 }
-#: the end-to-end optimize call, run from this checkout, so both trees read its diamond
-E2E_OPTIMIZE = ["optimize", "--scenario", "scenarios/diamond.json", "--budget", "4000", "--seed", "0", "--jobs", "1"]
+#: the end-to-end optimize calls by row, run from this checkout, so both trees read one
+#: scenario file; "{chain}" is the chain of ``CHAIN_DIAMONDS`` diamonds, written first
+E2E_OPTIMIZE = {
+    "optimize": ["optimize", "--scenario", "scenarios/diamond.json", "--budget", "4000", "--seed", "0",
+                 "--jobs", "1"],
+    "optimize-chain": ["optimize", "--scenario", "{chain}", "--mode", "3d", "--delta", "0.5", "--budget", "2000",
+                       "--seed", "0", "--jobs", "1"],
+}
 #: the Tier-1 command, run in a tree's checkout with its src/ on PYTHONPATH
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
@@ -488,57 +500,74 @@ def measure_simulate(trees: dict[str, Path], runs: int, work: Path) -> dict:
     return {"timed": samples, "peak_only": peak}
 
 
-def _timed(tree: Path, argv: list[str], cwd: Path) -> tuple[float, subprocess.CompletedProcess]:
-    """The wall time of one fresh Python process on ``tree``'s ``src/``."""
+def _timed(tree: Path, argv: list[str], cwd: Path) -> tuple[float, float, subprocess.CompletedProcess]:
+    """The wall time and the peak RSS in MB of one fresh Python process on ``tree``'s ``src/``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(tree / "src"), os.environ.get("PYTHONPATH"))))}
-    wall = time.perf_counter()
-    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True)
-    return time.perf_counter() - wall, done
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        wall = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - wall
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(proc.args, proc.returncode, out.read().decode(), err.read().decode())
+    return wall, usage.ru_maxrss / 1024, done
 
 
 def measure_end_to_end(trees: dict[str, Path], optimize_pairs: int, tier1_pairs: int, work: Path) -> dict:
-    """``optimize_pairs`` alternated pairs of the ``E2E_OPTIMIZE`` call, after
-    one untimed call per tree, with each call's ``front.csv`` digest; then
-    ``tier1_pairs`` alternated pairs of the Tier-1 command, with the last
-    line pytest printed and its exit code."""
+    """Per row of ``E2E_OPTIMIZE``, ``optimize_pairs`` alternated pairs of
+    its call, after one untimed call per tree, with each call's
+    ``front.csv`` digest; then ``tier1_pairs`` alternated pairs of the
+    Tier-1 command, with the last line pytest printed and its exit code."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import chain
 
-    def optimize(t: str) -> tuple[float, str]:
-        out = work / t
-        argv = ["-m", "tramopt.cli", *E2E_OPTIMIZE, "--out", str(out / "out"), "--cache-dir", str(out / "cache")]
-        wall, done = _timed(trees[t], argv, ROOT)
+    work.mkdir(parents=True, exist_ok=True)
+    scenario = work / "chain.json"
+    scenario.write_text(json.dumps(chain.make_chain(CHAIN_DIAMONDS, CHAIN_SEED)))
+
+    def optimize(row: str, t: str) -> tuple[float, float, str]:
+        out = work / t / row
+        argv = ["-m", "tramopt.cli", *(a.format(chain=scenario) for a in E2E_OPTIMIZE[row]),
+                "--out", str(out / "out"), "--cache-dir", str(out / "cache")]
+        wall, rss, done = _timed(trees[t], argv, ROOT)
         if done.returncode != 0:
-            raise RuntimeError(f"optimize on the {t} exited {done.returncode}: {done.stderr[-500:]}")
-        return wall, hashlib.sha256((out / "out" / "front.csv").read_bytes()).hexdigest()
+            raise RuntimeError(f"{row} on the {t} exited {done.returncode}: {done.stderr[-500:]}")
+        return wall, rss, hashlib.sha256((out / "out" / "front.csv").read_bytes()).hexdigest()
 
-    def tier1(t: str) -> tuple[float, dict]:
-        wall, done = _timed(trees[t], TIER1, trees[t])
+    def tier1(t: str) -> tuple[float, float, dict]:
+        wall, rss, done = _timed(trees[t], TIER1, trees[t])
         # the counts of pytest's last line, without its time
         summary = re.sub(r" in [0-9.]+s.*$", "", done.stdout.strip().splitlines()[-1])
-        return wall, {"exit": done.returncode, "summary": summary}
+        return wall, rss, {"exit": done.returncode, "summary": summary}
 
-    def alternated(name: str, pairs: int, run) -> tuple[dict, dict]:
-        """Each tree's wall times and every distinct result of its runs
-        (one, if its runs agree)."""
-        walls, seen = {t: [] for t in trees}, {t: [] for t in trees}
+    def alternated(name: str, pairs: int, run) -> tuple[dict, dict, dict]:
+        """Each tree's wall times, its peak RSS and every distinct result of
+        its runs (one, if its runs agree)."""
+        walls, rss, seen = {t: [] for t in trees}, {t: [] for t in trees}, {t: [] for t in trees}
         for r in range(pairs):
             for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
-                wall, result = run(t)
+                wall, peak, result = run(t)
                 walls[t].append(wall)
+                rss[t].append(peak)
                 if result not in seen[t]:
                     seen[t].append(result)
             print(f"end-to-end {name} pair {r + 1}/{pairs}", file=sys.stderr)
-        return _compared(walls["parent"], walls["change"]), seen
+        return _compared(walls["parent"], walls["change"]), {t: _summary(v) for t, v in rss.items()}, seen
 
     record = {}
     if optimize_pairs:
-        for t in trees:  # fills each tree's adjoint cache
-            optimize(t)
-        wall, digests = alternated("optimize", optimize_pairs, optimize)
-        record["optimize"] = {"command": "tramopt " + " ".join(E2E_OPTIMIZE), "wall_s": wall,
-                              "front_csv_sha256": digests}
+        for row, argv in E2E_OPTIMIZE.items():
+            for t in trees:  # fills each tree's adjoint cache
+                optimize(row, t)
+            wall, rss, digests = alternated(row, optimize_pairs, lambda t, row=row: optimize(row, t))
+            record[row] = {"command": "tramopt " + " ".join(argv), "wall_s": wall, "peak_rss_mb": rss,
+                           "front_csv_sha256": digests}
     if tier1_pairs:
-        wall, results = alternated("tier1", tier1_pairs, tier1)
-        record["tier1"] = {"command": "python " + " ".join(TIER1), "wall_s": wall, "results": results}
+        wall, rss, results = alternated("tier1", tier1_pairs, tier1)
+        record["tier1"] = {"command": "python " + " ".join(TIER1), "wall_s": wall, "peak_rss_mb": rss,
+                           "results": results}
     return record
 
 
@@ -546,9 +575,11 @@ def _end_to_end_lines(record: dict) -> list[str]:
     lines = []
     for name, row in record.items():
         wall = row["wall_s"]
-        line = (f"end-to-end {name:8s} x{wall['speedup_median_of_pairs']:.2f} wall (wins {wall['change_wins']})  "
-                f"parent {wall['parent']['median']:.2f} s change {wall['change']['median']:.2f} s  ")
-        if name == "optimize":
+        rss = row["peak_rss_mb"]
+        line = (f"end-to-end {name:14s} x{wall['speedup_median_of_pairs']:.2f} wall (wins {wall['change_wins']})  "
+                f"parent {wall['parent']['median']:.2f} s change {wall['change']['median']:.2f} s  "
+                f"peak MB parent {rss['parent']['median']:.1f} change {rss['change']['median']:.1f}  ")
+        if "front_csv_sha256" in row:
             digests = row["front_csv_sha256"]
             line += "front.csv " + "  ".join(f"{t} {' '.join(d[:12] for d in v)}" for t, v in digests.items())
         else:
@@ -745,8 +776,8 @@ def main() -> int:
     parser.add_argument("--front-seeds", type=int, default=10,
                         help="search seeds per front search and budget, from 0 (default 10; 0 skips)")
     parser.add_argument("--optimize-pairs", type=int, default=10,
-                        help="alternated whole-process pairs of the end-to-end optimize call "
-                             "(default 10, about 10 s a pair; 0 skips)")
+                        help="alternated whole-process pairs of each end-to-end optimize call "
+                             "(default 10, about 20 s a pair of both calls; 0 skips)")
     parser.add_argument("--tier1-pairs", type=int, default=3,
                         help="alternated pairs of the Tier-1 command (default 3, about 50 s a pair; 0 skips)")
     parser.add_argument("--setup", choices=ADJOINT_SETUPS, help=argparse.SUPPRESS)

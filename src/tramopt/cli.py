@@ -572,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=2000, help="policy evaluations of the search, > 0")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes scoring each poll batch, at most one per CPU (default 1). On the "
-                        "diamond with 2 cores, --jobs 2 took about 1.6 times as long as --jobs 1 "
-                        "at budget 300 and about 0.63 times as long at 4000. "
+                        "diamond with 2 cores, --jobs 2 took about 1.8 times as long as --jobs 1 "
+                        "at budget 300 and about 0.72 times as long at 4000. "
                         "Workers are spawned, so a program calling main() in-process needs an "
                         "'if __name__ == \"__main__\":' guard")
     p.add_argument("--cache-dir", default=None,

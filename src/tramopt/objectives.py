@@ -54,14 +54,14 @@ class ObjectiveTally:
 
     Per policy and output step k >= 1 it keeps the flow summed over all
     cells, the emission rate paired with the contracted adjoint, and the
-    total queue.  Each substep group of the march enters it once, with
-    ``at``, the group's batch positions, and the workspace arrays it steps
-    in, the same for the whole group.  The tally then views those arrays
-    as (len(at), -1), keeps a (3, len(at), n_time) store for the group and
-    holds one ``np.errstate`` for the group's march, so that each step only
-    forms the rate, pairs it and adds three sums straight into the store;
-    when the march ends, the store's sums over time go to the group's
-    policies.  The rate is formed in the march's ``scratch``, which no step
+    total queue.  Each slice of a substep group that the kernel marches
+    enters it once, with ``at``, the slice's batch positions, and the
+    workspace arrays it steps in, the same for the whole slice.  The tally
+    then views those arrays as (len(at), -1), keeps a (3, len(at), n_time)
+    store for the slice and holds one ``np.errstate`` for the slice's
+    march, so that each step only forms the rate, pairs it and adds three
+    sums straight into the store; when the march ends, the store's sums
+    over time go to the slice's policies.  The rate is formed in the march's ``scratch``, which no step
     of the march reads before writing it, so the tally allocates no
     buffer for it.
     """

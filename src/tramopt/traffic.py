@@ -8,9 +8,11 @@ queues, and exit roads discharge at free flow.
 One kernel steps a batch of policies together as (batch, roads, cells)
 arrays; ``simulate_traffic`` runs it for one policy and keeps the history,
 ``simulate_batch`` runs many and hands each output step to an observer
-instead.  ``_compile`` turns a scenario's junctions, exits and access queues
-into one table of links, each passing min(A, B) of two operands (a 2to1
-link takes max(B, C) for B), so a substep couples them all in one pass,
+instead, marching a large batch in slices of at most ``SLICE_BYTES`` per
+(batch, roads, cells) array, so that a march's arrays stay in cache.
+``_compile`` turns a scenario's junctions, exits and access queues into
+one table of links, each passing min(A, B) of two operands (a 2to1 link
+takes max(B, C) for B), so a substep couples them all in one pass,
 ``_couple``, that gathers every operand with one index.  A march allocates
 its arrays and binds every rule's operands once, in a ``_Workspace``, and
 every substep writes into them, so a step makes only its rules' ufunc
@@ -28,6 +30,7 @@ fluxes.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,13 @@ from tramopt.network import Scenario, check_policies
 # the constants of the step as 0-d arrays: numpy takes a Python float
 # operand through a slower promotion path, and the result is the same
 _ZERO, _ONE = np.array(0.0), np.array(1.0)
+
+#: the most bytes of one (B, roads, cells) array of a march in
+#: ``simulate_batch``, unless one policy alone takes more: past about this
+#: size a march's dozen such arrays leave a 2 MiB L2 cache and every policy
+#: costs more.  It keeps the diamond's batches of up to 273 policies whole
+#: and marches the chain of 4 diamonds' seed batch of 86 as two slices of 43
+SLICE_BYTES = 2**18
 
 
 def _flux(rho, v_max, rho_max, out, scratch):
@@ -360,7 +370,8 @@ def _godunov_step(ws: _Workspace, q_in) -> None:
 
 def _march(net: _Network, scenario: Scenario, v: np.ndarray, n_sub: int, observe, at: np.ndarray,
            mean_ends: np.ndarray | None = None) -> None:
-    """Advance a batch of policies sharing a substep count over the horizon.
+    """Advance a batch of policies sharing a substep count over the horizon:
+    ``simulate_batch`` marches each slice of a substep group with one call.
 
     ``observe(at, rho, flow, queues, scratch)`` is entered once, as a
     context manager around the whole march, with ``at``, the batch
@@ -458,13 +469,16 @@ def simulate_batch(scenario: Scenario, policies, observe) -> None:
 
     The batch is marched in groups of equal substep count, so every policy
     steps with exactly the dt it would get alone.  The groups go in
-    increasing substep count, each in batch order.  Each group enters
-    ``observe(at, rho, flow, queues, scratch)`` once, as a context manager
-    around its march, with ``at``, the batch positions of its policies,
-    its densities and flux Q, both (len(at), roads, cells), its queue
-    lengths (len(at), n_access) and a scratch buffer shaped as the
-    densities that it may overwrite: the march's workspace, the same
-    arrays for the whole group, which every step overwrites.  The value it
+    increasing substep count, each in batch order, and each group is
+    marched in the fewest contiguous slices of near-equal size (they differ
+    by at most one policy) that keep a (slice, roads, cells) array within
+    ``SLICE_BYTES``; a policy's numbers do not depend on its slice.  Each
+    slice enters ``observe(at, rho, flow, queues, scratch)`` once, as a
+    context manager around its march, with ``at``, the batch positions of
+    its policies, its densities and flux Q, both (len(at), roads, cells),
+    its queue lengths (len(at), n_access) and a scratch buffer shaped as
+    the densities that it may overwrite: the march's workspace, the same
+    arrays for the whole slice, which every step overwrites.  The value it
     gives is called as ``step(k)`` after each output step k = 1..n_time,
     when the arrays hold that step's values; it writes only into
     ``scratch``.  ``policies`` holds one row of speed limits per policy,
@@ -477,5 +491,6 @@ def simulate_batch(scenario: Scenario, policies, observe) -> None:
     # not np.unique: on floats it imports numpy.ma, about 1 MB of peak memory (numpy 2.4)
     for n in sorted(set(n_sub.tolist())):
         at = np.flatnonzero(n_sub == n)
-        _march(net, scenario, v[at], int(n), observe, at)
+        for part in np.array_split(at, math.ceil(len(at) * 8 * net.rho0.size / SLICE_BYTES)):
+            _march(net, scenario, v[part], int(n), observe, part)
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib.util
 import json
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 from oracles import adjoint_history, j_diff_adjoint, j_diff_forward, solve_dispersion_forward
 
+from tramopt import objectives, traffic
+from tramopt.cli import search_front
 from tramopt.emission import emission_field, rasterize_network
 from tramopt.network import load_scenario
 from tramopt.objectives import (
@@ -18,7 +21,7 @@ from tramopt.objectives import (
     PolicyEvaluator,
     contract_adjoint,
 )
-from tramopt.traffic import TrafficTrajectory, _substep_counts, simulate_traffic
+from tramopt.traffic import TrafficTrajectory, _substep_counts, simulate_batch, simulate_traffic
 
 
 def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0, y=1.5, vertical=False):
@@ -285,17 +288,82 @@ class TestBatchEqualsSerial:
         # first cell is the last
         _assert_batch_equals_one_by_one(coarse_diamond(n_cells, n_time), policies, mode)
 
-    @pytest.mark.parametrize("mode", ["2d", "3d"])
-    def test_interleaved_substep_groups_equal_one_by_one(self, diamond, policies, mode):
-        # the two substep groups alternate through the batch, 2, 1, 2, 1, ...:
-        # each is marched at batch positions that are not contiguous.  Each policy that needs
-        # two substeps at n_time 100 is followed by itself capped at 1.
+    @pytest.fixture()
+    def interleaved(self, diamond, policies):
+        """The diamond at n_time 100 and a batch whose two substep groups
+        alternate, 2, 1, 2, 1, ...: each policy that needs two substeps
+        there, followed by itself capped at 1."""
         sc = dataclasses.replace(diamond, n_time=100)
         two = [p for p, n in zip(policies, _substep_counts(np.array(policies), sc)) if n == 2]
-        interleaved = [q for p in two for q in (p, np.minimum(p, 1.0))]
-        counts = _substep_counts(np.array(interleaved), sc).tolist()
-        assert len(two) >= 8 and counts == [2, 1] * len(two)
-        _assert_batch_equals_one_by_one(sc, interleaved, mode)
+        batch = [q for p in two for q in (p, np.minimum(p, 1.0))]
+        assert len(two) >= 8 and _substep_counts(np.array(batch), sc).tolist() == [2, 1] * len(two)
+        return sc, batch
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_interleaved_substep_groups_equal_one_by_one(self, interleaved, mode):
+        # each group is marched at batch positions that are not contiguous
+        _assert_batch_equals_one_by_one(*interleaved, mode)
+
+    @pytest.mark.parametrize("per_slice", [1, 3, 5])
+    def test_sliced_substep_groups_equal_one_by_one(self, interleaved, monkeypatch, per_slice):
+        # a bound of a few policies' bytes splits each interleaved group into
+        # several slices; each slice enters the observer once, holds at most
+        # the bound and differs from its group's other slices by at most one
+        # policy, and the group's slices are its positions in batch order
+        sc, batch = interleaved
+        monkeypatch.setattr(traffic, "SLICE_BYTES", per_slice * 8 * sc.n_roads * sc.n_cells)
+        adjoint = np.random.default_rng(3).random((sc.n_time + 1, sc.n_grid + 1, sc.n_grid + 1))
+        ev = PolicyEvaluator(sc, adjoint=_contracted(sc, adjoint))
+        tally, entered = ObjectiveTally(ev, len(batch)), []
+
+        @contextlib.contextmanager
+        def recording(at, *arrays):
+            entered.append(at.tolist())
+            with tally(at, *arrays) as step:
+                yield step
+
+        simulate_batch(sc, batch, recording)
+        groups = [list(range(1, len(batch), 2)), list(range(0, len(batch), 2))]  # one substep, then two
+        for positions in groups:
+            slices = [at for at in entered if set(at) <= set(positions)]
+            assert sum(slices, []) == positions
+            assert len(slices) == math.ceil(len(positions) / per_slice) >= 2
+            sizes = [len(at) for at in slices]
+            assert max(sizes) <= per_slice and max(sizes) - min(sizes) <= 1
+        assert len(entered) == sum(math.ceil(len(p) / per_slice) for p in groups)
+
+        def bits(parts):
+            return np.array([[b.j_flow, b.j_diff, b.j_queue] for b in parts]).tobytes()
+
+        assert bits(tally.breakdowns()) == bits(ev.score([p])[0] for p in batch) == bits(map(ev.components, batch))
+
+    def test_the_diamond_polls_enter_the_observer_once_each(self, diamond, monkeypatch):
+        # at the real bound every batch of perfbench's optimize-diamond
+        # search (budget 300, search seed 7), its 154-policy poll included,
+        # is marched whole: one substep count, one slice
+        entered = []
+
+        def recorded(scenario, policies, observe):
+            @contextlib.contextmanager
+            def recording(at, *arrays):
+                entered[-1] += 1
+                with observe(at, *arrays) as step:
+                    yield step
+
+            entered.append(0)
+            simulate_batch(scenario, policies, recording)
+
+        monkeypatch.setattr(objectives, "simulate_batch", recorded)
+        sizes = []
+
+        def score(policies):
+            sizes.append(len(policies))
+            return ev.score(policies)
+
+        ev = PolicyEvaluator(diamond)
+        search_front(ev, 300, 7, score=score)
+        assert 154 in sizes and 8 * diamond.n_roads * diamond.n_cells * max(sizes) <= traffic.SLICE_BYTES
+        assert entered == [1] * len(sizes)
 
     def test_pickled_evaluator_scores_bitwise_the_same(self, diamond, policies):
         # workers receive the evaluator pickled: it must carry only the
