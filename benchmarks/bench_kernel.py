@@ -171,7 +171,7 @@ FRONT_MATCH = {
     "chain/delta=0.5": (120, tuple(120 * 2**k for k in range(6))),
 }
 #: the end-to-end optimize calls by row, run from this checkout, so both trees read one
-#: scenario file; "{chain}" is the chain of ``CHAIN_DIAMONDS`` diamonds, written first
+#: scenario file; "{chain}" is the chain of ``CHAIN_DIAMONDS`` diamonds, written on first use
 E2E_OPTIMIZE = {
     "optimize": ["optimize", "--scenario", "scenarios/diamond.json", "--budget", "4000", "--seed", "0",
                  "--jobs", "1"],
@@ -198,10 +198,24 @@ def _scenario(tree: Path, name: str, diamonds: int = CHAIN_DIAMONDS):
             for access in doc["access"]:
                 access["inflow"] = CONGESTED["inflow"]
         return dataclasses.replace(load_scenario(json.dumps(doc)), mode="2d", delta=0.0)
+    return load_scenario(json.dumps(_chain(diamonds)))
+
+
+def _chain(diamonds: int) -> dict:
+    """The scenario document of perfbench's chain of ``diamonds`` diamonds."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import chain
 
-    return load_scenario(json.dumps(chain.make_chain(diamonds, CHAIN_SEED)))
+    return chain.make_chain(diamonds, CHAIN_SEED)
+
+
+def _chain_file(work: Path, diamonds: int) -> Path:
+    """The chain of ``diamonds`` diamonds as a scenario file in ``work``, written on first use."""
+    path = work / f"chain-k={diamonds}.json"
+    if not path.exists():
+        work.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(_chain(diamonds)))
+    return path
 
 
 def _poll_batches(evaluator, budget: int, seed: int) -> list[list]:
@@ -471,16 +485,9 @@ def measure_simulate(trees: dict[str, Path], runs: int, work: Path) -> dict:
     """Per ``SIMULATE_SETUPS`` and tree, a first untimed call and then
     ``runs`` alternated calls into one reused ``--out``; then one cold call
     per tree on ``SIMULATE_PEAK_ONLY``, its output removed after it."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import chain
 
     def argv(setup: str, t: str) -> list[str]:
-        if setup == "diamond":
-            path = ROOT / "scenarios" / "diamond.json"
-        else:
-            path = work / f"chain-{setup}.json"
-            if not path.exists():
-                path.write_text(json.dumps(chain.make_chain(int(setup[2:]), CHAIN_SEED)))
+        path = ROOT / "scenarios" / "diamond.json" if setup == "diamond" else _chain_file(work, int(setup[2:]))
         n_roads = len(json.loads(path.read_text())["roads"])
         return ["simulate", "--scenario", str(path), "--policy", ",".join(["1.0"] * n_roads),
                 "--out", str(work / t / setup / "out"), "--cache-dir", str(work / t / setup / "cache")]
@@ -520,15 +527,9 @@ def measure_end_to_end(trees: dict[str, Path], optimize_pairs: int, tier1_pairs:
     its call, after one untimed call per tree, with each call's
     ``front.csv`` digest; then ``tier1_pairs`` alternated pairs of the
     Tier-1 command, with the last line pytest printed and its exit code."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import chain
-
-    work.mkdir(parents=True, exist_ok=True)
-    scenario = work / "chain.json"
-    scenario.write_text(json.dumps(chain.make_chain(CHAIN_DIAMONDS, CHAIN_SEED)))
 
     def optimize(row: str, t: str) -> tuple[float, float, str]:
-        out = work / t / row
+        out, scenario = work / t / row, _chain_file(work, CHAIN_DIAMONDS)
         argv = ["-m", "tramopt.cli", *(a.format(chain=scenario) for a in E2E_OPTIMIZE[row]),
                 "--out", str(out / "out"), "--cache-dir", str(out / "cache")]
         wall, rss, done = _timed(trees[t], argv, ROOT)

@@ -61,9 +61,9 @@ class ObjectiveTally:
     store for the slice and holds one ``np.errstate`` for the slice's
     march, so that each step only forms the rate, pairs it and adds three
     sums straight into the store; when the march ends, the store's sums
-    over time go to the slice's policies.  The rate is formed in the march's ``scratch``, which no step
-    of the march reads before writing it, so the tally allocates no
-    buffer for it.
+    over time go to the slice's policies.  The rate is formed in the
+    march's ``scratch``, which no step of the march reads before writing
+    it, so the tally allocates no buffer for it.
     """
 
     def __init__(self, evaluator: "PolicyEvaluator", n_policies: int):

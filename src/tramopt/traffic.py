@@ -472,7 +472,8 @@ def simulate_batch(scenario: Scenario, policies, observe) -> None:
     increasing substep count, each in batch order, and each group is
     marched in the fewest contiguous slices of near-equal size (they differ
     by at most one policy) that keep a (slice, roads, cells) array within
-    ``SLICE_BYTES``; a policy's numbers do not depend on its slice.  Each
+    ``SLICE_BYTES``, or in slices of one policy if one alone takes more; a
+    policy's numbers do not depend on its slice.  Each
     slice enters ``observe(at, rho, flow, queues, scratch)`` once, as a
     context manager around its march, with ``at``, the batch positions of
     its policies, its densities and flux Q, both (len(at), roads, cells),
@@ -491,6 +492,7 @@ def simulate_batch(scenario: Scenario, policies, observe) -> None:
     # not np.unique: on floats it imports numpy.ma, about 1 MB of peak memory (numpy 2.4)
     for n in sorted(set(n_sub.tolist())):
         at = np.flatnonzero(n_sub == n)
-        for part in np.array_split(at, math.ceil(len(at) * 8 * net.rho0.size / SLICE_BYTES)):
+        slices = min(len(at), math.ceil(len(at) * 8 * net.rho0.size / SLICE_BYTES))
+        for part in np.array_split(at, slices):
             _march(net, scenario, v[part], int(n), observe, part)
 

@@ -304,14 +304,16 @@ class TestBatchEqualsSerial:
         # each group is marched at batch positions that are not contiguous
         _assert_batch_equals_one_by_one(*interleaved, mode)
 
-    @pytest.mark.parametrize("per_slice", [1, 3, 5])
+    @pytest.mark.parametrize("per_slice", [0.5, 1, 3, 5])
     def test_sliced_substep_groups_equal_one_by_one(self, interleaved, monkeypatch, per_slice):
         # a bound of a few policies' bytes splits each interleaved group into
         # several slices; each slice enters the observer once, holds at most
         # the bound and differs from its group's other slices by at most one
-        # policy, and the group's slices are its positions in batch order
+        # policy, and the group's slices are its positions in batch order.
+        # Below one policy's bytes each slice holds one policy, none is empty
         sc, batch = interleaved
-        monkeypatch.setattr(traffic, "SLICE_BYTES", per_slice * 8 * sc.n_roads * sc.n_cells)
+        monkeypatch.setattr(traffic, "SLICE_BYTES", int(per_slice * 8 * sc.n_roads * sc.n_cells))
+        per_slice = max(1, int(per_slice))
         adjoint = np.random.default_rng(3).random((sc.n_time + 1, sc.n_grid + 1, sc.n_grid + 1))
         ev = PolicyEvaluator(sc, adjoint=_contracted(sc, adjoint))
         tally, entered = ObjectiveTally(ev, len(batch)), []
@@ -323,6 +325,7 @@ class TestBatchEqualsSerial:
                 yield step
 
         simulate_batch(sc, batch, recording)
+        assert all(entered)
         groups = [list(range(1, len(batch), 2)), list(range(0, len(batch), 2))]  # one substep, then two
         for positions in groups:
             slices = [at for at in entered if set(at) <= set(positions)]
