@@ -337,11 +337,10 @@ def cmd_simulate(args) -> int:
 
 
 def _score_sliced(pool, jobs: int, evaluator, policies) -> list[ObjectiveBreakdown]:
-    """Score a batch in ``jobs`` contiguous slices, one per worker process;
-    each task carries the pickled evaluator, which is its contraction."""
-    n = len(policies)
-    slices = [policies[i * n // jobs:(i + 1) * n // jobs] for i in range(jobs)]
-    parts = pool.map(evaluator.score, [part for part in slices if part])
+    """Score a batch in ``jobs`` contiguous, near-equal slices (one per
+    policy in a smaller batch), one per worker process; each task carries
+    the pickled evaluator, which is its contraction."""
+    parts = pool.map(evaluator.score, np.array_split(policies, min(jobs, len(policies))))
     return [b for part in parts for b in part]
 
 

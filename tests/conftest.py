@@ -3,15 +3,14 @@ from pathlib import Path
 
 import hypothesis
 import pytest
+from scenarios import DIAMOND_PATH
 
 from tramopt.network import load_scenario
 
 hypothesis.settings.register_profile("ci", max_examples=25, deadline=None)
 hypothesis.settings.load_profile("ci")
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-DIAMOND_PATH = REPO_ROOT / "scenarios" / "diamond.json"
-TWO_ACCESS_PATH = REPO_ROOT / "scenarios" / "two_access.json"
+TWO_ACCESS_PATH = DIAMOND_PATH.with_name("two_access.json")
 
 
 @pytest.fixture(scope="session")

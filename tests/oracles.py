@@ -12,12 +12,28 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scenarios import road, scenario_doc
 
 from tramopt.dispersion import _march, solve_adjoint
 from tramopt.network import Scenario, load_scenario
 from tramopt.traffic import TrafficTrajectory, _compile, _envelopes, _Network, _update_roads, _Workspace
 
 _DENSITY_SLACK = 1e-12
+
+
+def closed_form_flux(rho, v_max, rho_max):
+    """Q's closed form, in the operation order of the kernel's ``_flux``."""
+    return v_max * rho * (1 - rho / rho_max)
+
+
+def brute_force_front(values) -> set[tuple[float, ...]]:
+    """All-pairs oracle of the nondominated filter: the distinct rows of
+    ``values`` that no other row weakly improves on in every objective."""
+    uniq = np.unique(values, axis=0)
+    le = np.all(uniq[None, :, :] <= uniq[:, None, :], axis=2)
+    lt = np.any(uniq[None, :, :] < uniq[:, None, :], axis=2)
+    dominated = np.any(le & lt, axis=1)
+    return {tuple(v) for v in uniq[~dominated]}
 
 
 def j_diff_adjoint(
@@ -103,17 +119,8 @@ def mass_balance_residuals(traj: TrafficTrajectory, scenario: Scenario) -> np.nd
 def roads_only_network(rho_max, n_cells: int) -> _Network:
     """The compiled network of parallel roads of ``n_cells`` cells, one per
     entry of ``rho_max``, that no junction, exit or access queue couples."""
-    road = {"width": 0.1, "rho0": 0.0, "v_min": 0.25, "v_max": 2}
-    doc = {
-        "horizon": 1.0,
-        "domain": {"side": 3, "n_grid": 2},
-        "discretization": {"n_cells": n_cells, "n_time": 1},
-        "roads": [{"id": i, "start": [0.5, 0.3 * i], "end": [1.5, 0.3 * i], "rho_max": float(r), **road}
-                  for i, r in enumerate(rho_max, 1)],
-        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
-        "emission": {"theta": 0.5},
-        "objectives": {"delta": 0, "mode": "2d"},
-    }
+    roads = [road(i, [0.5, 0.3 * i], [1.5, 0.3 * i], rho0=0.0, rho_max=float(r)) for i, r in enumerate(rho_max, 1)]
+    doc = scenario_doc(roads, n_grid=2, n_cells=n_cells, n_time=1)
     return _compile(load_scenario(json.dumps(doc)))
 
 

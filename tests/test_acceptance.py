@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from oracles import (
     adjoint_history,
+    brute_force_front,
     j_diff_adjoint,
     j_diff_forward,
     mass_balance_residuals,
@@ -223,14 +224,6 @@ def test_criterion_4_godunov_convergence():
 # 5. nondominated filter vs brute force
 
 
-def _brute_force_front(values):
-    uniq = np.unique(values, axis=0)
-    le = np.all(uniq[None, :, :] <= uniq[:, None, :], axis=2)
-    lt = np.any(uniq[None, :, :] < uniq[:, None, :], axis=2)
-    dominated = np.any(le & lt, axis=1)
-    return {tuple(v) for v in uniq[~dominated]}
-
-
 def test_criterion_5_filter_oracle_equivalence():
     rng = np.random.default_rng(2024)
     mismatches = 0
@@ -242,7 +235,7 @@ def test_criterion_5_filter_oracle_equivalence():
             values = np.round(values, 1)  # force duplicates and ties
         kept = nondominated_filter(values)
         ours = {tuple(values[i]) for i in kept}
-        if ours != _brute_force_front(values):
+        if ours != brute_force_front(values):
             mismatches += 1
     _criterion(5, mismatches == 0, f"100 random sets (2D and 3D): {mismatches} mismatches")
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scenarios import diamond_doc, road, scenario_doc, write_doc
 
 from tramopt import cli, objectives
 from tramopt.cli import main, read_emission_bin
@@ -40,15 +41,13 @@ def _command_argv(command, scenario, out):
     }[command] + ["--scenario", str(scenario)]
 
 
+#: the diamond with a coarse grid/horizon, so CLI runs stay quick
+FAST = dict(horizon=1.0, discretization={"n_time": 150})
+
+
 @pytest.fixture()
-def fast_scenario_path(tmp_path, diamond_path):
-    """Diamond with a coarse grid/horizon so CLI runs stay quick."""
-    doc = json.loads(diamond_path.read_text())
-    doc["horizon"] = 1.0
-    doc["discretization"]["n_time"] = 150
-    path = tmp_path / "fast.json"
-    path.write_text(json.dumps(doc))
-    return path
+def fast_scenario_path(tmp_path):
+    return write_doc(tmp_path / "fast.json", diamond_doc(**FAST))
 
 
 def _csv_writer_bytes(header, rows) -> bytes:
@@ -72,16 +71,11 @@ def _run_recording_warnings(*argv):
 _OVERFLOW_ERROR = "error: j_diff = inf is not finite: the scenario overflows the objectives\n"
 
 
-def _overflowing_scenario(tmp_path, diamond_path) -> Path:
+def _overflowing_scenario(tmp_path) -> Path:
     """The diamond with theta = 1e308: it loads and validates, but the
     emission rates, and so J_diff, overflow to inf."""
-    doc = json.loads(diamond_path.read_text())
-    doc["horizon"] = 0.5
-    doc["discretization"]["n_time"] = 100
-    doc["emission"]["theta"] = 1e308
-    path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(doc))
-    return path
+    doc = diamond_doc(horizon=0.5, discretization={"n_time": 100}, emission={"theta": 1e308})
+    return write_doc(tmp_path / "overflow.json", doc)
 
 
 #: the contraction of the fast diamond: (n_time+1, roads, cells)
@@ -178,11 +172,8 @@ class TestValidate:
         assert "CFL: pass" in out
         assert "0.008333" in out
 
-    def test_cfl_violation_exits_one(self, tmp_path, diamond_path, capsys):
-        doc = json.loads(diamond_path.read_text())
-        doc["discretization"]["n_time"] = 500  # dt = 0.01 > bound
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+    def test_cfl_violation_exits_one(self, tmp_path, capsys):
+        bad = write_doc(tmp_path / "bad.json", diamond_doc(discretization={"n_time": 500}))  # dt = 0.01 > bound
         assert run_cli("validate", "--scenario", str(bad)) == 1
         assert "CFL" in capsys.readouterr().out
 
@@ -191,13 +182,10 @@ class TestValidate:
         [("simulate", False), ("optimize", False), ("simulate", True), ("optimize", True)],
         ids=["simulate", "optimize", "simulate-cache-dir", "optimize-cache-dir"],
     )
-    def test_adjoint_cfl_violation_exits_one(self, tmp_path, diamond_path, capsys, command, cache):
+    def test_adjoint_cfl_violation_exits_one(self, tmp_path, capsys, command, cache):
         # the commands run the adjoint march's CFL gate: one error line, no
         # traceback, and neither the output nor the cache directory is made
-        doc = json.loads(diamond_path.read_text())
-        doc["discretization"]["n_time"] = 500  # dt = 0.01 > bound
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad = write_doc(tmp_path / "bad.json", diamond_doc(discretization={"n_time": 500}))  # dt = 0.01 > bound
         out, cache_dir = tmp_path / "out", tmp_path / "cache"
         extra = ["--cache-dir", str(cache_dir)] if cache else []
         assert run_cli(*_command_argv(command, bad, out), *extra) == 1
@@ -215,13 +203,10 @@ class TestValidate:
         path.write_text("{\"horizon\": 1.0}")
         assert run_cli("validate", "--scenario", str(path)) == 2
 
-    def test_work_past_ceiling_exits_two(self, tmp_path, diamond_path, capsys):
+    def test_work_past_ceiling_exits_two(self, tmp_path, capsys):
         # every v_max at 1e6 needs 166,390 substeps per output step
-        doc = json.loads(diamond_path.read_text())
-        for road in doc["roads"]:
-            road["v_max"] = 1e6
-        path = tmp_path / "fast_roads.json"
-        path.write_text(json.dumps(doc))
+        doc = diamond_doc(lambda doc: [r.update(v_max=1e6) for r in doc["roads"]])
+        path = write_doc(tmp_path / "fast_roads.json", doc)
         assert run_cli("validate", "--scenario", str(path)) == 2
         assert "cell updates per policy" in capsys.readouterr().err
         policy = ",".join(["1e6"] * 6)
@@ -238,15 +223,10 @@ class TestValidate:
         ],
         ids=["one-cell-n-time-1e8", "history-7.2-gb"],
     )
-    def test_steps_or_history_past_ceiling_exit_two(
-        self, tmp_path, diamond_path, capsys, change, message
-    ):
+    def test_steps_or_history_past_ceiling_exit_two(self, tmp_path, capsys, change, message):
         # 10^8 kernel steps of one cell on one road; a 7.2 GB density history.
         # Neither is ever simulated: it would run for hours or allocate gigabytes.
-        doc = json.loads(diamond_path.read_text())
-        change(doc)
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps(doc))
+        path = write_doc(tmp_path / "big.json", diamond_doc(change))
         assert run_cli("validate", "--scenario", str(path)) == 2
         assert message in capsys.readouterr().err
 
@@ -267,14 +247,12 @@ class TestValidate:
         ids=["horizon-1e308", "v-max-1e308", "side-1e308", "width-1e308", "side-1e-308", "side-5e-324",
              "road-at-x-1e308", "road-across-2e308"],
     )
-    def test_numbers_past_the_float_range_exit_two(self, tmp_path, diamond_path, capsys, change, message):
+    def test_numbers_past_the_float_range_exit_two(self, tmp_path, capsys, change, message):
         # each one overflows or underflows a derived number (a work count, the
         # area, h**2, a road's length or its box in grid units); all are
         # rejected at load, so nothing is allocated
-        doc = json.loads(diamond_path.read_text())
-        change(doc)
-        path = tmp_path / "extreme.json"
-        path.write_text(json.dumps(doc))
+        doc = diamond_doc(change)
+        path = write_doc(tmp_path / "extreme.json", doc)
         policy = ",".join(["1"] * len(doc["roads"]))
         for argv in (["validate"], ["simulate", f"--policy={policy}", "--out", str(tmp_path / "sim")]):
             assert run_cli(*argv, "--scenario", str(path)) == 2
@@ -282,13 +260,10 @@ class TestValidate:
             assert captured.err.startswith("error: ") and message in captured.err
             assert "Traceback" not in captured.err + captured.out
 
-    def test_capacity_past_the_float_range_exits_two(self, tmp_path, diamond_path, capsys):
+    def test_capacity_past_the_float_range_exits_two(self, tmp_path, capsys):
         # v_max * rho_max = 2 * 1e308 is inf: the road's capacity overflows
         # at v = 2, so the scenario is rejected at load, before any warning
-        doc = json.loads(diamond_path.read_text())
-        doc["roads"][2]["rho_max"] = 1e308
-        path = tmp_path / "capacity.json"
-        path.write_text(json.dumps(doc))
+        path = write_doc(tmp_path / "capacity.json", diamond_doc(lambda doc: doc["roads"][2].update(rho_max=1e308)))
         for argv in (["validate"], ["simulate", "--policy=1,1,2,1,1,1", "--out", str(tmp_path / "sim")]):
             code, caught = _run_recording_warnings(*argv, "--scenario", str(path))
             assert code == 2 and caught == []
@@ -334,11 +309,10 @@ class TestValidate:
              "top-level-list", "no-roads", "duplicate-id", "float-id", "start-one-number", "v-min-above-v-max",
              "rho0-string", "zero-length", "unknown-kind", "kind-arity", "unknown-mode"],
     )
-    def test_malformed_scenario_exits_two(self, tmp_path, diamond_path, capsys, damage, message):
-        doc = json.loads(diamond_path.read_text())
+    def test_malformed_scenario_exits_two(self, tmp_path, capsys, damage, message):
+        doc = diamond_doc()
         replaced = damage(doc)  # a damage that builds a new document returns it
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc if replaced is None else replaced))
+        path = write_doc(tmp_path / "bad.json", doc if replaced is None else replaced)
         assert run_cli("validate", "--scenario", str(path)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -356,11 +330,8 @@ class TestValidate:
         ],
         ids=["tail-free", "tail-twice", "head-twice"],
     )
-    def test_graph_finding_exits_one(self, tmp_path, diamond_path, capsys, damage, code, line):
-        doc = json.loads(diamond_path.read_text())
-        damage(doc)
-        path = tmp_path / "graph.json"
-        path.write_text(json.dumps(doc))
+    def test_graph_finding_exits_one(self, tmp_path, capsys, damage, code, line):
+        path = write_doc(tmp_path / "graph.json", diamond_doc(damage))
         assert run_cli("validate", "--scenario", str(path)) == code
         captured = capsys.readouterr()
         assert (captured.out if code == 1 else captured.err).splitlines()[0] == line
@@ -378,13 +349,10 @@ class TestValidate:
         ],
         ids=["exit-twice", "access-road-as-exit", "junction-twice", "1to1-onto-a-fed-road"],
     )
-    def test_road_end_attached_twice_exits_two(self, tmp_path, diamond_path, capsys, command, damage, message):
+    def test_road_end_attached_twice_exits_two(self, tmp_path, capsys, command, damage, message):
         # the kernel would let one of the two links win, so every command
         # refuses the scenario at load
-        doc = json.loads(diamond_path.read_text())
-        damage(doc)
-        path = tmp_path / "twice.json"
-        path.write_text(json.dumps(doc))
+        path = write_doc(tmp_path / "twice.json", diamond_doc(damage))
         assert run_cli(*_command_argv(command, path, tmp_path / "out")) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {message}"]
@@ -498,11 +466,10 @@ class TestSimulate:
     def test_cache_key_covers_the_raster(self, fast_scenario_path, tmp_path, capsys, change, new_file):
         # the contraction depends on each road's ends and width and on n_cells,
         # not on the traffic inputs
-        doc = json.loads(fast_scenario_path.read_text())
         *keys, value = change
+        doc = diamond_doc(**FAST)
         functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = value
-        changed = tmp_path / "changed.json"
-        changed.write_text(json.dumps(doc))
+        changed = write_doc(tmp_path / "changed.json", doc)
         cache = tmp_path / "cache"
 
         def vector(path, cache_dir):
@@ -650,9 +617,9 @@ class TestSimulate:
         ]
         assert path.read_bytes() == _csv_writer_bytes(["t", "road", "end", "flux"], rows)
 
-    def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capfd):
+    def test_overflowing_objectives_exit_one(self, tmp_path, capfd):
         # the error line is the only report: no numpy overflow warning before it
-        path = _overflowing_scenario(tmp_path, diamond_path)
+        path = _overflowing_scenario(tmp_path)
         out = tmp_path / "sim"
         code, warned = _run_recording_warnings(
             "simulate", "--scenario", str(path), "--policy", "1,1,1,1,1,1", "--out", str(out))
@@ -669,21 +636,9 @@ class TestSimulate:
     def test_road_covering_no_grid_point_simulates(self, tmp_path, capsys):
         # h = 0.5 and a width-0.1 road centred between two grid lines: no grid
         # point is covered, so the raster and the emission field are empty
-        doc = {
-            "horizon": 1.0,
-            "domain": {"side": 3, "n_grid": 6},
-            "discretization": {"n_cells": 10, "n_time": 100},
-            "roads": [
-                {"id": 1, "start": [0.75, 0.25], "end": [1.75, 0.25], "width": 0.1,
-                 "rho_max": 1, "rho0": 0.4, "v_min": 0.25, "v_max": 2}
-            ],
-            "access": [{"road": 1, "inflow": 0.25}],
-            "exits": [1],
-            "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1], "phi0": 0},
-            "emission": {"theta": 0.5},
-        }
-        path = tmp_path / "invisible.json"
-        path.write_text(json.dumps(doc))
+        doc = scenario_doc([road(1, [0.75, 0.25], [1.75, 0.25], rho0=0.4)], n_grid=6, n_time=100, phi0=0,
+                           access=[{"road": 1, "inflow": 0.25}], exits=[1])
+        path = write_doc(tmp_path / "invisible.json", doc)
         out = tmp_path / "sim"
         assert run_cli("simulate", "--scenario", str(path), "--policy", "1", "--out", str(out)) == 0
         field = read_emission_bin(out / "emission.bin")
@@ -854,10 +809,7 @@ class TestOptimize:
     def test_queue_axis_normalized_when_every_policy_queues(self, fast_scenario_path, tmp_path):
         # access inflow 0.6 exceeds the capacity 0.5 at v_max 2, so every
         # policy builds a queue and the ideal queue value is not zero
-        doc = json.loads(fast_scenario_path.read_text())
-        doc["access"][0]["inflow"] = 0.6
-        path = tmp_path / "queued.json"
-        path.write_text(json.dumps(doc))
+        path = write_doc(tmp_path / "queued.json", diamond_doc(lambda doc: doc["access"][0].update(inflow=0.6), **FAST))
         out = tmp_path / "opt3"
         code = run_cli(
             "optimize", "--scenario", str(path), "--out", str(out),
@@ -909,18 +861,16 @@ class TestOptimize:
         assert captured.err.startswith("error: jobs ") and captured.err.count("\n") == 1
         assert not out.exists()
 
-    def test_zero_ideal_exits_one(self, tmp_path, diamond_path, capsys):
+    def test_zero_ideal_exits_one(self, tmp_path, capsys):
         # no traffic at all: every policy scores J_flow = J_poll = 0, so the
         # front's ideal is zero on both normalized axes
-        doc = json.loads(diamond_path.read_text())
-        doc["horizon"] = 1.0
-        doc["discretization"]["n_time"] = 150
-        for road in doc["roads"]:
-            road["rho0"] = 0
-        for access in doc["access"]:
-            access["inflow"] = 0
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps(doc))
+        def empty(doc):
+            for r in doc["roads"]:
+                r["rho0"] = 0
+            for access in doc["access"]:
+                access["inflow"] = 0
+
+        path = write_doc(tmp_path / "empty.json", diamond_doc(empty, **FAST))
         assert run_cli("validate", "--scenario", str(path)) == 0
         code = run_cli(
             "optimize", "--scenario", str(path), "--out", str(tmp_path / "opt"), "--budget", "30",
@@ -928,9 +878,9 @@ class TestOptimize:
         assert code == 1
         assert "error: " in capsys.readouterr().err
 
-    def test_overflowing_score_raises_without_a_warning(self, tmp_path, diamond_path):
+    def test_overflowing_score_raises_without_a_warning(self, tmp_path):
         # the tally's errstate covers every step of the march it scores
-        scenario = load_scenario(_overflowing_scenario(tmp_path, diamond_path).read_text())
+        scenario = load_scenario(_overflowing_scenario(tmp_path).read_text())
         evaluator = PolicyEvaluator(scenario)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -939,9 +889,9 @@ class TestOptimize:
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_overflowing_objectives_exit_one(self, tmp_path, diamond_path, capfd, jobs):
+    def test_overflowing_objectives_exit_one(self, tmp_path, capfd, jobs):
         # capfd sees the spawned workers' stderr too: it must hold the error line only
-        path = _overflowing_scenario(tmp_path, diamond_path)
+        path = _overflowing_scenario(tmp_path)
         out = tmp_path / "opt"
         code, warned = _run_recording_warnings(
             "optimize", "--scenario", str(path), "--out", str(out), "--budget", "20", "--jobs", jobs,
@@ -1104,16 +1054,7 @@ def test_benchmark_tracer_sees_one_search(fast_scenario_path, tmp_path):
 # substeps.
 
 
-def _small_diamond():
-    doc = json.loads((Path(__file__).parents[1] / "scenarios" / "diamond.json").read_text())
-    del doc["_comment"]
-    doc["horizon"] = 0.5
-    doc["domain"]["n_grid"] = 24
-    doc["discretization"] = {"n_cells": 4, "n_time": 25}
-    return doc
-
-
-_FUZZ_BASE = _small_diamond()
+_FUZZ_BASE = diamond_doc(horizon=0.5, domain={"n_grid": 24}, discretization={"n_cells": 4, "n_time": 25})
 _NUMBERS = st.one_of(
     st.integers(-2, 24),
     st.floats(-4.0, 4.0),
@@ -1165,8 +1106,7 @@ def _mutated_scenarios(draw):
 def test_mutated_inputs_end_in_an_exit_code(doc, policy):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        path = tmp / "scenario.json"
-        path.write_text(json.dumps(doc))
+        path = write_doc(tmp / "scenario.json", doc)
         runs = [
             ["validate", "--scenario", str(path)],
             ["simulate", "--scenario", str(path), f"--policy={policy}", "--out", str(tmp / "sim")],

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 from oracles import _field_terms, adjoint_history, solve_dispersion_forward
+from scenarios import road, scenario_doc
 
 from tramopt.dispersion import (
     DispersionError,
@@ -276,21 +277,8 @@ class TestStencils:
 
 
 def _tiny_scenario(n_grid=10, n_time=40, horizon=0.5, kappa=0.0, wind=(1.0, 1.0), phi0=0.0):
-    doc = {
-        "horizon": horizon,
-        "domain": {"side": 3, "n_grid": n_grid},
-        "discretization": {"n_cells": 4, "n_time": n_time},
-        "roads": [
-            {"id": 1, "start": [1.0, 1.5], "end": [2.0, 1.5], "width": 0.3,
-             "rho_max": 1, "rho0": 0.5, "v_min": 0.25, "v_max": 2}
-        ],
-        "junctions": [],
-        "access": [],
-        "exits": [1],
-        "dispersion": {"mu": 1e-6, "kappa": kappa, "wind": list(wind), "phi0": phi0},
-        "emission": {"theta": 0.5},
-        "objectives": {"delta": 0, "mode": "2d"},
-    }
+    doc = scenario_doc([road(1, [1.0, 1.5], [2.0, 1.5], width=0.3)], horizon=horizon, n_grid=n_grid, n_cells=4,
+                       n_time=n_time, kappa=kappa, wind=wind, phi0=phi0, exits=[1])
     return load_scenario(json.dumps(doc))
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import closed_form_flux
+from scenarios import road, scenario_doc
 
 from tramopt import emission
 from tramopt.cli import write_emission_bin
@@ -15,47 +17,26 @@ from tramopt.network import load_scenario
 from tramopt.traffic import simulate_traffic
 
 
-def _scenario(roads, side=3.0, n_grid=6, n_cells=4, theta=0.5):
-    doc = {
-        "horizon": 1.0,
-        "domain": {"side": side, "n_grid": n_grid},
-        "discretization": {"n_cells": n_cells, "n_time": 10},
-        "roads": roads,
-        "junctions": [],
-        "access": [],
-        "exits": [r["id"] for r in roads],
-        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
-        "emission": {"theta": theta},
-        "objectives": {"delta": 0, "mode": "2d"},
-    }
+def _scenario(roads, n_grid=6, n_cells=4, theta=0.5):
+    doc = scenario_doc(roads, n_grid=n_grid, n_cells=n_cells, n_time=10, theta=theta, exits=[r["id"] for r in roads])
     return load_scenario(json.dumps(doc))
-
-
-def _closed_form_flux(rho, v_max, rho_max):
-    """Q's closed form, in the operation order of the kernel's flux."""
-    return v_max * rho * (1 - rho / rho_max)
-
-
-def _road(rid, start, end, width, rho0=0.5):
-    return {"id": rid, "start": start, "end": end, "width": width,
-            "rho_max": 1, "rho0": rho0, "v_min": 0.25, "v_max": 2}
 
 
 class TestEmissionRate:
     def test_empty_road_emits_nothing(self):
-        assert emission_rate(_closed_form_flux(0.0, 1.7, 1.0), 0.0, 0.9) == 0.0
+        assert emission_rate(closed_form_flux(0.0, 1.7, 1.0), 0.0, 0.9) == 0.0
 
     def test_flow_plus_weighted_density(self):
-        assert emission_rate(_closed_form_flux(0.5, 1.0, 1.0), 0.5, 0.5) == pytest.approx(0.5)
+        assert emission_rate(closed_form_flux(0.5, 1.0, 1.0), 0.5, 0.5) == pytest.approx(0.5)
 
     def test_jammed_road_emits_density_term_only(self):
-        assert emission_rate(_closed_form_flux(1.0, 1.0, 1.0), 1.0, 0.5) == pytest.approx(0.5)
+        assert emission_rate(closed_form_flux(1.0, 1.0, 1.0), 1.0, 0.5) == pytest.approx(0.5)
 
     @given(rho=st.floats(0.0, 1.0), theta=st.floats(0.0, 2.0))
     @example(rho=1.0, theta=0.0)
     def test_zero_iff_empty(self, rho, theta):
         # zero on an empty road, and on a jammed one (flow 0) when theta is 0
-        rate = emission_rate(_closed_form_flux(rho, 1.0, 1.0), rho, theta)
+        rate = emission_rate(closed_form_flux(rho, 1.0, 1.0), rho, theta)
         assert rate >= 0.0
         assert (rate == 0.0) == (rho == 0.0 or (rho == 1.0 and theta == 0.0))
 
@@ -63,7 +44,7 @@ class TestEmissionRate:
 class TestRasterize:
     def test_axis_aligned_band_width_two_h(self):
         # h = 0.5, width 1.0: rows within one grid line of the centerline
-        s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=1.0)])
+        s = _scenario([road(1, [0.5, 1.5], [2.5, 1.5], width=1.0)])
         raster = rasterize_network(s)
         assert len(set(zip(raster.i.tolist(), raster.j.tolist()))) == raster.i.size  # one road each
         ys = np.unique(raster.j)
@@ -74,8 +55,8 @@ class TestRasterize:
     def test_crossing_roads_counted_twice(self):
         s = _scenario(
             [
-                _road(1, [0.5, 1.5], [2.5, 1.5], width=1.0),
-                _road(2, [1.5, 0.5], [1.5, 2.5], width=1.0),
+                road(1, [0.5, 1.5], [2.5, 1.5], width=1.0),
+                road(2, [1.5, 0.5], [1.5, 2.5], width=1.0),
             ]
         )
         raster = rasterize_network(s)
@@ -84,13 +65,13 @@ class TestRasterize:
         assert at[(1, 3)] == 1  # on road 1 only
 
     def test_point_beyond_head_not_covered(self):
-        s = _scenario([_road(1, [0.5, 1.5], [2.0, 1.5], width=1.0)])
+        s = _scenario([road(1, [0.5, 1.5], [2.0, 1.5], width=1.0)])
         raster = rasterize_network(s)
         pts = set(zip(raster.i.tolist(), raster.j.tolist()))
         assert (5, 3) not in pts  # x = 2.5: foot would fall outside [0, L]
 
     def test_footpoint_cells_half_open(self):
-        s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=1.0)], n_cells=4)
+        s = _scenario([road(1, [0.5, 1.5], [2.5, 1.5], width=1.0)], n_cells=4)
         raster = rasterize_network(s)
         cover = {}  # grid point -> its (road index, cell index) entries
         for i, j, slot in zip(raster.i.tolist(), raster.j.tolist(), raster.slot.tolist()):
@@ -123,7 +104,7 @@ def _straight_road_scenarios(draw):
         x, y = draw(_COORDS), draw(_COORDS)
         dx, dy = draw(_DIRECTIONS)
         width = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 1.5)))
-        roads.append(_road(rid, [x, y], [x + length * dx, y + length * dy], width))
+        roads.append(road(rid, [x, y], [x + length * dx, y + length * dy], width=width))
     return _scenario(roads, n_grid=draw(st.integers(2, 12)), n_cells=draw(st.integers(1, 8)))
 
 
@@ -132,14 +113,14 @@ def _reference_raster(s):
     cover = {}  # (i, j) -> [(road index, cell)], roads in index order
     for i in range(s.n_grid + 1):
         for j in range(s.n_grid + 1):
-            for e, road in enumerate(s.roads):
-                (ax, ay), (bx, by) = road.tail, road.head
+            for e, r in enumerate(s.roads):
+                (ax, ay), (bx, by) = r.tail, r.head
                 px, py = i * s.h - ax, j * s.h - ay
                 dx, dy = bx - ax, by - ay
-                t = (px * dx + py * dy) / road.length**2
+                t = (px * dx + py * dy) / r.length**2
                 dist = np.hypot(px - t * dx, py - t * dy)
-                if -1e-12 <= t <= 1.0 + 1e-12 and dist <= road.width / 2.0 * (1.0 + 1e-12) + 1e-15:
-                    cell = min(int(t * road.length / s.ds), s.n_cells - 1)
+                if -1e-12 <= t <= 1.0 + 1e-12 and dist <= r.width / 2.0 * (1.0 + 1e-12) + 1e-15:
+                    cell = min(int(t * r.length / s.ds), s.n_cells - 1)
                     cover.setdefault((i, j), []).append((e, cell))
     entries = [(pt, e, cell, len(cover[pt])) for pt in sorted(cover) for e, cell in cover[pt]]
     return {
@@ -172,7 +153,7 @@ class TestEmissionField:
 
     def test_single_road_rate_scaled_by_width(self):
         # rho = 0.5, V = 1, theta = 0.5: rate 0.5; width 0.1 -> xi = 5.0
-        s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)], n_grid=60)
+        s = _scenario([road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)], n_grid=60)
         _, _, field = self._field_for(s)
         assert field[0].max() == pytest.approx(5.0)
 
@@ -181,8 +162,8 @@ class TestEmissionField:
         # xi = (0.5/0.1 + 0.5/0.25) / 2 = 3.5
         s = _scenario(
             [
-                _road(1, [0.5, 1.5], [2.5, 1.5], width=0.1),
-                _road(2, [1.5, 0.5], [1.5, 2.5], width=0.25),
+                road(1, [0.5, 1.5], [2.5, 1.5], width=0.1),
+                road(2, [1.5, 0.5], [1.5, 2.5], width=0.25),
             ],
             n_grid=60,
         )
@@ -191,14 +172,14 @@ class TestEmissionField:
         assert field[0, i, j] == pytest.approx((5.0 + 2.0) / 2.0)
 
     def test_uncovered_points_zero_for_all_times(self):
-        s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)], n_grid=60)
+        s = _scenario([road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)], n_grid=60)
         _, raster, field = self._field_for(s)
         mask = np.ones(field.shape[1:], dtype=bool)
         mask[raster.i, raster.j] = False
         assert not np.any(field[:, mask])
 
     def test_nonnegative_and_linear_in_theta(self):
-        s1 = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)], theta=0.5)
+        s1 = _scenario([road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)], theta=0.5)
         s2 = dataclasses.replace(s1, theta=1.0)
         traj = simulate_traffic(s1, [1.0])
         raster = rasterize_network(s1)
@@ -211,8 +192,8 @@ class TestEmissionField:
         assert np.all(dens_share >= 0.0)
 
     def test_doubling_width_halves_field_where_counts_equal(self):
-        roads_thin = [_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)]
-        roads_wide = [_road(1, [0.5, 1.5], [2.5, 1.5], width=0.2)]
+        roads_thin = [road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)]
+        roads_wide = [road(1, [0.5, 1.5], [2.5, 1.5], width=0.2)]
         s_thin = _scenario(roads_thin, n_grid=60)
         s_wide = _scenario(roads_wide, n_grid=60)
         traj = simulate_traffic(s_thin, [1.0])
@@ -226,14 +207,14 @@ class TestEmissionField:
 
     # these checks raise at the call itself, before any block is asked for
     def test_grid_mismatch_rejected(self, diamond):
-        s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)])
+        s = _scenario([road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)])
         traj = simulate_traffic(s, [1.0])
         raster = rasterize_network(s)
         with pytest.raises(ValueError):
             emission_field(traj, raster, diamond)
 
     def test_time_grid_mismatch_rejected(self):
-        s = _scenario([_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)])
+        s = _scenario([road(1, [0.5, 1.5], [2.5, 1.5], width=0.1)])
         traj = simulate_traffic(s, [1.0])
         longer = dataclasses.replace(s, n_time=s.n_time + 1)
         with pytest.raises(ValueError, match="time grids"):
@@ -248,7 +229,7 @@ def _reference_emission_bin(s, densities, policy) -> bytes:
     rho_max = np.array([r.rho_max for r in s.roads])[:, None]
     data = [b"TRMO", np.array([1, s.n_grid, s.n_time], dtype="<u4").tobytes()]
     for rho in densities:
-        rates = emission_rate(_closed_form_flux(rho, v, rho_max), rho, s.theta).ravel()
+        rates = emission_rate(closed_form_flux(rho, v, rho_max), rho, s.theta).ravel()
         level = np.zeros((s.n_grid + 1, s.n_grid + 1))
         for i, j, slot, weight in zip(raster["i"], raster["j"], raster["slot"], raster["weight"]):
             level[i, j] += rates[slot] * weight
@@ -260,7 +241,7 @@ def _reference_emission_bin(s, densities, policy) -> bytes:
 def test_emission_bin_is_the_level_by_level_field(n_grid, tmp_path):
     # two crossing roads of unequal widths, so that some points average two rates
     s = _scenario(
-        [_road(1, [0.5, 1.5], [2.5, 1.5], width=0.1, rho0=0.3), _road(2, [1.5, 0.5], [1.5, 2.5], width=0.25)],
+        [road(1, [0.5, 1.5], [2.5, 1.5], width=0.1, rho0=0.3), road(2, [1.5, 0.5], [1.5, 2.5], width=0.25)],
         n_grid=n_grid,
     )
     policy = [1.0, 1.5]

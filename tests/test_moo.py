@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import brute_force_front
 
 from tramopt.moo import (
     ParetoArchive,
@@ -13,21 +14,6 @@ from tramopt.moo import (
     pareto_search,
 )
 from tramopt.objectives import ObjectiveBreakdown
-
-
-def brute_force_front(values: np.ndarray) -> set[tuple[float, ...]]:
-    """All-pairs oracle: keep points no other point weakly improves on."""
-    uniq = np.unique(values, axis=0)
-    kept = []
-    for i, a in enumerate(uniq):
-        dominated = False
-        for j, b in enumerate(uniq):
-            if i != j and np.all(b <= a) and np.any(b < a):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(tuple(a))
-    return set(kept)
 
 
 def _policies(archive) -> np.ndarray:

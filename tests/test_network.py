@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scenarios import diamond_doc, road, scenario_doc
 
 from tramopt.cli import main
 from tramopt.emission import rasterize_network
@@ -21,24 +22,13 @@ from tramopt.objectives import PolicyEvaluator
 from tramopt.traffic import simulate_traffic
 
 
-def _minimal_doc(**overrides):
-    doc = {
-        "horizon": 1.0,
-        "domain": {"side": 3, "n_grid": 60},
-        "discretization": {"n_cells": 10, "n_time": 50},
-        "roads": [
-            {"id": 1, "start": [0.5, 1.5], "end": [1.5, 1.5], "width": 0.1,
-             "rho_max": 1, "rho0": 0.4, "v_min": 0.25, "v_max": 2}
-        ],
-        "junctions": [],
-        "access": [{"road": 1, "inflow": 0.25}],
-        "exits": [1],
-        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
-        "emission": {"theta": 0.5},
-        "objectives": {"delta": 0, "mode": "2d"},
-    }
-    doc.update(overrides)
-    return doc
+def _minimal_doc(**values):
+    """One road of 10 cells fed at 0.25 and leaving by an exit, with
+    ``values`` passed on to ``scenario_doc``."""
+    return scenario_doc(**{
+        "roads": [road(1, [0.5, 1.5], [1.5, 1.5], rho0=0.4)], "access": [{"road": 1, "inflow": 0.25}],
+        "exits": [1], "objectives": {"delta": 0, "mode": "2d"}, **values,
+    })
 
 
 class TestLoadScenario:
@@ -65,11 +55,7 @@ class TestLoadScenario:
 
     def test_alpha_must_sum_to_one(self):
         doc = _minimal_doc(
-            roads=[
-                {"id": i, "start": [0.5 * i, 1.0], "end": [0.5 * i + 1.0, 1.0],
-                 "width": 0.1, "rho_max": 1, "rho0": 0.1, "v_min": 0.25, "v_max": 2}
-                for i in (1, 2, 3)
-            ],
+            roads=[road(i, [0.5 * i, 1.0], [0.5 * i + 1.0, 1.0], rho0=0.1) for i in (1, 2, 3)],
             junctions=[{"kind": "1to2", "in": [1], "out": [2, 3], "alpha": [0.6, 0.5]}],
         )
         with pytest.raises(ScenarioError, match="distribution rates must sum to 1"):
@@ -112,12 +98,7 @@ class TestLoadScenario:
 
     def test_unequal_road_lengths_rejected(self):
         doc = _minimal_doc(
-            roads=[
-                {"id": 1, "start": [0.0, 1.0], "end": [1.0, 1.0], "width": 0.1,
-                 "rho_max": 1, "rho0": 0.1, "v_min": 0.25, "v_max": 2},
-                {"id": 2, "start": [1.0, 1.0], "end": [2.5, 1.0], "width": 0.1,
-                 "rho_max": 1, "rho0": 0.1, "v_min": 0.25, "v_max": 2},
-            ],
+            roads=[road(1, [0.0, 1.0], [1.0, 1.0], rho0=0.1), road(2, [1.0, 1.0], [2.5, 1.0], rho0=0.1)],
             junctions=[{"kind": "1to1", "in": [1], "out": [2]}],
             exits=[2],
         )
@@ -141,15 +122,13 @@ class TestLoadScenario:
         ids=["v-max-1e6", "n-time-1e9", "n-grid-1e5", "n-cells-1e9", "one-cell-n-time-1e8",
              "history-7.2-gb"],
     )
-    def test_work_past_ceiling_rejected(self, diamond_path, change, message):
+    def test_work_past_ceiling_rejected(self, change, message):
         # 166,390 substeps per output step; a 30 TB adjoint; a 48 TB adjoint;
         # 10^9 cells, rejected before the short per-cell lists are read, and
         # so before a road's 10^9 densities are made; 10^8 steps of one cell
         # on one road, under the other ceilings; a 7.2 GB density history
-        doc = json.loads(diamond_path.read_text())
-        change(doc)
         with pytest.raises(ScenarioError, match=message):
-            load_scenario(json.dumps(doc))
+            load_scenario(json.dumps(diamond_doc(change)))
 
 
     @pytest.mark.parametrize(
@@ -165,11 +144,9 @@ class TestLoadScenario:
         ],
         ids=["negative-theta", "beta-sum-0.9", "three-alpha", "alpha-0-1", "one-beta", "beta-1-0"],
     )
-    def test_bad_theta_or_rates_rejected(self, diamond_path, change, field):
-        doc = json.loads(diamond_path.read_text())
-        change(doc)
+    def test_bad_theta_or_rates_rejected(self, change, field):
         with pytest.raises(ScenarioError, match=field):
-            load_scenario(json.dumps(doc))
+            load_scenario(json.dumps(diamond_doc(change)))
 
 
 class TestRoundTrip:
@@ -212,7 +189,7 @@ class TestValidation:
 
     def test_invisible_road_flagged(self):
         # h = 0.5 grid; width-0.1 road centered between grid lines
-        doc = _minimal_doc(domain={"side": 3, "n_grid": 6})
+        doc = _minimal_doc(n_grid=6)
         doc["roads"][0]["start"] = [0.75, 0.25]
         doc["roads"][0]["end"] = [1.75, 0.25]
         s = load_scenario(json.dumps(doc))
@@ -227,12 +204,7 @@ class TestValidation:
 
     def test_non_coincident_junction_flagged(self):
         doc = _minimal_doc(
-            roads=[
-                {"id": 1, "start": [0.0, 1.0], "end": [1.0, 1.0], "width": 0.1,
-                 "rho_max": 1, "rho0": 0.1, "v_min": 0.25, "v_max": 2},
-                {"id": 2, "start": [1.2, 1.0], "end": [2.2, 1.0], "width": 0.1,
-                 "rho_max": 1, "rho0": 0.1, "v_min": 0.25, "v_max": 2},
-            ],
+            roads=[road(1, [0.0, 1.0], [1.0, 1.0], rho0=0.1), road(2, [1.2, 1.0], [2.2, 1.0], rho0=0.1)],
             junctions=[{"kind": "1to1", "in": [1], "out": [2]}],
             exits=[2],
         )

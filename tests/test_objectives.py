@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import adjoint_history, j_diff_adjoint, j_diff_forward, solve_dispersion_forward
+from oracles import adjoint_history, closed_form_flux, j_diff_adjoint, j_diff_forward, solve_dispersion_forward
+from scenarios import diamond_doc, road, scenario_doc
 
 from tramopt import objectives, traffic
 from tramopt.cli import search_front
@@ -27,21 +28,8 @@ from tramopt.traffic import TrafficTrajectory, _substep_counts, simulate_batch, 
 def _single_road(T=5.0, n_cells=20, n_time=400, rho0=0.5, inflow=0.0, y=1.5, vertical=False):
     """One road from (1, y) to (2, y), or with x and y swapped if ``vertical``."""
     start, end = ([y, 1.0], [y, 2.0]) if vertical else ([1.0, y], [2.0, y])
-    doc = {
-        "horizon": T,
-        "domain": {"side": 3, "n_grid": 30},
-        "discretization": {"n_cells": n_cells, "n_time": n_time},
-        "roads": [
-            {"id": 1, "start": start, "end": end, "width": 0.1,
-             "rho_max": 1, "rho0": rho0, "v_min": 0.25, "v_max": 2}
-        ],
-        "junctions": [],
-        "access": [{"road": 1, "inflow": inflow}],
-        "exits": [1],
-        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
-        "emission": {"theta": 0.5},
-        "objectives": {"delta": 0, "mode": "2d"},
-    }
+    doc = scenario_doc([road(1, start, end, rho0=rho0)], horizon=T, n_grid=30, n_cells=n_cells, n_time=n_time,
+                       access=[{"road": 1, "inflow": inflow}], exits=[1])
     return load_scenario(json.dumps(doc))
 
 
@@ -63,7 +51,7 @@ def _frozen_trajectory(scenario, rho):
     return TrafficTrajectory(
         times=np.arange(scenario.n_time + 1) * scenario.dt,
         densities=densities,
-        flow=densities * (1 - densities / rho_max),
+        flow=closed_form_flux(densities, 1.0, rho_max),
         queues=np.zeros((scenario.n_time + 1, len(scenario.access))),
         access_roads=tuple(a.road for a in scenario.access),
         inflow=np.zeros((scenario.n_time, scenario.n_roads)),
@@ -455,13 +443,8 @@ def _star(n_roads=4):
     roads = []
     for k in range(n_roads):
         dx, dy = 0.5 * math.cos(math.pi * k / n_roads), 0.5 * math.sin(math.pi * k / n_roads)
-        roads.append({"id": k + 1, "start": [1.5 - dx, 1.5 - dy], "end": [1.5 + dx, 1.5 + dy], "width": 0.3,
-                      "rho_max": 1, "rho0": 0.5, "v_min": 0.25, "v_max": 2})
-    doc = {
-        "horizon": 1.0, "domain": {"side": 3, "n_grid": 30}, "discretization": {"n_cells": 10, "n_time": 100},
-        "roads": roads, "exits": [r["id"] for r in roads],
-        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]}, "emission": {"theta": 0.5},
-    }
+        roads.append(road(k + 1, [1.5 - dx, 1.5 - dy], [1.5 + dx, 1.5 + dy], width=0.3))
+    doc = scenario_doc(roads, n_grid=30, n_time=100, exits=[r["id"] for r in roads])
     return load_scenario(json.dumps(doc))
 
 
@@ -480,3 +463,33 @@ def test_scattered_level_is_the_add_at_form():
     np.add.at(want, (raster.i, raster.j), rates.ravel()[raster.slot] * raster.weight)
     (got,) = raster.scatter(rates[None])
     assert np.array_equal(got, want)
+
+
+def test_reflecting_roads_and_wind_across_the_diagonal_mirrors_the_objectives():
+    # (x, y) -> (y, x) maps the grid, the raster and the stencil onto
+    # themselves with the wind (ax, ay) turned into (ay, ax), so every
+    # (time, road, cell) pairs with the same p.  The stencil adds its N/S
+    # and E/W terms in the other order, so the pairing and J_diff agree to
+    # rounding (1e-15 measured), within RTOL; the traffic never sees the
+    # geometry, so J_flow and J_queue keep their bits
+    RTOL = 1e-12
+
+    def mirrored(doc):
+        for r in doc["roads"]:
+            r["start"], r["end"] = r["start"][::-1], r["end"][::-1]
+
+    base = load_scenario(json.dumps(diamond_doc(dispersion={"wind": [1, 0.3]})))
+    mirror = load_scenario(json.dumps(diamond_doc(mirrored, dispersion={"wind": [0.3, 1]})))
+    unturned = load_scenario(json.dumps(diamond_doc(mirrored, dispersion={"wind": [1, 0.3]})))
+    policies = [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0] * 6, [0.25, 2, 1, 0.5, 2, 1.2]]
+    a, b = contract_adjoint(base), contract_adjoint(mirror)
+    np.testing.assert_allclose(b.pairing, a.pairing, rtol=RTOL, atol=0)
+    assert b.level0 == a.level0
+    scores = [PolicyEvaluator(sc, adjoint=c).score(policies)
+              for sc, c in ((base, a), (mirror, b), (unturned, contract_adjoint(unturned)))]
+    for one, two, other in zip(*scores):
+        assert np.array([two.j_flow, two.j_queue]).tobytes() == np.array([one.j_flow, one.j_queue]).tobytes()
+        assert two.j_diff == pytest.approx(one.j_diff, rel=RTOL, abs=0)
+        # the relation is no symmetry of the diamond: reflected without its
+        # wind, the network scores another J_diff
+        assert abs(other.j_diff - one.j_diff) > 0.01 * one.j_diff

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import mass_balance_residuals, roads_only_network, step_single_road
+from oracles import closed_form_flux, mass_balance_residuals, roads_only_network, step_single_road
+from scenarios import road, scenario_doc
 
 from tramopt.network import PolicyError, load_scenario
 from tramopt.objectives import AdjointContraction, ObjectiveTally, PolicyEvaluator
@@ -40,11 +41,6 @@ def _kernel_flux(rho, v_max, rho_max):
     """Q of the densities ``rho`` from the kernel's ``_flux``, as an array."""
     rho = np.asarray(rho, dtype=float)
     return _flux(rho, v_max, rho_max, np.empty(rho.shape), np.empty(rho.shape))
-
-
-def _closed_form_flux(rho, v_max, rho_max):
-    """Q's closed form, in the operation order of the kernel's ``_flux``."""
-    return v_max * rho * (1 - rho / rho_max)
 
 
 def _kernel_envelopes(rho, v_max, rho_max):
@@ -89,7 +85,7 @@ class TestFluxFunctions:
     @given(rho=densities)
     def test_min_of_envelopes_recovers_flux(self, rho):
         # D and S agree with Q on their respective branches
-        q = _closed_form_flux(rho, 1.0, 1.0)
+        q = closed_form_flux(rho, 1.0, 1.0)
         assert min(_kernel_envelopes(rho, 1.0, 1.0)) == pytest.approx(q)
 
 
@@ -223,61 +219,22 @@ class TestCfl:
 
 
 def _single_road_scenario(rho0=0.5, inflow=0.25, v_max=2.0, n_cells=20, n_time=100):
-    doc = {
-        "horizon": 1.0,
-        "domain": {"side": 3, "n_grid": 60},
-        "discretization": {"n_cells": n_cells, "n_time": n_time},
-        "roads": [
-            {"id": 1, "start": [1.0, 1.5], "end": [2.0, 1.5], "width": 0.1,
-             "rho_max": 1, "rho0": rho0, "v_min": 0.25, "v_max": v_max}
-        ],
-        "junctions": [],
-        "access": [{"road": 1, "inflow": inflow}],
-        "exits": [1],
-        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
-        "emission": {"theta": 0.5},
-        "objectives": {"delta": 0, "mode": "2d"},
-    }
+    doc = scenario_doc([road(1, [1.0, 1.5], [2.0, 1.5], rho0=rho0, v_max=v_max)], n_cells=n_cells, n_time=n_time,
+                       access=[{"road": 1, "inflow": inflow}], exits=[1])
     return load_scenario(json.dumps(doc))
 
 
 def _loop_scenario():
     # single road whose head feeds its own tail through a 1to1 junction
-    doc = {
-        "horizon": 1.0,
-        "domain": {"side": 3, "n_grid": 60},
-        "discretization": {"n_cells": 10, "n_time": 50},
-        "roads": [
-            {"id": 1, "start": [1.0, 1.5], "end": [2.0, 1.5], "width": 0.1,
-             "rho_max": 1, "rho0": 0.5, "v_min": 0.25, "v_max": 2}
-        ],
-        "junctions": [{"kind": "1to1", "in": [1], "out": [1]}],
-        "access": [],
-        "exits": [],
-        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
-        "emission": {"theta": 0.5},
-        "objectives": {"delta": 0, "mode": "2d"},
-    }
+    doc = scenario_doc([road(1, [1.0, 1.5], [2.0, 1.5])], junctions=[{"kind": "1to1", "in": [1], "out": [1]}])
     return load_scenario(json.dumps(doc))
 
 
 def _one_cell_network(n_roads, junctions=(), access=(), exits=()):
     """A scenario of ``n_roads`` parallel one-cell roads of unit length at
     rho_max 1, coupled as given."""
-    road = {"width": 0.1, "rho_max": 1, "rho0": 0.0, "v_min": 0.25, "v_max": 2}
-    doc = {
-        "horizon": 1.0,
-        "domain": {"side": 3, "n_grid": 60},
-        "discretization": {"n_cells": 1, "n_time": 50},
-        "roads": [{"id": i, "start": [0.5, 0.3 * i], "end": [1.5, 0.3 * i], **road}
-                  for i in range(1, n_roads + 1)],
-        "junctions": list(junctions),
-        "access": list(access),
-        "exits": list(exits),
-        "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
-        "emission": {"theta": 0.5},
-        "objectives": {"delta": 0, "mode": "2d"},
-    }
+    roads = [road(i, [0.5, 0.3 * i], [1.5, 0.3 * i], rho0=0.0) for i in range(1, n_roads + 1)]
+    doc = scenario_doc(roads, n_cells=1, junctions=junctions, access=access, exits=exits)
     return load_scenario(json.dumps(doc))
 
 
@@ -488,7 +445,7 @@ def _reference_envelopes(rho, v_max, rho_max):
     """Demand and supply written out apart from the kernel's ``_envelopes``:
     Q up to the critical density rho_max/2 and the capacity v_max rho_max/4
     above it, and the reverse."""
-    q = _closed_form_flux(rho, v_max, rho_max)
+    q = closed_form_flux(rho, v_max, rho_max)
     cap = v_max * rho_max / 4.0
     below = rho <= rho_max / 2.0
     return np.where(below, q, cap), np.where(below, cap, q)
@@ -543,7 +500,7 @@ def test_trajectory_flow_is_q_of_its_densities_bitwise(case, diamond, two_access
     rho_max = np.array([[r.rho_max] for r in scenario.roads])
     if case == "jammed":
         assert (traj.densities[1:] == rho_max).any()
-    q = _closed_form_flux(traj.densities, np.array(policy)[:, None], rho_max)
+    q = closed_form_flux(traj.densities, np.array(policy)[:, None], rho_max)
     assert traj.flow.shape == traj.densities.shape
     assert np.array_equal(traj.flow.view(np.int64), q.view(np.int64))
 
@@ -623,23 +580,11 @@ def _split_road_docs():
 
     def scenario(cuts):
         n_cells = 40 // (len(cuts) - 1)
-        roads = [
-            {"id": k + 1, "start": [0.5 + a, 1.5], "end": [0.5 + b, 1.5], "width": 0.1, "rho_max": 1,
-             "rho0": rho0[k * n_cells:(k + 1) * n_cells], "v_min": 0.25, "v_max": 2}
-            for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
-        ]
-        return {
-            "horizon": 5.0,
-            "domain": {"side": 3, "n_grid": 60},
-            "discretization": {"n_cells": n_cells, "n_time": n_time},
-            "roads": roads,
-            "junctions": [{"kind": "1to1", "in": [k], "out": [k + 1]} for k in range(1, len(roads))],
-            "access": [{"road": 1, "inflow": inflow}],
-            "exits": [len(roads)],
-            "dispersion": {"mu": 1e-6, "kappa": 0, "wind": [1, 1]},
-            "emission": {"theta": 0.5},
-            "objectives": {"delta": 0, "mode": "2d"},
-        }
+        roads = [road(k + 1, [0.5 + a, 1.5], [0.5 + b, 1.5], rho0=rho0[k * n_cells:(k + 1) * n_cells])
+                 for k, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+        return scenario_doc(roads, horizon=5.0, n_cells=n_cells, n_time=n_time,
+                            junctions=[{"kind": "1to1", "in": [k], "out": [k + 1]} for k in range(1, len(roads))],
+                            access=[{"road": 1, "inflow": inflow}], exits=[len(roads)])
 
     return scenario([0.0, 2.0]), scenario([0.0, 1.0, 2.0])
 
