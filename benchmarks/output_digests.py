@@ -41,8 +41,9 @@ With ``--keep DIR`` the outputs stay in ``DIR/<case>/`` and each stdout in
 prints, per case and file, "identical" where the bytes are equal, else by how
 much the values moved: the largest relative change |a - b|/max(|a|, |b|) of
 each CSV column, of the numbers in the stdout and in ``diagnostics.json``, and
-of the cached ``pairing`` and ``level0``; a text that differs outside its
-numbers, or a binary file, reads "differs":
+of the cached ``pairing`` and ``level0``, decoded from the values between the
+cache file's header and its CRC; a text that differs outside its numbers, or
+another binary file, reads "differs":
 
     python3 benchmarks/output_digests.py --src PARENT/src --keep /tmp/parent > /dev/null
     python3 benchmarks/output_digests.py --src src --keep /tmp/change > /dev/null
@@ -193,14 +194,17 @@ def _csv_change(a: Path, b: Path) -> dict | str:
 
 
 def _adjoint_change(a: Path, b: Path) -> dict:
-    with np.load(a) as da, np.load(b) as db:
-        return {name: _largest_change(da[name].ravel(), db[name].ravel()) for name in ("pairing", "level0")}
+    """The change of ``pairing`` and ``level0`` between two adjoint cache
+    files, whose float64 values between the 20-byte header and the 4-byte
+    CRC are ``level0`` and then the pairing."""
+    va, vb = (np.frombuffer(path.read_bytes()[20:-4], dtype="<f8") for path in (a, b))
+    return {"pairing": _largest_change(va[1:], vb[1:]), "level0": _largest_change(va[:1], vb[:1])}
 
 
 def compare(a: Path, b: Path) -> dict:
     """Per case and output of two ``--keep`` directories: "identical", or by
     how much the values moved.  Adjoint cache files are matched by their
-    ``adjoint-*.npz`` pattern, since the key in the name may differ."""
+    ``adjoint-*.bin`` pattern, since the key in the name may differ."""
     report = {}
     for stdout in sorted(a.glob("*.stdout")):
         case = stdout.stem
@@ -220,7 +224,7 @@ def compare(a: Path, b: Path) -> dict:
                 row[name] = _text_change(fa.read_text(), fb.read_text())
             else:
                 row[name] = "differs"
-        caches = [sorted(d.glob("adjoint-*.npz")) for d in (da, db)]
+        caches = [sorted(d.glob("adjoint-*.bin")) for d in (da, db)]
         if [len(c) for c in caches] != [1, 1]:
             row["adjoint"] = f"cache files: {len(caches[0])} against {len(caches[1])}"
         elif caches[0][0].read_bytes() == caches[1][0].read_bytes():

@@ -7,7 +7,8 @@ emission field, made from the flow Q the traffic kernel computed and kept,
 one block of levels at a time as ``emission_field`` makes them, so no
 command holds the whole field or computes Q twice.  Every command that
 writes results also writes a manifest recording the inputs (including a
-scenario content hash), the seed/budget, and the produced files.
+scenario content hash), the seed/budget, the files it wrote to ``--out`` and
+the path of the adjoint cache file it read or wrote.
 
 Every output file is written as a new file by ``_create``: the old file at
 its path is unlinked first, never truncated in place or renamed over.  On
@@ -29,14 +30,13 @@ import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import multiprocessing
 import os
 import sys
 import time
-import zipfile
+import zlib
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -67,6 +67,7 @@ from tramopt.objectives import (
 from tramopt.traffic import simulate_traffic
 
 _EMISSION_MAGIC = b"TRMO"
+_ADJOINT_MAGIC = b"TRMA"
 
 
 def _fmt(x: float) -> str:
@@ -197,52 +198,45 @@ def _adjoint_cache_key(scenario: Scenario) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _cached_array(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The member ``name``.npy of a cache archive, which must hold a
-    float64 array of ``shape`` in C order under a version 1.0 npy header,
-    the version ``np.lib.format.write_array`` gives it.  The header is
-    checked before any array is made, since ``read_array`` allocates the
-    shape a header declares before it reads any data; a mismatch raises
-    ``ValueError``.  ``ZipFile.read`` reads the member whole, so a CRC
-    mismatch raises ``BadZipFile``; ``np.load`` stops at the end of the
-    payload the header states and so never checks the CRC."""
-    fh = io.BytesIO(archive.read(f"{name}.npy"))
-    if (np.lib.format.read_magic(fh) != (1, 0)
-            or np.lib.format.read_array_header_1_0(fh) != (shape, False, np.dtype(float))):
-        raise ValueError(f"{name}.npy is not a float64 array of shape {shape}")
-    fh.seek(0)
-    return np.lib.format.read_array(fh, allow_pickle=False)
-
-
 def cached_adjoint(scenario: Scenario, cache_dir: Path) -> tuple[AdjointContraction, Path]:
     """The scenario's adjoint contraction, loaded from a content-addressed
-    cache file ``adjoint-<key>.npz`` or made by ``contract_adjoint``.
+    cache file ``adjoint-<key>.bin`` or made by ``contract_adjoint``.
 
-    A cache file that cannot be read or fails a member's CRC check, or whose
-    pairing or level-0 sum has the wrong shape or dtype or is not finite, is
-    a miss: the contraction is made again and the file replaced whole
-    (``_create_whole``).  A member's shape and dtype are read from its
-    header, before its array is made (``_cached_array``).
+    The file is flat: magic ``TRMA``, then version 1 and the pairing's shape
+    (n_time+1, n_roads, n_cells) as uint32 LE, then the level-0 sum and the
+    pairing as float64 LE, then the CRC-32 of all the bytes before it as
+    uint32 LE.  The scenario fixes its size and header bytes, so a file is
+    read only if its size is right, and is a hit only if the bytes read have
+    that size and those header bytes, its CRC matches and every value is
+    finite.  Anything else, any ``OSError`` included, is a miss: the
+    contraction is made again and the file replaced whole
+    (``_create_whole``), written part by part with a running CRC, so
+    nothing is copied.  A hit's pairing is a read-only view of the file's
+    bytes.
     """
-    path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.npz"
+    path = cache_dir / f"adjoint-{_adjoint_cache_key(scenario)}.bin"
     shape = (scenario.n_time + 1, scenario.n_roads, scenario.n_cells)
+    header = _ADJOINT_MAGIC + np.array([1, *shape], dtype="<u4").tobytes()
+    count = 1 + math.prod(shape)  # level0, then the pairing
+    size = len(header) + 8 * count + 4
     try:
-        with zipfile.ZipFile(path) as archive:
-            pairing, level0 = _cached_array(archive, "pairing", shape), _cached_array(archive, "level0", ())
-        if np.all(np.isfinite(pairing)) and np.isfinite(level0):
-            return AdjointContraction(pairing, float(level0)), path
-    # besides the read errors: a damaged zip entry makes zipfile raise
-    # RuntimeError (NotImplementedError for an unknown method)
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile, RuntimeError):
-        pass
+        data = path.read_bytes() if path.stat().st_size == size else b""
+    except OSError:
+        data = b""
+    if (len(data) == size and data[:len(header)] == header
+            and zlib.crc32(memoryview(data)[:-4]) == int.from_bytes(data[-4:], "little")):
+        values = np.frombuffer(data, dtype="<f8", count=count, offset=len(header))
+        if np.isfinite(values).all():
+            return AdjointContraction(values[1:].reshape(shape), float(values[0])), path
     contraction = contract_adjoint(scenario)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    # np.savez's layout, but with ZipInfo's fixed time stamp, so that the
-    # same contraction is always the same bytes
-    with _create_whole(path, "wb") as file, zipfile.ZipFile(file, "w") as archive:
-        for name, value in (("pairing", contraction.pairing), ("level0", contraction.level0)):
-            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asarray(value), allow_pickle=False)
+    crc = 0
+    with _create_whole(path, "wb") as fh:
+        for part in (header, np.array([contraction.level0], dtype="<f8").data,
+                     np.ascontiguousarray(contraction.pairing, dtype="<f8").data):
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(crc.to_bytes(4, "little"))
     return contraction, path
 
 
@@ -321,9 +315,9 @@ def cmd_simulate(args) -> int:
             "started": started,
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "outputs": [
-                "trajectory.csv", "queues.csv", "flows.csv", "emission.bin",
-                "objectives.csv", str(adjoint_path.name),
+                "trajectory.csv", "queues.csv", "flows.csv", "emission.bin", "objectives.csv",
             ],
+            "adjoint_cache": str(adjoint_path),
         },
     )
 
@@ -464,10 +458,8 @@ def cmd_optimize(args) -> int:
             "jobs": args.jobs,
             "started": started,
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "outputs": [
-                "front.csv", "speed_limit_ranges.csv", "diagnostics.json",
-                str(adjoint_path.name),
-            ],
+            "outputs": ["front.csv", "speed_limit_ranges.csv", "diagnostics.json"],
+            "adjoint_cache": str(adjoint_path),
         },
     )
     print(f"archive size: {len(entries)} (evaluations: {diagnostics['evaluations']})")

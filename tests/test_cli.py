@@ -11,7 +11,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
-import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +92,28 @@ def _written(out: Path) -> dict[str, bytes]:
     return files
 
 
+def _csv_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _cache_bytes(level0, pairing: np.ndarray, shape=None) -> bytes:
+    """An adjoint cache file as ``cli.cached_adjoint``'s docstring lays it
+    out: magic, version 1 and ``shape`` (default the pairing's) as uint32 LE,
+    ``level0`` and the pairing, and the CRC-32 of all the bytes before it."""
+    shape = pairing.shape if shape is None else shape
+    body = b"TRMA" + np.array([1, *shape], dtype="<u4").tobytes() + np.append(level0, pairing).tobytes()
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _decoded(path: Path) -> dict[str, np.ndarray]:
+    """The values of an adjoint cache file, shaped by its header."""
+    data = path.read_bytes()
+    shape = tuple(int(n) for n in np.frombuffer(data, dtype="<u4", count=3, offset=8))
+    values = np.frombuffer(data[20:-4], dtype="<f8")
+    return {"level0": values[0], "pairing": values[1:].reshape(shape)}
+
+
 def _cut(size):
     """Damage: keep the first ``size(length)`` bytes of the file."""
     def damage(path):
@@ -100,42 +122,41 @@ def _cut(size):
     return damage
 
 
-def _flip(marker: bytes, offset: int, bit: int):
-    """Damage: flip one bit ``offset`` bytes after the first ``marker``."""
+def _flip(offset: int, bit: int):
+    """Damage: flip one bit of the byte at ``offset``."""
     def damage(path):
         data = bytearray(path.read_bytes())
-        data[data.index(marker) + offset] ^= 1 << bit
+        data[offset] ^= 1 << bit
         path.write_bytes(bytes(data))
     return damage
 
 
-def _rewritten(edit):
-    """Damage: the file saved again with ``edit`` applied to its members."""
+def _recoded(edit):
+    """Damage: the file written again, with its CRC, after ``edit`` changed
+    its values."""
     def damage(path):
-        with np.load(path) as data:
-            members = {name: data[name] for name in data.files}
-        edit(members)
-        with open(path, "wb") as fh:
-            np.savez(fh, **members)
+        values = _decoded(path)
+        edit(values)
+        path.write_bytes(_cache_bytes(values["level0"], values["pairing"]))
     return damage
 
 
-def _nan_entry(members):
-    members["pairing"] = members["pairing"].copy()
-    members["pairing"][7, 2, 3] = np.nan
+def _nan_entry(values):
+    values["pairing"] = values["pairing"].copy()
+    values["pairing"][7, 2, 3] = np.nan
 
 
-def _huge_pairing(path):
-    """Damage: the pairing member replaced, in a sound zip, by an npy header
-    that declares 2**37 doubles (1 TiB) and one double of data."""
-    with zipfile.ZipFile(path) as archive:
-        members = {name: archive.read(name) for name in archive.namelist()}
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": (2**37,)})
-    members["pairing.npy"] = header.getvalue() + bytes(8)
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, data in members.items():
-            archive.writestr(name, data)
+def _npz(path):
+    """Damage: the earlier cache format, an npz of the two arrays, at the new name."""
+    values = _decoded(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, **values)
+
+
+def _old_npz(path):
+    """Not damage: the earlier cache file of the same key, next to it, with
+    values that would change the objectives if it were read."""
+    np.savez(path.with_suffix(".npz"), pairing=np.zeros(_FAST_PAIRING_SHAPE), level0=np.float64(0))
 
 
 def _old_npy(path):
@@ -145,23 +166,23 @@ def _old_npy(path):
 
 _CACHE_DAMAGE = {
     "truncate": _cut(lambda n: 1000),
-    "truncate-header": _cut(lambda n: 20),
+    "truncate-header": _cut(lambda n: 10),
     "truncate-end": _cut(lambda n: n - 10),
-    "npz": _rewritten(lambda m: (m.clear(), m.update(adjoint=np.zeros((151, 61, 61))))),
-    "missing-member": _rewritten(lambda m: m.pop("level0")),
-    "shape": _rewritten(lambda m: m.update(pairing=m["pairing"][:, :, 1:])),
-    "dtype": _rewritten(lambda m: m.update(pairing=m["pairing"].astype(np.float32))),
-    "nan": _rewritten(_nan_entry),
-    # the pairing member's npy header length, 64 bytes short
-    "npy-header": _flip(b"\x93NUMPY", 8, 6),
-    # the header length 16 bytes short: the pairing would load shifted by
-    # two doubles, finite and of the right shape, but the member's CRC fails
-    "npy-header-shift": _flip(b"\x93NUMPY", 8, 4),
-    # the compression method of the first central directory entry
-    "zip-method": _flip(b"PK\x01\x02", 10, 6),
-    # a header whose shape the reader must refuse before allocating it
-    "huge-shape": _huge_pairing,
+    "npz": _npz,
+    # the pairing read as (151, 20, 6): the same size, finite values, a sound CRC
+    "shape": _recoded(lambda v: v.update(pairing=v["pairing"].reshape(151, 20, 6))),
+    "dtype": _recoded(lambda v: v.update(level0=np.float32(v["level0"]),
+                                         pairing=v["pairing"].astype(np.float32))),
+    "nan": _recoded(_nan_entry),
+    # the header's road count, 6 made 7
+    "header-bit": _flip(12, 0),
+    # the lowest mantissa bit of the pairing's [7, 2, 3]: still finite, so only the CRC fails
+    "payload-bit": _flip(20 + 8 * (1 + int(np.ravel_multi_index((7, 2, 3), _FAST_PAIRING_SHAPE))), 0),
+    # a header whose shape, 2**32 - 1 rows of 6 x 20 doubles (4 TiB), the
+    # reader must refuse before allocating it
+    "huge-shape": lambda path: path.write_bytes(_cache_bytes(0.0, np.zeros(120), shape=(2**32 - 1, 6, 20))),
     "old-npy": _old_npy,
+    "old-npz": _old_npz,
 }
 
 
@@ -426,7 +447,7 @@ class TestSimulate:
             return code, [l for l in lines if l.startswith("objective_vector=")]
 
         cold = vector()
-        (cached,) = cache.glob("adjoint-*.npz")
+        (cached,) = cache.glob("adjoint-*.bin")
         cold_bytes = cached.read_bytes()
         _CACHE_DAMAGE[damage](cached)
         left = {p.name: p.read_bytes() for p in cache.iterdir() if p != cached}
@@ -435,8 +456,48 @@ class TestSimulate:
         # the contraction is written again, to the same bytes, and any other file is left alone
         assert cached.read_bytes() == cold_bytes
         assert {p.name: p.read_bytes() for p in cache.iterdir() if p != cached} == left
-        with np.load(cached) as data:
-            assert data["pairing"].shape == _FAST_PAIRING_SHAPE
+        assert _decoded(cached)["pairing"].shape == _FAST_PAIRING_SHAPE
+
+    def test_adjoint_cache_layout(self, fast_scenario_path, tmp_path):
+        # the file is the layout cached_adjoint's docstring states, and a hit
+        # returns the contraction it holds
+        scenario = load_scenario(fast_scenario_path.read_text())
+        fresh = objectives.contract_adjoint(scenario)
+        cold, path = cli.cached_adjoint(scenario, tmp_path)
+        assert path.name == f"adjoint-{cli._adjoint_cache_key(scenario)}.bin"
+        assert path.read_bytes() == _cache_bytes(fresh.level0, fresh.pairing)
+        warm, _ = cli.cached_adjoint(scenario, tmp_path)
+        for got in (cold, warm):
+            assert got.pairing.tobytes() == fresh.pairing.tobytes() and got.pairing.shape == _FAST_PAIRING_SHAPE
+            assert np.float64(got.level0).tobytes() == np.float64(fresh.level0).tobytes()
+
+    def test_adjoint_cache_size_checked_before_and_after_the_read(self, fast_scenario_path, tmp_path, monkeypatch):
+        # a file of another size is a miss and is never read; a file that
+        # changes size between the size check and the read, to one whose
+        # header and CRC are sound, is a miss too
+        scenario = load_scenario(fast_scenario_path.read_text())
+        fresh, path = cli.cached_adjoint(scenario, tmp_path)
+        cold = path.read_bytes()
+        read, reads = Path.read_bytes, []
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or read(p))
+        path.write_bytes(cold + bytes(8))
+        cli.cached_adjoint(scenario, tmp_path)
+        assert path not in reads and read(path) == cold
+        short = _cache_bytes(fresh.level0, fresh.pairing[:-1], shape=_FAST_PAIRING_SHAPE)
+        monkeypatch.setattr(Path, "read_bytes", lambda p: short if p == path else read(p))
+        again, _ = cli.cached_adjoint(scenario, tmp_path)
+        assert again.pairing.tobytes() == fresh.pairing.tobytes() and read(path) == cold
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize"])
+    def test_manifest_outputs_are_in_out(self, fast_scenario_path, tmp_path, command):
+        # the cache in --cache-dir is named by its own key, not among the outputs
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        assert run_cli(*_command_argv(command, fast_scenario_path, out), "--cache-dir", str(cache)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] and all((out / name).is_file() for name in manifest["outputs"])
+        assert sorted(manifest["outputs"]) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        (cached,) = cache.iterdir()
+        assert Path(manifest["adjoint_cache"]) == cached
 
     def test_damaged_adjoint_cache_unlinked_before_the_rename(self, fast_scenario_path, tmp_path, monkeypatch):
         # the new contraction is written under this process's temporary name,
@@ -445,7 +506,7 @@ class TestSimulate:
         argv = ["simulate", "--scenario", str(fast_scenario_path), "--policy", "1,1,1,1,1,1",
                 "--out", str(tmp_path / "sim"), "--cache-dir", str(cache)]
         assert run_cli(*argv) == 0
-        (cached,) = cache.glob("adjoint-*.npz")
+        (cached,) = cache.glob("adjoint-*.bin")
         cold_bytes = cached.read_bytes()
         _CACHE_DAMAGE["truncate"](cached)
         renames = []
@@ -482,7 +543,7 @@ class TestSimulate:
 
         vector(fast_scenario_path, cache)
         assert vector(changed, cache) == vector(changed, tmp_path / "cold")
-        assert len(list(cache.glob("adjoint-*.npz"))) == (2 if new_file else 1)
+        assert len(list(cache.glob("adjoint-*.bin"))) == (2 if new_file else 1)
 
     def test_cache_key_names_the_transport_step(self, fast_scenario_path, tmp_path):
         # a contraction marched by the term-by-term step differs from the
@@ -502,9 +563,9 @@ class TestSimulate:
         old_key = hashlib.sha256(json.dumps(term_by_term_payload, sort_keys=True).encode()).hexdigest()[:16]
         assert old_key != cli._adjoint_cache_key(scenario)
         fresh, path = cli.cached_adjoint(scenario, tmp_path)
-        old = tmp_path / f"adjoint-{old_key}.npz"
+        old = tmp_path / f"adjoint-{old_key}.bin"
         path.rename(old)
-        _rewritten(lambda m: m.update(pairing=m["pairing"] * (1.0 + 2.0**-50)))(old)
+        _recoded(lambda v: v.update(pairing=v["pairing"] * (1.0 + 2.0**-50)))(old)
         old_bytes = old.read_bytes()
         again, again_path = cli.cached_adjoint(scenario, tmp_path)
         assert again_path == path
@@ -548,7 +609,7 @@ class TestSimulate:
         traj = simulate_traffic(scenario, policy)
         assert np.array_equal(densities, traj.densities)  # CSV round-trips exactly
 
-        (cached,) = out.glob("adjoint-*.npz")
+        (cached,) = out.glob("adjoint-*.bin")
         contraction, path = cli.cached_adjoint(scenario, out)
         assert path == cached
         ev = PolicyEvaluator(scenario, adjoint=contraction)
@@ -752,12 +813,12 @@ class TestOptimize:
             "--budget", "60", "--seed", "3",
         )
         assert code == 0
-        front = list(csv.DictReader(open(out / "front.csv")))
+        front = _csv_rows(out / "front.csv")
         assert front
         for col in ("v_1", "v_6", "j_flow", "j_diff", "j_queue", "j_poll",
                     "j_flow_norm", "j_poll_norm"):
             assert col in front[0]
-        ranges = list(csv.DictReader(open(out / "speed_limit_ranges.csv")))
+        ranges = _csv_rows(out / "speed_limit_ranges.csv")
         assert len(ranges) == 6
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["evaluations"] <= 60
@@ -803,7 +864,7 @@ class TestOptimize:
             "optimize", "--scenario", str(fast_scenario_path), "--out", str(out),
             "--budget", "60", "--mode", "3d", "--delta", "0.5",
         )
-        front = list(csv.DictReader(open(out / "front.csv")))
+        front = _csv_rows(out / "front.csv")
         assert "j_queue_norm" in front[0]
 
     def test_queue_axis_normalized_when_every_policy_queues(self, fast_scenario_path, tmp_path):
@@ -820,7 +881,7 @@ class TestOptimize:
         assert diag["queue_axis_normalized"] is True
         ideal_queue = diag["ideal"][2]
         assert ideal_queue > 0.0
-        front = list(csv.DictReader(open(out / "front.csv")))
+        front = _csv_rows(out / "front.csv")
         assert front
         for row in front:
             assert float(row["j_queue_norm"]) == float(row["j_queue"]) / ideal_queue
@@ -905,14 +966,23 @@ class TestOptimize:
         assert not (out / "front.csv").exists()
 
     def test_adjoint_cache_reused(self, fast_scenario_path, tmp_path):
+        # a hit's pairing, a read-only view of the file's bytes, scores as the
+        # fresh contraction does, in process and pickled to two workers
         cache = tmp_path / "cache"
-        for name in ("a", "b"):
-            run_cli(
+        fronts, inodes = [], []
+        for name, jobs in (("cold", "1"), ("warm", "1"), ("warm-jobs2", "2")):
+            code = run_cli(
                 "optimize", "--scenario", str(fast_scenario_path),
                 "--out", str(tmp_path / name), "--budget", "30",
-                "--cache-dir", str(cache),
+                "--cache-dir", str(cache), "--jobs", jobs,
             )
-        assert len(list(cache.glob("adjoint-*.npz"))) == 1
+            assert code == 0
+            fronts.append((tmp_path / name / "front.csv").read_bytes())
+            (cached,) = cache.iterdir()
+            inodes.append(cached.stat().st_ino)
+        assert cached.name.startswith("adjoint-") and cached.suffix == ".bin"
+        assert fronts[1] == fronts[0] and fronts[2] == fronts[0]
+        assert inodes[1] == inodes[0] and inodes[2] == inodes[0]  # read, not written again
 
 
 class TestExport:
@@ -932,7 +1002,7 @@ class TestExport:
             "--coords", "diff-queue", "--out", str(out),
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out / "front_diff-queue.csv")))
+        rows = _csv_rows(out / "front_diff-queue.csv")
         assert rows and set(rows[0]) == {"j_diff", "j_queue"}
 
     def test_flow_poll_recomputes_delta(self, front_dir, tmp_path):
@@ -941,8 +1011,8 @@ class TestExport:
             "export", "--front", str(front_dir / "front.csv"),
             "--coords", "flow-poll", "--delta", "0.5", "--out", str(out),
         )
-        original = list(csv.DictReader(open(front_dir / "front.csv")))
-        exported = list(csv.DictReader(open(out / "front_flow-poll.csv")))
+        original = _csv_rows(front_dir / "front.csv")
+        exported = _csv_rows(out / "front_flow-poll.csv")
         for orig, exp in zip(original, exported):
             expected = float(orig["j_diff"]) + 0.5 * float(orig["j_queue"])
             assert float(exp["j_poll"]) == pytest.approx(expected, abs=1e-15)
@@ -956,7 +1026,7 @@ class TestExport:
             "--out", str(out),
         )
         assert code == 0
-        rows = list(csv.DictReader(open(out / "front_flow-poll.csv")))
+        rows = _csv_rows(out / "front_flow-poll.csv")
         assert rows == []
 
     @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "-0.5"])
