@@ -49,6 +49,22 @@ another binary file, reads "differs":
     python3 benchmarks/output_digests.py --src src --keep /tmp/change > /dev/null
     python3 benchmarks/output_digests.py --compare /tmp/parent /tmp/change
 
+The digests also record the numpy and Python versions they were made with.
+``benchmarks/digests.json`` is this tree's digests, pinned; ``--check FILE``
+runs the nine commands and compares their digests with such a file, case by
+case and file by file, and exits 1 on any difference:
+
+    python3 benchmarks/output_digests.py --src src --check benchmarks/digests.json
+
+numpy does not promise the same ``Generator`` streams across versions, and
+they seed the search, so the check refuses to run under a numpy other than
+the file's; a Python version other than the file's is allowed.  A PR that
+changes an output on purpose regenerates the file in the same commit.  An
+adjoint cache file that keeps its name ``adjoint-<key>.bin`` but changes its
+bytes fails with its own message: the key does not cover the change, so a
+user's old cache file would be read as a hit with stale values, and the
+key's ``"step"`` tag in ``tramopt.cli._adjoint_cache_key`` must change.
+
 Needs only the standard library and numpy.  Not part of the test suite.
 """
 
@@ -62,6 +78,7 @@ import importlib.util
 import io
 import json
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -235,18 +252,48 @@ def compare(a: Path, b: Path) -> dict:
     return report
 
 
+def check(pinned: dict, digests: dict) -> list[str]:
+    """One line per difference between a pinned digests file and this run's
+    digests, the versions they were made with aside."""
+    problems = []
+    for case in sorted((pinned.keys() | digests.keys()) - {"made_with"}):
+        if case not in pinned or case not in digests:
+            problems.append(f"{case}: only in {'the pinned file' if case in pinned else 'this run'}")
+            continue
+        old, new = pinned[case], digests[case]
+        problems += [f"{case}: {key} changed" for key in ("exit", "stdout") if old[key] != new[key]]
+        for name in sorted(old["files"].keys() | new["files"].keys()):
+            if name not in old["files"] or name not in new["files"]:
+                problems.append(f"{case}: {name} only in {'the pinned file' if name in old['files'] else 'this run'}")
+            elif old["files"][name] != new["files"][name] and name.startswith("adjoint-"):
+                problems.append(
+                    f"{case}: {name} kept its name but its bytes changed, so an old cache file of "
+                    'that name would be a hit with stale values: change the "step" tag of '
+                    "tramopt.cli._adjoint_cache_key"
+                )
+            elif old["files"][name] != new["files"][name]:
+                problems.append(f"{case}: {name} changed")
+    return problems
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, help="the src/ directory of a tree")
     parser.add_argument("--keep", type=Path, help="write the outputs here instead of a temporary directory")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                         help="compare the values of two --keep directories")
+    parser.add_argument("--check", type=Path, metavar="PINNED",
+                        help="compare the digests with a pinned digests file; exit 1 on a difference")
     args = parser.parse_args()
     if args.compare:
         print(json.dumps(compare(*args.compare), indent=2))
         return
     if args.src is None:
         parser.error("--src is required without --compare")
+    pinned = json.loads(args.check.read_text()) if args.check else None
+    if pinned is not None and pinned["made_with"]["numpy"] != np.__version__:
+        raise SystemExit(f"{args.check} was made with numpy {pinned['made_with']['numpy']}, "
+                         f"this is numpy {np.__version__}")
     src = args.src.resolve()
     sys.dont_write_bytecode = True  # leave no bytecode in the tree or in perfbench/
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # nor do the --jobs workers
@@ -264,7 +311,13 @@ def main() -> None:
         digests = {
             name: _run(cli, argv, tmp / name) for name, argv in _cases(tmp).items()
         }
-    print(json.dumps(digests, indent=2, sort_keys=True))
+    digests["made_with"] = {"numpy": np.__version__, "python": platform.python_version()}
+    if pinned is None:
+        print(json.dumps(digests, indent=2, sort_keys=True))
+        return
+    problems = check(pinned, digests)
+    print("\n".join(problems) or f"every case matches {args.check}")
+    sys.exit(1 if problems else 0)
 
 
 if __name__ == "__main__":
