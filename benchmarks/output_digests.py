@@ -263,15 +263,16 @@ def check(pinned: dict, digests: dict) -> list[str]:
         old, new = pinned[case], digests[case]
         problems += [f"{case}: {key} changed" for key in ("exit", "stdout") if old[key] != new[key]]
         for name in sorted(old["files"].keys() | new["files"].keys()):
-            if name not in old["files"] or name not in new["files"]:
-                problems.append(f"{case}: {name} only in {'the pinned file' if name in old['files'] else 'this run'}")
-            elif old["files"][name] != new["files"][name] and name.startswith("adjoint-"):
+            a, b = old["files"].get(name), new["files"].get(name)
+            if a is None or b is None:
+                problems.append(f"{case}: {name} only in {'this run' if a is None else 'the pinned file'}")
+            elif a != b and name.startswith("adjoint-"):
                 problems.append(
                     f"{case}: {name} kept its name but its bytes changed, so an old cache file of "
                     'that name would be a hit with stale values: change the "step" tag of '
                     "tramopt.cli._adjoint_cache_key"
                 )
-            elif old["files"][name] != new["files"][name]:
+            elif a != b:
                 problems.append(f"{case}: {name} changed")
     return problems
 

@@ -9,12 +9,11 @@ derivative-free Pareto-front search over box-constrained speed limits.
 
 __version__ = "0.1.0"
 
-from tramopt.network import Scenario, load_scenario, serialize_scenario, validate_scenario
+from tramopt.network import Scenario, load_scenario, validate_scenario
 
 __all__ = [
     "Scenario",
     "load_scenario",
-    "serialize_scenario",
     "validate_scenario",
     "__version__",
 ]

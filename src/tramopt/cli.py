@@ -155,27 +155,6 @@ def write_emission_bin(path: Path, blocks: Iterable[np.ndarray], n_grid: int, n_
             fh.write(np.ascontiguousarray(block, dtype="<f8").data)
 
 
-def read_emission_bin(path: Path) -> np.ndarray:
-    """Read a file ``write_emission_bin`` wrote; a wrong header or payload
-    length raises ``ScenarioError``."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _EMISSION_MAGIC:
-            raise ScenarioError(f"{path}: not an emission field file")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise ScenarioError(f"{path}: truncated header ({4 + len(header)} of 16 bytes)")
-        version, n_grid, n_time = (int(x) for x in np.frombuffer(header, dtype="<u4"))
-        if version != 1:
-            raise ScenarioError(f"{path}: unsupported emission file version {version}")
-        payload = fh.read()
-    shape = (n_time + 1, n_grid + 1, n_grid + 1)
-    if len(payload) != 8 * math.prod(shape):
-        raise ScenarioError(
-            f"{path}: payload of {len(payload)} bytes, a {shape} field needs {8 * math.prod(shape)}"
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # adjoint cache
 

@@ -25,14 +25,14 @@ _GEOM_TOL = 1e-9
 # Ceilings on the work one scenario may ask for, checked by load_scenario
 # before any array is made: the Godunov cell updates of one policy at the
 # box's upper speed limits, n_time * substeps * roads * cells, and the bytes
-# of one float64 grid field over time, (n_time + 1) * (n_grid + 1)**2 * 8.
-# That is the payload of the emission.bin simulate writes (16 header bytes
-# precede it) and the size of the forward and adjoint histories that the
-# tests' oracles (tests/oracles.py) collect; no command holds the whole
-# field.  The diamond needs 7.2e4 and 17 MiB, a chain of 16 diamonds 9.7e5
-# and 1.4 GiB.
+# of the emission field, one float64 grid level per output time,
+# (n_time + 1) * (n_grid + 1)**2 * 8.  That is the payload of the
+# emission.bin simulate writes (16 header bytes precede it) and the size of
+# the forward and adjoint histories that the tests' oracles
+# (tests/oracles.py) collect; no command holds the whole field.  The diamond
+# needs 7.2e4 and 17 MiB, a chain of 16 diamonds 9.7e5 and 1.4 GiB.
 MAX_CELL_UPDATES = 10**9
-MAX_ADJOINT_BYTES = 4 * 2**30
+MAX_FIELD_BYTES = 4 * 2**30
 # Also the kernel steps of one policy at the upper speed limits,
 # n_time * substeps, each a pass of a Python loop (n_time also counts the
 # adjoint's steps), and the bytes of one float64 (n_time + 1, roads, cells)
@@ -484,11 +484,11 @@ def _check_grid(scenario: Scenario) -> None:
 
 def _check_work(n_time: int, n_grid: int, n_cells: int, n_roads: int, substeps: float) -> None:
     # exact int counts (float inf where substeps is), formatted through _float
-    adjoint_bytes = (n_time + 1) * (n_grid + 1) ** 2 * 8
-    if adjoint_bytes > MAX_ADJOINT_BYTES:
+    field_bytes = (n_time + 1) * (n_grid + 1) ** 2 * 8
+    if field_bytes > MAX_FIELD_BYTES:
         raise ScenarioError(
-            f"discretization: the adjoint of {_float(adjoint_bytes):.3g} bytes exceeds the "
-            f"ceiling of {MAX_ADJOINT_BYTES / 2**30:g} GiB"
+            f"discretization: the emission field of {_float(field_bytes):.3g} bytes exceeds the "
+            f"ceiling of {MAX_FIELD_BYTES / 2**30:g} GiB"
         )
     updates = n_time * substeps * n_roads * n_cells
     if updates > MAX_CELL_UPDATES:
@@ -508,56 +508,6 @@ def _check_work(n_time: int, n_grid: int, n_cells: int, n_roads: int, substeps: 
             f"discretization: the density history of {_float(history_bytes):.3g} bytes exceeds "
             f"the ceiling of {MAX_HISTORY_BYTES / 2**30:g} GiB"
         )
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to its JSON file form (load round-trips)."""
-    doc = {
-        "horizon": scenario.horizon,
-        "domain": {"side": scenario.domain_side, "n_grid": scenario.n_grid},
-        "discretization": {"n_cells": scenario.n_cells, "n_time": scenario.n_time},
-        "roads": [
-            {
-                "id": r.id,
-                "start": list(r.tail),
-                "end": list(r.head),
-                "width": r.width,
-                "rho_max": r.rho_max,
-                "rho0": list(r.rho0),
-                "v_min": r.v_min,
-                "v_max": r.v_max,
-            }
-            for r in scenario.roads
-        ],
-        "junctions": [
-            {
-                "kind": j.kind,
-                "in": list(j.incoming),
-                "out": list(j.outgoing),
-                **({"alpha": list(j.alpha)} if j.alpha is not None else {}),
-                **({"beta": list(j.beta)} if j.beta is not None else {}),
-            }
-            for j in scenario.junctions
-        ],
-        "access": [
-            {
-                "road": a.road,
-                "inflow": list(a.inflow) if isinstance(a.inflow, tuple) else a.inflow,
-                "queue0": a.queue0,
-            }
-            for a in scenario.access
-        ],
-        "exits": list(scenario.exits),
-        "dispersion": {
-            "mu": scenario.dispersion.mu,
-            "kappa": scenario.dispersion.kappa,
-            "wind": list(scenario.dispersion.wind),
-            "phi0": scenario.dispersion.phi0,
-        },
-        "emission": {"theta": scenario.theta},
-        "objectives": {"delta": scenario.delta, "mode": scenario.mode},
-    }
-    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from tramopt.network import (
     ScenarioError,
     check_policies,
     load_scenario,
-    serialize_scenario,
     validate_scenario,
 )
 from tramopt.objectives import PolicyEvaluator
@@ -109,8 +108,8 @@ class TestLoadScenario:
         "change, message",
         [
             (lambda doc: [road.__setitem__("v_max", 1e6) for road in doc["roads"]], "cell updates"),
-            (lambda doc: doc["discretization"].__setitem__("n_time", 10**9), "the adjoint of"),
-            (lambda doc: doc["domain"].__setitem__("n_grid", 10**5), "the adjoint of"),
+            (lambda doc: doc["discretization"].__setitem__("n_time", 10**9), "the emission field of"),
+            (lambda doc: doc["domain"].__setitem__("n_grid", 10**5), "the emission field of"),
             (lambda doc: [doc["discretization"].__setitem__("n_cells", 10**9)]
              + [road.__setitem__("rho0", [0.1]) for road in doc["roads"]], "cell updates"),
             (lambda doc: doc.update(
@@ -123,7 +122,7 @@ class TestLoadScenario:
              "history-7.2-gb"],
     )
     def test_work_past_ceiling_rejected(self, change, message):
-        # 166,390 substeps per output step; a 30 TB adjoint; a 48 TB adjoint;
+        # 166,390 substeps per output step; a 30 TB emission field; a 48 TB one;
         # 10^9 cells, rejected before the short per-cell lists are read, and
         # so before a road's 10^9 densities are made; 10^8 steps of one cell
         # on one road, under the other ceilings; a 7.2 GB density history
@@ -150,9 +149,6 @@ class TestLoadScenario:
 
 
 class TestRoundTrip:
-    def test_diamond_round_trips(self, diamond):
-        assert load_scenario(serialize_scenario(diamond)) == diamond
-
     @given(
         rho0=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
         inflow=st.floats(0.0, 1.0),
@@ -161,6 +157,7 @@ class TestRoundTrip:
         wind=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     )
     def test_round_trip_random_scenarios(self, rho0, inflow, theta, delta, wind):
+        # each drawn number comes back from the JSON text as the loaded field
         doc = _minimal_doc()
         doc["roads"][0]["rho0"] = rho0
         doc["access"][0]["inflow"] = inflow
@@ -168,7 +165,11 @@ class TestRoundTrip:
         doc["objectives"]["delta"] = delta
         doc["dispersion"]["wind"] = list(wind)
         s = load_scenario(json.dumps(doc))
-        assert load_scenario(serialize_scenario(s)) == s
+        assert s.roads[0].rho0 == tuple(rho0)
+        assert s.access[0].inflow == inflow
+        assert s.theta == theta
+        assert s.delta == delta
+        assert s.dispersion.wind == wind
 
 
 class TestValidation:
