@@ -22,36 +22,31 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def nondominated_filter(values) -> np.ndarray:
-    """Indices of the nondominated points; duplicate vectors keep the first.
+def _beaten(front: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """The Pareto rule of the archive and the filter: None if a row of
+    ``front`` weakly dominates ``v`` (an equal row included), else the mask of
+    the rows that ``v`` dominates.  Past the first test no row equals ``v``,
+    so a row that ``v`` is <= everywhere is one that ``v`` dominates."""
+    if bool(np.any(np.all(front <= v, axis=1))):
+        return None
+    return np.all(v <= front, axis=1)
 
-    Lexicographic presorting guarantees every potential dominator of a point
-    is screened before the point itself, so one pass against the kept set
-    suffices (a running minimum in two dimensions).
-    """
+
+def nondominated_filter(values) -> np.ndarray:
+    """Indices of the nondominated points in ascending order; duplicate
+    vectors keep the first.  The points join a front in index order by the
+    archive's rule, ``_beaten``."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return np.array([], dtype=int)
     if v.ndim != 2:
         raise ValueError("expected an (n_points, n_objectives) array")
-    order = np.lexsort(v.T[::-1])
-    kept: list[int] = []
-    if v.shape[1] == 2:
-        best = np.inf
-        for idx in order:
-            if v[idx, 1] < best:
-                kept.append(int(idx))
-                best = v[idx, 1]
-    else:
-        buffer = np.empty_like(v)
-        m = 0
-        for idx in order:
-            if m and bool(np.any(np.all(buffer[:m] <= v[idx], axis=1))):
-                continue
-            buffer[m] = v[idx]
-            kept.append(int(idx))
-            m += 1
-    return np.array(sorted(kept), dtype=int)
+    kept = np.array([], dtype=int)
+    for i, row in enumerate(v):
+        beaten = _beaten(v[kept], row)
+        if beaten is not None:
+            kept = np.append(kept[~beaten], i)
+    return kept
 
 
 def hypervolume_2d(values, reference) -> float:
@@ -101,10 +96,9 @@ class ParetoArchive:
         v = np.asarray(value, dtype=float)
         if self.entries:
             vals = self.values
-            weakly_dominated = np.all(vals <= v, axis=1)
-            if bool(np.any(weakly_dominated)):
+            beaten = _beaten(vals, v)
+            if beaten is None:
                 return False
-            beaten = np.all(v <= vals, axis=1) & np.any(v < vals, axis=1)
             if bool(np.any(beaten)):
                 keep = ~beaten
                 self.entries = [e for e, k in zip(self.entries, keep) if k]

@@ -259,8 +259,10 @@ def test_criterion_6_optimizer_sanity():
     gap = float(np.max(np.diff(xs)))
     spans = xs[0] <= 0.02 and xs[-1] >= 0.98
     hv = hypervolume_2d(values, (1.1, 1.1))
-    dense = np.linspace(0.0, 1.0, 200001)
-    hv_true = hypervolume_2d(np.stack([dense**2, (dense - 1) ** 2], axis=1), (1.1, 1.1))
+    # the true front (x^2, (x - 1)^2), x in [0, 1], leaves undominated the
+    # area under (1 - sqrt(f1))^2 over [0, 1], 1 - 4/3 + 1/2 = 1/6, of the
+    # reference box's 1.21
+    hv_true = 1.21 - 1.0 / 6.0
     hv_ok = abs(hv - hv_true) <= 0.02 * hv_true
     ok = mutually_nondominated and spans and gap < 0.1 and hv_ok and elapsed < 1.0
     _criterion(

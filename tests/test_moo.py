@@ -30,10 +30,12 @@ class TestNondominatedFilter:
         assert list(nondominated_filter([[3.0, 4.0]])) == [0]
 
     def test_duplicates_collapse(self):
-        values = np.array([[1, 2], [1, 2], [0, 5]])
-        kept = nondominated_filter(values)
-        assert len(kept) == 2
-        assert {tuple(values[i]) for i in kept} == {(1, 2), (0, 5)}
+        # equal vectors keep the first, by index, in 2-D and 3-D
+        for values, first in (
+            ([[1, 2], [1, 2], [0, 5]], [0, 2]),
+            ([[2, 2, 2], [1, 1, 1], [1, 1, 1]], [1]),
+        ):
+            assert nondominated_filter(values).tolist() == first
 
     def test_empty(self):
         assert len(nondominated_filter([])) == 0

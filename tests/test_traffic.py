@@ -687,6 +687,43 @@ def test_diverge_sending_everything_one_way_equals_the_one_to_one(outgoing, alph
         dataclasses.replace(sc, junctions=(dataclasses.replace(sc.junctions[0], alpha=alpha),)))
 
 
+#: first order in dt: each 3x refinement of the clock cuts the change of an
+#: objective 3x.  The ratios of the ladders below measure 2.985-3.239; the
+#: bound allows 0.5 either side of 3, about twice the largest deviation
+CLOCK_RATIO = (2.5, 3.5)
+
+
+@pytest.mark.parametrize("name, n_times", [("diamond", (200, 600, 1800, 5400)), ("two_access", (192, 576, 1728))],
+                         ids=["diamond", "two_access"])
+def test_refining_the_clock_converges_at_first_order(name, n_times):
+    # n_time times 3 per level, each inflow-series value repeated with it, so
+    # the piecewise-constant inflow is the same.  two_access starts at 3x its
+    # own 64 steps, since its 64->192 change at the upper limits is still
+    # pre-asymptotic (ratio 1.77).  J_flow and J_queue at the all-upper and
+    # all-lower limits come from the production tally against a zero
+    # pairing, so no dispersion CFL applies.  An objective that is 0 at every
+    # level, such as the diamond's J_queue at the upper limits, has no ratio
+    doc = json.loads((Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json").read_text())
+    limits = [[r["v_max"] for r in doc["roads"]], [r["v_min"] for r in doc["roads"]]]
+    rows = []
+    for n_time in n_times:
+        access = [{**a, "inflow": np.repeat(a["inflow"], n_time // len(a["inflow"])).tolist()}
+                  if isinstance(a["inflow"], list) else a for a in doc["access"]]
+        sc = load_scenario(json.dumps({**doc, "discretization": {**doc["discretization"], "n_time": n_time},
+                                       "access": access}))
+        zero = AdjointContraction(np.zeros((sc.n_time + 1, sc.n_roads, sc.n_cells)), 0.0)
+        rows.append([(b.j_flow, b.j_queue) for b in PolicyEvaluator(sc, adjoint=zero).score(limits)])
+    ladder = np.array(rows)  # (level, limits, objective)
+    changes = np.diff(ladder, axis=0)
+    for side in range(2):
+        for objective in range(2):
+            if not ladder[:, side, objective].any():
+                continue
+            ratios = changes[:-1, side, objective] / changes[1:, side, objective]
+            assert np.all((CLOCK_RATIO[0] <= ratios) & (ratios <= CLOCK_RATIO[1])), (side, objective, ratios)
+    assert ladder[:, :, 1].any()  # some J_queue is checked
+
+
 # ---------------------------------------------------------------------------
 # the observer's scratch: the march hands its observer the step's scratch
 # buffer, which no step reads before writing it
