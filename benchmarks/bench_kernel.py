@@ -56,6 +56,19 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   time kept as a column: a process's CPU clock can read above its wall
   clock for one single-threaded set-up of tens of milliseconds on a loaded
   host, so for these rows wall time over many pairs is the sharper measure.
+* Warm set-up: perfbench's set-up from reading the scenario to a ready
+  evaluator, with the adjoint cache warm, per ``WARM_SETUPS``: on
+  ``scenarios/diamond.json`` (the set-up of perfbench's
+  ``optimize-diamond``) and on the chain of k = 4 diamonds.  Each run is a
+  fresh process that makes one untimed set-up, which fills the tree's cache
+  on the first run and warms the imports, and then times one set-up layer
+  by layer (``WARM_LAYERS``): ``load_scenario`` of the file's text,
+  ``validate_scenario``, the ``cached_adjoint`` hit (a run whose cache file
+  is written again fails) and ``PolicyEvaluator``, and after them
+  ``rasterize_network`` alone, which ``validate_scenario`` runs.
+  ``--warm-runs`` runs per set-up and tree, alternating which tree goes
+  first, with the median of each layer and of the total reported; 0 skips
+  them.
 * Simulate: whole ``tramopt simulate`` calls through ``cli.main``, all
   limits at 1.0, per ``SIMULATE_SETUPS``: on ``scenarios/diamond.json`` and
   on the chain of k = 4 diamonds.  Per set-up and tree, every call writes
@@ -126,6 +139,10 @@ CHAIN_SEED = 1
 CHAIN_DIAMONDS = 4
 #: the cold adjoint set-ups: the diamond, and chains of k diamonds
 ADJOINT_SETUPS = ("diamond", "k=1", "k=4", "k=16")
+#: the warm set-ups, and the layers each is timed by: the four of a set-up,
+#: their total and the raster map alone
+WARM_SETUPS = ("diamond", "k=4")
+WARM_LAYERS = ("load", "validate", "cache_hit", "evaluator", "total", "rasterize")
 #: the simulate calls timed in pairs, and the one run once per tree for its peak
 SIMULATE_SETUPS = ("diamond", "k=4")
 SIMULATE_PEAK_ONLY = "k=16"
@@ -371,6 +388,41 @@ def adjoint_worker(tree: Path, setup: str) -> dict:
     return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def warm_worker(tree: Path, scenario: Path, cache: Path) -> dict:
+    """One warm set-up of ``scenario`` with the adjoint cache in ``cache``, in
+    this fresh process, after an untimed one: the seconds of each layer of
+    ``WARM_LAYERS``."""
+    sys.path.insert(0, str(tree / "src"))
+    from tramopt.cli import PolicyEvaluator, cached_adjoint, load_scenario, validate_scenario
+    from tramopt.emission import rasterize_network
+
+    sc = load_scenario(scenario.read_text())
+    validate_scenario(sc)
+    PolicyEvaluator(sc, adjoint=cached_adjoint(sc, cache)[0])
+    seconds, marks = {}, [time.perf_counter()]
+
+    def lap(layer: str) -> None:
+        marks.append(time.perf_counter())
+        seconds[layer] = marks[-1] - marks[-2]
+
+    written = next(cache.glob("adjoint-*.bin")).stat().st_mtime_ns
+    sc = load_scenario(scenario.read_text())
+    lap("load")
+    validate_scenario(sc)
+    lap("validate")
+    adjoint, path = cached_adjoint(sc, cache)
+    lap("cache_hit")
+    PolicyEvaluator(sc, adjoint=adjoint)
+    lap("evaluator")
+    seconds["total"] = marks[-1] - marks[0]
+    if path.stat().st_mtime_ns != written:
+        raise RuntimeError(f"the timed set-up of {scenario.name} missed the adjoint cache")
+    start = time.perf_counter()
+    rasterize_network(sc)
+    seconds["rasterize"] = time.perf_counter() - start
+    return seconds
+
+
 def simulate_worker(tree: Path, argv: list[str]) -> dict:
     """One ``tramopt simulate`` call with ``argv`` in this fresh process."""
     sys.path.insert(0, str(tree / "src"))
@@ -479,6 +531,21 @@ def _simulate(tree: Path, argv: list[str]) -> dict:
     done = subprocess.run([sys.executable, __file__, "--simulate", str(tree), "--argv", json.dumps(argv)],
                           check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def measure_warm(trees: dict[str, Path], runs: int, work: Path) -> dict:
+    """Per ``WARM_SETUPS`` and tree, ``runs`` alternated fresh processes of
+    ``warm_worker``, each tree with its own cache: the seconds of each layer."""
+    samples = {k: {t: {layer: [] for layer in WARM_LAYERS} for t in trees} for k in WARM_SETUPS}
+    for k in WARM_SETUPS:
+        scenario = ROOT / "scenarios" / "diamond.json" if k == "diamond" else _chain_file(work, int(k[2:]))
+        for r in range(runs):
+            for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
+                argv = ["--warm", str(trees[t]), "--scenario", str(scenario), "--cache", str(work / t / k)]
+                done = subprocess.run([sys.executable, __file__, *argv], check=True, capture_output=True, text=True)
+                for layer, value in json.loads(done.stdout.strip().splitlines()[-1]).items():
+                    samples[k][t][layer].append(value)
+    return samples
 
 
 def measure_simulate(trees: dict[str, Path], runs: int, work: Path) -> dict:
@@ -772,6 +839,8 @@ def main() -> int:
     parser.add_argument("--adjoint-runs", type=int, default=10,
                         help="cold set-ups per set-up and tree (default 10; at 3 the process-to-process "
                              "spread of a cold set-up read as 0.70-0.77x with no set-up code changed)")
+    parser.add_argument("--warm-runs", type=int, default=10,
+                        help="warm set-ups per set-up and tree, each in a fresh process (default 10; 0 skips)")
     parser.add_argument("--simulate-runs", type=int, default=10,
                         help="alternated simulate pairs per set-up, after one untimed call per tree")
     parser.add_argument("--front-seeds", type=int, default=10,
@@ -789,6 +858,9 @@ def main() -> int:
     parser.add_argument("--adjoint", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--simulate", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--argv", help=argparse.SUPPRESS)
+    parser.add_argument("--warm", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--scenario", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--cache", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.serve:
@@ -803,14 +875,17 @@ def main() -> int:
     if args.simulate:
         print(json.dumps(simulate_worker(args.simulate, json.loads(args.argv))))
         return 0
+    if args.warm:
+        print(json.dumps(warm_worker(args.warm, args.scenario, args.cache)))
+        return 0
     if args.out is None:
         parser.error("--out is required: name the record to write")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1: the scoring pairs are the record")
-    if min(args.traced, args.adjoint_runs, args.simulate_runs, args.front_seeds, args.optimize_pairs,
-           args.tier1_pairs) < 0:
-        parser.error("--traced, --adjoint-runs, --simulate-runs, --front-seeds, --optimize-pairs and "
-                     "--tier1-pairs take 0 (skip) or more")
+    if min(args.traced, args.adjoint_runs, args.warm_runs, args.simulate_runs, args.front_seeds,
+           args.optimize_pairs, args.tier1_pairs) < 0:
+        parser.error("--traced, --adjoint-runs, --warm-runs, --simulate-runs, --front-seeds, --optimize-pairs "
+                     "and --tier1-pairs take 0 (skip) or more")
 
     import numpy as np
 
@@ -825,6 +900,7 @@ def main() -> int:
                 for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
                     for key, value in _adjoint(trees[t], k).items():
                         adjoint[k][t][key].append(value)
+        warm = measure_warm(trees, args.warm_runs, Path(tmp) / "warm") if args.warm_runs else None
         simulate = measure_simulate(trees, args.simulate_runs, Path(tmp) / "simulate") if args.simulate_runs else None
         end_to_end = measure_end_to_end(trees, args.optimize_pairs, args.tier1_pairs, Path(tmp) / "end-to-end")
 
@@ -856,6 +932,9 @@ def main() -> int:
         } for t in trees}
     if args.adjoint_runs:
         result["adjoint_setup"] = {k: _whole_runs(runs, trees) for k, runs in adjoint.items()}
+    if warm is not None:
+        result["warm_setup"] = {k: {layer: _compared(runs["parent"][layer], runs["change"][layer])
+                                    for layer in WARM_LAYERS} for k, runs in warm.items()}
     if simulate is not None:
         result["simulate"] = {k: _whole_runs(runs, trees) for k, runs in simulate["timed"].items()}
         result["simulate"][SIMULATE_PEAK_ONLY] = {"peak_rss_mb": simulate["peak_only"]}
@@ -868,6 +947,10 @@ def main() -> int:
         print(f"{key:21s} B={row['batch_size']:<4d} above critical {row['above_critical']:6.1%}  {_speeds(row)}")
     for k, row in result.get("adjoint_setup", {}).items():
         print(_whole_line(f"adjoint {k}", row))
+    for k, row in result.get("warm_setup", {}).items():
+        print(f"warm set-up {k:8s} " + "  ".join(
+            f"{layer} {r['parent']['median'] * 1e3:.3f}/{r['change']['median'] * 1e3:.3f} ms "
+            f"x{r['speedup_median_of_pairs']:.2f} ({r['change_wins']})" for layer, r in row.items()))
     for k, row in result.get("simulate", {}).items():
         if k == SIMULATE_PEAK_ONLY:
             print(f"simulate {k:8s} peak MB parent {row['peak_rss_mb']['parent']:.1f} "

@@ -8,7 +8,9 @@ the width-scaled rates of all of them.  That rule is one linear map from
 road cells to grid points, and a ``RasterMap`` is its one implementation:
 it scatters road-cell rates onto grid levels for the emission field, and
 gathers a grid level onto road cells for the adjoint's contraction.  Both
-add the entries of a bin in entry order, starting from 0.0.
+add the entries of a bin in entry order, starting from 0.0.  The map is
+built by array operations over the grid points of all roads' boxes at once,
+in passes of at most ``RASTER_PASS_POINTS`` points.
 
 The rates are made from a ``TrafficTrajectory``'s densities and the flow Q
 the traffic kernel computed with them; this module computes no flux.  The
@@ -33,6 +35,10 @@ from tramopt.network import Scenario
 #: memory, large enough that the fixed cost of a scatter and of a write is
 #: paid once per several levels (four on the diamond's 61 x 61 grid)
 FIELD_BLOCK_BYTES = 128 * 1024
+
+#: the most candidate grid points one pass of ``rasterize_network`` holds:
+#: at about 200 bytes per candidate at its peak, some 13 MB
+RASTER_PASS_POINTS = 2**16
 
 
 def emission_rate(flow, rho, theta, out=None):
@@ -86,10 +92,11 @@ class RasterMap:
 
 
 def rasterize_network(scenario: Scenario) -> RasterMap:
-    """Compute road coverage of all grid points; policy-independent."""
-    h = scenario.h
-    n = scenario.n_grid
-    hits = []  # per road: grid indices, slots and widths of the covered points
+    """Compute road coverage of all grid points; policy-independent.  The
+    candidates, each road's box's grid points in road and box order, are
+    tested by array operations in passes of at most ``RASTER_PASS_POINTS``."""
+    h, n, n_cells = scenario.h, scenario.n_grid, scenario.n_cells
+    boxes, scalars, total = [], [], 0  # per road; the candidates of the roads before it
     for e, road in enumerate(scenario.roads):
         (ax, ay), (bx, by) = road.tail, road.head
         half_w = road.width / 2.0
@@ -98,30 +105,37 @@ def rasterize_network(scenario: Scenario) -> RasterMap:
         j_lo = max(0, math.floor((min(ay, by) - half_w) / h))
         j_hi = min(n, math.ceil((max(ay, by) + half_w) / h))
         # a box outside the grid is empty, and so are the road's hits
-        ii, jj = np.meshgrid(
-            np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1), indexing="ij"
-        )
+        boxes.append((e, i_lo, j_lo, j_hi - j_lo + 1, total))
+        total += max(0, i_hi - i_lo + 1) * max(0, j_hi - j_lo + 1)
+        # closed membership; epsilons keep exact ties stable under rounding
+        reach = half_w * (1.0 + 1e-12) + 1e-15
+        scalars.append((ax, ay, bx - ax, by - ay, road.length**2, road.length, reach, road.width))
+    boxes, scalars = np.array(boxes).T, np.array(scalars).T
+    starts = np.append(boxes[-1], total)  # each road's first candidate, then the end
+
+    hits = []  # per pass: grid indices and slots of the covered points
+    # one pass at least, so that a map without candidates still has its arrays
+    for start in range(0, max(total, 1), RASTER_PASS_POINTS):
+        # per candidate of the pass, in order: its road's box and scalars
+        counts = np.diff(np.clip(starts, start, start + RASTER_PASS_POINTS))
+        (e, i_lo, j_lo, nj, first), (ax, ay, dx, dy, length_sq, length, reach) = (
+            np.repeat(a, counts, axis=1) for a in (boxes, scalars[:-1]))
+        di, dj = np.divmod(np.arange(start, start + e.size) - first, nj)
+        ii, jj = i_lo + di, j_lo + dj
         px = ii * h - ax
         py = jj * h - ay
-        dx, dy = bx - ax, by - ay
-        t = (px * dx + py * dy) / road.length**2
+        t = (px * dx + py * dy) / length_sq
         dist = np.hypot(px - t * dx, py - t * dy)
-        # closed membership; epsilons keep exact ties stable under rounding
-        hit = (
-            (t >= -1e-12)
-            & (t <= 1.0 + 1e-12)
-            & (dist <= half_w * (1.0 + 1e-12) + 1e-15)
-        )
-        cell = np.minimum((t[hit] * road.length / scenario.ds).astype(int), scenario.n_cells - 1)
-        hits.append((ii[hit], jj[hit], e * scenario.n_cells + cell, np.full(cell.size, road.width)))
+        hit = (t >= -1e-12) & (t <= 1.0 + 1e-12) & (dist <= reach)
+        cell = np.minimum((t[hit] * length[hit] / scenario.ds).astype(int), n_cells - 1)
+        hits.append(np.stack((ii[hit], jj[hit], e[hit] * n_cells + cell)))
 
     # a road covers a point once, so ordering a point's slots orders its roads
-    i, j, slot, width = (np.concatenate(parts) for parts in zip(*hits))
-    order = np.lexsort((slot, j, i))
-    i, j, slot, width = i[order], j[order], slot[order], width[order]
+    found = np.concatenate(hits, axis=1)
+    i, j, slot = found[:, np.lexsort(found[::-1])]
     point = i * (n + 1) + j
-    weight = 1.0 / (width * np.bincount(point)[point])
-    return RasterMap(n_grid=n, n_cells=scenario.n_cells, i=i, j=j, slot=slot, weight=weight)
+    weight = 1.0 / (scalars[-1, slot // n_cells] * np.bincount(point)[point])
+    return RasterMap(n_grid=n, n_cells=n_cells, i=i, j=j, slot=slot, weight=weight)
 
 
 def cell_rates(traj, scenario: Scenario) -> np.ndarray:

@@ -11,6 +11,11 @@ import json
 from pathlib import Path
 
 DIAMOND_PATH = Path(__file__).resolve().parents[1] / "scenarios" / "diamond.json"
+#: policies of ``scenarios/two_access.json``: two substeps per output step (v
+#: above 6.4 on roads 3 and 6), one, and one that grows both queues
+TWO_ACCESS_POLICIES = [
+    [1.5, 0.5, 7, 1, 0.75, 7.5, 1], [2, 2, 1, 0.5, 0.5, 1, 2], [0.3, 0.3, 8, 2, 2, 0.25, 0.25],
+]
 
 
 def road(rid: int, start, end, *, rho0=0.5, **values) -> dict:

@@ -96,11 +96,11 @@ _DIRECTIONS = st.one_of(
 
 @st.composite
 def _straight_road_scenarios(draw):
-    """1-4 roads of one length in the domain [0, 3]^2, some partly or wholly
+    """1-8 roads of one length in the domain [0, 3]^2, some partly or wholly
     outside it, on grid-aligned or arbitrary endpoints."""
     length = draw(st.one_of(st.sampled_from([1.0, 1.5]), st.floats(0.2, 2.5)))
     roads = []
-    for rid in range(1, draw(st.integers(1, 4)) + 1):
+    for rid in range(1, draw(st.integers(1, 8)) + 1):
         x, y = draw(_COORDS), draw(_COORDS)
         dx, dy = draw(_DIRECTIONS)
         width = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 1.5)))
@@ -132,9 +132,14 @@ def _reference_raster(s):
     }
 
 
+@pytest.mark.parametrize("pass_points", [emission.RASTER_PASS_POINTS, 5], ids=["default", "5"])
 @given(scenario=_straight_road_scenarios())
-def test_raster_matches_point_by_point_rule(scenario):
-    raster = rasterize_network(scenario)
+def test_raster_matches_point_by_point_rule(pass_points, scenario):
+    # the bits do not depend on the pass bound: at 5 points, below almost
+    # every road's box, passes split boxes and run from one road into the next
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(emission, "RASTER_PASS_POINTS", pass_points)
+        raster = rasterize_network(scenario)
     expected = _reference_raster(scenario)
     assert (raster.n_grid, raster.n_cells) == (scenario.n_grid, scenario.n_cells)
     for name in _RASTER_FIELDS:

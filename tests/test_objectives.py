@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import adjoint_history, closed_form_flux, j_diff_adjoint, j_diff_forward, solve_dispersion_forward
-from scenarios import diamond_doc, road, scenario_doc
+from scenarios import TWO_ACCESS_POLICIES, diamond_doc, road, scenario_doc
 
 from tramopt import objectives, traffic
 from tramopt.cli import search_front
@@ -268,6 +268,12 @@ class TestBatchEqualsSerial:
         # one, so the batch mixes substep counts; that grid breaks the
         # adjoint's CFL bound, so a seeded array stands in for the adjoint
         _assert_batch_equals_one_by_one(dataclasses.replace(diamond, n_time=100), policies, mode)
+
+    @pytest.mark.parametrize("mode", ["2d", "3d"])
+    def test_two_access_batch_equals_one_by_one(self, two_access, mode):
+        # two access queues, one fed by an inflow series, and a batch that
+        # marches in two substep groups
+        _assert_batch_equals_one_by_one(two_access, TWO_ACCESS_POLICIES, mode)
 
     @pytest.mark.parametrize("mode", ["2d", "3d"])
     @pytest.mark.parametrize("n_cells, n_time", [(1, 6), (2, 12)])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import closed_form_flux, mass_balance_residuals, roads_only_network, step_single_road
-from scenarios import road, scenario_doc
+from scenarios import TWO_ACCESS_POLICIES, road, scenario_doc
 
 from tramopt.network import PolicyError, load_scenario
 from tramopt.objectives import AdjointContraction, ObjectiveTally, PolicyEvaluator
@@ -30,11 +30,6 @@ from tramopt.traffic import (
 densities = st.floats(0.0, 1.0)
 #: diamond policies the kernel is checked against the per-junction reference on
 REFERENCE_POLICIES = [[2.0, 1, 0.25, 1.5, 0.7, 2], [1.0, 0.25, 1, 0.5, 0.8, 1]]
-#: two-access policies: two substeps per output step (v above 6.4 on roads 3
-#: and 6), one, and one that grows both queues
-TWO_ACCESS_POLICIES = [
-    [1.5, 0.5, 7, 1, 0.75, 7.5, 1], [2, 2, 1, 0.5, 0.5, 1, 2], [0.3, 0.3, 8, 2, 2, 0.25, 0.25],
-]
 
 
 def _kernel_flux(rho, v_max, rho_max):
