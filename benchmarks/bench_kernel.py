@@ -109,6 +109,19 @@ runs in its own worker process, which imports ``tramopt`` from that tree's
   each tree's checkout, ``--tier1-pairs`` pairs, with pytest's summary
   line.  The wall time counts the interpreter's start and its imports,
   and the peak RSS is the process's own (``wait4``); 0 pairs skips a row.
+* Import: a fresh interpreter that runs ``import tramopt.cli`` (``IMPORT``)
+  in each tree's checkout, ``--import-runs`` runs per tree after one
+  untimed run each, alternating which tree goes first; 0 skips the section.
+  Its wall time counts the interpreter's start, numpy and ``tramopt``, and
+  its peak RSS is the process's own, as in the end-to-end rows.  The row
+  records whether the interpreters wrote bytecode: with
+  ``PYTHONDONTWRITEBYTECODE`` set, a tree's own modules are compiled on
+  every run.
+
+Every peak RSS here is a child process's ``ru_maxrss``.  On Linux a child
+started by ``subprocess`` (vfork and exec) reports at least its launcher's
+peak RSS as its own, so the main process does not import numpy: its peak,
+about 20 MB, stays below that of every child, which imports numpy.
 
 Needs only the standard library and numpy.  Not part of the test suite.
 """
@@ -118,6 +131,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
 import math
@@ -197,6 +211,8 @@ E2E_OPTIMIZE = {
 }
 #: the Tier-1 command, run in a tree's checkout with its src/ on PYTHONPATH
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+#: the import row's command, run as TIER1 is
+IMPORT = ["-c", "import tramopt.cli"]
 
 
 # -- worker side: runs inside one tree ---------------------------------------
@@ -639,6 +655,26 @@ def measure_end_to_end(trees: dict[str, Path], optimize_pairs: int, tier1_pairs:
     return record
 
 
+def measure_import(trees: dict[str, Path], runs: int) -> dict:
+    """``runs`` alternated fresh interpreters per tree running ``IMPORT``,
+    after one untimed run per tree: the wall times and peak RSS."""
+    samples = {t: {"wall_s": [], "peak_rss_mb": []} for t in trees}
+    for r in range(-1, runs):
+        for t in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
+            wall, rss, done = _timed(trees[t], IMPORT, trees[t])
+            if done.returncode != 0:
+                raise RuntimeError(f"the import on the {t} exited {done.returncode}: {done.stderr[-500:]}")
+            if r >= 0:
+                samples[t]["wall_s"].append(wall)
+                samples[t]["peak_rss_mb"].append(rss)
+    return {
+        "command": "python " + " ".join(IMPORT),
+        "bytecode_written": not sys.flags.dont_write_bytecode,
+        "wall_s": _compared(samples["parent"]["wall_s"], samples["change"]["wall_s"]),
+        "peak_rss_mb": {t: _summary(v["peak_rss_mb"]) for t, v in samples.items()},
+    }
+
+
 def _end_to_end_lines(record: dict) -> list[str]:
     lines = []
     for name, row in record.items():
@@ -850,6 +886,8 @@ def main() -> int:
                              "(default 10, about 20 s a pair of both calls; 0 skips)")
     parser.add_argument("--tier1-pairs", type=int, default=3,
                         help="alternated pairs of the Tier-1 command (default 3, about 50 s a pair; 0 skips)")
+    parser.add_argument("--import-runs", type=int, default=15,
+                        help="alternated fresh interpreters per tree importing tramopt.cli (default 15; 0 skips)")
     parser.add_argument("--setup", choices=ADJOINT_SETUPS, help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help="the record to write, such as BENCH_12.json (required)")
     parser.add_argument("--serve", type=Path, help=argparse.SUPPRESS)
@@ -883,11 +921,9 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1: the scoring pairs are the record")
     if min(args.traced, args.adjoint_runs, args.warm_runs, args.simulate_runs, args.front_seeds,
-           args.optimize_pairs, args.tier1_pairs) < 0:
-        parser.error("--traced, --adjoint-runs, --warm-runs, --simulate-runs, --front-seeds, --optimize-pairs "
-                     "and --tier1-pairs take 0 (skip) or more")
-
-    import numpy as np
+           args.optimize_pairs, args.tier1_pairs, args.import_runs) < 0:
+        parser.error("--traced, --adjoint-runs, --warm-runs, --simulate-runs, --front-seeds, --optimize-pairs, "
+                     "--tier1-pairs and --import-runs take 0 (skip) or more")
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _export(args.parent, Path(tmp)), "change": ROOT}
@@ -903,6 +939,7 @@ def main() -> int:
         warm = measure_warm(trees, args.warm_runs, Path(tmp) / "warm") if args.warm_runs else None
         simulate = measure_simulate(trees, args.simulate_runs, Path(tmp) / "simulate") if args.simulate_runs else None
         end_to_end = measure_end_to_end(trees, args.optimize_pairs, args.tier1_pairs, Path(tmp) / "end-to-end")
+        imports = measure_import(trees, args.import_runs) if args.import_runs else None
 
     result = {
         "script": "benchmarks/bench_kernel.py",
@@ -912,7 +949,7 @@ def main() -> int:
             "processor": platform.processor() or platform.machine(),
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
-            "numpy": np.__version__,
+            "numpy": importlib.metadata.version("numpy"),
         },
         "git": {
             "parent": _git("rev-parse", args.parent),
@@ -942,6 +979,8 @@ def main() -> int:
         result["front"] = _front_rows(*front)
     if end_to_end:
         result["end_to_end"] = end_to_end
+    if imports is not None:
+        result["import"] = imports
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for key, row in result["scoring"].items():
         print(f"{key:21s} B={row['batch_size']:<4d} above critical {row['above_critical']:6.1%}  {_speeds(row)}")
@@ -959,6 +998,12 @@ def main() -> int:
             print(_whole_line(f"simulate {k}", row))
     for line in _front_lines(result.get("front", {})) + _end_to_end_lines(end_to_end):
         print(line)
+    if imports is not None:
+        wall, rss = imports["wall_s"], imports["peak_rss_mb"]
+        print(f"import tramopt.cli x{wall['speedup_median_of_pairs']:.2f} wall (wins {wall['change_wins']})  "
+              f"parent {wall['parent']['median'] * 1e3:.0f} ms change {wall['change']['median'] * 1e3:.0f} ms  "
+              f"peak MB parent {rss['parent']['median']:.1f} change {rss['change']['median']:.1f}  "
+              f"bytecode written: {imports['bytecode_written']}")
     return 0
 
 

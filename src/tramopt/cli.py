@@ -18,6 +18,11 @@ the kernel flush the new contents at close or rename, so a run into an
 a 17.9 MB file took 18-21 ms by truncation and 23-25 ms through a temporary
 file and ``os.replace``, against 6-7 ms unlinked first (2 cores, ext4).
 
+The process pool of ``optimize --jobs`` N > 1 is imported only there, when
+it is made: ``multiprocessing`` and ``concurrent.futures`` bring in
+``logging``, ``socket``, ``subprocess`` and more, about 2 MB of peak memory
+that every other command and ``--jobs 1`` do without.
+
 Exit codes: 0 success, 1 domain error (infeasible policy, failed
 validation, unstable setup, objectives that overflow), 2 I/O or parse error.
 """
@@ -32,13 +37,11 @@ import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
 import zlib
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -367,11 +370,12 @@ def cmd_optimize(args) -> int:
 
     evaluator, adjoint_path = _evaluator(scenario, args, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = (
-        ProcessPoolExecutor(args.jobs, multiprocessing.get_context("spawn"))
-        if args.jobs > 1
-        else contextlib.nullcontext()
-    )
+    if args.jobs > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        workers = ProcessPoolExecutor(args.jobs, multiprocessing.get_context("spawn"))
+    else:
+        workers = contextlib.nullcontext()
     with workers as pool:
         score = None if pool is None else functools.partial(_score_sliced, pool, args.jobs, evaluator)
         entries, breakdowns, diagnostics = search_front(evaluator, args.budget, args.seed, score)

@@ -133,8 +133,11 @@ def rasterize_network(scenario: Scenario) -> RasterMap:
     # a road covers a point once, so ordering a point's slots orders its roads
     found = np.concatenate(hits, axis=1)
     i, j, slot = found[:, np.lexsort(found[::-1])]
+    # sorted by point, so a point's roads are one run of entries, whose length counts them
     point = i * (n + 1) + j
-    weight = 1.0 / (scalars[-1, slot // n_cells] * np.bincount(point)[point])
+    edges = np.append(np.flatnonzero(np.concatenate(([True], point[1:] != point[:-1]))), point.size)
+    run = edges[1:] - edges[:-1]
+    weight = 1.0 / (scalars[-1, slot // n_cells] * np.repeat(run, run))
     return RasterMap(n_grid=n, n_cells=n_cells, i=i, j=j, slot=slot, weight=weight)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -8,6 +9,8 @@ import io
 import json
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -844,6 +847,24 @@ class TestOptimize:
                 fronts.append((out / "front.csv").read_bytes())
             assert fronts[0] == fronts[1]
 
+    def test_only_more_than_one_job_loads_a_process_pool(self, fast_scenario_path, tmp_path):
+        # in a fresh interpreter, since this one may hold the modules already
+        script = (
+            "import json, sys\n"
+            "from tramopt.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(json.dumps(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules))))\n"
+        )
+        runs = [_command_argv(c, fast_scenario_path, tmp_path / c) for c in ("validate", "simulate", "optimize")]
+        runs[-1] += ["--jobs", "1"]
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
     def test_three_objective_mode_columns(self, fast_scenario_path, tmp_path):
         out = tmp_path / "opt3"
         run_cli(
@@ -896,10 +917,13 @@ class TestOptimize:
     @pytest.mark.parametrize("cpus, jobs", [(2, "3"), (None, "2")])
     def test_jobs_above_the_cpu_count_exits_one(self, fast_scenario_path, tmp_path, capsys, monkeypatch,
                                                 cpus, jobs):
-        # refused before the evaluator or the pool is made; an unknown CPU
-        # count counts as one
+        # refused before the evaluator (which writes its adjoint into --out)
+        # or the pool is made; an unknown CPU count counts as one
+        def no_pool(*args):
+            raise AssertionError("a refused --jobs made a process pool")
+
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "x"
         code = run_cli("optimize", "--scenario", str(fast_scenario_path), "--out", str(out),
                        "--budget", "30", "--jobs", jobs)
